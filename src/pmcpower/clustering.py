@@ -6,6 +6,16 @@ squared distances to centroids the least. Merge heights record that SSE
 increase directly (not its square root): for z-scored columns it grows
 linearly with the number of samples, which is what makes a cut threshold
 proportional to the sample count dimensionally sensible.
+
+The merge loop is Müllner's "generic" algorithm (Müllner 2011, §3): every
+active row caches its exact minimum distance and the tie key of its best
+partner, so a merge step costs O(n) plus a rescan of the few rows whose
+cached minimum involved the merged pair, instead of a scan of the whole
+matrix. Tie keys are (smaller label, larger label) encoded through each
+name's rank in sorted order. The nearest-neighbour-chain algorithm would
+be cheaper still, but exactly collinear counters produce many zero-height
+ties at once and the chain does not merge them in this tie order, so the
+tree (and every cut of it) would depend on how the chain walked.
 """
 from __future__ import annotations
 
@@ -18,6 +28,9 @@ import numpy as np
 from .errors import ClusteringError
 
 DEFAULT_CUT_FACTOR = 0.05
+
+# Rows of the distance matrix a rescan reads at once.
+_RESCAN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -78,7 +91,16 @@ def ward_cluster(
     for Ward's method, so every recorded height equals the exact
     delta-SSE of its merge. Equal heights break toward the pair whose
     (smaller name, larger name) label pair sorts first, which makes the
-    tree independent of column order.
+    tree independent of column order; a cluster's label is its smallest
+    member name and the merged cluster keeps the smaller slot index.
+
+    Each merge is picked from per-row caches (exact row minimum, smallest
+    tie key among that row's partners at the minimum) rather than from the
+    full matrix. After a merge only rows whose cached minimum equalled
+    their old distance to either merged cluster are rescanned; every other
+    row just compares its cache against its one new distance. The initial
+    distances are computed once per pair and mirrored. No n x n array is
+    allocated besides the distance matrix: rescans read blocks of rows.
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
     to cluster raw coordinates (used by low-level tests).
@@ -97,6 +119,8 @@ def ward_cluster(
             raise ClusteringError("one name per feature column required")
         if len(set(names)) != n_features:
             raise ClusteringError("feature names must be unique")
+    if not np.isfinite(z).all():
+        raise ClusteringError("feature matrix holds non-finite values")
     if check_normalized:
         means = z.mean(axis=0)
         bad = np.flatnonzero(np.abs(means) > 1e-6)
@@ -106,31 +130,55 @@ def ward_cluster(
             )
 
     points = z.T  # (n_features, n_samples)
-    dist = np.full((n_features, n_features), np.inf)
-    for i in range(n_features):
-        diff = points[i] - points
-        dist[i] = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    dist = np.empty((n_features, n_features))
+    for i in range(n_features - 1):
+        # The slice keeps row i itself so einsum always sees at least two
+        # rows: a single-row operand takes a different summation path whose
+        # rounding can differ in the last bit.
+        diff = points[i] - points[i:]
+        row = 0.5 * np.einsum("ij,ij->i", diff, diff)[1:]
+        dist[i, i + 1 :] = row
+        dist[i + 1 :, i] = row
     np.fill_diagonal(dist, np.inf)
+
+    # rank[s] is the position of slot s's label in sorted(names); a pair's
+    # tie key lo * n_features + hi orders pairs exactly as (smaller label,
+    # larger label).
+    slot_of_rank = np.array(
+        sorted(range(n_features), key=names.__getitem__), dtype=np.int64
+    )
+    rank = np.empty(n_features, dtype=np.int64)
+    rank[slot_of_rank] = np.arange(n_features)
+    row_min = np.empty(n_features)
+    row_key = np.empty(n_features, dtype=np.int64)
+
+    def pair_keys(rank_a, rank_b):
+        return np.minimum(rank_a, rank_b) * n_features + np.maximum(rank_a, rank_b)
+
+    def rescan(rows: np.ndarray) -> None:
+        for start in range(0, rows.size, _RESCAN_ROWS):
+            block_rows = rows[start : start + _RESCAN_ROWS]
+            block = dist[block_rows]
+            lows = block.min(axis=1)
+            r, c = np.nonzero(block == lows[:, None])
+            keys = pair_keys(rank[block_rows[r]], rank[c])
+            row_starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            row_min[block_rows] = lows
+            row_key[block_rows] = np.minimum.reduceat(keys, row_starts)
+
+    rescan(np.arange(n_features))
 
     active = np.ones(n_features, dtype=bool)
     size = np.ones(n_features, dtype=np.int64)
-    label = list(names)  # lexicographically smallest member name per slot
     node_id = list(range(n_features))
 
     merges: list[Merge] = []
     for step in range(n_features - 1):
-        height = float(dist.min())
-        ii, jj = np.nonzero(dist == height)
-        best = None
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            if i >= j:
-                continue
-            key = (min(label[i], label[j]), max(label[i], label[j]))
-            if best is None or key < best[0]:
-                best = (key, i, j)
-        assert best is not None
-        _, i, j = best
-        left_slot, right_slot = (i, j) if label[i] <= label[j] else (j, i)
+        height = float(row_min.min())
+        key = int(row_key[row_min == height].min())
+        left_slot = int(slot_of_rank[key // n_features])
+        right_slot = int(slot_of_rank[key % n_features])
+        i, j = sorted((left_slot, right_slot))
         merged_size = int(size[i] + size[j])
         merges.append(Merge(node_id[left_slot], node_id[right_slot], height, merged_size))
 
@@ -138,19 +186,40 @@ def ward_cluster(
         others[i] = others[j] = False
         k = np.flatnonzero(others)
         if k.size:
+            d_ik, d_jk = dist[i, k], dist[j, k]
             s_i, s_j, s_k = size[i], size[j], size[k]
             updated = (
-                (s_i + s_k) * dist[i, k] + (s_j + s_k) * dist[j, k] - s_k * height
+                (s_i + s_k) * d_ik + (s_j + s_k) * d_jk - s_k * height
             ) / (s_i + s_j + s_k)
             updated = np.maximum(updated, 0.0)
             dist[i, k] = updated
             dist[k, i] = updated
+            dist[j, :] = np.inf
+            dist[:, j] = np.inf
+            row_min[j] = np.inf
+
+            rank[i] = min(rank[i], rank[j])
+            slot_of_rank[rank[i]] = i
+            new_keys = pair_keys(rank[k], rank[i])
+            low = updated.min()
+            row_min[i] = low
+            row_key[i] = new_keys[updated == low].min()
+
+            # Ward is reducible: in exact arithmetic the new distance is never
+            # below min(d_ik, d_jk), so a row that is not stale changes only
+            # when rounding brings the new value down to its minimum.
+            mins, keys = row_min[k], row_key[k]
+            stale = (mins == d_ik) | (mins == d_jk)
+            closer = updated < mins
+            tied = updated == mins
+            row_min[k] = np.where(closer, updated, mins)
+            row_key[k] = np.where(
+                closer, new_keys, np.where(tied, np.minimum(keys, new_keys), keys)
+            )
+            rescan(k[stale])
         size[i] = merged_size
-        label[i] = min(label[i], label[j])
         node_id[i] = n_features + step
         active[j] = False
-        dist[j, :] = np.inf
-        dist[:, j] = np.inf
 
     return Dendrogram(leaves=names, merges=tuple(merges))
 

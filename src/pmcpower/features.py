@@ -8,7 +8,7 @@ with the target far better than either input does on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -153,12 +153,15 @@ def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
 
     Counters that are constant over every run (always-zero counters
     included) carry no information and would break correlation math.
+    A counter with a NaN or infinite rate is rejected by name.
     """
     if len(ds.records) < 2:
         raise DegenerateSeriesError("need at least 2 records")
     retained, dropped = [], []
     columns = _dataset_columns(ds)
     for name in ds.counter_names:
+        if not np.isfinite(columns[name]).all():
+            raise FeatureError(f"counter {name} has a non-finite rate")
         (dropped if _near_zero_variance(columns[name]) else retained).append(name)
     if not retained:
         raise FeatureError("no usable counters")
@@ -243,6 +246,13 @@ class FeatureMatrix:
     specs: tuple[FeatureSpec, ...]
     values: np.ndarray
     norm: NormStats
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index: dict[FeatureSpec, int] = {}
+        for i, spec in enumerate(self.specs):
+            index.setdefault(spec, i)
+        object.__setattr__(self, "_index", index)
 
     def zscored(self) -> np.ndarray:
         return (self.values - self.norm.mean) / self.norm.std
@@ -251,7 +261,10 @@ class FeatureMatrix:
         return [spec.canonical() for spec in self.specs]
 
     def index_of(self, spec: FeatureSpec) -> int:
-        return self.specs.index(spec)
+        try:
+            return self._index[spec]
+        except KeyError:
+            raise ValueError(f"{spec} is not a column of this matrix") from None
 
     def column(self, spec: FeatureSpec) -> np.ndarray:
         return self.values[:, self.index_of(spec)]

@@ -60,9 +60,9 @@ class EvalReport:
 def pearson(x, y) -> float:
     """Pearson correlation coefficient of two equal-length series.
 
-    Raises DegenerateSeriesError when either series has zero variance or
-    fewer than 3 points. Negating one input flips the sign of the result
-    bit-exactly, which the feature-inversion step relies on.
+    Raises DegenerateSeriesError when either series has zero variance,
+    fewer than 3 points or a non-finite value. Negating one input flips the
+    sign of the result bit-exactly, which the feature-inversion step relies on.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -74,9 +74,16 @@ def pearson(x, y) -> float:
     dy = y - y.mean()
     sxx = float(np.dot(dx, dx))
     syy = float(np.dot(dy, dy))
+    # Only the sums are checked: a NaN or inf anywhere in a series reaches
+    # them, and the clamp below would otherwise turn a NaN r into 1.0.
+    if not (math.isfinite(sxx) and math.isfinite(syy)):
+        raise DegenerateSeriesError("series holds a non-finite value")
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateSeriesError("degenerate series (zero variance)")
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    scale = math.sqrt(sxx * syy)
+    r = float(np.dot(dx, dy)) / scale if scale > 0.0 else math.nan
+    if not math.isfinite(r):
+        raise DegenerateSeriesError("correlation is not finite")
     return max(-1.0, min(1.0, r))
 
 
@@ -148,6 +155,8 @@ def pearson_p_value(r: float, n: int) -> float:
     Uses t = r * sqrt((n-2) / (1-r^2)) against the t-distribution with
     n-2 degrees of freedom. |r| = 1 returns 0 exactly (limit case).
     """
+    if not math.isfinite(r):
+        raise DegenerateSeriesError(f"correlation {r} is not finite")
     if n < 3:
         raise DegenerateSeriesError("need at least 3 samples for a p-value")
     if abs(r) >= 1.0:

@@ -389,7 +389,7 @@ def _csv_text(header: list[str], rows: list[list[float]]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
 
 

@@ -6,9 +6,11 @@ from pmcpower.clustering import (
     default_cut_threshold,
     ward_cluster,
 )
+from pmcpower import features as ft
 from pmcpower.errors import ClusteringError
+from pmcpower.synth import collinear_config, generate
 
-from oracles import dendrogram_leafsets, ward_brute_force
+from oracles import dendrogram_leafsets, ward_brute_force, ward_reference
 
 
 def one_dim_tree():
@@ -98,6 +100,57 @@ class TestWardCluster:
         doc = tree.to_dict()
         assert doc["leaves"] == ["x", "y", "z"]
         assert len(doc["merges"]) == 2
+
+
+def _zscore(z):
+    std = z.std(axis=0)
+    return (z - z.mean(axis=0)) / np.where(std > 0, std, 1.0)
+
+
+def _tied_matrix(rng, n_samples, n_features):
+    """Random columns, about a third of them overwritten by exact duplicates
+    or exact multiples of others: many merges at height zero at once."""
+    z = rng.normal(size=(n_samples, n_features))
+    n_copies = n_features // 3
+    src = rng.integers(0, n_features, n_copies)
+    dst = rng.integers(0, n_features, n_copies)
+    z[:, dst] = z[:, src] * rng.choice([1.0, 2.0, 8.0, 0.5], n_copies)
+    return _zscore(z)
+
+
+class TestWardMatchesReference:
+    """The cached-minimum merge loop against the frozen full-scan loop."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_features", [2, 3, 5, 17, 64, 150, 300])
+    def test_random_and_tied_columns(self, seed, n_features):
+        rng = np.random.default_rng(1000 * seed + n_features)
+        n_samples = int(rng.integers(3, 40))
+        names = [f"c{int(i)}" for i in rng.permutation(n_features)]
+        random_cols = _zscore(rng.normal(size=(n_samples, n_features)))
+        coarse = _zscore(np.round(rng.normal(size=(n_samples, n_features)), 1))
+        for z in (random_cols, coarse, _tied_matrix(rng, n_samples, n_features)):
+            assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+
+    def test_fortran_ordered_raw_coordinates(self, rng):
+        z = np.asfortranarray(_tied_matrix(rng, 9, 120) * 3.0 + 1.0)
+        names = [f"x{i:03d}" for i in range(120)]
+        got = ward_cluster(z, names, check_normalized=False).to_json()
+        assert got == ward_reference(z, names, check_normalized=False).to_json()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_collinear_profile_pipeline_matrix(self, seed):
+        ds, _ = generate(collinear_config(n_runs=60, noise_sigma=0.02, seed=seed))
+        matrix = ft.build_matrix(ds, ft.generate_combined(ds, ft.invert_negative(ds)))
+        z, names = matrix.zscored(), matrix.names()
+        tree = ward_cluster(z, names)
+        assert sum(m.height == 0.0 for m in tree.merges) > 10
+        assert tree.to_json() == ward_reference(z, names).to_json()
+
+    def test_rejects_non_finite(self):
+        z = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]])
+        with pytest.raises(ClusteringError, match="non-finite"):
+            ward_cluster(z, check_normalized=False)
 
 
 class TestCutDendrogram:

@@ -88,6 +88,14 @@ class TestDropZeroVariance:
         with pytest.raises(FeatureError, match="no usable counters"):
             drop_zero_variance(ds)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rate_names_counter(self, bad):
+        ds = make_dataset(
+            {"live": [1.0, 2.0, 3.0], "broken": [1.0, bad, 3.0]}, [1.0, 2.0, 3.0]
+        )
+        with pytest.raises(FeatureError, match="counter broken has a non-finite rate"):
+            drop_zero_variance(ds)
+
 
 class TestInvertNegative:
     def build(self, rng, n=60):
@@ -205,6 +213,14 @@ class TestBuildMatrix:
         ds = make_dataset({"a": [1, 2, 3], "b": [4, 5, 7]}, [1, 2, 3])
         matrix = build_matrix(ds, [base("a"), base("b")])
         assert matrix.values.shape == (3, 2)
+
+    def test_column_lookup_by_spec(self):
+        ds = make_dataset({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 7.0]}, [1, 2, 3])
+        matrix = build_matrix(ds, [base("b"), product("a", "b")])
+        assert matrix.index_of(product("b", "a")) == 1
+        assert matrix.column(base("b")).tolist() == [4.0, 5.0, 7.0]
+        with pytest.raises(ValueError, match="base:a"):
+            matrix.index_of(base("a"))
 
     def test_duplicate_spec_rejected(self):
         ds = make_dataset({"a": [1, 2, 3]}, [1, 2, 3])

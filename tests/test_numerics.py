@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pmcpower.errors import DegenerateSeriesError
+from pmcpower.errors import DegenerateSeriesError, PmcPowerError
 from pmcpower.numerics import (
     compute_norm_stats,
     evaluate,
@@ -33,6 +33,20 @@ class TestPearson:
     def test_too_short_raises(self):
         with pytest.raises(DegenerateSeriesError):
             pearson([1.0, 2.0], [3.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, bad):
+        # The [-1, 1] clamp used to turn the NaN r of such a series into 1.0.
+        with pytest.raises(DegenerateSeriesError, match="non-finite"):
+            pearson([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DegenerateSeriesError, match="non-finite"):
+            pearson([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, bad, 4.0])
+
+    def test_variance_product_underflow_raises(self):
+        # Both sums are positive but their product underflows to 0.
+        tiny = [0.0, 1e-160, 2e-160]
+        with pytest.raises(DegenerateSeriesError, match="not finite"):
+            pearson(tiny, tiny)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -74,6 +88,12 @@ class TestPValue:
     def test_limit_case_r_one(self):
         assert pearson_p_value(1.0, 10) == 0.0
         assert pearson_p_value(-1.0, 10) == 0.0
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_non_finite_r_raises_package_error(self, r):
+        with pytest.raises(PmcPowerError) as info:
+            pearson_p_value(r, 10)
+        assert isinstance(info.value, DegenerateSeriesError)
 
     def test_matches_t_cdf_oracle(self):
         rng = np.random.default_rng(3)

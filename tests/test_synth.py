@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pmcpower.dataset import load_manifest, split_dataset
@@ -10,6 +11,7 @@ from pmcpower.model import (
 )
 from pmcpower.numerics import pearson
 from pmcpower.synth import (
+    _csv_text,
     LatentFactor,
     NoiseCopy,
     Scale,
@@ -119,6 +121,10 @@ class TestVerifyRecovery:
 
 
 class TestTraceEmission:
+    def test_csv_writes_numpy_scalars_as_plain_floats(self):
+        rows = [[np.float64(1.5), 0.1], [2.0, np.float64(1e-300)]]
+        assert _csv_text(["a", "b"], rows) == "a,b\n1.5,0.1\n2.0,1e-300\n"
+
     def test_round_trip_through_ingestion(self, tmp_path):
         ds, truth = generate(three_factor_config(n_runs=12, seed=8))
         manifest = write_dataset_files(ds, tmp_path, truth)
