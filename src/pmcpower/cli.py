@@ -156,7 +156,11 @@ def cmd_train(config: RunConfig) -> int:
     train, test = split_dataset(ds, config.train_fraction, config.seed)
     result = run_pipeline(train, config.pipeline())
     model = result.model
-    model.train_meta["run_config"] = asdict(config)
+    # The manifest and output paths are left out so the model file does not
+    # depend on where the campaign lives; dataset_fingerprint names the data.
+    run_config = asdict(config)
+    del run_config["manifest"], run_config["output_dir"]
+    model.train_meta["run_config"] = run_config
     model.train_meta["n_isolation_clamped"] = n_clamped
     model.train_meta["selection_trace_file"] = "selection_trace.txt"
 

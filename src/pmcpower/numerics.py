@@ -80,7 +80,13 @@ def pearson(x, y) -> float:
         raise DegenerateSeriesError("series holds a non-finite value")
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateSeriesError("degenerate series (zero variance)")
-    scale = math.sqrt(sxx * syy)
+    variance_product = sxx * syy
+    # Both sums are finite, but their product may overflow; the root is
+    # split only then, so every other r keeps its bits.
+    if variance_product == math.inf:
+        scale = math.sqrt(sxx) * math.sqrt(syy)
+    else:
+        scale = math.sqrt(variance_product)
     r = float(np.dot(dx, dy)) / scale if scale > 0.0 else math.nan
     if not math.isfinite(r):
         raise DegenerateSeriesError("correlation is not finite")

@@ -3,10 +3,18 @@
 Nothing here shares code with src/: least squares goes through the normal
 equations, Ward merges recompute every pairwise SSE increase from raw
 coordinates at every step, and the t-distribution CDF comes from scipy.
-The one exception is ``ward_reference``, a frozen copy of the full-matrix
-Ward loop that ``pmcpower.clustering.ward_cluster`` replaced; it reuses
-only the package's Dendrogram/Merge containers and error type, so its
-output can be compared with the fast loop's byte for byte.
+Two exceptions are frozen copies of code the package replaced, kept so the
+fast paths can be compared with them exactly:
+
+* ``ward_reference``, the full-matrix Ward loop that
+  ``pmcpower.clustering.ward_cluster`` replaced; it reuses only the
+  package's Dendrogram/Merge containers and error type, so its output can
+  be compared with the fast loop's byte for byte;
+* ``generate_combined_reference``, the candidate loop that scored every
+  product and ratio with the scalar ``pearson`` and ``pearson_p_value``
+  before ``pmcpower.features.generate_combined`` pre-scored them in
+  blocks; it reuses the package's spec constructors, column helpers and
+  statistics, so the two must return equal spec lists.
 """
 from __future__ import annotations
 
@@ -16,7 +24,17 @@ import numpy as np
 from scipy import stats
 
 from pmcpower.clustering import Dendrogram, Merge
-from pmcpower.errors import ClusteringError
+from pmcpower.dataset import Dataset
+from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError
+from pmcpower.features import (
+    RATIO_DENOM_EPS,
+    FeatureSpec,
+    _dataset_columns,
+    _spec_column,
+    product,
+    ratio,
+)
+from pmcpower.numerics import pearson, pearson_p_value
 
 
 def normal_equation_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,3 +192,54 @@ def ward_reference(
         dist[:, j] = np.inf
 
     return Dendrogram(leaves=names, merges=tuple(merges))
+
+
+def generate_combined_reference(
+    ds: Dataset,
+    base_specs: Sequence[FeatureSpec],
+    alpha: float = 0.05,
+    top_k: int = 1000,
+) -> list[FeatureSpec]:
+    """Append the strongest pairwise product/ratio features to the base set.
+
+    Candidates are every unordered pair's product and every ordered pair's
+    ratio over the base counters. Ratios whose denominator column comes
+    within RATIO_DENOM_EPS of zero (relative to its peak) anywhere are
+    excluded up front. Survivors are ranked by |Pearson r| against the
+    target, gated at p < alpha, and capped at top_k; ties break on the
+    canonical spec name so the ranking is platform-stable.
+    """
+    if top_k < 0:
+        raise FeatureError("top_k must be >= 0")
+    if any(spec.kind not in ("base", "inv") for spec in base_specs):
+        raise FeatureError("combined candidates build on base/inverted specs only")
+    names = sorted({spec.a for spec in base_specs})
+    columns = _dataset_columns(ds)
+    y = ds.targets()
+    n = len(ds.records)
+
+    unsafe_denominator = {
+        name: bool(np.min(np.abs(columns[name])) < RATIO_DENOM_EPS * np.max(np.abs(columns[name])))
+        for name in names
+    }
+
+    candidates: list[FeatureSpec] = []
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            candidates.append(product(a, b))
+    for a in names:
+        for b in names:
+            if a != b and not unsafe_denominator[b]:
+                candidates.append(ratio(a, b))
+
+    scored: list[tuple[float, str, FeatureSpec]] = []
+    for spec in candidates:
+        col = _spec_column(spec, columns)
+        try:
+            r = pearson(col, y)
+        except DegenerateSeriesError:
+            continue  # constant candidate column, e.g. x * (c/x)
+        if pearson_p_value(r, n) < alpha:
+            scored.append((abs(r), spec.canonical(), spec))
+    scored.sort(key=lambda item: (-item[0], item[1]))
+    return list(base_specs) + [spec for _, _, spec in scored[:top_k]]

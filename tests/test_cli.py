@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -84,6 +85,20 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 0
         second = {n: (tmp_path / "out" / n).read_bytes() for n in tracked}
         assert first == second
+
+    def test_model_file_independent_of_paths(self, tmp_path, synth_manifest):
+        # One campaign in two directories, each trained into its own output.
+        models = []
+        for place in ("first", "second/nested"):
+            data = tmp_path / place / "data"
+            shutil.copytree(synth_manifest.parent, data)
+            out = tmp_path / place / "out"
+            assert main(["train", "--manifest", str(data / synth_manifest.name),
+                         "--output-dir", str(out), "--seed", "0"]) == 0
+            models.append((out / "model.json").read_bytes())
+        assert models[0] == models[1]
+        run_config = json.loads(models[0])["train_meta"]["run_config"]
+        assert "manifest" not in run_config and "output_dir" not in run_config
 
     def test_unknown_config_key_exit_2(self, tmp_path, synth_manifest, capsys):
         path = tmp_path / "config.json"

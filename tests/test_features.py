@@ -1,7 +1,14 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmcpower.errors import FeatureError
+from pmcpower import features
+from pmcpower.errors import FeatureError, PmcPowerError
 from pmcpower.features import (
     base,
     build_matrix,
@@ -15,9 +22,65 @@ from pmcpower.features import (
     product,
     ratio,
 )
-from pmcpower.numerics import pearson
+from pmcpower.numerics import pearson, pearson_p_value
+from pmcpower.synth import generate
 
 from conftest import make_dataset
+from oracles import generate_combined_reference
+
+
+def _load_campaign():
+    """The benchmark's wide campaign design (perfbench/campaign.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "campaign.py"
+    spec = importlib.util.spec_from_file_location("perfbench_campaign", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+campaign = _load_campaign()
+
+
+def wide_dataset(factors, runs, seed):
+    ds, _ = generate(campaign.wide_config(campaign.Shape(factors, 6, runs, 2), seed))
+    return ds
+
+
+def outcome(fn, *args, **kwargs):
+    """The spec list ``fn`` returns, or the type and message it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (PmcPowerError, LookupError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(ds, base_specs, **kwargs):
+    got = outcome(generate_combined, ds, base_specs, **kwargs)
+    assert got == outcome(generate_combined_reference, ds, base_specs, **kwargs)
+    return got
+
+
+def count_exact_scores(monkeypatch):
+    """Count the candidates generate_combined scores with pearson."""
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return pearson(x, y)
+
+    monkeypatch.setattr(features, "pearson", counting)
+    return calls
+
+
+def n_candidates(ds):
+    names = ds.counter_names
+    m = len(names)
+    safe = sum(
+        not np.min(np.abs(ds.column(b))) < features.RATIO_DENOM_EPS * np.max(np.abs(ds.column(b)))
+        for b in names
+    )
+    return m * (m - 1) // 2 + safe * (m - 1)
 
 
 class TestFeatureSpec:
@@ -243,3 +306,244 @@ class TestBuildMatrix:
         matrix = build_matrix(ds, [base("bytes"), base("beats")])
         z = matrix.zscored()
         assert np.abs(z[:, 0] - z[:, 1]).max() < 1e-9
+
+
+class TestGenerateCombinedMatchesReference:
+    """The pre-scored walk returns the spec list exact scoring of every
+    candidate returns, including its errors."""
+
+    @pytest.mark.parametrize("factors,runs,seed", [
+        (10, 120, 3), (10, 120, 17), (10, 60, 29), (20, 90, 5), (4, 400, 11),
+    ])
+    def test_wide_campaigns(self, factors, runs, seed):
+        ds = wide_dataset(factors, runs, seed)
+        specs = assert_matches_reference(ds, invert_negative(ds))
+        assert len(specs) > 6 * factors
+
+    @pytest.mark.parametrize("runs,alpha", [(5, 0.05), (12, 0.05), (60, 1e-40)])
+    def test_gate_binds_before_top_k(self, runs, alpha):
+        ds = wide_dataset(6, runs, 7)
+        base_specs = invert_negative(ds)
+        specs = assert_matches_reference(ds, base_specs, alpha=alpha, top_k=1000)
+        assert 0 < len(specs) - len(base_specs) < 1000
+
+    @pytest.mark.parametrize("top_k", [0, 1, 2, 10_000])
+    def test_top_k_extremes(self, top_k):
+        ds = wide_dataset(4, 40, 2)
+        base_specs = invert_negative(ds)
+        specs = assert_matches_reference(ds, base_specs, alpha=1.0, top_k=top_k)
+        if top_k == 10_000:
+            assert top_k > n_candidates(ds)
+            assert len(specs) > len(base_specs)
+
+    def test_inverted_base_specs(self, rng):
+        n = 50
+        y = rng.uniform(100, 500, n)
+        cols = {
+            "up": y + rng.normal(0, 30, n),
+            "down": 1000.0 - y + rng.normal(0, 30, n),
+            "flat": rng.uniform(1, 10, n),
+        }
+        ds = make_dataset(cols, y)
+        base_specs = invert_negative(ds)
+        assert inverted("down") in base_specs
+        assert_matches_reference(ds, base_specs, alpha=0.05, top_k=4)
+        assert_matches_reference(ds, [inverted(k) for k in cols], alpha=0.05, top_k=100)
+
+    def test_collinear_ties_at_the_cut(self, rng):
+        # Power-of-two conversions scale a column exactly, so the products
+        # of each family member with "b" share one |r| bit for bit.
+        n = 40
+        events = rng.uniform(1, 10, n)
+        cols = {
+            "a_events": events, "a_beats": 8.0 * events, "a_half": 0.5 * events,
+            "b": rng.uniform(1, 10, n), "c": rng.uniform(1, 10, n),
+        }
+        ds = make_dataset(cols, events * cols["b"] + rng.normal(0, 1, n))
+        base_specs = [base(k) for k in cols]
+        full = generate_combined_reference(ds, base_specs, alpha=1.0, top_k=10_000)
+        scores = [abs(pearson(features._spec_column(s, cols), ds.targets()))
+                  for s in full[len(base_specs):]]
+        cuts = [k for k in range(1, len(scores)) if scores[k - 1] == scores[k]]
+        assert len(cuts) >= 3
+        for top_k in cuts:
+            assert_matches_reference(ds, base_specs, alpha=1.0, top_k=top_k)
+
+    def test_near_zero_denominators(self, rng):
+        n = 30
+        cols = {
+            "tiny": np.concatenate([[1e-15], rng.uniform(1, 2, n - 1)]),
+            "small": rng.uniform(1e-8, 2e-8, n),
+            "big": rng.uniform(1, 10, n),
+            "zero_crossing": rng.normal(0, 1, n),
+        }
+        ds = make_dataset(cols, rng.uniform(1, 10, n))
+        assert_matches_reference(ds, [base(k) for k in cols], alpha=1.0, top_k=100)
+
+    def test_all_zero_denominator_raises_the_same_error(self, rng):
+        n = 20
+        cols = {"a": rng.uniform(1, 2, n), "b": np.zeros(n), "c": rng.uniform(1, 2, n)}
+        ds = make_dataset(cols, rng.uniform(1, 10, n))
+        got = assert_matches_reference(ds, [base(k) for k in cols], alpha=1.0, top_k=5)
+        assert got == (FeatureError, "zero denominator evaluating ratio:a/b")
+
+    def test_missing_counter_raises_the_same_error(self, rng):
+        ds = make_dataset({"a": rng.uniform(1, 2, 20), "c": rng.uniform(1, 2, 20)},
+                          rng.uniform(1, 10, 20))
+        got = assert_matches_reference(ds, [base("a"), base("b"), base("c")])
+        assert got[0] is KeyError
+
+    def test_constant_product_of_reciprocals(self, rng):
+        # x * (c/x) is c up to rounding noise, whose r is whatever the noise
+        # gives; its pre-score cannot be trusted.
+        n = 60
+        x = rng.uniform(1, 100, n)
+        cols = {"x": x, "c_over_x": 37.0 / x, "w": rng.uniform(1, 5, n), "w3": 3.0 / x}
+        ds = make_dataset(cols, rng.uniform(1, 10, n))
+        base_specs = [base(k) for k in cols]
+        for top_k in (1, 3, 100):
+            assert_matches_reference(ds, base_specs, alpha=1.0, top_k=top_k)
+
+    def test_extreme_scales(self, rng):
+        # Columns near 1e+-150 make sxx, syy or their product over- or
+        # underflow for many candidates.
+        n = 30
+        cols = {
+            "huge": rng.uniform(1, 10, n) * 1e150,
+            "tiny": rng.uniform(1, 10, n) * 1e-150,
+            "unit": rng.uniform(1, 10, n),
+            "large": rng.uniform(1, 10, n) * 1e100,
+        }
+        for y_scale in (1.0, 1e10, 1e-100):
+            ds = make_dataset(cols, rng.uniform(1, 10, n) * y_scale)
+            assert_matches_reference(ds, [base(k) for k in cols], alpha=1.0, top_k=100)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_small_random_datasets(self, data):
+        n = data.draw(st.integers(3, 24), label="runs")
+        n_raw = data.draw(st.integers(1, 4), label="raw columns")
+        cols = {}
+        for k in range(n_raw):
+            values = data.draw(st.lists(st.integers(-3, 20), min_size=n, max_size=n))
+            cols[f"r{k}"] = np.array(values, dtype=float)
+        for k in range(data.draw(st.integers(0, 3), label="derived columns")):
+            source = cols[data.draw(st.sampled_from(sorted(cols)))]
+            factor = data.draw(st.sampled_from([1.0, 8.0, 0.5, 3.0, -1.0, 1e-3]))
+            cols[f"d{k}"] = source * factor
+        y = np.array(data.draw(st.lists(
+            st.floats(-50, 500, allow_nan=False), min_size=n, max_size=n)))
+        ds = make_dataset(cols, y)
+        base_specs = [
+            data.draw(st.sampled_from([base, inverted]))(name) for name in cols
+        ]
+        assert_matches_reference(
+            ds, base_specs,
+            alpha=data.draw(st.sampled_from([1.0, 0.5, 0.05, 1e-6])),
+            top_k=data.draw(st.integers(0, 12)),
+        )
+
+
+def walked_in_reverse(prescore):
+    """``prescore`` with every value moved down by less than
+    PRESCORE_MARGIN / 4, so that candidates closer than PRESCORE_MARGIN / 8
+    are walked in the reverse of their exact order: the worst order the
+    self-check lets through."""
+    width = features.PRESCORE_MARGIN / 8
+
+    def wrapped(block, dy, syy):
+        r, trusted = prescore(block, dy, syy)
+        return r - 0.99 * 2 * width * np.mod(r, width) / width, trusted
+
+    return wrapped
+
+
+class TestPrescore:
+    def test_trusted_rows(self, rng):
+        n = 40
+        y = rng.uniform(1, 10, n)
+        dy = y - y.mean()
+        syy = float(np.dot(dy, dy))
+        x = rng.uniform(1, 100, n)
+        rows = {
+            "plain": rng.uniform(1, 10, n),
+            "negative": -rng.uniform(1, 10, n),
+            "x*(c/x)": x * (37.0 / x),
+            "constant": np.full(n, 3.0),
+            "nan": np.where(np.arange(n) == 3, np.nan, 1.0 + x),
+            "inf": np.where(np.arange(n) == 3, np.inf, 1.0 + x),
+            "square overflows": x * 1e160,
+            "sxx underflows": x * 1e-160,
+            "sxx*syy overflows": x * 1e146,
+        }
+        r, trusted = features._prescore(np.array(list(rows.values())), dy, syy)
+        assert dict(zip(rows, trusted.tolist())) == {
+            "plain": True, "negative": True, "x*(c/x)": False, "constant": False,
+            "nan": False, "inf": False, "square overflows": False,
+            "sxx underflows": False, "sxx*syy overflows": False,
+        }
+        for i, name in enumerate(("plain", "negative")):
+            assert r[i] == pytest.approx(abs(pearson(rows[name], y)), abs=1e-14)
+
+    def test_reverse_walk_within_the_margin(self, monkeypatch):
+        ds = wide_dataset(10, 120, 3)
+        base_specs = invert_negative(ds)
+        expected = generate_combined_reference(ds, base_specs)
+        monkeypatch.setattr(features, "_prescore", walked_in_reverse(features._prescore))
+        calls = count_exact_scores(monkeypatch)
+        assert generate_combined(ds, base_specs) == expected
+        assert len(calls) < n_candidates(ds)  # no fallback
+
+    def test_reverse_walk_across_the_gate(self, rng, monkeypatch):
+        # prod(b,x0) and prod(b,x1) differ in |r| by about 1e-11, and alpha
+        # is the p-value of the lower one: it fails the gate, the higher
+        # one passes, and the reversed walk meets the failure first.
+        n = 40
+        b = rng.uniform(1, 10, n)
+        x0 = rng.uniform(1, 10, n)
+        x1 = x0 * (1.0 + 1e-11 * rng.normal(size=n))
+        y = x0 * b + rng.normal(0, 60, n)
+        ds = make_dataset({"b": b, "x0": x0, "x1": x1}, y)
+        r0, r1 = sorted(abs(pearson(b * x, y)) for x in (x0, x1))
+        assert 0 < r1 - r0 < features.PRESCORE_MARGIN / 8
+        alpha = pearson_p_value(r0, n)
+        assert pearson_p_value(r1, n) < alpha
+        monkeypatch.setattr(features, "_prescore", walked_in_reverse(features._prescore))
+        specs = assert_matches_reference(ds, [base("b"), base("x0"), base("x1")],
+                                         alpha=alpha, top_k=1000)
+        assert len(specs) == 4
+
+
+class TestGenerateCombinedScoresFewExactly:
+    def test_failed_self_check_scores_everything(self, monkeypatch):
+        ds = wide_dataset(6, 60, 3)
+        base_specs = invert_negative(ds)
+        expected = generate_combined_reference(ds, base_specs)
+        prescore = features._prescore
+
+        def off_by_a_margin(block, dy, syy):
+            r, trusted = prescore(block, dy, syy)
+            return r + features.PRESCORE_MARGIN, trusted
+
+        monkeypatch.setattr(features, "_prescore", off_by_a_margin)
+        calls = count_exact_scores(monkeypatch)
+        assert generate_combined(ds, base_specs) == expected
+        assert len(calls) > n_candidates(ds)
+
+    def test_zero_margin_still_matches(self, monkeypatch):
+        ds = wide_dataset(6, 60, 4)
+        base_specs = invert_negative(ds)
+        monkeypatch.setattr(features, "PRESCORE_MARGIN", 0.0)
+        assert_matches_reference(ds, base_specs)
+        assert_matches_reference(ds, base_specs, top_k=20)
+
+    def test_under_five_percent_scored_exactly(self, monkeypatch):
+        ds = wide_dataset(40, 200, 3)  # 240 counters, 86,040 candidates
+        base_specs = invert_negative(ds)
+        total = n_candidates(ds)
+        assert total == 86_040
+        calls = count_exact_scores(monkeypatch)
+        specs = generate_combined(ds, base_specs)
+        assert len(specs) == len(base_specs) + 1000
+        assert len(calls) < 0.05 * total
+

@@ -48,6 +48,14 @@ class TestPearson:
         with pytest.raises(DegenerateSeriesError, match="not finite"):
             pearson(tiny, tiny)
 
+    def test_variance_product_overflow(self):
+        # Both sums are finite but sxx * syy overflows to inf.
+        huge = [0.0, 1e100, 2e100, 3e100]
+        assert pearson(huge, huge) == 1.0
+        assert pearson(huge, [-v for v in huge]) == -1.0
+        expected = pearson([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 2.0, 5.0])
+        assert pearson(huge, [1e100, 3e100, 2e100, 5e100]) == pytest.approx(expected, rel=1e-12)
+
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
