@@ -9,7 +9,14 @@ import tempfile
 from pathlib import Path
 
 from pmcpower.dataset import isolate_dataset, load_manifest, split_dataset
-from pmcpower.model import PipelineConfig, evaluate_model, load_model, predict, run_pipeline, save_model
+from pmcpower.model import (
+    PipelineConfig,
+    evaluate_model,
+    load_model,
+    predict_dataset,
+    run_pipeline,
+    save_model,
+)
 from pmcpower.selection import format_trace
 from pmcpower.synth import generate, three_factor_config, write_dataset_files
 
@@ -24,10 +31,10 @@ def main():
 
     print("\n=== 2. Ingest the CSV traces ===")
     loaded, _ = load_manifest(manifest)
-    first = loaded.records[0]
-    print(f"first run {first.meta.benchmark_name!r}: "
-          f"total {first.total_current:.1f} mA, "
-          f"alu_events rate {first.rates['alu_events']:.1f} ev/s")
+    print(f"{loaded.rates.shape[0]} runs x {loaded.rates.shape[1]} counters of average rates")
+    print(f"first run {loaded.meta[0].benchmark_name!r}: "
+          f"total {loaded.total_current[0]:.1f} mA, "
+          f"alu_events rate {loaded.column('alu_events')[0]:.1f} ev/s")
 
     print("\n=== 3. Isolate the component current (subtract base power) ===")
     # the generator emits already-isolated current, so base power is 0 here;
@@ -54,11 +61,11 @@ def main():
     model_path = workdir / "model.json"
     save_model(model, model_path)
     reloaded = load_model(model_path)
-    sample = test.records[0]
+    predicted = predict_dataset(reloaded, test)
     print(f"saved to {model_path}")
-    print(f"prediction for {sample.meta.benchmark_name!r}: "
-          f"{predict(reloaded, sample):.1f} mA "
-          f"(measured {sample.target_current:.1f} mA)")
+    print(f"prediction for {test.meta[0].benchmark_name!r}: "
+          f"{predicted[0]:.1f} mA "
+          f"(measured {test.target_current[0]:.1f} mA)")
 
 
 if __name__ == "__main__":

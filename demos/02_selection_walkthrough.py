@@ -9,8 +9,14 @@ cluster only while it still buys explanatory power.
 import numpy as np
 
 from pmcpower.clustering import cut_dendrogram, default_cut_threshold, ward_cluster
-from pmcpower.dataset import Dataset, RunMeta, RunRecord
-from pmcpower.features import build_matrix, drop_zero_variance, generate_combined, invert_negative
+from pmcpower.dataset import Dataset, RunMeta
+from pmcpower.features import (
+    build_matrix,
+    drop_zero_variance,
+    feature_column,
+    generate_combined,
+    invert_negative,
+)
 from pmcpower.numerics import pearson, pearson_p_value
 from pmcpower.selection import format_trace, select_significant
 
@@ -30,17 +36,13 @@ def build_campaign(n=80, seed=4):
         "stall_cycles": 1500.0 - compute + rng.normal(0, 20, n),  # anti-correlated
         "disabled_counter": np.zeros(n),     # never fires on this device
     }
-    records = []
-    for i in range(n):
-        meta = RunMeta(f"bench-{i:03d}", "Compute", 471e6)
-        rates = {k: float(v[i]) for k, v in columns.items()}
-        records.append(RunRecord(meta, rates, float(current[i]), float(current[i])))
-    return Dataset(records, tuple(columns))
+    meta = [RunMeta(f"bench-{i:03d}", "Compute", 471e6) for i in range(n)]
+    return Dataset(tuple(columns), np.column_stack(list(columns.values())), meta, current)
 
 
 def main():
     ds = build_campaign()
-    y = ds.targets()
+    y = ds.target_current
 
     print("=== 1. Drop counters that never vary ===")
     retained, dropped = drop_zero_variance(ds)
@@ -56,10 +58,8 @@ def main():
     print("\n=== 3. Score pairwise combinations ===")
     with_combined = generate_combined(ds, specs, alpha=0.05, top_k=5)
     for spec in with_combined[len(specs):]:
-        a = ds.column(spec.a)
-        b = ds.column(spec.b)
-        value = a * b if spec.kind == "prod" else a / b
-        print(f"  kept candidate {spec.canonical():<32s} |r|={abs(pearson(value, y)):.3f}")
+        r = pearson(feature_column(spec, ds), y)
+        print(f"  kept candidate {spec.canonical():<32s} |r|={abs(r):.3f}")
 
     print("\n=== 4. Cluster the z-scored feature columns (Ward) ===")
     matrix = build_matrix(ds, specs)

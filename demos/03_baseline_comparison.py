@@ -48,7 +48,7 @@ def main():
     counters_model = run_pipeline(mtrain, PipelineConfig(combined=False)).model
     uf_model = train_util_freq(mtrain)
     row("counters", len(counters_model.features), evaluate_model(counters_model, mtest))
-    uf_report = evaluate(predict_util_freq_dataset(uf_model, mtest), mtest.targets())
+    uf_report = evaluate(predict_util_freq_dataset(uf_model, mtest), mtest.target_current)
     row("util-freq", len(uf_model.slopes), uf_report)
     print("utilization alone cannot see what kind of work the device is doing.")
 

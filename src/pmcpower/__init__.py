@@ -14,9 +14,8 @@ from .dataset import (
     Dataset,
     PowerTrace,
     RunMeta,
-    RunRecord,
     aggregate_run,
-    isolate_power,
+    isolate_dataset,
     load_manifest,
     parse_counter_trace,
     parse_power_trace,
@@ -27,7 +26,7 @@ from .features import (
     FeatureSpec,
     build_matrix,
     drop_zero_variance,
-    evaluate_feature,
+    feature_column,
     generate_combined,
     invert_negative,
     parse_feature_spec,
@@ -38,11 +37,10 @@ from .model import (
     UtilFreqModel,
     evaluate_model,
     load_model,
-    predict,
+    predict_dataset,
     run_pipeline,
     save_model,
     train_all_pmc,
-    train_auto,
     train_k_top,
     train_util_freq,
 )

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,34 +39,30 @@ from .selection import format_trace
 TRAIN_FRACTION_DEFAULT = 2.0 / 3.0
 
 
-@dataclass
-class RunConfig:
-    """One training/evaluation job; defaults are the recommended knobs."""
+@dataclass(frozen=True)
+class RunConfig(PipelineConfig):
+    """One training/evaluation job: the pipeline knobs plus the data, split
+    and isolation settings. A config file holds these fields as flat keys."""
 
     manifest: str = ""
     output_dir: str = "out"
-    alpha: float = 0.05
-    cut_factor: float = 0.05
-    epsilon: float = 0.01
-    patience: int = 5
-    top_k: int = 1000
-    combined: bool = True
-    cluster_scope: str = "union"
     train_fraction: float = TRAIN_FRACTION_DEFAULT
     seed: int = 0
     base_current_ma: float = 0.0
     aux_model: str | None = None
 
     def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(
-            alpha=self.alpha,
-            cut_factor=self.cut_factor,
-            epsilon=self.epsilon,
-            patience=self.patience,
-            top_k=self.top_k,
-            combined=self.combined,
-            cluster_scope=self.cluster_scope,
-        )
+        return PipelineConfig(**{f.name: getattr(self, f.name) for f in fields(PipelineConfig)})
+
+
+# The JSON value types a config file may give each annotated field type.
+_CONFIG_TYPES = {
+    "float": (int, float),
+    "int": (int,),
+    "bool": (bool,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
 
 
 def load_run_config(path) -> RunConfig:
@@ -79,31 +75,39 @@ def load_run_config(path) -> RunConfig:
         raise ParseError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: expected a JSON object")
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"config {path}: unknown key {sorted(unknown)[0]!r}")
+    types = {f.name: _CONFIG_TYPES[f.type] for f in fields(RunConfig)}
+    for key in sorted(doc):
+        if key not in types:
+            raise ConfigError(f"config {path}: unknown key {key!r}")
+        value = doc[key]
+        # JSON true/false load as bool, which Python counts as an int.
+        if not isinstance(value, types[key]) or (isinstance(value, bool) and bool not in types[key]):
+            raise ConfigError(f"config {path}: key {key!r} has a value of the wrong type: {value!r}")
     return RunConfig(**doc)
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    for name in RunConfig.__dataclass_fields__:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    config = replace(config, **overrides)
     if not config.manifest:
         raise ConfigError("no manifest given (config file key 'manifest' or --manifest)")
     return config
 
 
 def _load_isolated(config: RunConfig) -> tuple[Dataset, int]:
-    ds, aux_rates = load_manifest(config.manifest)
-    aux_model = load_model(config.aux_model) if config.aux_model else None
-    if aux_model is not None and aux_rates is None:
-        raise ConfigError(
-            "aux model given but the manifest lists no aux_counter_file entries"
-        )
-    return isolate_dataset(ds, config.base_current_ma, aux_model, aux_rates)
+    ds, aux = load_manifest(config.manifest)
+    aux_current = None
+    if config.aux_model:
+        aux_model = load_model(config.aux_model)
+        if aux is None:
+            raise ConfigError(
+                "aux model given but the manifest lists no aux_counter_file entries"
+            )
+        aux_current = predict_dataset(aux_model, aux)
+    return isolate_dataset(ds, config.base_current_ma, aux_current)
 
 
 def _report_dict(report: EvalReport, by_workload: dict[str, EvalReport] | None = None) -> dict:
@@ -123,14 +127,14 @@ def _predictions_csv(ds: Dataset, predictions: np.ndarray) -> str:
     writer.writerow(
         ["benchmark", "workload_type", "frequency_hz", "target_ma", "predicted_ma"]
     )
-    for rec, pred in zip(ds.records, predictions):
+    for meta, target, pred in zip(ds.meta, ds.target_current.tolist(), predictions.tolist()):
         writer.writerow(
             [
-                rec.meta.benchmark_name,
-                rec.meta.workload_type,
-                repr(rec.meta.frequency_hz),
-                repr(rec.target_current),
-                repr(float(pred)),
+                meta.benchmark_name,
+                meta.workload_type,
+                repr(meta.frequency_hz),
+                repr(target),
+                repr(pred),
             ]
         )
     return buf.getvalue()
@@ -172,8 +176,8 @@ def cmd_train(config: RunConfig) -> int:
 
     pred_train = predict_dataset(model, train)
     pred_test = predict_dataset(model, test)
-    train_report = evaluate(pred_train, train.targets())
-    test_report = evaluate(pred_test, test.targets())
+    train_report = evaluate(pred_train, train.target_current)
+    test_report = evaluate(pred_test, test.target_current)
     _write_json(
         out / "eval.json",
         {
@@ -203,7 +207,7 @@ def cmd_eval(model_path: str, config: RunConfig) -> int:
     model = load_model(model_path)
     ds, _ = _load_isolated(config)
     predictions = predict_dataset(model, ds)
-    report = evaluate(predictions, ds.targets())
+    report = evaluate(predictions, ds.target_current)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -240,20 +244,12 @@ def cmd_compare(config: RunConfig, k: int | None = None) -> int:
     auto = run_pipeline(train, config.pipeline()).model
     rows.append(("auto", len(auto.features), evaluate_model(auto, test)))
 
-    linear_cfg = PipelineConfig(
-        alpha=config.alpha,
-        cut_factor=config.cut_factor,
-        epsilon=config.epsilon,
-        patience=config.patience,
-        top_k=config.top_k,
-        combined=False,
-    )
-    linear = run_pipeline(train, linear_cfg).model
+    linear = run_pipeline(train, replace(config.pipeline(), combined=False)).model
     rows.append(("auto-linear", len(linear.features), evaluate_model(linear, test)))
 
-    if all(rec.meta.utilization is not None for rec in ds.records):
+    if all(meta.utilization is not None for meta in ds.meta):
         uf = train_util_freq(train)
-        uf_report = evaluate(predict_util_freq_dataset(uf, test), test.targets())
+        uf_report = evaluate(predict_util_freq_dataset(uf, test), test.target_current)
         rows.append(("util-freq", len(uf.slopes), uf_report))
     else:
         sys.stderr.write("note: runs lack utilization; skipping util-freq baseline\n")
@@ -349,8 +345,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-combined", dest="combined", action="store_const", const=False,
         help="base counters only",
     )
-    parser.add_argument("--cluster-scope", dest="cluster_scope",
-                        choices=("union", "combined-only"))
     parser.add_argument("--train-fraction", dest="train_fraction", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--base-current", dest="base_current_ma", type=float)

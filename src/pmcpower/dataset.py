@@ -12,9 +12,8 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +43,8 @@ class CounterTrace:
             raise ParseError("counter trace shape mismatch")
         if ts.size < 1:
             raise ParseError("no samples")
+        if not (np.isfinite(ts).all() and np.isfinite(counts).all()):
+            raise ParseError("non-finite value")
         if np.any(np.diff(ts) <= 0):
             raise ParseError("timestamps must be strictly increasing")
         if np.any(counts < 0):
@@ -65,6 +66,8 @@ class PowerTrace:
         object.__setattr__(self, "current_ma", cur)
         if ts.ndim != 1 or cur.shape != ts.shape or ts.size < 1:
             raise ParseError("power trace shape mismatch")
+        if not (np.isfinite(ts).all() and np.isfinite(cur).all()):
+            raise ParseError("non-finite value")
         if np.any(np.diff(ts) <= 0):
             raise ParseError("timestamps must be strictly increasing")
         if np.any(cur < 0):
@@ -90,46 +93,73 @@ class RunMeta:
             raise ConfigError("utilization must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One benchmark run: average event rates plus measured/isolated current."""
+def _frozen(values) -> np.ndarray:
+    """A read-only float array of ``values``; a writable array is copied
+    first, so no caller can change a dataset through its own reference."""
+    array = np.asarray(values, dtype=float)
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
-    meta: RunMeta
-    rates: dict[str, float]
-    total_current: float
-    target_current: float
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: list[RunRecord]
+    """One row per benchmark run: average event rates (one column per
+    counter), the run's metadata, and its measured (total) and isolated
+    (target) current in mA. The target equals the total until isolation."""
+
     counter_names: tuple[str, ...]
+    rates: np.ndarray
+    meta: tuple[RunMeta, ...]
+    total_current: np.ndarray
+    target_current: np.ndarray | None = None
+    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        for rec in self.records:
-            if tuple(rec.rates.keys()) != self.counter_names:
-                raise ConfigError(
-                    f"run {rec.meta.benchmark_name!r} does not share the "
-                    "dataset counter ordering"
-                )
+        names = tuple(self.counter_names)
+        index = {name: j for j, name in enumerate(names)}
+        if len(index) != len(names):
+            duplicate = next(name for name in names if names.count(name) > 1)
+            raise ConfigError(f"duplicate counter name {duplicate!r}")
+        rates = _frozen(self.rates)
+        meta = tuple(self.meta)
+        total = _frozen(self.total_current)
+        target = total if self.target_current is None else _frozen(self.target_current)
+        if rates.shape != (len(meta), len(names)):
+            raise ConfigError(
+                f"rates have shape {rates.shape}; expected "
+                f"({len(meta)} runs, {len(names)} counters)"
+            )
+        if total.shape != (len(meta),) or target.shape != (len(meta),):
+            raise ConfigError("one total and one target current per run required")
+        for name, value in (("counter_names", names), ("rates", rates), ("meta", meta),
+                            ("total_current", total), ("target_current", target),
+                            ("_index", index)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def rates_matrix(self) -> np.ndarray:
-        return np.array(
-            [[rec.rates[c] for c in self.counter_names] for rec in self.records],
-            dtype=float,
-        )
+        return len(self.meta)
 
     def column(self, counter: str) -> np.ndarray:
-        return np.array([rec.rates[counter] for rec in self.records], dtype=float)
+        """The counter's rate in every run; KeyError for an unknown counter."""
+        return self.rates[:, self._index[counter]]
 
-    def targets(self) -> np.ndarray:
-        return np.array([rec.target_current for rec in self.records], dtype=float)
+    def take(self, rows) -> Dataset:
+        """The runs at the positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return Dataset(
+            self.counter_names,
+            self.rates[rows],
+            tuple(self.meta[i] for i in rows),
+            self.total_current[rows],
+            self.target_current[rows],
+        )
 
 
-def _parse_rows(text: str, expected_first: str):
+def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], np.ndarray]:
+    """The header, the line number of every sample row, and the rows as a
+    float table; ragged, malformed and non-finite rows are named by line."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -138,7 +168,7 @@ def _parse_rows(text: str, expected_first: str):
     header = [h.strip() for h in header]
     if not header or header[0] != expected_first:
         raise ParseError(f"line 1: expected '{expected_first}' as first column")
-    rows = []
+    linenos, rows = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue  # blank line
@@ -148,61 +178,84 @@ def _parse_rows(text: str, expected_first: str):
                 f"(expected {len(header)} values, got {len(row)})"
             )
         try:
-            values = [float(v) for v in row]
+            rows.append([float(v) for v in row])
         except ValueError:
             raise ParseError(f"line {lineno}: malformed row {row!r}") from None
-        rows.append((lineno, values))
+        linenos.append(lineno)
     if not rows:
         raise ParseError("no samples")
-    return header, rows
+    table = np.array(rows)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(f"line {linenos[i]}: non-finite value in column {header[j]!r}")
+    return header, linenos, table
 
 
-def _check_monotone(rows) -> None:
-    prev = None
-    for lineno, values in rows:
-        if prev is not None and values[0] <= prev:
-            raise ParseError(f"non-monotone timestamp at line {lineno}")
-        prev = values[0]
+def _reject_rows(bad: np.ndarray, linenos: list[int], problem: str) -> None:
+    """Raise for the first row flagged in ``bad``, naming its line."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ParseError(f"line {linenos[rows[0]]}: {problem}")
+
+
+def _check_monotone(ts: np.ndarray, linenos: list[int]) -> None:
+    rows = np.flatnonzero(np.diff(ts) <= 0)
+    if rows.size:
+        raise ParseError(f"non-monotone timestamp at line {linenos[rows[0] + 1]}")
+
+
+def _check_counter_names(names: list[str]) -> None:
+    """Counter names must be unique and must survive the canonical feature
+    syntax (``prod:a*b``, ``ratio:a/b``) unchanged."""
+    seen = set()
+    for name in names:
+        if not name:
+            raise ParseError("line 1: empty counter name")
+        for reserved in "*/":
+            if reserved in name:
+                raise ParseError(f"line 1: counter name {name!r} contains {reserved!r}")
+        if name in seen:
+            raise ParseError(f"line 1: duplicate counter column {name!r}")
+        seen.add(name)
 
 
 def parse_counter_trace(text: str) -> CounterTrace:
     """Parse counter-trace CSV: header ``ts_ms,<c1>,<c2>,...``, delta counts per row."""
-    header, rows = _parse_rows(text, "ts_ms")
+    header, linenos, table = _parse_rows(text, "ts_ms")
     if len(header) < 2:
         raise ParseError("line 1: counter trace needs at least one counter column")
-    _check_monotone(rows)
-    for lineno, values in rows:
-        if any(v < 0 for v in values[1:]):
-            raise ParseError(f"line {lineno}: negative count")
-    ts = np.array([v[0] for _, v in rows])
-    counts = np.array([v[1:] for _, v in rows])
+    _check_counter_names(header[1:])
+    ts = table[:, 0].copy()
+    counts = table[:, 1:].copy()
+    _check_monotone(ts, linenos)
+    _reject_rows((counts < 0).any(axis=1), linenos, "negative count")
     return CounterTrace(tuple(header[1:]), ts, counts)
 
 
 def parse_power_trace(text: str) -> PowerTrace:
     """Parse power-trace CSV: header ``ts_ms,current_ma[,voltage_v]``."""
-    header, rows = _parse_rows(text, "ts_ms")
+    header, linenos, table = _parse_rows(text, "ts_ms")
     if len(header) not in (2, 3) or header[1] != "current_ma":
         raise ParseError("line 1: expected header ts_ms,current_ma[,voltage_v]")
     if len(header) == 3 and header[2] != "voltage_v":
         raise ParseError("line 1: third column must be voltage_v")
-    _check_monotone(rows)
-    for lineno, values in rows:
-        if values[1] < 0:
-            raise ParseError(f"line {lineno}: negative current")
-    ts = np.array([v[0] for _, v in rows])
-    cur = np.array([v[1] for _, v in rows])
+    ts = table[:, 0].copy()
+    cur = table[:, 1].copy()
+    _check_monotone(ts, linenos)
+    _reject_rows(cur < 0, linenos, "negative current")
     voltage = None
     if len(header) == 3:
-        volts = np.array([v[2] for _, v in rows])
+        volts = table[:, 2]
         if np.any(np.abs(volts - volts[0]) > 1e-6 * max(1.0, abs(volts[0]))):
             raise ParseError("voltage column is not constant")
         voltage = float(volts[0])
     return PowerTrace(ts, cur, voltage)
 
 
-def aggregate_run(counters: CounterTrace, power: PowerTrace, meta: RunMeta) -> RunRecord:
-    """Collapse one run's traces into average event rates and mean current.
+def aggregate_run(counters: CounterTrace, power: PowerTrace) -> tuple[np.ndarray, float]:
+    """Collapse one run's traces into its average event rates (one per
+    counter, in trace order) and its mean current.
 
     Rates are total counts inside the overlap window divided by its duration;
     counter intervals that straddle a window edge contribute pro-rata
@@ -234,139 +287,118 @@ def aggregate_run(counters: CounterTrace, power: PowerTrace, meta: RunMeta) -> R
     # Current step segments: sample j holds on [p_ts[j], p_ts[j+1]), last to w1.
     seg_ends = np.append(p_ts[1:], w1)
     dur = np.maximum(0.0, np.minimum(seg_ends, w1) - np.maximum(p_ts, w0))
-    total_current = float(np.dot(power.current_ma, dur) / (w1 - w0))
-
-    rate_map = dict(zip(counters.counter_names, rates.tolist()))
-    return RunRecord(
-        meta=meta,
-        rates=rate_map,
-        total_current=total_current,
-        target_current=total_current,
-    )
-
-
-def _aux_prediction(aux_model, aux_rates: Mapping[str, float]) -> float:
-    from .features import evaluate_spec_on_rates  # deferred: features imports us
-
-    total = aux_model.intercept
-    for spec, coef in zip(aux_model.features, aux_model.coefficients):
-        total += coef * evaluate_spec_on_rates(spec, aux_rates)
-    return total
-
-
-def _isolated_target(record, base_current, aux_model, aux_rates):
-    if base_current < 0:
-        raise IsolationError("base current must be >= 0")
-    aux = 0.0
-    if aux_model is not None:
-        if aux_rates is None:
-            raise IsolationError("aux model given but no aux rates")
-        aux = _aux_prediction(aux_model, aux_rates)
-    target = record.total_current - base_current - aux
-    clamped = target < 0.0
-    return (0.0 if clamped else target), clamped
-
-
-def isolate_power(
-    record: RunRecord,
-    base_current: float,
-    aux_model=None,
-    aux_rates: Mapping[str, float] | None = None,
-) -> RunRecord:
-    """Subtract base power and an optional auxiliary-component model prediction.
-
-    Measurement noise near the base level can push the difference below
-    zero; the result is clamped at 0 mA with a ClampWarning rather than
-    rejected.
-    """
-    target, clamped = _isolated_target(record, base_current, aux_model, aux_rates)
-    if clamped:
-        warnings.warn(
-            f"run {record.meta.benchmark_name!r}: isolated current negative, "
-            "clamped to 0 mA",
-            ClampWarning,
-            stacklevel=2,
-        )
-    return replace(record, target_current=target)
+    return rates, float(np.dot(power.current_ma, dur) / (w1 - w0))
 
 
 def isolate_dataset(
     ds: Dataset,
     base_current: float,
-    aux_model=None,
-    aux_rates_list: Sequence[Mapping[str, float]] | None = None,
+    aux_current: np.ndarray | None = None,
 ) -> tuple[Dataset, int]:
-    """Isolate every record; returns the new dataset and the clamp count."""
-    if aux_model is not None and aux_rates_list is not None:
-        if len(aux_rates_list) != len(ds.records):
-            raise IsolationError("aux rates list length must match record count")
-    records = []
-    n_clamped = 0
-    for i, rec in enumerate(ds.records):
-        rates = aux_rates_list[i] if aux_rates_list is not None else None
-        target, clamped = _isolated_target(rec, base_current, aux_model, rates)
-        n_clamped += clamped
-        records.append(replace(rec, target_current=target))
+    """Subtract the base current and, when given, each run's predicted
+    auxiliary-component current from the measured total; returns the
+    isolated dataset and the number of runs clamped.
+
+    Measurement noise near the base level can push the difference below
+    zero; such runs are clamped at 0 mA with a ClampWarning rather than
+    rejected.
+    """
+    if base_current < 0:
+        raise IsolationError("base current must be >= 0")
+    target = ds.total_current - base_current
+    if aux_current is not None:
+        aux_current = np.asarray(aux_current, dtype=float)
+        if aux_current.shape != target.shape:
+            raise IsolationError("aux current must hold one value per run")
+        target = target - aux_current
+    clamped = target < 0.0
+    n_clamped = int(clamped.sum())
     if n_clamped:
         warnings.warn(
-            f"{n_clamped} of {len(records)} isolated currents clamped to 0 mA",
+            f"{n_clamped} of {len(ds)} isolated currents clamped to 0 mA",
             ClampWarning,
             stacklevel=2,
         )
-    return Dataset(records, ds.counter_names), n_clamped
+    return replace(ds, target_current=np.where(clamped, 0.0, target)), n_clamped
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle-and-split; train receives ceil(n * train_fraction) records."""
+    """Seeded shuffle-and-split; train receives ceil(n * train_fraction) runs."""
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError("train fraction must lie strictly between 0 and 1")
-    n = len(ds.records)
+    n = len(ds)
     if n < 3:
         raise ConfigError("need at least 3 records to split")
     perm = np.random.default_rng(seed).permutation(n)
     # The epsilon guards against 300 * (2/3) landing a hair above 200.
     n_train = math.ceil(n * train_fraction - 1e-9)
-    train_idx = perm[:n_train]
-    test_idx = perm[n_train:]
-    train = Dataset([ds.records[i] for i in train_idx], ds.counter_names)
-    test = Dataset([ds.records[i] for i in test_idx], ds.counter_names)
-    return train, test
+    return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
 
 @dataclass(frozen=True)
 class ManifestRun:
     counter_file: str
     power_file: str
-    benchmark: str
-    workload_type: str
-    frequency_hz: float
-    utilization: float | None = None
+    meta: RunMeta
     aux_counter_file: str | None = None
 
 
-def _manifest_run(entry: dict, index: int) -> ManifestRun:
+def _manifest_run(entry, index: int) -> ManifestRun:
+    """One manifest run entry, checked field by field."""
+    where = f"manifest run {index}"
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where}: expected an object, got {type(entry).__name__}")
+
+    def get(key, kind, required=True):
+        if entry.get(key) is None and not required:
+            return None
+        if key not in entry:
+            raise ParseError(f"{where}: missing field {key!r}")
+        value = entry[key]
+        if kind is float:
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                value = math.nan
+        if not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
+            expected = "a finite number" if kind is float else "a string"
+            raise ParseError(f"{where}: field {key!r} must be {expected}, got {entry[key]!r}")
+        return value
+
+    benchmark = get("benchmark", str)
     try:
-        return ManifestRun(
-            counter_file=entry["counter_file"],
-            power_file=entry["power_file"],
-            benchmark=entry["benchmark"],
-            workload_type=entry["workload_type"],
-            frequency_hz=float(entry["frequency_hz"]),
-            utilization=(
-                float(entry["utilization"]) if entry.get("utilization") is not None else None
-            ),
-            aux_counter_file=entry.get("aux_counter_file"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"manifest run {index}: missing field {exc}") from None
+        meta = RunMeta(benchmark, get("workload_type", str), get("frequency_hz", float),
+                       get("utilization", float, required=False))
+    except ConfigError as exc:
+        raise ParseError(f"{where} ({benchmark!r}): {exc}") from None
+    return ManifestRun(get("counter_file", str), get("power_file", str), meta,
+                       get("aux_counter_file", str, required=False))
 
 
-def load_manifest(path) -> tuple[Dataset, list[dict[str, float]] | None]:
+def _read_trace(parse, path: Path, what: str):
+    """Parse the trace file at ``path``; a ParseError names the file."""
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        return parse(path.read_text())
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _aggregate(trace: CounterTrace, power: PowerTrace, where: str) -> tuple[np.ndarray, float]:
+    try:
+        return aggregate_run(trace, power)
+    except AggregationError as exc:
+        raise AggregationError(f"{where}: {exc}") from None
+
+
+def load_manifest(path) -> tuple[Dataset, Dataset | None]:
     """Build a dataset from a JSON run manifest.
 
-    Returns the dataset plus, when any run lists an ``aux_counter_file``,
-    a parallel list of per-run auxiliary counter rates (for CPU-model
-    subtraction during isolation).
+    Returns the dataset plus, when the runs list an ``aux_counter_file``
+    (all of them or none), a second dataset of the same runs holding the
+    auxiliary component's counter rates, for subtracting that component's
+    predicted current during isolation.
     """
     path = Path(path)
     if not path.is_file():
@@ -375,44 +407,46 @@ def load_manifest(path) -> tuple[Dataset, list[dict[str, float]] | None]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {path}: {exc}") from None
-    runs = doc.get("runs")
+    runs = doc.get("runs") if isinstance(doc, dict) else None
     if not isinstance(runs, list) or not runs:
         raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
 
     base_dir = path.parent
-    records: list[RunRecord] = []
-    aux_rates: list[dict[str, float]] = []
-    have_aux = False
-    counter_names: tuple[str, ...] | None = None
+    metas, rates, currents = [], [], []
+    aux_rates, aux_currents = [], []
+    counter_names = aux_names = None
     for i, entry in enumerate(runs):
         run = _manifest_run(entry, i)
-        counter_path = base_dir / run.counter_file
-        power_path = base_dir / run.power_file
-        if not counter_path.is_file():
-            raise FileNotFoundError(f"counter trace not found: {counter_path}")
-        if not power_path.is_file():
-            raise FileNotFoundError(f"power trace not found: {power_path}")
-        trace = parse_counter_trace(counter_path.read_text())
-        power = parse_power_trace(power_path.read_text())
-        meta = RunMeta(run.benchmark, run.workload_type, run.frequency_hz, run.utilization)
-        record = aggregate_run(trace, power, meta)
+        where = f"manifest run {i} ({run.meta.benchmark_name!r})"
+        trace = _read_trace(parse_counter_trace, base_dir / run.counter_file, "counter trace")
+        power = _read_trace(parse_power_trace, base_dir / run.power_file, "power trace")
         if counter_names is None:
             counter_names = trace.counter_names
         elif trace.counter_names != counter_names:
+            raise ParseError(f"{where}: counter columns differ from the first run")
+        row, current = _aggregate(trace, power, where)
+        metas.append(run.meta)
+        rates.append(row)
+        currents.append(current)
+        # Run 0 decides whether the runs list aux traces: aux_names is set then.
+        if i and (run.aux_counter_file is None) != (aux_names is None):
             raise ParseError(
-                f"manifest run {i} ({run.benchmark!r}): counter columns differ "
-                "from the first run"
+                f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
+                "aux_counter_file, unlike the first run"
             )
-        records.append(record)
-        if run.aux_counter_file is not None:
-            have_aux = True
-            aux_path = base_dir / run.aux_counter_file
-            if not aux_path.is_file():
-                raise FileNotFoundError(f"aux counter trace not found: {aux_path}")
-            aux_trace = parse_counter_trace(aux_path.read_text())
-            aux_record = aggregate_run(aux_trace, power, meta)
-            aux_rates.append(aux_record.rates)
-        else:
-            aux_rates.append({})
-    assert counter_names is not None
-    return Dataset(records, counter_names), (aux_rates if have_aux else None)
+        if run.aux_counter_file is None:
+            continue
+        aux_trace = _read_trace(
+            parse_counter_trace, base_dir / run.aux_counter_file, "aux counter trace"
+        )
+        if aux_names is None:
+            aux_names = aux_trace.counter_names
+        elif aux_trace.counter_names != aux_names:
+            raise ParseError(f"{where}: aux counter columns differ from the first run")
+        aux_row, aux_current = _aggregate(aux_trace, power, where)
+        aux_rates.append(aux_row)
+        aux_currents.append(aux_current)
+    ds = Dataset(counter_names, np.array(rates), tuple(metas), np.array(currents))
+    if aux_names is None:
+        return ds, None
+    return ds, Dataset(aux_names, np.array(aux_rates), tuple(metas), np.array(aux_currents))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -116,47 +116,25 @@ def parse_feature_spec(text: str) -> FeatureSpec:
     raise FeatureError(f"unknown feature kind {kind!r} in {text!r}")
 
 
-def evaluate_spec_on_rates(spec: FeatureSpec, rates: Mapping[str, float]) -> float:
-    """Evaluate one spec on a rate mapping; raises when a counter is missing."""
-    for name in spec.counters():
-        if name not in rates:
-            raise FeatureError(f"missing counter {name}")
+def feature_column(spec: FeatureSpec, ds: Dataset) -> np.ndarray:
+    """The spec's value in every run of ``ds``.
+
+    This is the only place a spec kind becomes arithmetic. Raises when a
+    counter is missing, or when a ratio's denominator is zero in any run.
+    """
+    try:
+        columns = [ds.column(name) for name in spec.counters()]
+    except KeyError as exc:
+        raise FeatureError(f"missing counter {exc.args[0]}") from None
     if spec.kind == "base":
-        return rates[spec.a]
+        return columns[0]
     if spec.kind == "inv":
-        return -rates[spec.a]
+        return -columns[0]
     if spec.kind == "prod":
-        return rates[spec.a] * rates[spec.b]
-    den = rates[spec.b]
-    if den == 0.0:
+        return columns[0] * columns[1]
+    if np.any(columns[1] == 0.0):
         raise FeatureError(f"zero denominator evaluating {spec.canonical()}")
-    return rates[spec.a] / den
-
-
-def evaluate_feature(spec: FeatureSpec, record) -> float:
-    """Evaluate one spec on a run record."""
-    return evaluate_spec_on_rates(spec, record.rates)
-
-
-def _spec_column(spec: FeatureSpec, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    for name in spec.counters():
-        if name not in columns:
-            raise FeatureError(f"missing counter {name}")
-    if spec.kind == "base":
-        return columns[spec.a]
-    if spec.kind == "inv":
-        return -columns[spec.a]
-    if spec.kind == "prod":
-        return columns[spec.a] * columns[spec.b]
-    den = columns[spec.b]
-    if np.any(den == 0.0):
-        raise FeatureError(f"zero denominator evaluating {spec.canonical()}")
-    return columns[spec.a] / den
-
-
-def _dataset_columns(ds: Dataset) -> dict[str, np.ndarray]:
-    matrix = ds.rates_matrix()
-    return {name: matrix[:, i] for i, name in enumerate(ds.counter_names)}
+    return columns[0] / columns[1]
 
 
 def _near_zero_variance(col: np.ndarray) -> bool:
@@ -171,14 +149,14 @@ def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
     included) carry no information and would break correlation math.
     A counter with a NaN or infinite rate is rejected by name.
     """
-    if len(ds.records) < 2:
+    if len(ds) < 2:
         raise DegenerateSeriesError("need at least 2 records")
     retained, dropped = [], []
-    columns = _dataset_columns(ds)
     for name in ds.counter_names:
-        if not np.isfinite(columns[name]).all():
+        column = ds.column(name)
+        if not np.isfinite(column).all():
             raise FeatureError(f"counter {name} has a non-finite rate")
-        (dropped if _near_zero_variance(columns[name]) else retained).append(name)
+        (dropped if _near_zero_variance(column) else retained).append(name)
     if not retained:
         raise FeatureError("no usable counters")
     return retained, dropped
@@ -193,11 +171,11 @@ def invert_negative(ds: Dataset, alpha: float = 0.05) -> list[FeatureSpec]:
     a positive correlation with the target afterwards.
     """
     retained, _ = drop_zero_variance(ds)
-    y = ds.targets()
+    y = ds.target_current
     specs = []
     for name in retained:
         r = pearson(ds.column(name), y)
-        if r < 0 and pearson_p_value(r, len(ds.records)) < alpha:
+        if r < 0 and pearson_p_value(r, len(ds)) < alpha:
             specs.append(inverted(name))
         else:
             specs.append(base(name))
@@ -248,14 +226,14 @@ def _prescore_candidates(values: np.ndarray, safe: np.ndarray, y: np.ndarray):
     return np.concatenate(pre), np.concatenate(trusted)
 
 
-def _exact_score(spec: FeatureSpec, columns, y: np.ndarray, n: int, alpha: float):
+def _exact_score(spec: FeatureSpec, ds: Dataset, y: np.ndarray, alpha: float):
     """(|r|, passes the alpha gate) of one candidate, or None when its
     column is degenerate."""
     try:
-        r = pearson(_spec_column(spec, columns), y)
+        r = pearson(feature_column(spec, ds), y)
     except DegenerateSeriesError:
         return None  # constant candidate column, e.g. x * (c/x)
-    return abs(r), pearson_p_value(r, n) < alpha
+    return abs(r), pearson_p_value(r, len(ds)) < alpha
 
 
 def generate_combined(
@@ -293,9 +271,8 @@ def generate_combined(
     if any(spec.kind not in ("base", "inv") for spec in base_specs):
         raise FeatureError("combined candidates build on base/inverted specs only")
     names = sorted({spec.a for spec in base_specs})
-    columns = _dataset_columns(ds)
-    y = ds.targets()
-    n = len(ds.records)
+    columns = {name: ds.column(name) for name in names}  # KeyError if missing
+    y = ds.target_current
 
     unsafe_denominator = {
         name: bool(np.min(np.abs(columns[name])) < RATIO_DENOM_EPS * np.max(np.abs(columns[name])))
@@ -331,7 +308,7 @@ def generate_combined(
     def score(c: int):
         nonlocal highest_failure
         spec = spec_of(c)
-        result = _exact_score(spec, columns, y, n, alpha)
+        result = _exact_score(spec, ds, y, alpha)
         if result is not None:
             r, passed = result
             if not passed:
@@ -356,7 +333,7 @@ def generate_combined(
         if result is None or abs(result[0] - pre[c]) > PRESCORE_MARGIN / 4:
             scored = []
             for spec in map(spec_of, range(cand_a.size)):
-                result = _exact_score(spec, columns, y, n, alpha)
+                result = _exact_score(spec, ds, y, alpha)
                 if result is not None and result[1]:
                     scored.append((result[0], spec.canonical(), spec))
             break
@@ -396,7 +373,7 @@ class FeatureMatrix:
 
 
 def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
-    """Evaluate every spec on every record and drop degenerate columns."""
+    """Evaluate every spec on every run and drop degenerate columns."""
     specs = list(specs)
     seen = set()
     for spec in specs:
@@ -404,8 +381,7 @@ def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
         if key in seen:
             raise FeatureError(f"duplicate canonical spec {key}")
         seen.add(key)
-    columns = _dataset_columns(ds)
-    values = np.column_stack([_spec_column(spec, columns) for spec in specs])
+    values = np.column_stack([feature_column(spec, ds) for spec in specs])
     if not np.isfinite(values).all():
         bad = specs[int(np.argwhere(~np.isfinite(values))[0][1])]
         raise FeatureError(f"non-finite value evaluating {bad.canonical()}")

@@ -13,7 +13,7 @@ import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,15 +25,13 @@ from .clustering import (
     default_cut_threshold,
     ward_cluster,
 )
-from .dataset import Dataset, RunRecord
+from .dataset import Dataset
 from .errors import ConfigError, FeatureError, ModelFileError
 from .features import FeatureMatrix, FeatureSpec
 from .numerics import EvalReport, evaluate, ols_fit, pearson
 from .selection import SelectionResult, select_significant
 
 MODEL_SCHEMA_VERSION = 1
-
-CLUSTER_SCOPES = ("union", "combined-only")
 
 
 @dataclass(frozen=True)
@@ -46,11 +44,6 @@ class PipelineConfig:
     patience: int = 5
     top_k: int = 1000
     combined: bool = True
-    cluster_scope: str = "union"
-
-    def __post_init__(self):
-        if self.cluster_scope not in CLUSTER_SCOPES:
-            raise ConfigError(f"cluster_scope must be one of {CLUSTER_SCOPES}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -71,20 +64,17 @@ class PowerModel:
             raise ModelFileError("one coefficient per feature required")
 
 
-def predict_rates(model: PowerModel, rates: Mapping[str, float]) -> float:
-    total = model.intercept
-    for spec, coef in zip(model.features, model.coefficients):
-        total += coef * ft.evaluate_spec_on_rates(spec, rates)
-    return total
-
-
-def predict(model: PowerModel, record: RunRecord) -> float:
-    """Predicted current in mA; may be negative (reported as-is)."""
-    return predict_rates(model, record.rates)
-
-
 def predict_dataset(model: PowerModel, ds: Dataset) -> np.ndarray:
-    return np.array([predict(model, rec) for rec in ds.records], dtype=float)
+    """Predicted current in mA of every run; may be negative (reported as-is).
+
+    The terms are added one feature at a time in model order, so each
+    prediction is rounded exactly as ``intercept + c1*f1 + c2*f2 + ...``
+    evaluated left to right; a matrix product would sum in another order.
+    """
+    total = np.full(len(ds), model.intercept)
+    for spec, coef in zip(model.features, model.coefficients):
+        total = total + coef * ft.feature_column(spec, ds)
+    return total
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
@@ -93,15 +83,17 @@ def dataset_fingerprint(ds: Dataset) -> str:
         "counters": list(ds.counter_names),
         "runs": [
             {
-                "benchmark": rec.meta.benchmark_name,
-                "workload": rec.meta.workload_type,
-                "frequency_hz": rec.meta.frequency_hz,
-                "utilization": rec.meta.utilization,
-                "rates": [rec.rates[c] for c in ds.counter_names],
-                "total": rec.total_current,
-                "target": rec.target_current,
+                "benchmark": meta.benchmark_name,
+                "workload": meta.workload_type,
+                "frequency_hz": meta.frequency_hz,
+                "utilization": meta.utilization,
+                "rates": rates,
+                "total": total,
+                "target": target,
             }
-            for rec in ds.records
+            for meta, rates, total, target in zip(
+                ds.meta, ds.rates.tolist(), ds.total_current.tolist(), ds.target_current.tolist()
+            )
         ],
     }
     blob = json.dumps(doc, sort_keys=True).encode()
@@ -133,24 +125,28 @@ def _final_fit(matrix: FeatureMatrix, specs: Sequence[FeatureSpec], y: np.ndarra
 
 
 def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> PipelineResult:
-    """Full automatic feature selection and fit; see train_auto for the contract."""
+    """Automatic cluster-then-forward feature selection plus final linear fit.
+
+    Stages: drop constant counters, negate significantly anti-correlated
+    ones, optionally synthesize pairwise product/ratio features, cluster
+    the z-scored columns with Ward linkage, cut at cut_factor times the run
+    count, rank clusters by importance, and grow the significant set
+    greedily. The model regresses the target on the chosen
+    representatives' raw values.
+    """
     config = config or PipelineConfig()
-    if len(train.records) < 10:
+    if len(train) < 10:
         raise ConfigError("need at least 10 training records")
-    y = train.targets()
+    y = train.target_current
 
     retained, dropped = ft.drop_zero_variance(train)
     specs: Sequence[FeatureSpec] = ft.invert_negative(train, config.alpha)
     if config.combined:
         specs = ft.generate_combined(train, specs, config.alpha, config.top_k)
-        if config.cluster_scope == "combined-only":
-            pairs = [s for s in specs if s.kind in ("prod", "ratio")]
-            if pairs:
-                specs = pairs
     matrix = ft.build_matrix(train, specs)
 
     dendrogram = ward_cluster(matrix.zscored(), matrix.names())
-    threshold = default_cut_threshold(len(train.records), config.cut_factor)
+    threshold = default_cut_threshold(len(train), config.cut_factor)
     assignment = cut_dendrogram(dendrogram, threshold)
     selection = select_significant(
         assignment, matrix, y, epsilon=config.epsilon, patience=config.patience
@@ -163,7 +159,7 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
         "trainer": "auto",
         "config": config.to_dict(),
         "dataset_fingerprint": dataset_fingerprint(train),
-        "n_records": len(train.records),
+        "n_records": len(train),
         "n_counters_total": len(train.counter_names),
         "n_counters_retained": len(retained),
         "n_candidate_features": len(matrix.specs),
@@ -194,29 +190,16 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
     )
 
 
-def train_auto(train: Dataset, config: PipelineConfig | None = None) -> PowerModel:
-    """Automatic cluster-then-forward feature selection plus final linear fit.
-
-    Stages: drop constant counters, negate significantly anti-correlated
-    ones, optionally synthesize pairwise product/ratio features, cluster
-    the z-scored columns with Ward linkage, cut at cut_factor times the run
-    count, rank clusters by importance, and grow the significant set
-    greedily. The returned model regresses the target on the chosen
-    representatives' raw values.
-    """
-    return run_pipeline(train, config).model
-
-
 def train_all_pmc(train: Dataset) -> PowerModel:
     """Baseline: one regression over every retained counter."""
     retained, _ = ft.drop_zero_variance(train)
     specs = [ft.base(name) for name in retained]
     matrix = ft.build_matrix(train, specs)
-    fit = _final_fit(matrix, matrix.specs, train.targets())
+    fit = _final_fit(matrix, matrix.specs, train.target_current)
     meta = {
         "trainer": "all_pmc",
         "dataset_fingerprint": dataset_fingerprint(train),
-        "n_records": len(train.records),
+        "n_records": len(train),
         "n_counters_retained": len(retained),
         "train_r_squared": fit.r_squared,
     }
@@ -232,7 +215,7 @@ def train_k_top(train: Dataset, k: int) -> PowerModel:
     retained, _ = ft.drop_zero_variance(train)
     if k > len(retained):
         raise ConfigError(f"k={k} exceeds the {len(retained)} retained counters")
-    y = train.targets()
+    y = train.target_current
     ranked = sorted(
         retained, key=lambda name: (-abs(pearson(train.column(name), y)), name)
     )
@@ -243,7 +226,7 @@ def train_k_top(train: Dataset, k: int) -> PowerModel:
         "trainer": "k_top",
         "k": k,
         "dataset_fingerprint": dataset_fingerprint(train),
-        "n_records": len(train.records),
+        "n_records": len(train),
         "train_r_squared": fit.r_squared,
     }
     return PowerModel(tuple(matrix.specs), tuple(float(c) for c in fit.coefficients),
@@ -265,21 +248,21 @@ def train_util_freq(train: Dataset, per_frequency_intercept: bool = False) -> Ut
     Every record must carry a utilization; each frequency level needs at
     least 2 records so its slope is identified.
     """
-    for rec in train.records:
-        if rec.meta.utilization is None:
+    for meta in train.meta:
+        if meta.utilization is None:
             raise ConfigError(
-                f"run {rec.meta.benchmark_name!r} has no utilization; "
+                f"run {meta.benchmark_name!r} has no utilization; "
                 "the utilization-frequency baseline needs it"
             )
-    freqs = sorted({rec.meta.frequency_hz for rec in train.records})
-    counts = {f: sum(rec.meta.frequency_hz == f for rec in train.records) for f in freqs}
+    freqs = sorted({meta.frequency_hz for meta in train.meta})
+    counts = {f: sum(meta.frequency_hz == f for meta in train.meta) for f in freqs}
     thin = [f for f, c in counts.items() if c < 2]
     if thin:
         raise ConfigError(f"frequency level {thin[0]} has fewer than 2 records")
 
-    util = np.array([rec.meta.utilization for rec in train.records])
-    freq = np.array([rec.meta.frequency_hz for rec in train.records])
-    y = train.targets()
+    util = np.array([meta.utilization for meta in train.meta])
+    freq = np.array([meta.frequency_hz for meta in train.meta])
+    y = train.target_current
 
     if per_frequency_intercept:
         slopes, intercepts = {}, {}
@@ -297,30 +280,29 @@ def train_util_freq(train: Dataset, per_frequency_intercept: bool = False) -> Ut
     return UtilFreqModel(slopes=slopes, intercept=float(fit.intercept))
 
 
-def predict_util_freq(model: UtilFreqModel, record: RunRecord) -> float:
-    if record.meta.utilization is None:
-        raise ConfigError(f"run {record.meta.benchmark_name!r} has no utilization")
-    f = record.meta.frequency_hz
-    if f not in model.slopes:
-        raise ConfigError(f"no utilization slope for frequency {f}")
-    intercept = model.intercepts[f] if model.intercepts is not None else model.intercept
-    return model.slopes[f] * record.meta.utilization + intercept
-
-
 def predict_util_freq_dataset(model: UtilFreqModel, ds: Dataset) -> np.ndarray:
-    return np.array([predict_util_freq(model, rec) for rec in ds.records], dtype=float)
+    predictions = []
+    for meta in ds.meta:
+        if meta.utilization is None:
+            raise ConfigError(f"run {meta.benchmark_name!r} has no utilization")
+        f = meta.frequency_hz
+        if f not in model.slopes:
+            raise ConfigError(f"no utilization slope for frequency {f}")
+        intercept = model.intercepts[f] if model.intercepts is not None else model.intercept
+        predictions.append(model.slopes[f] * meta.utilization + intercept)
+    return np.array(predictions, dtype=float)
 
 
 def evaluate_model(model: PowerModel, ds: Dataset) -> EvalReport:
-    return evaluate(predict_dataset(model, ds), ds.targets())
+    return evaluate(predict_dataset(model, ds), ds.target_current)
 
 
 def evaluate_by_workload(model: PowerModel, ds: Dataset) -> dict[str, EvalReport]:
     """Per-workload-type error breakdown (types with too few runs are skipped)."""
     reports: dict[str, EvalReport] = {}
-    for wtype in sorted({rec.meta.workload_type for rec in ds.records}):
-        records = [rec for rec in ds.records if rec.meta.workload_type == wtype]
-        subset = Dataset(records, ds.counter_names)
+    types = [meta.workload_type for meta in ds.meta]
+    for wtype in sorted(set(types)):
+        subset = ds.take([i for i, t in enumerate(types) if t == wtype])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # single-workload targets may be constant
             reports[wtype] = evaluate_model(model, subset)

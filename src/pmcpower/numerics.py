@@ -70,10 +70,13 @@ def pearson(x, y) -> float:
         raise DegenerateSeriesError("series must be 1-D and equal length")
     if x.size < 3:
         raise DegenerateSeriesError("need at least 3 points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
+    # A non-finite or huge input makes numpy warn before the checks below
+    # reject it; the checks are the report.
+    with np.errstate(all="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sxx = float(np.dot(dx, dx))
+        syy = float(np.dot(dy, dy))
     # Only the sums are checked: a NaN or inf anywhere in a series reaches
     # them, and the clamp below would otherwise turn a NaN r into 1.0.
     if not (math.isfinite(sxx) and math.isfinite(syy)):

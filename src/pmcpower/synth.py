@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .dataset import Dataset, RunMeta, RunRecord
+from .dataset import Dataset, RunMeta
 from .errors import ConfigError
 from .model import PipelineResult
 
@@ -155,19 +155,15 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
     else:
         current = clean
 
-    counter_names = tuple(columns.keys())
-    records = []
-    for i in range(cfg.n_runs):
-        meta = RunMeta(f"synth-{i:04d}", "Other", cfg.frequency_hz)
-        rates = {name: float(columns[name][i]) for name in counter_names}
-        records.append(RunRecord(meta, rates, float(current[i]), float(current[i])))
+    meta = tuple(RunMeta(f"synth-{i:04d}", "Other", cfg.frequency_hz) for i in range(cfg.n_runs))
+    ds = Dataset(tuple(columns), np.column_stack(list(columns.values())), meta, current)
     truth = GroundTruth(
         factor_of_counter=factor_of,
         scale_of_counter=scale_of,
         true_coefficients=dict(cfg.coefficients),
         true_intercept=cfg.intercept,
     )
-    return Dataset(records, counter_names), truth
+    return ds, truth
 
 
 def three_factor_config(
@@ -251,18 +247,13 @@ def generate_util_freq(
     if n_per_freq < 2:
         raise ConfigError("need at least 2 runs per frequency level")
     rng = np.random.default_rng(seed)
-    records = []
-    counter_names = ("busy_cycles",)
-    i = 0
+    meta, busy_cycles, current = [], [], []
     for freq in sorted(slopes):
-        util = rng.uniform(0.05, 1.0, n_per_freq)
-        for u in util:
-            current = slopes[freq] * float(u) + intercept
-            meta = RunMeta(f"uf-{i:04d}", "Other", freq, utilization=float(u))
-            rates = {"busy_cycles": float(u) * freq}
-            records.append(RunRecord(meta, rates, current, current))
-            i += 1
-    return Dataset(records, counter_names)
+        for u in rng.uniform(0.05, 1.0, n_per_freq).tolist():
+            meta.append(RunMeta(f"uf-{len(meta):04d}", "Other", freq, utilization=u))
+            busy_cycles.append([u * freq])
+            current.append(slopes[freq] * u + intercept)
+    return Dataset(("busy_cycles",), busy_cycles, meta, current)
 
 
 def generate_instruction_mix(
@@ -294,22 +285,20 @@ def generate_instruction_mix(
         current = current * (1.0 + noise_sigma * rng.standard_normal(n_runs))
         current = np.maximum(current, 0.0)
 
-    counter_names = ("compute_ops", "memory_ops")
-    records = []
-    for i in range(n_runs):
-        meta = RunMeta(f"mix-{i:04d}", "Other", frequency_hz, utilization=float(util[i]))
-        rates = {
-            "compute_ops": float(compute_rate[i]),
-            "memory_ops": float(memory_rate[i]),
-        }
-        records.append(RunRecord(meta, rates, float(current[i]), float(current[i])))
+    meta = tuple(
+        RunMeta(f"mix-{i:04d}", "Other", frequency_hz, utilization=u)
+        for i, u in enumerate(util.tolist())
+    )
+    ds = Dataset(
+        ("compute_ops", "memory_ops"), np.column_stack([compute_rate, memory_rate]), meta, current
+    )
     truth = GroundTruth(
         factor_of_counter={"compute_ops": "compute", "memory_ops": "memory"},
         scale_of_counter={"compute_ops": 1.0, "memory_ops": 1.0},
         true_coefficients=coeff,
         true_intercept=intercept,
     )
-    return Dataset(records, counter_names), truth
+    return ds, truth
 
 
 @dataclass(frozen=True)
@@ -403,7 +392,7 @@ def write_dataset_files(
     sidecar), exercising the exact ingestion formats; returns the manifest path.
 
     Each run becomes a trace of one dump per second whose deltas reproduce
-    the record's average rates, and a constant current at the target level.
+    the run's average rates, and a constant current at the target level.
     """
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
@@ -411,11 +400,12 @@ def write_dataset_files(
     timestamps = [1000.0 * t for t in range(duration_s + 1)]
 
     manifest_runs = []
-    for i, rec in enumerate(ds.records):
+    for i, (meta, rates, target) in enumerate(
+        zip(ds.meta, ds.rates.tolist(), ds.target_current.tolist())
+    ):
         counter_rows = [[timestamps[0]] + [0.0] * len(ds.counter_names)]
-        for ts in timestamps[1:]:
-            counter_rows.append([ts] + [rec.rates[c] * 1.0 for c in ds.counter_names])
-        power_rows = [[ts, rec.target_current] for ts in timestamps]
+        counter_rows += [[ts] + rates for ts in timestamps[1:]]
+        power_rows = [[ts, target] for ts in timestamps]
 
         counter_file = f"runs/run-{i:04d}.counters.csv"
         power_file = f"runs/run-{i:04d}.power.csv"
@@ -428,12 +418,12 @@ def write_dataset_files(
         entry = {
             "counter_file": counter_file,
             "power_file": power_file,
-            "benchmark": rec.meta.benchmark_name,
-            "workload_type": rec.meta.workload_type,
-            "frequency_hz": rec.meta.frequency_hz,
+            "benchmark": meta.benchmark_name,
+            "workload_type": meta.workload_type,
+            "frequency_hz": meta.frequency_hz,
         }
-        if rec.meta.utilization is not None:
-            entry["utilization"] = rec.meta.utilization
+        if meta.utilization is not None:
+            entry["utilization"] = meta.utilization
         manifest_runs.append(entry)
 
     manifest_path = out_dir / "manifest.json"

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from pmcpower.dataset import Dataset, RunMeta, RunRecord
+from pmcpower.dataset import Dataset, RunMeta
 
 
 def make_dataset(columns: dict, target, workload="Other", frequency=1.0, util=None):
     """Assemble a Dataset from raw rate columns and a target-current series."""
-    names = tuple(columns)
     n = len(target)
-    records = []
-    for i in range(n):
-        u = util[i] if util is not None else None
-        meta = RunMeta(f"run-{i:03d}", workload, frequency, u)
-        rates = {name: float(columns[name][i]) for name in names}
-        records.append(RunRecord(meta, rates, float(target[i]), float(target[i])))
-    return Dataset(records, names)
+    meta = [
+        RunMeta(f"run-{i:03d}", workload, frequency, util[i] if util is not None else None)
+        for i in range(n)
+    ]
+    rates = np.array([columns[name] for name in columns], dtype=float).reshape(len(columns), n).T
+    return Dataset(tuple(columns), rates, meta, np.asarray(target, dtype=float))
 
 
 @pytest.fixture

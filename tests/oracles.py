@@ -13,12 +13,13 @@ fast paths can be compared with them exactly:
 * ``generate_combined_reference``, the candidate loop that scored every
   product and ratio with the scalar ``pearson`` and ``pearson_p_value``
   before ``pmcpower.features.generate_combined`` pre-scored them in
-  blocks; it reuses the package's spec constructors, column helpers and
-  statistics, so the two must return equal spec lists.
+  blocks; it reuses the package's spec constructors and statistics, and
+  keeps its own copy of the package's former ``_spec_column``, so the two
+  must return equal spec lists.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
@@ -29,8 +30,6 @@ from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError
 from pmcpower.features import (
     RATIO_DENOM_EPS,
     FeatureSpec,
-    _dataset_columns,
-    _spec_column,
     product,
     ratio,
 )
@@ -194,6 +193,22 @@ def ward_reference(
     return Dendrogram(leaves=names, merges=tuple(merges))
 
 
+def _spec_column(spec: FeatureSpec, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    for name in spec.counters():
+        if name not in columns:
+            raise FeatureError(f"missing counter {name}")
+    if spec.kind == "base":
+        return columns[spec.a]
+    if spec.kind == "inv":
+        return -columns[spec.a]
+    if spec.kind == "prod":
+        return columns[spec.a] * columns[spec.b]
+    den = columns[spec.b]
+    if np.any(den == 0.0):
+        raise FeatureError(f"zero denominator evaluating {spec.canonical()}")
+    return columns[spec.a] / den
+
+
 def generate_combined_reference(
     ds: Dataset,
     base_specs: Sequence[FeatureSpec],
@@ -214,9 +229,9 @@ def generate_combined_reference(
     if any(spec.kind not in ("base", "inv") for spec in base_specs):
         raise FeatureError("combined candidates build on base/inverted specs only")
     names = sorted({spec.a for spec in base_specs})
-    columns = _dataset_columns(ds)
-    y = ds.targets()
-    n = len(ds.records)
+    columns = {name: ds.column(name) for name in ds.counter_names}
+    y = ds.target_current
+    n = len(ds)
 
     unsafe_denominator = {
         name: bool(np.min(np.abs(columns[name])) < RATIO_DENOM_EPS * np.max(np.abs(columns[name])))

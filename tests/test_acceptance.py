@@ -181,7 +181,7 @@ def test_criterion_07_util_freq_baseline(capsys):
     train, test = split_dataset(mix, 2 / 3, seed=7)
     auto_mape = evaluate_model(run_pipeline(train, LINEAR).model, test).mape_mean
     uf = train_util_freq(train)
-    uf_mape = evaluate(predict_util_freq_dataset(uf, test), test.targets()).mape_mean
+    uf_mape = evaluate(predict_util_freq_dataset(uf, test), test.target_current).mape_mean
     directional = uf_mape >= 2.0 * auto_mape
 
     ok = exact and directional
@@ -252,8 +252,8 @@ def test_criterion_10_inversion_correctness(capsys):
     signs_ok = True
     magnitude_ok = True
     for spec in inverted_specs:
-        raw = pearson(ds.column(spec.a), ds.targets())
-        flipped = pearson(-ds.column(spec.a), ds.targets())
+        raw = pearson(ds.column(spec.a), ds.target_current)
+        flipped = pearson(-ds.column(spec.a), ds.target_current)
         signs_ok &= flipped > 0.0
         magnitude_ok &= flipped == -raw  # bit-exact flip
     ok = len(inverted_specs) >= 2 and signs_ok and magnitude_ok

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,62 @@ class TestTrain:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"manifest": str(synth_manifest), "typo_knob": 1}))
         assert main(["train", "--config", str(path)]) == 2
+
+    def test_cluster_scope_is_an_unknown_key(self, tmp_path, synth_manifest, capsys):
+        path = run_config(tmp_path, synth_manifest, cluster_scope="union")
+        assert main(["train", "--config", str(path)]) == 2
+        assert "unknown key 'cluster_scope'" in capsys.readouterr().err
+
+    def test_config_keys_flat_in_model(self, tmp_path, synth_manifest):
+        path = run_config(tmp_path, synth_manifest, top_k=7, epsilon=0.02, base_current_ma=1.0)
+        assert main(["train", "--config", str(path), "--patience", "4"]) == 0
+        meta = json.loads((tmp_path / "out" / "model.json").read_text())["train_meta"]
+        assert meta["config"] == {"alpha": 0.05, "combined": True, "cut_factor": 0.05,
+                                  "epsilon": 0.02, "patience": 4, "top_k": 7}
+        assert meta["run_config"] == {**meta["config"], "aux_model": None, "base_current_ma": 1.0,
+                                      "seed": 0, "train_fraction": 2.0 / 3.0}
+
+
+def run_cli(*args):
+    """``pmcpower <args>`` in a fresh interpreter, as a user runs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-m", "pmcpower.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+class TestBadInputExit2:
+    def assert_usage_error(self, proc, problem):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert problem in proc.stderr
+
+    @pytest.mark.parametrize(
+        "change, problem",
+        [(lambda run: dict(run, frequency_hz="fast"),
+          "manifest run 1: field 'frequency_hz' must be a finite number, got 'fast'"),
+         (lambda run: [run["counter_file"]], "manifest run 1: expected an object, got list")],
+    )
+    def test_bad_manifest_value(self, tmp_path, synth_manifest, change, problem):
+        doc = json.loads(synth_manifest.read_text())
+        doc["runs"][1] = change(doc["runs"][1])
+        synth_manifest.write_text(json.dumps(doc))
+        proc = run_cli("train", "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "out"))
+        self.assert_usage_error(proc, problem)
+
+    def test_config_value_of_wrong_type(self, tmp_path, synth_manifest):
+        path = run_config(tmp_path, synth_manifest, top_k="many")
+        proc = run_cli("train", "--config", str(path))
+        self.assert_usage_error(proc, "key 'top_k' has a value of the wrong type: 'many'")
+
+    @pytest.mark.parametrize("key, value", [("combined", 1), ("patience", True),
+                                            ("aux_model", 3), ("alpha", "0.1")])
+    def test_config_types_checked(self, tmp_path, synth_manifest, capsys, key, value):
+        path = run_config(tmp_path, synth_manifest, **{key: value})
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"key {key!r} has a value of the wrong type" in capsys.readouterr().err
 
 
 class TestPredictAndEval:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from pmcpower.dataset import (
     ClampWarning,
     CounterTrace,
+    Dataset,
     PowerTrace,
     RunMeta,
     aggregate_run,
     isolate_dataset,
-    isolate_power,
     load_manifest,
     parse_counter_trace,
     parse_power_trace,
@@ -18,12 +19,9 @@ from pmcpower.dataset import (
 )
 from pmcpower.errors import AggregationError, ConfigError, IsolationError, ParseError
 from pmcpower.features import base
-from pmcpower.model import PowerModel
+from pmcpower.model import PowerModel, predict_dataset
 
 from conftest import make_dataset
-
-META = RunMeta("bench", "Compute", 471e6)
-
 
 class TestParseCounterTrace:
     def test_minimal_well_formed(self):
@@ -56,6 +54,29 @@ class TestParseCounterTrace:
         with pytest.raises(ParseError, match="no samples"):
             parse_counter_trace("ts_ms,c1\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_count_names_line_and_column(self, value):
+        with pytest.raises(ParseError, match="line 4: non-finite value in column 'c2'"):
+            parse_counter_trace(f"ts_ms,c1,c2\n0,0,0\n1000,1,1\n2000,1,{value}\n")
+
+    def test_non_finite_timestamp_names_line(self):
+        with pytest.raises(ParseError, match="line 3: non-finite value in column 'ts_ms'"):
+            parse_counter_trace("ts_ms,c1\n0,1\nnan,1\n")
+
+    def test_duplicate_counter_column(self):
+        with pytest.raises(ParseError, match="line 1: duplicate counter column 'c1'"):
+            parse_counter_trace("ts_ms,c1,c2,c1\n0,0,0,0\n1000,1,1,1\n")
+
+    @pytest.mark.parametrize("name", ["x/y", "a*b"])
+    def test_name_outside_feature_syntax(self, name):
+        # ratio:x/y/z would load back as x / (y/z); prod:a*b*c cannot load.
+        with pytest.raises(ParseError, match=re.escape(f"line 1: counter name '{name}' contains")):
+            parse_counter_trace(f"ts_ms,{name},z\n0,0,0\n1000,1,1\n")
+
+    def test_empty_counter_name(self):
+        with pytest.raises(ParseError, match="line 1: empty counter name"):
+            parse_counter_trace("ts_ms,c1,\n0,0,0\n1000,1,1\n")
+
 
 class TestParsePowerTrace:
     def test_basic(self):
@@ -75,6 +96,55 @@ class TestParsePowerTrace:
         with pytest.raises(ParseError, match="negative current"):
             parse_power_trace("ts_ms,current_ma\n0,-5\n1000,10\n")
 
+    def test_non_finite_current_names_line(self):
+        with pytest.raises(ParseError, match="line 3: non-finite value in column 'current_ma'"):
+            parse_power_trace("ts_ms,current_ma\n0,5\n1000,nan\n")
+
+    def test_constructed_trace_rejects_non_finite(self):
+        with pytest.raises(ParseError, match="non-finite"):
+            PowerTrace(np.array([0.0, 1000.0]), np.array([1.0, np.inf]))
+        with pytest.raises(ParseError, match="non-finite"):
+            CounterTrace(("c1",), np.array([0.0, 1000.0]), np.array([[0.0], [np.nan]]))
+
+
+class TestDataset:
+    def test_rates_are_a_read_only_copy(self):
+        rates = np.array([[1.0, 2.0], [3.0, 4.0]])
+        ds = Dataset(("a", "b"), rates, [RunMeta("r0", "Other", 1.0)] * 2, [5.0, 6.0])
+        rates[0, 0] = 99.0
+        assert ds.column("a").tolist() == [1.0, 3.0]
+        with pytest.raises(ValueError):
+            ds.rates[0, 0] = 7.0
+        assert ds.target_current.tolist() == ds.total_current.tolist() == [5.0, 6.0]
+
+    def test_column_of_unknown_counter(self):
+        ds = make_dataset({"a": [1.0, 2.0]}, [1.0, 2.0])
+        with pytest.raises(KeyError):
+            ds.column("b")
+
+    def test_duplicate_counter_names_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate counter name 'a'"):
+            Dataset(("a", "a"), np.ones((1, 2)), [RunMeta("r", "Other", 1.0)], [1.0])
+
+    @pytest.mark.parametrize(
+        "rates, total, target",
+        [(np.ones((2, 3)), [1.0, 2.0], None),  # three columns, two names
+         (np.ones((3, 2)), [1.0, 2.0], None),  # three rows, two runs
+         (np.ones((2, 2)), [1.0], None),
+         (np.ones((2, 2)), [1.0, 2.0], [1.0])],
+    )
+    def test_shapes_checked(self, rates, total, target):
+        meta = [RunMeta(f"r{i}", "Other", 1.0) for i in range(2)]
+        with pytest.raises(ConfigError):
+            Dataset(("a", "b"), rates, meta, total, target)
+
+    def test_take_keeps_rows_together(self):
+        ds = make_dataset({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 6.0]}, [7.0, 8.0, 9.0])
+        part = ds.take([2, 0])
+        assert part.rates.tolist() == [[3.0, 6.0], [1.0, 4.0]]
+        assert [m.benchmark_name for m in part.meta] == ["run-002", "run-000"]
+        assert part.target_current.tolist() == [9.0, 7.0]
+
 
 def counter_trace(ts, rows, names=("c1",)):
     return CounterTrace(tuple(names), np.array(ts, float), np.array(rows, float))
@@ -88,92 +158,96 @@ class TestAggregateRun:
     def test_rate_definition(self):
         counters = counter_trace([0, 1000, 2000], [[0], [250], [350]])
         power = power_trace([0, 2000], [150, 150])
-        record = aggregate_run(counters, power, META)
-        assert record.rates["c1"] == pytest.approx(300.0)  # 600 events over 2 s
+        rates, _ = aggregate_run(counters, power)
+        assert rates.tolist() == pytest.approx([300.0])  # 600 events over 2 s
 
     def test_constant_current(self):
         counters = counter_trace([0, 2000], [[0], [10]])
         power = power_trace([0, 1000, 2000], [150, 150, 150])
-        record = aggregate_run(counters, power, META)
-        assert record.total_current == pytest.approx(150.0)
-        assert record.target_current == record.total_current
+        _, current = aggregate_run(counters, power)
+        assert current == pytest.approx(150.0)
 
     def test_time_weighted_segments(self):
         # 100 mA for 1 s then 200 mA for 3 s -> 175 mA over 4 s
         counters = counter_trace([0, 4000], [[0], [40]])
         power = power_trace([0, 1000, 4000], [100, 200, 200])
-        record = aggregate_run(counters, power, META)
-        assert record.total_current == pytest.approx(175.0)
+        _, current = aggregate_run(counters, power)
+        assert current == pytest.approx(175.0)
 
     def test_partial_overlap_prorates_counts(self):
         # power covers [1000, 3000]; the 2 s counter interval straddles it
         counters = counter_trace([0, 2000, 4000], [[0], [100], [100]])
         power = power_trace([1000, 3000], [50, 50])
-        record = aggregate_run(counters, power, META)
+        rates, _ = aggregate_run(counters, power)
         # half of each interval falls inside the window: 100 events over 2 s
-        assert record.rates["c1"] == pytest.approx(50.0)
+        assert rates.tolist() == pytest.approx([50.0])
 
     def test_no_overlap(self):
         counters = counter_trace([0, 1000], [[0], [10]])
         power = power_trace([5000, 6000], [100, 100])
         with pytest.raises(AggregationError, match="no temporal overlap"):
-            aggregate_run(counters, power, META)
+            aggregate_run(counters, power)
 
     def test_sub_second_overlap_rejected(self):
         counters = counter_trace([0, 1500], [[0], [10]])
         power = power_trace([900, 2000], [100, 100])
         with pytest.raises(AggregationError, match="overlap"):
-            aggregate_run(counters, power, META)
+            aggregate_run(counters, power)
 
     def test_split_sample_invariance(self):
         power = power_trace([0, 3000], [77, 77])
-        whole = aggregate_run(
-            counter_trace([0, 1000, 2000, 3000], [[0], [120], [30], [600]]),
-            power,
-            META,
+        whole, _ = aggregate_run(
+            counter_trace([0, 1000, 2000, 3000], [[0], [120], [30], [600]]), power
         )
         # split the (1000, 2000] interval at 1500 ms into 12 + 18 = 30 events
         split = counter_trace(
             [0, 1000, 1500, 2000, 3000], [[0], [120], [12], [18], [600]]
         )
-        halves = aggregate_run(split, power, META)
-        assert halves.rates["c1"] == pytest.approx(whole.rates["c1"], rel=1e-12)
+        halves, _ = aggregate_run(split, power)
+        assert halves.tolist() == pytest.approx(whole.tolist(), rel=1e-12)
 
 
 class TestIsolatePower:
-    def record(self, total=500.0):
-        return make_dataset({"c1": [1.0]}, [total]).records[0]
+    def dataset(self, total=500.0):
+        return make_dataset({"c1": [1.0]}, [total])
 
     def test_base_subtraction(self):
-        out = isolate_power(self.record(500.0), 100.0)
-        assert out.target_current == pytest.approx(400.0)
+        out, _ = isolate_dataset(self.dataset(500.0), 100.0)
+        assert out.target_current.tolist() == pytest.approx([400.0])
+        assert out.total_current.tolist() == [500.0]
 
     def test_aux_model_subtraction(self):
-        aux = PowerModel((base("cpu_c"),), (1.0,), 50.0)
-        out = isolate_power(self.record(500.0), 100.0, aux, {"cpu_c": 100.0})
-        assert out.target_current == pytest.approx(250.0)
+        aux_model = PowerModel((base("cpu_c"),), (1.0,), 50.0)
+        aux = make_dataset({"cpu_c": [100.0]}, [500.0])
+        out, _ = isolate_dataset(self.dataset(500.0), 100.0, predict_dataset(aux_model, aux))
+        assert out.target_current.tolist() == pytest.approx([250.0])
 
     def test_clamp_to_zero_warns(self):
         with pytest.warns(ClampWarning):
-            out = isolate_power(self.record(90.0), 100.0)
-        assert out.target_current == 0.0
+            out, _ = isolate_dataset(self.dataset(90.0), 100.0)
+        assert out.target_current.tolist() == [0.0]
 
     def test_negative_base_rejected(self):
         with pytest.raises(IsolationError):
-            isolate_power(self.record(), -1.0)
+            isolate_dataset(self.dataset(), -1.0)
 
     def test_missing_aux_rate_names_counter(self):
-        aux = PowerModel((base("cpu_c"),), (1.0,), 50.0)
+        aux_model = PowerModel((base("cpu_c"),), (1.0,), 50.0)
+        aux = make_dataset({"other": [1.0]}, [500.0])
         with pytest.raises(Exception, match="cpu_c"):
-            isolate_power(self.record(), 0.0, aux, {"other": 1.0})
+            predict_dataset(aux_model, aux)
+
+    def test_aux_current_length_checked(self):
+        with pytest.raises(IsolationError, match="one value per run"):
+            isolate_dataset(self.dataset(), 0.0, np.array([1.0, 2.0]))
 
     def test_isolate_dataset_counts_clamps(self):
         ds = make_dataset({"c1": [1.0, 2.0, 3.0]}, [500.0, 90.0, 80.0])
         with pytest.warns(ClampWarning):
             out, n_clamped = isolate_dataset(ds, 100.0)
         assert n_clamped == 2
-        assert [r.target_current for r in out.records] == [400.0, 0.0, 0.0]
-        assert all(r.target_current >= 0 for r in out.records)
+        assert out.target_current.tolist() == [400.0, 0.0, 0.0]
+        assert ds.target_current.tolist() == [500.0, 90.0, 80.0]
 
 
 class TestSplitDataset:
@@ -182,31 +256,35 @@ class TestSplitDataset:
 
     def test_counts_9_records(self):
         train, test = split_dataset(self.dataset(9), 2 / 3, seed=7)
-        assert (len(train.records), len(test.records)) == (6, 3)
+        assert (len(train), len(test)) == (6, 3)
 
     def test_counts_300_records(self):
         train, test = split_dataset(self.dataset(300), 2 / 3, seed=7)
-        assert (len(train.records), len(test.records)) == (200, 100)
+        assert (len(train), len(test)) == (200, 100)
 
     def test_deterministic(self):
         ds = self.dataset(20)
         a = split_dataset(ds, 2 / 3, seed=42)
         b = split_dataset(ds, 2 / 3, seed=42)
-        names_a = [r.meta.benchmark_name for r in a[0].records]
-        names_b = [r.meta.benchmark_name for r in b[0].records]
+        names_a = [m.benchmark_name for m in a[0].meta]
+        names_b = [m.benchmark_name for m in b[0].meta]
         assert names_a == names_b
 
     def test_partition(self):
         ds = self.dataset(17)
         train, test = split_dataset(ds, 0.55, seed=3)
-        got = sorted(
-            r.meta.benchmark_name for r in train.records + test.records
-        )
-        assert got == sorted(r.meta.benchmark_name for r in ds.records)
-        overlap = {r.meta.benchmark_name for r in train.records} & {
-            r.meta.benchmark_name for r in test.records
+        got = sorted(m.benchmark_name for m in train.meta + test.meta)
+        assert got == sorted(m.benchmark_name for m in ds.meta)
+        overlap = {m.benchmark_name for m in train.meta} & {
+            m.benchmark_name for m in test.meta
         }
         assert not overlap
+        # Each run keeps its own rates and currents.
+        for part in (train, test):
+            for i, meta in enumerate(part.meta):
+                j = int(meta.benchmark_name.split("-")[1])
+                assert part.rates[i].tolist() == ds.rates[j].tolist()
+                assert part.target_current[i] == ds.target_current[j]
 
     def test_too_few_records(self):
         with pytest.raises(ConfigError):
@@ -242,10 +320,11 @@ class TestManifest:
         manifest.write_text(json.dumps({"runs": runs}))
         ds, aux = load_manifest(manifest)
         assert aux is None
-        assert len(ds.records) == 3
+        assert len(ds) == 3
         assert ds.counter_names == ("c1", "c2")
-        assert ds.records[1].rates["c1"] == pytest.approx(101.0)
-        assert ds.records[0].total_current == pytest.approx(250.0)
+        assert ds.column("c1")[1] == pytest.approx(101.0)
+        assert ds.total_current[0] == pytest.approx(250.0)
+        assert ds.target_current[0] == ds.total_current[0]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest not found"):
@@ -267,6 +346,82 @@ class TestManifest:
         with pytest.raises(ParseError, match="missing field"):
             load_manifest(manifest)
 
+    def load(self, tmp_path, runs):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": runs}))
+        return load_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [("0,0,0\n1000,5,nan\n2000,5,5\n", "line 3: non-finite value in column 'c2'"),
+         ("0,0,0\n1000,5,5\n2000,-1,5\n", "line 4: negative count"),
+         ("0,0,0\n2000,5,5\n1000,5,5\n", "non-monotone timestamp at line 4")],
+    )
+    def test_bad_counter_trace_names_file_and_line(self, tmp_path, body, problem):
+        runs = [self.write_run(tmp_path, i) for i in range(2)]
+        bad = tmp_path / runs[1]["counter_file"]
+        bad.write_text("ts_ms,c1,c2\n" + body)
+        with pytest.raises(ParseError) as info:
+            self.load(tmp_path, runs)
+        assert str(info.value) == f"{bad}: {problem}"
+
+    def test_non_finite_current_names_file_and_line(self, tmp_path):
+        runs = [self.write_run(tmp_path, 0)]
+        bad = tmp_path / runs[0]["power_file"]
+        bad.write_text("ts_ms,current_ma\n0,100\n1000,nan\n2000,100\n")
+        with pytest.raises(ParseError) as info:
+            self.load(tmp_path, runs)
+        assert str(info.value) == f"{bad}: line 3: non-finite value in column 'current_ma'"
+
+    def test_duplicate_counter_column_names_file(self, tmp_path):
+        runs = [self.write_run(tmp_path, 0)]
+        bad = tmp_path / runs[0]["counter_file"]
+        bad.write_text("ts_ms,c1,c1\n0,0,0\n1000,5,5\n2000,5,5\n")
+        with pytest.raises(ParseError) as info:
+            self.load(tmp_path, runs)
+        assert str(info.value) == f"{bad}: line 1: duplicate counter column 'c1'"
+
+    @pytest.mark.parametrize(
+        "entry, problem",
+        [(["run0.counters.csv"], "manifest run 1: expected an object, got list"),
+         ({"frequency_hz": "fast"}, "manifest run 1: field 'frequency_hz' must be a finite number"),
+         ({"frequency_hz": None}, "manifest run 1: field 'frequency_hz' must be a finite number"),
+         ({"counter_file": 5}, "manifest run 1: field 'counter_file' must be a string"),
+         ({"workload_type": "Gaming"}, "manifest run 1 ('bench-1'): unknown workload type")],
+    )
+    def test_bad_run_entry_names_run(self, tmp_path, entry, problem):
+        runs = [self.write_run(tmp_path, i) for i in range(2)]
+        runs[1] = entry if isinstance(entry, list) else dict(runs[1], **entry)
+        with pytest.raises(ParseError, match="^" + re.escape(problem)):
+            self.load(tmp_path, runs)
+
+    def test_aggregation_error_names_run(self, tmp_path):
+        runs = [self.write_run(tmp_path, i) for i in range(2)]
+        (tmp_path / runs[1]["power_file"]).write_text("ts_ms,current_ma\n9000,1\n9500,1\n")
+        with pytest.raises(AggregationError, match=r"^manifest run 1 \('bench-1'\): no temporal"):
+            self.load(tmp_path, runs)
+
+    def write_aux(self, tmp_path, i, header="cpu_cycles"):
+        aux = tmp_path / f"run{i}.aux.csv"
+        aux.write_text(f"ts_ms,{header}\n0,0\n" + "".join(f"{t * 1000},40\n" for t in range(1, 6)))
+        return aux.name
+
+    def test_aux_columns_must_match_first_run(self, tmp_path):
+        runs = [dict(self.write_run(tmp_path, i), aux_counter_file=self.write_aux(tmp_path, i))
+                for i in range(2)]
+        runs[1]["aux_counter_file"] = self.write_aux(tmp_path, 1, header="gpu_cycles")
+        problem = "manifest run 1 ('bench-1'): aux counter columns differ from the first run"
+        with pytest.raises(ParseError, match=re.escape(problem)):
+            self.load(tmp_path, runs)
+
+    @pytest.mark.parametrize("listed_by, problem", [(0, "lists no"), (1, "lists an")])
+    def test_aux_file_listed_by_all_runs_or_none(self, tmp_path, listed_by, problem):
+        runs = [self.write_run(tmp_path, i) for i in range(3)]
+        runs[listed_by]["aux_counter_file"] = self.write_aux(tmp_path, listed_by)
+        problem = f"manifest run 1 ('bench-1'): {problem} aux_counter_file, unlike the first run"
+        with pytest.raises(ParseError, match=re.escape(problem)):
+            self.load(tmp_path, runs)
+
     def test_aux_counter_files_drive_model_subtraction(self, tmp_path):
         runs = []
         for i in range(2):
@@ -279,16 +434,15 @@ class TestManifest:
             runs.append(dict(run, aux_counter_file=aux.name))
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"runs": runs}))
-        ds, aux_rates = load_manifest(manifest)
-        assert aux_rates is not None
-        assert aux_rates[1]["cpu_cycles"] == pytest.approx(50.0)
+        ds, aux = load_manifest(manifest)
+        assert aux is not None
+        assert aux.column("cpu_cycles")[1] == pytest.approx(50.0)
         # cpu model: 2 mA per cycle/s + 20 mA idle
         cpu_model = PowerModel((base("cpu_cycles"),), (2.0,), 20.0)
-        isolated, n_clamped = isolate_dataset(ds, 100.0, cpu_model, aux_rates)
+        isolated, n_clamped = isolate_dataset(ds, 100.0, predict_dataset(cpu_model, aux))
         assert n_clamped == 0
         # 500 total - 100 base - (2*40 + 20) = 300; second run subtracts 2*50+20
-        assert isolated.records[0].target_current == pytest.approx(300.0)
-        assert isolated.records[1].target_current == pytest.approx(280.0)
+        assert isolated.target_current.tolist() == pytest.approx([300.0, 280.0])
 
 
 class TestRunMeta:

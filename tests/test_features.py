@@ -13,8 +13,7 @@ from pmcpower.features import (
     base,
     build_matrix,
     drop_zero_variance,
-    evaluate_feature,
-    evaluate_spec_on_rates,
+    feature_column,
     generate_combined,
     invert_negative,
     inverted,
@@ -101,29 +100,39 @@ class TestFeatureSpec:
         with pytest.raises(FeatureError, match="log"):
             parse_feature_spec("log:c1")
 
+    @staticmethod
+    def evaluate(spec, **rates):
+        ds = make_dataset({name: [value] for name, value in rates.items()}, [1.0])
+        return feature_column(spec, ds).tolist()
+
     def test_evaluate_base(self):
-        assert evaluate_spec_on_rates(base("c1"), {"c1": 300.0}) == 300.0
+        assert self.evaluate(base("c1"), c1=300.0) == [300.0]
 
     def test_evaluate_inverted(self):
-        assert evaluate_spec_on_rates(inverted("stall"), {"stall": 40.0}) == -40.0
+        assert self.evaluate(inverted("stall"), stall=40.0) == [-40.0]
 
     def test_evaluate_product(self):
-        assert evaluate_spec_on_rates(product("a", "b"), {"a": 3.0, "b": 7.0}) == 21.0
+        assert self.evaluate(product("a", "b"), a=3.0, b=7.0) == [21.0]
 
     def test_evaluate_ratio(self):
-        assert evaluate_spec_on_rates(ratio("a", "b"), {"a": 6.0, "b": 3.0}) == 2.0
+        assert self.evaluate(ratio("a", "b"), a=6.0, b=3.0) == [2.0]
 
     def test_zero_denominator_names_spec(self):
         with pytest.raises(FeatureError, match="ratio:a/b"):
-            evaluate_spec_on_rates(ratio("a", "b"), {"a": 6.0, "b": 0.0})
+            self.evaluate(ratio("a", "b"), a=6.0, b=0.0)
 
     def test_missing_counter_named(self):
         with pytest.raises(FeatureError, match="missing counter c9"):
-            evaluate_spec_on_rates(base("c9"), {"c1": 1.0})
+            self.evaluate(base("c9"), c1=1.0)
 
-    def test_evaluate_feature_on_record(self):
-        ds = make_dataset({"c1": [300.0, 200.0]}, [1.0, 2.0])
-        assert evaluate_feature(base("c1"), ds.records[0]) == 300.0
+    def test_feature_column_on_dataset(self):
+        ds = make_dataset({"a": [300.0, 200.0, 8.0], "b": [3.0, 4.0, 0.0]}, [1.0, 2.0, 3.0])
+        assert feature_column(base("a"), ds).tolist() == [300.0, 200.0, 8.0]
+        assert feature_column(product("a", "b"), ds).tolist() == [900.0, 800.0, 0.0]
+        # One zero denominator in any run rejects the whole column.
+        with pytest.raises(FeatureError, match="zero denominator evaluating ratio:a/b"):
+            feature_column(ratio("a", "b"), ds)
+        assert feature_column(ratio("b", "a"), ds).tolist() == [0.01, 0.02, 0.0]
 
 
 class TestDropZeroVariance:
@@ -172,7 +181,7 @@ class TestInvertNegative:
 
     def test_classification(self, rng):
         ds = self.build(rng)
-        y = ds.targets()
+        y = ds.target_current
         # sanity on the construction itself
         assert pearson(ds.column("neg_strong"), y) < -0.9
         r_weak = pearson(ds.column("neg_weak"), y)
@@ -189,7 +198,7 @@ class TestInvertNegative:
 
     def test_inverted_correlation_flips_exactly(self, rng):
         ds = self.build(rng)
-        y = ds.targets()
+        y = ds.target_current
         for spec in invert_negative(ds):
             if spec.kind != "inv":
                 continue
@@ -228,7 +237,7 @@ class TestGenerateCombined:
                                   alpha=0.05, top_k=1000)
         combined = [s for s in specs if s.kind in ("prod", "ratio")]
         assert combined[0] == product("a", "b")
-        assert pearson(a * b, ds.targets()) > 0.999
+        assert pearson(a * b, ds.target_current) > 0.999
 
     def test_ranking_matches_brute_force(self, rng):
         cols = {k: rng.uniform(1, 10, 50) for k in ("a", "b", "c")}
@@ -362,7 +371,7 @@ class TestGenerateCombinedMatchesReference:
         ds = make_dataset(cols, events * cols["b"] + rng.normal(0, 1, n))
         base_specs = [base(k) for k in cols]
         full = generate_combined_reference(ds, base_specs, alpha=1.0, top_k=10_000)
-        scores = [abs(pearson(features._spec_column(s, cols), ds.targets()))
+        scores = [abs(pearson(feature_column(s, ds), ds.target_current))
                   for s in full[len(base_specs):]]
         cuts = [k for k in range(1, len(scores)) if scores[k - 1] == scores[k]]
         assert len(cuts) >= 3
@@ -404,6 +413,7 @@ class TestGenerateCombinedMatchesReference:
         for top_k in (1, 3, 100):
             assert_matches_reference(ds, base_specs, alpha=1.0, top_k=top_k)
 
+    @pytest.mark.filterwarnings("error")
     def test_extreme_scales(self, rng):
         # Columns near 1e+-150 make sxx, syy or their product over- or
         # underflow for many candidates.

@@ -10,14 +10,11 @@ from pmcpower.model import (
     evaluate_model,
     load_model,
     model_to_dict,
-    predict,
     predict_dataset,
-    predict_util_freq,
     predict_util_freq_dataset,
     run_pipeline,
     save_model,
     train_all_pmc,
-    train_auto,
     train_k_top,
     train_util_freq,
 )
@@ -36,39 +33,56 @@ class TestPredict:
     def test_linear_form(self):
         model = PowerModel((base("c1"),), (2.0,), 10.0)
         ds = make_dataset({"c1": [50.0, 100.0]}, [1.0, 2.0])
-        assert predict(model, ds.records[0]) == pytest.approx(110.0)
+        assert predict_dataset(model, ds).tolist() == pytest.approx([110.0, 210.0])
 
     def test_missing_counter(self):
         model = PowerModel((base("c9"),), (2.0,), 10.0)
         ds = make_dataset({"c1": [50.0]}, [1.0])
         with pytest.raises(FeatureError, match="missing counter c9"):
-            predict(model, ds.records[0])
+            predict_dataset(model, ds)
 
     def test_negative_predictions_reported_as_is(self):
         model = PowerModel((base("c1"),), (-5.0,), 10.0)
         ds = make_dataset({"c1": [50.0]}, [1.0])
-        assert predict(model, ds.records[0]) == pytest.approx(-240.0)
+        assert predict_dataset(model, ds).tolist() == pytest.approx([-240.0])
 
     def test_perfect_fit_reproduces_targets(self, rng):
         f = rng.uniform(1, 10, 30)
         ds = make_dataset({"f": f}, 3 * f + 2)
         model = train_all_pmc(ds)
         pred = predict_dataset(model, ds)
-        assert pred == pytest.approx(ds.targets(), rel=1e-6)
+        assert pred == pytest.approx(ds.target_current, rel=1e-6)
+
+    def test_terms_added_in_model_order(self, rng):
+        # Each prediction rounds as intercept + c1*f1 + c2*f2 + ... summed
+        # left to right in Python floats.
+        cols = {name: rng.uniform(1, 1e6, 25) for name in ("a", "b", "c")}
+        ds = make_dataset(cols, rng.uniform(1, 10, 25))
+        specs = (base("b"), product("a", "c"), base("a"))
+        coefs = tuple(rng.normal(0, 1e3, 3).tolist())
+        model = PowerModel(specs, coefs, 123.456)
+        want = []
+        for i in range(len(ds)):
+            a, b, c = (float(cols[name][i]) for name in ("a", "b", "c"))
+            total = 123.456
+            for coef, value in zip(coefs, (b, a * c, a)):
+                total += coef * value
+            want.append(total)
+        assert predict_dataset(model, ds).tolist() == want
 
 
 class TestTrainPipeline:
     def test_noiseless_three_factor_recovery(self):
         ds, _ = generate(three_factor_config(n_runs=120, seed=2))
         train, test = split_dataset(ds, 2 / 3, seed=7)
-        model = train_auto(train, PipelineConfig(combined=False))
+        model = run_pipeline(train, PipelineConfig(combined=False)).model
         assert len(model.features) == 3
         assert model.train_meta["train_r_squared"] >= 0.999
         assert evaluate_model(model, test).r_squared >= 0.999
 
     def test_linear_mode_recorded_in_meta(self):
         ds, _ = generate(three_factor_config(n_runs=60, seed=3))
-        model = train_auto(ds, PipelineConfig(combined=False))
+        model = run_pipeline(ds, PipelineConfig(combined=False)).model
         assert model.train_meta["config"]["combined"] is False
 
     def test_deterministic_serialization(self, tmp_path):
@@ -76,8 +90,8 @@ class TestTrainPipeline:
         config = PipelineConfig()
         path_a = tmp_path / "a.json"
         path_b = tmp_path / "b.json"
-        save_model(train_auto(ds, config), path_a)
-        save_model(train_auto(ds, config), path_b)
+        save_model(run_pipeline(ds, config).model, path_a)
+        save_model(run_pipeline(ds, config).model, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_feature_count_bounded_by_clusters(self):
@@ -87,18 +101,14 @@ class TestTrainPipeline:
 
     def test_needs_enough_records(self):
         ds, _ = generate(three_factor_config(n_runs=120, seed=6))
-        small = make_dataset(
-            {c: [r.rates[c] for r in ds.records[:5]] for c in ds.counter_names},
-            [r.target_current for r in ds.records[:5]],
-        )
         with pytest.raises(ConfigError, match="at least 10"):
-            train_auto(small)
+            run_pipeline(ds.take(range(5)))
 
 
 class TestBaselines:
     def test_all_pmc_superset_r2(self):
         ds, _ = generate(three_factor_config(n_runs=90, noise_sigma=0.05, seed=7))
-        auto = train_auto(ds, PipelineConfig(combined=False))
+        auto = run_pipeline(ds, PipelineConfig(combined=False)).model
         all_pmc = train_all_pmc(ds)
         assert all_pmc.train_meta["train_r_squared"] >= auto.train_meta["train_r_squared"] - 1e-10
         assert len(all_pmc.features) == 9
@@ -164,13 +174,13 @@ class TestUtilFreq:
         model = train_util_freq(ds)
         other = generate_util_freq({2e6: 100.0}, 50.0, n_per_freq=5, seed=10)
         with pytest.raises(ConfigError, match="frequency"):
-            predict_util_freq(model, other.records[0])
+            predict_util_freq_dataset(model, other)
 
     def test_instruction_mix_defeats_utilization_model(self):
         ds, _ = generate_instruction_mix(n_runs=90, seed=11)
         train, test = split_dataset(ds, 2 / 3, seed=1)
         model = train_util_freq(train)
-        report = evaluate(predict_util_freq_dataset(model, test), test.targets())
+        report = evaluate(predict_util_freq_dataset(model, test), test.target_current)
         assert report.mape_mean > 5.0  # same utilization, very different mixes
 
     def test_per_frequency_intercepts(self):

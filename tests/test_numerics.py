@@ -34,6 +34,7 @@ class TestPearson:
         with pytest.raises(DegenerateSeriesError):
             pearson([1.0, 2.0], [3.0, 4.0])
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises(self, bad):
         # The [-1, 1] clamp used to turn the NaN r of such a series into 1.0.

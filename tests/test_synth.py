@@ -131,16 +131,14 @@ class TestTraceEmission:
         loaded, aux = load_manifest(manifest)
         assert aux is None
         assert loaded.counter_names == ds.counter_names
-        original = ds.rates_matrix()
-        recovered = loaded.rates_matrix()
-        assert recovered == pytest.approx(original, rel=1e-9)
-        assert loaded.targets() == pytest.approx(ds.targets(), rel=1e-12)
+        assert loaded.rates == pytest.approx(ds.rates, rel=1e-9)
+        assert loaded.target_current == pytest.approx(ds.target_current, rel=1e-12)
         assert (tmp_path / "ground_truth.json").is_file()
 
     def test_utilization_survives_round_trip(self, tmp_path):
         ds, _ = generate_instruction_mix(n_runs=10, seed=9)
         manifest = write_dataset_files(ds, tmp_path)
         loaded, _ = load_manifest(manifest)
-        got = [r.meta.utilization for r in loaded.records]
-        want = [r.meta.utilization for r in ds.records]
+        got = [m.utilization for m in loaded.meta]
+        want = [m.utilization for m in ds.meta]
         assert got == pytest.approx(want)
