@@ -226,6 +226,8 @@ def parse_counter_trace(text: str) -> CounterTrace:
     if len(header) < 2:
         raise ParseError("line 1: counter trace needs at least one counter column")
     _check_counter_names(header[1:])
+    # Contiguous copies: BLAS may sum a strided operand of aggregate_run's
+    # products in another order, and the rates would change in the last bit.
     ts = table[:, 0].copy()
     counts = table[:, 1:].copy()
     _check_monotone(ts, linenos)

@@ -346,6 +346,12 @@ class TestManifest:
         with pytest.raises(ParseError, match="missing field"):
             load_manifest(manifest)
 
+    def test_manifest_not_an_object(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        with pytest.raises(ParseError, match="expected a non-empty 'runs' list"):
+            load_manifest(manifest)
+
     def load(self, tmp_path, runs):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"runs": runs}))
