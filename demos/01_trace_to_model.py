@@ -3,7 +3,8 @@
 
 Synthesizes a small benchmark campaign as real CSV trace files, ingests them
 through the parsing/aggregation path, isolates the component current, trains
-the automatic model, and round-trips it through the model file format.
+the automatic model, and round-trips it through the model file format. The
+campaign lives in a temporary directory that is removed when the demo ends.
 """
 import tempfile
 from pathlib import Path
@@ -21,8 +22,7 @@ from pmcpower.selection import format_trace
 from pmcpower.synth import generate, three_factor_config, write_dataset_files
 
 
-def main():
-    workdir = Path(tempfile.mkdtemp(prefix="pmcpower-demo-"))
+def walkthrough(workdir: Path):
     print(f"=== 1. Synthesize a benchmark campaign under {workdir} ===")
     ds, truth = generate(three_factor_config(n_runs=90, noise_sigma=0.03, seed=7))
     manifest = write_dataset_files(ds, workdir, truth)
@@ -66,6 +66,11 @@ def main():
     print(f"prediction for {test.meta[0].benchmark_name!r}: "
           f"{predicted[0]:.1f} mA "
           f"(measured {test.target_current[0]:.1f} mA)")
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="pmcpower-demo-") as workdir:
+        walkthrough(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import synth as synthmod
 from .dataset import Dataset, isolate_dataset, load_manifest, split_dataset
-from .errors import ConfigError, ModelFileError, ParseError, PmcPowerError
+from .errors import ConfigError, ModelFileError, ParseError, PmcPowerError, read_utf8
 from .model import (
     PipelineConfig,
     evaluate_by_workload,
@@ -70,7 +70,7 @@ def load_run_config(path) -> RunConfig:
     if not path.is_file():
         raise FileNotFoundError(f"config not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_utf8(path, ConfigError, f"config {path}"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AggregationError, ConfigError, IsolationError, ParseError
+from .errors import AggregationError, ConfigError, IsolationError, ParseError, read_utf8
 
 WORKLOAD_TYPES = ("Rendering", "NeuralNetwork", "Compute", "Other")
 
@@ -162,26 +162,29 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
     float table; ragged, malformed and non-finite rows are named by line."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file") from None
-    header = [h.strip() for h in header]
-    if not header or header[0] != expected_first:
-        raise ParseError(f"line 1: expected '{expected_first}' as first column")
-    linenos, rows = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != len(header):
-            raise ParseError(
-                f"line {lineno}: column mismatch "
-                f"(expected {len(header)} values, got {len(row)})"
-            )
         try:
-            rows.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError(f"line {lineno}: malformed row {row!r}") from None
-        linenos.append(lineno)
+            header = next(reader)
+        except StopIteration:
+            raise ParseError("empty file") from None
+        header = [h.strip() for h in header]
+        if not header or header[0] != expected_first:
+            raise ParseError(f"line 1: expected '{expected_first}' as first column")
+        linenos, rows = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # blank line
+            if len(row) != len(header):
+                raise ParseError(
+                    f"line {lineno}: column mismatch "
+                    f"(expected {len(header)} values, got {len(row)})"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ParseError(f"line {lineno}: malformed row {row!r}") from None
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError("no samples")
     table = np.array(rows)
@@ -192,17 +195,74 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
     return header, linenos, table
 
 
-def _reject_rows(bad: np.ndarray, linenos: list[int], problem: str) -> None:
-    """Raise for the first row flagged in ``bad``, naming its line."""
+# The bytes a sample row may hold for numpy's reader to take it. Within them
+# numpy and float() read every number alike; outside them they can part ways
+# (numpy strips \x1c-\x1f around a number, which float() rejects), so any
+# other byte sends the text to the line parser.
+_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
+
+
+def _fast_rows(text: str, expected_first: str) -> tuple[list[str], np.ndarray] | None:
+    """The header and sample table as ``_parse_rows`` would return them,
+    read by numpy's C reader; None wherever that read could differ or fails.
+
+    numpy reads an overflow such as ``1e400`` as inf, so the table must be
+    finite. The csv reader rejects a field longer than its field size limit,
+    which numpy reads, and a bare carriage return, which numpy rejects only
+    as not supported yet.
+    """
+    head, _, body = text.partition("\n")
+    if '"' in head or not body.isascii() or not body.strip():
+        return None
+    if body.encode("ascii").translate(None, _FAST_BYTES):
+        return None
+    if "\r" in body and body.count("\r") != body.count("\r\n"):
+        return None
+    lines = body.split("\n")
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, lines)) > limit:
+        return None
+    try:
+        header = [h.strip() for h in next(csv.reader([head]))]
+    except csv.Error:
+        return None
+    if len(header) < 2 or header[0] != expected_first:
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(header) or not np.isfinite(table).all():
+        return None
+    return header, table
+
+
+def _parse(text: str, build):
+    """``build(header, table, linenos)`` on the fast read of ``text``, with
+    ``linenos`` None. When the fast read declines or ``build`` raises, the
+    text is read again line by line, so every ParseError names its line."""
+    fast = _fast_rows(text, "ts_ms")
+    if fast is not None:
+        try:
+            return build(*fast, None)
+        except ParseError:
+            pass
+    header, linenos, table = _parse_rows(text, "ts_ms")
+    return build(header, table, linenos)
+
+
+def _reject_rows(bad: np.ndarray, linenos: list[int] | None, message: str) -> None:
+    """Raise for the first row flagged in ``bad``, its line number put into
+    ``message`` (a fast read, with ``linenos`` None, has no line to name)."""
     rows = np.flatnonzero(bad)
     if rows.size:
-        raise ParseError(f"line {linenos[rows[0]]}: {problem}")
+        line = "?" if linenos is None else linenos[rows[0]]
+        raise ParseError(message.format(line=line))
 
 
-def _check_monotone(ts: np.ndarray, linenos: list[int]) -> None:
-    rows = np.flatnonzero(np.diff(ts) <= 0)
-    if rows.size:
-        raise ParseError(f"non-monotone timestamp at line {linenos[rows[0] + 1]}")
+def _check_monotone(ts: np.ndarray, linenos: list[int] | None) -> None:
+    _reject_rows(np.concatenate(([False], np.diff(ts) <= 0)), linenos,
+                 "non-monotone timestamp at line {line}")
 
 
 def _check_counter_names(names: list[str]) -> None:
@@ -220,9 +280,7 @@ def _check_counter_names(names: list[str]) -> None:
         seen.add(name)
 
 
-def parse_counter_trace(text: str) -> CounterTrace:
-    """Parse counter-trace CSV: header ``ts_ms,<c1>,<c2>,...``, delta counts per row."""
-    header, linenos, table = _parse_rows(text, "ts_ms")
+def _counter_trace(header: list[str], table: np.ndarray, linenos) -> CounterTrace:
     if len(header) < 2:
         raise ParseError("line 1: counter trace needs at least one counter column")
     _check_counter_names(header[1:])
@@ -231,13 +289,11 @@ def parse_counter_trace(text: str) -> CounterTrace:
     ts = table[:, 0].copy()
     counts = table[:, 1:].copy()
     _check_monotone(ts, linenos)
-    _reject_rows((counts < 0).any(axis=1), linenos, "negative count")
+    _reject_rows((counts < 0).any(axis=1), linenos, "line {line}: negative count")
     return CounterTrace(tuple(header[1:]), ts, counts)
 
 
-def parse_power_trace(text: str) -> PowerTrace:
-    """Parse power-trace CSV: header ``ts_ms,current_ma[,voltage_v]``."""
-    header, linenos, table = _parse_rows(text, "ts_ms")
+def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:
     if len(header) not in (2, 3) or header[1] != "current_ma":
         raise ParseError("line 1: expected header ts_ms,current_ma[,voltage_v]")
     if len(header) == 3 and header[2] != "voltage_v":
@@ -245,7 +301,7 @@ def parse_power_trace(text: str) -> PowerTrace:
     ts = table[:, 0].copy()
     cur = table[:, 1].copy()
     _check_monotone(ts, linenos)
-    _reject_rows(cur < 0, linenos, "negative current")
+    _reject_rows(cur < 0, linenos, "line {line}: negative current")
     voltage = None
     if len(header) == 3:
         volts = table[:, 2]
@@ -253,6 +309,16 @@ def parse_power_trace(text: str) -> PowerTrace:
             raise ParseError("voltage column is not constant")
         voltage = float(volts[0])
     return PowerTrace(ts, cur, voltage)
+
+
+def parse_counter_trace(text: str) -> CounterTrace:
+    """Parse counter-trace CSV: header ``ts_ms,<c1>,<c2>,...``, delta counts per row."""
+    return _parse(text, _counter_trace)
+
+
+def parse_power_trace(text: str) -> PowerTrace:
+    """Parse power-trace CSV: header ``ts_ms,current_ma[,voltage_v]``."""
+    return _parse(text, _power_trace)
 
 
 def aggregate_run(counters: CounterTrace, power: PowerTrace) -> tuple[np.ndarray, float]:
@@ -381,8 +447,9 @@ def _read_trace(parse, path: Path, what: str):
     """Parse the trace file at ``path``; a ParseError names the file."""
     if not path.is_file():
         raise FileNotFoundError(f"{what} not found: {path}")
+    text = read_utf8(path, ParseError, str(path))
     try:
-        return parse(path.read_text())
+        return parse(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -406,7 +473,7 @@ def load_manifest(path) -> tuple[Dataset, Dataset | None]:
     if not path.is_file():
         raise FileNotFoundError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_utf8(path, ParseError, f"manifest {path}"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {path}: {exc}") from None
     runs = doc.get("runs") if isinstance(doc, dict) else None

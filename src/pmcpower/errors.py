@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the text-file reader
+that turns undecodable bytes into one of its errors."""
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class PmcPowerError(Exception):
@@ -35,3 +39,13 @@ class ModelFileError(PmcPowerError):
 
 class ConfigError(PmcPowerError):
     """A run configuration value is missing or out of range."""
+
+
+def read_utf8(path: Path, error: type[PmcPowerError], label: str) -> str:
+    """The UTF-8 text of the file at ``path``; bytes that do not decode raise
+    ``error`` naming ``label`` (the file) and the offset of the first one."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{label}: not UTF-8 text at byte offset {exc.start} "
+                    f"({exc.reason})") from None

@@ -26,7 +26,7 @@ from .clustering import (
     ward_cluster,
 )
 from .dataset import Dataset
-from .errors import ConfigError, FeatureError, ModelFileError
+from .errors import ConfigError, FeatureError, ModelFileError, read_utf8
 from .features import FeatureMatrix, FeatureSpec
 from .numerics import EvalReport, evaluate, ols_fit, pearson
 from .selection import SelectionResult, select_significant
@@ -358,7 +358,7 @@ def load_model(path) -> PowerModel:
     if not path.is_file():
         raise FileNotFoundError(f"model file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(read_utf8(path, ModelFileError, f"model file {path}"))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"model file {path}: {exc}") from None
     return model_from_dict(doc)

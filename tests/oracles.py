@@ -15,18 +15,25 @@ fast paths can be compared with them exactly:
   before ``pmcpower.features.generate_combined`` pre-scored them in
   blocks; it reuses the package's spec constructors and statistics, and
   keeps its own copy of the package's former ``_spec_column``, so the two
-  must return equal spec lists.
+  must return equal spec lists;
+* ``parse_counter_trace_reference`` and ``parse_power_trace_reference``
+  with their helpers, the csv line parser that read every trace before
+  ``pmcpower.dataset`` gained its numpy fast path; they build the
+  package's CounterTrace/PowerTrace, so the two parsers' results and
+  errors can be compared exactly.
 """
 from __future__ import annotations
 
+import csv
+import io
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
 from pmcpower.clustering import Dendrogram, Merge
-from pmcpower.dataset import Dataset
-from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError
+from pmcpower.dataset import CounterTrace, Dataset, PowerTrace
+from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError, ParseError
 from pmcpower.features import (
     RATIO_DENOM_EPS,
     FeatureSpec,
@@ -258,3 +265,101 @@ def generate_combined_reference(
             scored.append((abs(r), spec.canonical(), spec))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return list(base_specs) + [spec for _, _, spec in scored[:top_k]]
+
+
+def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], np.ndarray]:
+    """The header, the line number of every sample row, and the rows as a
+    float table; ragged, malformed and non-finite rows are named by line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file") from None
+    header = [h.strip() for h in header]
+    if not header or header[0] != expected_first:
+        raise ParseError(f"line 1: expected '{expected_first}' as first column")
+    linenos, rows = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # blank line
+        if len(row) != len(header):
+            raise ParseError(
+                f"line {lineno}: column mismatch "
+                f"(expected {len(header)} values, got {len(row)})"
+            )
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed row {row!r}") from None
+        linenos.append(lineno)
+    if not rows:
+        raise ParseError("no samples")
+    table = np.array(rows)
+    finite = np.isfinite(table)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(f"line {linenos[i]}: non-finite value in column {header[j]!r}")
+    return header, linenos, table
+
+
+def _reject_rows(bad: np.ndarray, linenos: list[int], problem: str) -> None:
+    """Raise for the first row flagged in ``bad``, naming its line."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        raise ParseError(f"line {linenos[rows[0]]}: {problem}")
+
+
+def _check_monotone(ts: np.ndarray, linenos: list[int]) -> None:
+    rows = np.flatnonzero(np.diff(ts) <= 0)
+    if rows.size:
+        raise ParseError(f"non-monotone timestamp at line {linenos[rows[0] + 1]}")
+
+
+def _check_counter_names(names: list[str]) -> None:
+    """Counter names must be unique and must survive the canonical feature
+    syntax (``prod:a*b``, ``ratio:a/b``) unchanged."""
+    seen = set()
+    for name in names:
+        if not name:
+            raise ParseError("line 1: empty counter name")
+        for reserved in "*/":
+            if reserved in name:
+                raise ParseError(f"line 1: counter name {name!r} contains {reserved!r}")
+        if name in seen:
+            raise ParseError(f"line 1: duplicate counter column {name!r}")
+        seen.add(name)
+
+
+def parse_counter_trace_reference(text: str) -> CounterTrace:
+    """Parse counter-trace CSV: header ``ts_ms,<c1>,<c2>,...``, delta counts per row."""
+    header, linenos, table = _parse_rows(text, "ts_ms")
+    if len(header) < 2:
+        raise ParseError("line 1: counter trace needs at least one counter column")
+    _check_counter_names(header[1:])
+    # Contiguous copies: BLAS may sum a strided operand of aggregate_run's
+    # products in another order, and the rates would change in the last bit.
+    ts = table[:, 0].copy()
+    counts = table[:, 1:].copy()
+    _check_monotone(ts, linenos)
+    _reject_rows((counts < 0).any(axis=1), linenos, "negative count")
+    return CounterTrace(tuple(header[1:]), ts, counts)
+
+
+def parse_power_trace_reference(text: str) -> PowerTrace:
+    """Parse power-trace CSV: header ``ts_ms,current_ma[,voltage_v]``."""
+    header, linenos, table = _parse_rows(text, "ts_ms")
+    if len(header) not in (2, 3) or header[1] != "current_ma":
+        raise ParseError("line 1: expected header ts_ms,current_ma[,voltage_v]")
+    if len(header) == 3 and header[2] != "voltage_v":
+        raise ParseError("line 1: third column must be voltage_v")
+    ts = table[:, 0].copy()
+    cur = table[:, 1].copy()
+    _check_monotone(ts, linenos)
+    _reject_rows(cur < 0, linenos, "negative current")
+    voltage = None
+    if len(header) == 3:
+        volts = table[:, 2]
+        if np.any(np.abs(volts - volts[0]) > 1e-6 * max(1.0, abs(volts[0]))):
+            raise ParseError("voltage column is not constant")
+        voltage = float(volts[0])
+    return PowerTrace(ts, cur, voltage)

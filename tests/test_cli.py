@@ -158,6 +158,27 @@ class TestBadInputExit2:
         proc = run_cli("train", "--config", str(path))
         self.assert_usage_error(proc, "key 'top_k' has a value of the wrong type: 'many'")
 
+    @pytest.mark.parametrize("kind", ["trace", "manifest", "config", "model"])
+    def test_file_not_utf8(self, tmp_path, synth_manifest, kind):
+        config = run_config(tmp_path, synth_manifest)
+        args = ["train", "--config", str(config)]
+        if kind == "model":
+            assert main(args) == 0
+            args = ["eval", "--model", str(tmp_path / "out" / "model.json"),
+                    "--manifest", str(synth_manifest), "--output-dir", str(tmp_path / "eval")]
+        run = json.loads(synth_manifest.read_text())["runs"][1]
+        bad, label = {
+            "trace": (synth_manifest.parent / run["counter_file"], ""),
+            "manifest": (synth_manifest, "manifest "),
+            "config": (config, "config "),
+            "model": (tmp_path / "out" / "model.json", "model file "),
+        }[kind]
+        data = bad.read_bytes()
+        bad.write_bytes(data[:10] + b"\xff" + data[10:])
+        proc = run_cli(*args)
+        self.assert_usage_error(proc, f"{label}{bad}: not UTF-8 text at byte offset 10 "
+                                      "(invalid start byte)")
+
     @pytest.mark.parametrize("key, value", [("combined", 1), ("patience", True),
                                             ("aux_model", 3), ("alpha", "0.1")])
     def test_config_types_checked(self, tmp_path, synth_manifest, capsys, key, value):

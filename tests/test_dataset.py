@@ -1,8 +1,12 @@
+import csv
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pmcpower.dataset import (
     ClampWarning,
@@ -22,6 +26,7 @@ from pmcpower.features import base
 from pmcpower.model import PowerModel, predict_dataset
 
 from conftest import make_dataset
+from oracles import parse_counter_trace_reference, parse_power_trace_reference
 
 class TestParseCounterTrace:
     def test_minimal_well_formed(self):
@@ -105,6 +110,140 @@ class TestParsePowerTrace:
             PowerTrace(np.array([0.0, 1000.0]), np.array([1.0, np.inf]))
         with pytest.raises(ParseError, match="non-finite"):
             CounterTrace(("c1",), np.array([0.0, 1000.0]), np.array([[0.0], [np.nan]]))
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize("text, line", [("ts_ms,a\r0,1\r1000,2\r", 1),
+                                            ("ts_ms,a\n0,1\r1000,2\n", 2)])
+    def test_bare_carriage_return_is_a_parse_error(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: new-line character seen"):
+            parse_counter_trace(text)
+
+
+# Cells of a generated trace: mostly numbers the two parsers read alike, and
+# every byte and token on which numpy's reader and float() part ways.
+PADDING = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"])
+ODD_CELLS = st.one_of(
+    st.sampled_from([
+        "nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "4.9e-324", "-0", "+1", "1.",
+        ".5", "1E3", "1_0", "\u0661\u0662", "\uff13", "\x1c5", "5\x1f", "\x1d1\x1e",
+        "\x0b7", "7\x0c", " 3 ", "\t4", "", '"5"', "'5'", "1e", "--1", "0x10", "1 2",
+        "1,2", "-5", "\r", "5\r6", "\x85", "\u2028",
+    ]),
+    st.text("0123456789+-.eE_ ,\t\r\x0b\x0c\x1c\x1d\x1e\x1f\"'\u0661naif", max_size=5),
+    st.floats().map(repr),
+    st.tuples(PADDING, st.integers(0, 99).map(str), PADDING).map("".join),
+)
+BLANK_LINES = st.sampled_from(["", " ", "\t", "\r", " \r", "\x0b", "\x1c", "\x0c"])
+
+
+def _rarely(draw, odds):
+    return draw(st.integers(0, odds - 1)) == 0
+
+
+@st.composite
+def trace_texts(draw, kind):
+    """A trace of ``kind`` as CSV text: a header, then rows of increasing
+    timestamps and non-negative values, with now and then a cell, a line or
+    a line end swapped for an odd one."""
+    if kind == "counter":
+        header = ["ts_ms", *("c1", "c2", "c3")[:draw(st.integers(1, 3))]]
+        if _rarely(draw, 6):
+            header[-1] = draw(st.sampled_from(["c1", " c3 ", '"c4"', "c*5", "", "c\x1c"]))
+    else:
+        header = draw(st.sampled_from([["ts_ms", "current_ma"],
+                                       ["ts_ms", "current_ma", "voltage_v"]]))
+        if _rarely(draw, 8):
+            header = draw(st.sampled_from([["ts_ms", "voltage_v"], ["ts", "current_ma"],
+                                           ["ts_ms"], ['"ts_ms"', "current_ma"]]))
+    volts = draw(st.sampled_from(["3.3", "1e400", " 3.3", "3.30000001"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 6))):
+        row = [str(1000 * i + (draw(st.sampled_from([-1500, 1500])) if _rarely(draw, 8) else 0))]
+        row += [str(draw(st.integers(0, 99))) for _ in header[1:]]
+        if kind == "power" and len(header) == 3:
+            row[2] = volts
+        if _rarely(draw, 6):
+            row[draw(st.integers(0, len(row) - 1))] = draw(ODD_CELLS)
+        if _rarely(draw, 16):
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(",".join(row))
+        if _rarely(draw, 8):
+            lines.append(draw(BLANK_LINES))
+    ends = [draw(st.sampled_from([newline, "\r"])) if _rarely(draw, 12) else newline
+            for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, csv.Error) as exc:
+        return exc
+
+
+def _bits(trace):
+    if isinstance(trace, CounterTrace):
+        counts = trace.counts
+        return trace.counter_names, trace.timestamps_ms.tobytes(), counts.shape, counts.tobytes()
+    voltage = None if trace.voltage_v is None else np.float64(trace.voltage_v).tobytes()
+    return trace.timestamps_ms.tobytes(), trace.current_ma.tobytes(), voltage
+
+
+class TestFastParseMatchesReference:
+    """The numpy fast read gives the line parser's traces bit for bit, or
+    its error; a csv.Error of the line parser is now a ParseError naming
+    the line."""
+
+    def assert_same(self, parse, reference, text):
+        got, expected = _outcome(parse, text), _outcome(reference, text)
+        if isinstance(expected, csv.Error):
+            assert isinstance(got, ParseError)
+            assert re.fullmatch(r"line \d+: " + re.escape(str(expected)), str(got))
+        elif isinstance(expected, ParseError):
+            assert type(got) is ParseError and str(got) == str(expected)
+        else:
+            assert not isinstance(got, Exception), got
+            assert _bits(got) == _bits(expected)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=trace_texts("counter"))
+    def test_counter_traces(self, text):
+        self.assert_same(parse_counter_trace, parse_counter_trace_reference, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=trace_texts("power"))
+    def test_power_traces(self, text):
+        self.assert_same(parse_power_trace, parse_power_trace_reference, text)
+
+    @pytest.mark.parametrize("text", [
+        "ts_ms,c1\n0,1\n1000,2\n",
+        "ts_ms,c1\r\n0,1\r\n\r\n1000,2\r\n",
+        "ts_ms,c1\n0,\x1c1\n1000,2\n",
+        "ts_ms,c1\n0,1e400\n1000,2\n",
+        "ts_ms,c1\n0,1_0\n1000,2\n",
+        "ts_ms,c1\n0,\u0661\n1000,2\n",
+        '"ts_ms",c1\n0,1\n1000,2\n',
+        "ts_ms,c1\n0,1\n \t\n1000,2\n",
+        "ts_ms,c1\n",
+        "ts_ms,c1\n\n\n",
+        "ts_ms,c1\n0,1\r1000,2\n",
+    ])
+    def test_known_gaps(self, text):
+        self.assert_same(parse_counter_trace, parse_counter_trace_reference, text)
+
+    @pytest.mark.parametrize("width", [csv.field_size_limit(), csv.field_size_limit() + 1])
+    def test_field_at_the_csv_size_limit(self, width):
+        text = "ts_ms,c1\n0," + "0" * (width - 1) + "1\n1000,2\n"
+        self.assert_same(parse_counter_trace, parse_counter_trace_reference, text)
+
+    def test_infinite_first_voltage(self):
+        text = "ts_ms,current_ma,voltage_v\n0,1,1e400\n1000,2,1e400\n"
+        with pytest.raises(ParseError, match="line 2: non-finite value in column 'voltage_v'"):
+            parse_power_trace(text)
 
 
 class TestDataset:
@@ -205,6 +344,61 @@ class TestAggregateRun:
         )
         halves, _ = aggregate_run(split, power)
         assert halves.tolist() == pytest.approx(whole.tolist(), rel=1e-12)
+
+
+@st.composite
+def overlapping_traces(draw):
+    """A counter trace of 1-3 counters and a power trace whose timestamps
+    overlap it by at least a second."""
+    steps = draw(st.lists(st.integers(50, 3000), min_size=2, max_size=8))
+    c_ts = np.cumsum([0, *steps]).astype(float)
+    n_counters = draw(st.integers(1, 3))
+    counts = np.array(draw(st.lists(
+        st.lists(st.floats(0, 1e6), min_size=n_counters, max_size=n_counters),
+        min_size=c_ts.size, max_size=c_ts.size)))
+    p_start = draw(st.integers(-2000, int(c_ts[-1]) - 1000))
+    p_steps = draw(st.lists(st.integers(1, 2500), min_size=1, max_size=8))
+    p_ts = (p_start + np.cumsum([0, *p_steps])).astype(float)
+    assume(min(c_ts[-1], p_ts[-1]) - max(c_ts[0], p_ts[0]) >= 1000.0)
+    current = draw(st.lists(st.floats(0, 5000), min_size=p_ts.size, max_size=p_ts.size))
+    return (CounterTrace(tuple(f"c{j}" for j in range(n_counters)), c_ts, counts),
+            PowerTrace(p_ts, np.array(current)))
+
+
+class TestAggregateRunProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(traces=overlapping_traces(), data=st.data())
+    def test_rates_keep_under_pro_rata_split(self, traces, data):
+        counters, power = traces
+        ts, counts = counters.timestamps_ms, counters.counts
+        k = data.draw(st.integers(1, ts.size - 1), label="interval")
+        f = data.draw(st.floats(0.01, 0.99), label="split fraction")
+        cut = ts[k - 1] + f * (ts[k] - ts[k - 1])
+        assume(ts[k - 1] < cut < ts[k])
+        share = (cut - ts[k - 1]) / (ts[k] - ts[k - 1])
+        # Rows k and k + 1 carry the intervals (ts[k-1], cut] and (cut, ts[k]].
+        split_counts = np.insert(counts, k, counts[k] * share, axis=0)
+        split_counts[k + 1] = counts[k] - split_counts[k]
+        split = CounterTrace(counters.counter_names, np.insert(ts, k, cut), split_counts)
+        whole, _ = aggregate_run(counters, power)
+        halves, _ = aggregate_run(split, power)
+        scale = counts.max(initial=0.0) * 1000.0 / (ts[-1] - ts[0])
+        np.testing.assert_allclose(halves, whole, rtol=1e-9, atol=1e-9 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(traces=overlapping_traces())
+    def test_current_is_the_time_weighted_step_mean(self, traces):
+        counters, power = traces
+        w0 = max(counters.timestamps_ms[0], power.timestamps_ms[0])
+        w1 = min(counters.timestamps_ms[-1], power.timestamps_ms[-1])
+        p_ts = [float(t) for t in power.timestamps_ms] + [float(w1)]
+        pieces = []
+        for j, value in enumerate(power.current_ma):
+            held = min(p_ts[j + 1], w1) - max(p_ts[j], w0)
+            if held > 0:
+                pieces.append(float(value) * held)
+        _, current = aggregate_run(counters, power)
+        assert current == pytest.approx(math.fsum(pieces) / (w1 - w0), rel=1e-12, abs=1e-9)
 
 
 class TestIsolatePower:
