@@ -12,7 +12,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,27 @@ class ClampWarning(UserWarning):
     """Isolated current fell below zero and was clamped to 0 mA."""
 
 
+def _check_samples(ts: np.ndarray, values: np.ndarray, lines, what: str) -> None:
+    """Reject the first sample row holding a non-finite value, then the
+    first whose timestamp does not exceed the one before, then the first
+    with a negative ``what`` among ``values`` (one row per sample). A row is
+    named by its file line when ``lines`` gives them, else by its index."""
+
+    def first(bad: np.ndarray) -> str:
+        i = int(np.flatnonzero(bad)[0])
+        return f"sample {i}" if lines is None else f"line {lines[i]}"
+
+    finite = np.isfinite(ts) & np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{first(~finite)}: non-finite value")
+    step_back = np.diff(ts) <= 0
+    if step_back.any():
+        raise ParseError(f"non-monotone timestamp at {first(np.append(False, step_back))}")
+    negative = (values < 0).any(axis=1)
+    if negative.any():
+        raise ParseError(f"{first(negative)}: negative {what}")
+
+
 @dataclass(frozen=True)
 class CounterTrace:
     """Per-dump counter deltas: counts[i] accumulated over (ts[i-1], ts[i]]."""
@@ -33,8 +54,9 @@ class CounterTrace:
     counter_names: tuple[str, ...]
     timestamps_ms: np.ndarray
     counts: np.ndarray
+    lines: InitVar[list[int] | None] = None  # not stored: each sample's file line
 
-    def __post_init__(self):
+    def __post_init__(self, lines):
         ts = np.asarray(self.timestamps_ms, dtype=float)
         counts = np.asarray(self.counts, dtype=float)
         object.__setattr__(self, "timestamps_ms", ts)
@@ -43,12 +65,7 @@ class CounterTrace:
             raise ParseError("counter trace shape mismatch")
         if ts.size < 1:
             raise ParseError("no samples")
-        if not (np.isfinite(ts).all() and np.isfinite(counts).all()):
-            raise ParseError("non-finite value")
-        if np.any(np.diff(ts) <= 0):
-            raise ParseError("timestamps must be strictly increasing")
-        if np.any(counts < 0):
-            raise ParseError("negative count")
+        _check_samples(ts, counts, lines, "count")
 
 
 @dataclass(frozen=True)
@@ -58,20 +75,18 @@ class PowerTrace:
     timestamps_ms: np.ndarray
     current_ma: np.ndarray
     voltage_v: float | None = None
+    lines: InitVar[list[int] | None] = None  # not stored: each sample's file line
 
-    def __post_init__(self):
+    def __post_init__(self, lines):
         ts = np.asarray(self.timestamps_ms, dtype=float)
         cur = np.asarray(self.current_ma, dtype=float)
         object.__setattr__(self, "timestamps_ms", ts)
         object.__setattr__(self, "current_ma", cur)
         if ts.ndim != 1 or cur.shape != ts.shape or ts.size < 1:
             raise ParseError("power trace shape mismatch")
-        if not (np.isfinite(ts).all() and np.isfinite(cur).all()):
-            raise ParseError("non-finite value")
-        if np.any(np.diff(ts) <= 0):
-            raise ParseError("timestamps must be strictly increasing")
-        if np.any(cur < 0):
-            raise ParseError("negative current")
+        _check_samples(ts, cur[:, None], lines, "current")
+        if self.voltage_v is not None and not math.isfinite(self.voltage_v):
+            raise ParseError("non-finite voltage_v")
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,22 @@ class RunMeta:
             raise ConfigError("frequency must be > 0")
         if self.utilization is not None and not 0.0 <= self.utilization <= 1.0:
             raise ConfigError("utilization must lie in [0, 1]")
+
+
+def _check_counter_names(names, error: type[Exception], where: str, duplicate: str) -> None:
+    """Counter names must be non-empty, unique, and must survive the canonical
+    feature syntax (``prod:a*b``, ``ratio:a/b``) unchanged. A fault raises
+    ``error``, its message led by ``where``; ``duplicate`` words a repeat."""
+    seen = set()
+    for name in names:
+        if not name:
+            raise error(f"{where}empty counter name")
+        for reserved in "*/":
+            if reserved in name:
+                raise error(f"{where}counter name {name!r} contains {reserved!r}")
+        if name in seen:
+            raise error(f"{where}{duplicate} {name!r}")
+        seen.add(name)
 
 
 def _frozen(values) -> np.ndarray:
@@ -118,10 +149,8 @@ class Dataset:
 
     def __post_init__(self):
         names = tuple(self.counter_names)
+        _check_counter_names(names, ConfigError, "", "duplicate counter name")
         index = {name: j for j, name in enumerate(names)}
-        if len(index) != len(names):
-            duplicate = next(name for name in names if names.count(name) > 1)
-            raise ConfigError(f"duplicate counter name {duplicate!r}")
         rates = _frozen(self.rates)
         meta = tuple(self.meta)
         total = _frozen(self.total_current)
@@ -206,10 +235,11 @@ def _fast_rows(text: str, expected_first: str) -> tuple[list[str], np.ndarray] |
     """The header and sample table as ``_parse_rows`` would return them,
     read by numpy's C reader; None wherever that read could differ or fails.
 
-    numpy reads an overflow such as ``1e400`` as inf, so the table must be
-    finite. The csv reader rejects a field longer than its field size limit,
-    which numpy reads, and a bare carriage return, which numpy rejects only
-    as not supported yet.
+    numpy reads an overflow such as ``1e400`` as inf where the line parser
+    rejects it; the trace's own checks reject the inf in turn. The csv
+    reader rejects a field longer than its field size limit, which numpy
+    reads, and a bare carriage return, which numpy rejects only as not
+    supported yet.
     """
     head, _, body = text.partition("\n")
     if '"' in head or not body.isascii() or not body.strip():
@@ -232,7 +262,7 @@ def _fast_rows(text: str, expected_first: str) -> tuple[list[str], np.ndarray] |
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[1] != len(header) or not np.isfinite(table).all():
+    if table.shape[1] != len(header):
         return None
     return header, table
 
@@ -251,46 +281,13 @@ def _parse(text: str, build):
     return build(header, table, linenos)
 
 
-def _reject_rows(bad: np.ndarray, linenos: list[int] | None, message: str) -> None:
-    """Raise for the first row flagged in ``bad``, its line number put into
-    ``message`` (a fast read, with ``linenos`` None, has no line to name)."""
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        line = "?" if linenos is None else linenos[rows[0]]
-        raise ParseError(message.format(line=line))
-
-
-def _check_monotone(ts: np.ndarray, linenos: list[int] | None) -> None:
-    _reject_rows(np.concatenate(([False], np.diff(ts) <= 0)), linenos,
-                 "non-monotone timestamp at line {line}")
-
-
-def _check_counter_names(names: list[str]) -> None:
-    """Counter names must be unique and must survive the canonical feature
-    syntax (``prod:a*b``, ``ratio:a/b``) unchanged."""
-    seen = set()
-    for name in names:
-        if not name:
-            raise ParseError("line 1: empty counter name")
-        for reserved in "*/":
-            if reserved in name:
-                raise ParseError(f"line 1: counter name {name!r} contains {reserved!r}")
-        if name in seen:
-            raise ParseError(f"line 1: duplicate counter column {name!r}")
-        seen.add(name)
-
-
 def _counter_trace(header: list[str], table: np.ndarray, linenos) -> CounterTrace:
     if len(header) < 2:
         raise ParseError("line 1: counter trace needs at least one counter column")
-    _check_counter_names(header[1:])
+    _check_counter_names(header[1:], ParseError, "line 1: ", "duplicate counter column")
     # Contiguous copies: BLAS may sum a strided operand of aggregate_run's
     # products in another order, and the rates would change in the last bit.
-    ts = table[:, 0].copy()
-    counts = table[:, 1:].copy()
-    _check_monotone(ts, linenos)
-    _reject_rows((counts < 0).any(axis=1), linenos, "line {line}: negative count")
-    return CounterTrace(tuple(header[1:]), ts, counts)
+    return CounterTrace(tuple(header[1:]), table[:, 0].copy(), table[:, 1:].copy(), linenos)
 
 
 def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:
@@ -298,17 +295,13 @@ def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:
         raise ParseError("line 1: expected header ts_ms,current_ma[,voltage_v]")
     if len(header) == 3 and header[2] != "voltage_v":
         raise ParseError("line 1: third column must be voltage_v")
-    ts = table[:, 0].copy()
-    cur = table[:, 1].copy()
-    _check_monotone(ts, linenos)
-    _reject_rows(cur < 0, linenos, "line {line}: negative current")
-    voltage = None
-    if len(header) == 3:
-        volts = table[:, 2]
-        if np.any(np.abs(volts - volts[0]) > 1e-6 * max(1.0, abs(volts[0]))):
-            raise ParseError("voltage column is not constant")
-        voltage = float(volts[0])
-    return PowerTrace(ts, cur, voltage)
+    volts = table[:, 2] if len(header) == 3 else None
+    trace = PowerTrace(table[:, 0].copy(), table[:, 1].copy(),
+                       None if volts is None else float(volts[0]), linenos)
+    # Checked once the samples pass: a sample fault is reported first.
+    if volts is not None and np.any(np.abs(volts - volts[0]) > 1e-6 * max(1.0, abs(volts[0]))):
+        raise ParseError("voltage column is not constant")
+    return trace
 
 
 def parse_counter_trace(text: str) -> CounterTrace:

@@ -112,11 +112,7 @@ class PipelineResult:
     dropped_counters: tuple[str, ...]
 
     def cluster_members(self, cluster_id: int) -> list[FeatureSpec]:
-        return [
-            self.matrix.specs[i]
-            for i in range(len(self.matrix.specs))
-            if int(self.assignment.cluster_of[i]) == cluster_id
-        ]
+        return [self.matrix.specs[i] for i in self.assignment.members(cluster_id)]
 
 
 def _final_fit(matrix: FeatureMatrix, specs: Sequence[FeatureSpec], y: np.ndarray):
@@ -235,14 +231,13 @@ def train_k_top(train: Dataset, k: int) -> PowerModel:
 
 @dataclass(frozen=True)
 class UtilFreqModel:
-    """Per-frequency utilization slope with a shared intercept by default."""
+    """Per-frequency utilization slope with a shared intercept."""
 
     slopes: dict[float, float]
     intercept: float
-    intercepts: dict[float, float] | None = None  # per-frequency mode only
 
 
-def train_util_freq(train: Dataset, per_frequency_intercept: bool = False) -> UtilFreqModel:
+def train_util_freq(train: Dataset) -> UtilFreqModel:
     """Fit current = slope[frequency] * utilization + intercept.
 
     Every record must carry a utilization; each frequency level needs at
@@ -264,16 +259,6 @@ def train_util_freq(train: Dataset, per_frequency_intercept: bool = False) -> Ut
     freq = np.array([meta.frequency_hz for meta in train.meta])
     y = train.target_current
 
-    if per_frequency_intercept:
-        slopes, intercepts = {}, {}
-        for f in freqs:
-            mask = freq == f
-            fit = ols_fit(util[mask][:, None], y[mask])
-            slopes[f] = float(fit.coefficients[0])
-            intercepts[f] = float(fit.intercept)
-        shared = float(np.mean(list(intercepts.values())))
-        return UtilFreqModel(slopes=slopes, intercept=shared, intercepts=intercepts)
-
     X = np.column_stack([util * (freq == f) for f in freqs])
     fit = ols_fit(X, y)
     slopes = {f: float(c) for f, c in zip(freqs, fit.coefficients)}
@@ -288,8 +273,7 @@ def predict_util_freq_dataset(model: UtilFreqModel, ds: Dataset) -> np.ndarray:
         f = meta.frequency_hz
         if f not in model.slopes:
             raise ConfigError(f"no utilization slope for frequency {f}")
-        intercept = model.intercepts[f] if model.intercepts is not None else model.intercept
-        predictions.append(model.slopes[f] * meta.utilization + intercept)
+        predictions.append(model.slopes[f] * meta.utilization + model.intercept)
     return np.array(predictions, dtype=float)
 
 

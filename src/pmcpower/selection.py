@@ -59,6 +59,21 @@ class SelectionResult:
         return [spec for _, spec in self.significant]
 
 
+def _best_member(
+    members: Sequence[FeatureSpec], basis: np.ndarray, matrix: FeatureMatrix, y: np.ndarray
+) -> tuple[float, FeatureSpec]:
+    """The best R-squared of a member refit with the ``basis`` columns (runs x
+    k, k may be 0), and that member; scores within R2_TIE_EPS of the best
+    tie, and the smallest canonical name among them wins."""
+    scores = [
+        (ols_fit(np.column_stack([basis, matrix.column(spec)]), y).r_squared, spec)
+        for spec in members
+    ]
+    best = max(score for score, _ in scores)
+    tied = [spec for score, spec in scores if score >= best - R2_TIE_EPS]
+    return best, min(tied, key=lambda spec: spec.canonical())
+
+
 def cluster_importance(
     cluster: Sequence[FeatureSpec], train: FeatureMatrix, y
 ) -> ClusterInfo:
@@ -67,13 +82,8 @@ def cluster_importance(
     if not members:
         raise FeatureError("cluster must be non-empty")
     y = np.asarray(y, dtype=float)
-    scores = [
-        (ols_fit(train.column(spec)[:, None], y).r_squared, spec) for spec in members
-    ]
-    best = max(score for score, _ in scores)
-    tied = [spec for score, spec in scores if score >= best - R2_TIE_EPS]
-    representative = min(tied, key=lambda spec: spec.canonical())
-    return ClusterInfo(members=members, importance=best, representative=representative)
+    importance, representative = _best_member(members, np.empty((len(y), 0)), train, y)
+    return ClusterInfo(members=members, importance=importance, representative=representative)
 
 
 def _members_by_cluster(
@@ -125,14 +135,9 @@ def select_significant(
     r2_after_examined = [r2_sc]
 
     for cluster_id in order[1:]:
-        base_cols = np.column_stack(selected_cols)
-        scores = []
-        for member in groups[cluster_id]:
-            X = np.column_stack([base_cols, matrix.column(member)])
-            scores.append((ols_fit(X, y).r_squared, member))
-        best_r2 = max(score for score, _ in scores)
-        tied = [m for score, m in scores if score >= best_r2 - R2_TIE_EPS]
-        best_member = min(tied, key=lambda spec: spec.canonical())
+        best_r2, best_member = _best_member(
+            groups[cluster_id], np.column_stack(selected_cols), matrix, y
+        )
 
         accepted = best_r2 > r2_sc + R2_GAIN_EPS
         if accepted:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -105,11 +106,50 @@ class TestParsePowerTrace:
         with pytest.raises(ParseError, match="line 3: non-finite value in column 'current_ma'"):
             parse_power_trace("ts_ms,current_ma\n0,5\n1000,nan\n")
 
-    def test_constructed_trace_rejects_non_finite(self):
-        with pytest.raises(ParseError, match="non-finite"):
-            PowerTrace(np.array([0.0, 1000.0]), np.array([1.0, np.inf]))
-        with pytest.raises(ParseError, match="non-finite"):
-            CounterTrace(("c1",), np.array([0.0, 1000.0]), np.array([[0.0], [np.nan]]))
+
+
+class TestConstructedTrace:
+    """The trace constructors are the one check of a trace's samples; a
+    trace built in code names the faulty sample by its index."""
+
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: PowerTrace([0.0, 1000.0], [1.0, np.inf]),
+                     "sample 1: non-finite value", id="non-finite-current"),
+        pytest.param(lambda: CounterTrace(("c1",), [0.0, 1000.0], [[0.0], [np.nan]]),
+                     "sample 1: non-finite value", id="non-finite-count"),
+        pytest.param(lambda: CounterTrace(("c1",), [0.0, 1000.0, 1000.0], [[0.0], [1.0], [2.0]]),
+                     "non-monotone timestamp at sample 2", id="repeated-timestamp"),
+        pytest.param(lambda: PowerTrace([0.0, -1.0], [1.0, 1.0]),
+                     "non-monotone timestamp at sample 1", id="timestamp-steps-back"),
+        pytest.param(lambda: CounterTrace(("c1", "c2"), [0.0, 1000.0], [[0.0, 1.0], [1.0, -1.0]]),
+                     "sample 1: negative count", id="negative-count"),
+        pytest.param(lambda: PowerTrace([0.0, 1000.0], [-1.0, 1.0]),
+                     "sample 0: negative current", id="negative-current"),
+        pytest.param(lambda: PowerTrace([0.0, 1000.0], [1.0, 1.0], math.inf),
+                     "non-finite voltage_v", id="non-finite-voltage"),
+        pytest.param(lambda: CounterTrace(("c1",), [], np.empty((0, 1))),
+                     "no samples", id="no-counter-samples"),
+        pytest.param(lambda: PowerTrace([], []),
+                     "power trace shape mismatch", id="no-power-samples"),
+        pytest.param(lambda: CounterTrace(("c1", "c2"), [0.0, 1000.0], [[0.0], [1.0]]),
+                     "counter trace shape mismatch", id="counter-shape"),
+        pytest.param(lambda: PowerTrace([0.0, 1000.0], [1.0]),
+                     "power trace shape mismatch", id="power-shape"),
+    ])
+    def test_rejects(self, build, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_lines_name_the_file_line(self):
+        with pytest.raises(ParseError, match="^line 7: negative count$"):
+            CounterTrace(("c1",), [0.0, 1000.0], [[0.0], [-1.0]], lines=[4, 7])
+        with pytest.raises(ParseError, match="^non-monotone timestamp at line 9$"):
+            PowerTrace([0.0, 0.0], [1.0, 1.0], lines=[2, 9])
+
+    def test_lines_are_not_stored(self):
+        trace = PowerTrace([0.0, 1000.0], [1.0, 2.0], 3.3, lines=[2, 3])
+        assert "lines" not in vars(trace)
+        assert [f.name for f in fields(trace)] == ["timestamps_ms", "current_ma", "voltage_v"]
 
 
 class TestCsvErrors:
@@ -264,6 +304,16 @@ class TestDataset:
     def test_duplicate_counter_names_rejected(self):
         with pytest.raises(ConfigError, match="duplicate counter name 'a'"):
             Dataset(("a", "a"), np.ones((1, 2)), [RunMeta("r", "Other", 1.0)], [1.0])
+
+    @pytest.mark.parametrize("name, message", [
+        ("", "empty counter name"),
+        ("a*b", "counter name 'a*b' contains '*'"),
+        ("x/y", "counter name 'x/y' contains '/'"),
+    ])
+    def test_name_outside_feature_syntax_rejected(self, name, message):
+        # ratio:x/y/w would load back as x / (y/w), so a model would need counter x.
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            Dataset((name, "w"), np.ones((1, 2)), [RunMeta("r", "Other", 1.0)], [1.0])
 
     @pytest.mark.parametrize(
         "rates, total, target",

@@ -183,12 +183,6 @@ class TestUtilFreq:
         report = evaluate(predict_util_freq_dataset(model, test), test.target_current)
         assert report.mape_mean > 5.0  # same utilization, very different mixes
 
-    def test_per_frequency_intercepts(self):
-        ds = generate_util_freq({1e6: 100.0, 2e6: 200.0}, 50.0, n_per_freq=20, seed=12)
-        model = train_util_freq(ds, per_frequency_intercept=True)
-        assert model.intercepts is not None
-        assert model.intercepts[1e6] == pytest.approx(50.0, rel=1e-6)
-
 
 class TestPersistence:
     def build_model(self):
