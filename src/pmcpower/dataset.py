@@ -8,6 +8,7 @@ overlap, matching the steady, repetitive workloads the models are trained on.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -124,6 +125,14 @@ def _check_counter_names(names, error: type[Exception], where: str, duplicate: s
         seen.add(name)
 
 
+@functools.lru_cache(maxsize=64)
+def _check_header_names(names: tuple[str, ...]) -> None:
+    """The counter-name check of a trace header, remembered per header: the
+    counter files of a campaign repeat one header. A header that fails is
+    not remembered and raises again each time."""
+    _check_counter_names(names, ParseError, "line 1: ", "duplicate counter column")
+
+
 def _frozen(values) -> np.ndarray:
     """A read-only float array of ``values``; a writable array is copied
     first, so no caller can change a dataset through its own reference."""
@@ -188,18 +197,33 @@ class Dataset:
 
 def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], np.ndarray]:
     """The header, the line number of every sample row, and the rows as a
-    float table; ragged, malformed and non-finite rows are named by line."""
-    reader = csv.reader(io.StringIO(text))
+    float table; ragged, malformed and non-finite rows are named by line.
+
+    A quote after the header is a fault of its line, found when the reader
+    reaches that line: sample values are numbers, and a quoted field could
+    span lines and shift the number of every later row.
+    """
+    in_header = True
+
+    def physical_lines():
+        for lineno, line in enumerate(io.StringIO(text), start=1):
+            if not in_header and '"' in line:
+                raise ParseError(f"line {lineno}: quote in sample row")
+            yield line
+
+    reader = csv.reader(physical_lines())
     try:
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file") from None
+        in_header = False
         header = [h.strip() for h in header]
         if not header or header[0] != expected_first:
             raise ParseError(f"line 1: expected '{expected_first}' as first column")
         linenos, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
+        # Free of quotes, each later record is one line.
+        for lineno, row in enumerate(reader, start=reader.line_num + 1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != len(header):
@@ -284,10 +308,11 @@ def _parse(text: str, build):
 def _counter_trace(header: list[str], table: np.ndarray, linenos) -> CounterTrace:
     if len(header) < 2:
         raise ParseError("line 1: counter trace needs at least one counter column")
-    _check_counter_names(header[1:], ParseError, "line 1: ", "duplicate counter column")
+    names = tuple(header[1:])
+    _check_header_names(names)
     # Contiguous copies: BLAS may sum a strided operand of aggregate_run's
     # products in another order, and the rates would change in the last bit.
-    return CounterTrace(tuple(header[1:]), table[:, 0].copy(), table[:, 1:].copy(), linenos)
+    return CounterTrace(names, table[:, 0].copy(), table[:, 1:].copy(), linenos)
 
 
 def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:

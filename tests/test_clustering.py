@@ -138,6 +138,47 @@ class TestWardMatchesReference:
         got = ward_cluster(z, names, check_normalized=False).to_json()
         assert got == ward_reference(z, names, check_normalized=False).to_json()
 
+    @pytest.mark.parametrize("n_samples", [7, 199, 200])
+    def test_pipeline_layout_tied_columns(self, n_samples):
+        # The pipeline z-scores a Fortran-ordered matrix, so the features are
+        # C-contiguous rows of z.T.
+        rng = np.random.default_rng(n_samples)
+        n_features = int(rng.integers(150, 301))
+        z = np.asfortranarray(_tied_matrix(rng, n_samples, n_features))
+        names = [f"c{int(i)}" for i in rng.permutation(n_features)]
+        assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+
+    def test_all_columns_bit_equal(self, rng):
+        col = _zscore(rng.normal(size=(11, 1)))
+        z = np.repeat(col, 40, axis=1)
+        names = [f"c{i:02d}" for i in range(40)]
+        tree = ward_cluster(z, names)
+        assert all(m.height == 0.0 for m in tree.merges)
+        assert tree.to_json() == ward_reference(z, names).to_json()
+
+    def test_all_columns_distinct(self, rng):
+        z = np.asfortranarray(_zscore(rng.normal(size=(30, 120))))
+        assert np.unique(z.T, axis=0).shape[0] == 120
+        names = [f"c{i:03d}" for i in range(120)]
+        assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+
+    def test_columns_differing_only_in_zero_sign(self, rng):
+        # Equal values, different bytes: every column is its own distinct row,
+        # and the six copies of base are still 0.0 apart.
+        base = np.array([0.0, 1.5, 0.0, -2.0, 0.0, 0.5])
+        zeros = np.flatnonzero(base == 0.0)
+        copies = np.repeat(base[:, None], 6, axis=1)
+        for col in range(1, 6):
+            flipped = zeros[[(col >> bit) & 1 == 1 for bit in range(zeros.size)]]
+            copies[flipped, col] = -0.0
+        z = np.column_stack([copies, rng.normal(size=(6, 3))])
+        assert np.unique(z.T.view(np.int64), axis=0).shape[0] == 9
+        names = [f"r{i}" for i in range(9)]
+        tree = ward_cluster(z, names, check_normalized=False)
+        assert [m.height for m in tree.merges[:5]] == [0.0] * 5
+        expected = ward_reference(z, names, check_normalized=False)
+        assert tree.to_json() == expected.to_json()
+
     @pytest.mark.parametrize("seed", [3, 11])
     def test_collinear_profile_pipeline_matrix(self, seed):
         ds, _ = generate(collinear_config(n_runs=60, noise_sigma=0.02, seed=seed))
@@ -146,6 +187,10 @@ class TestWardMatchesReference:
         tree = ward_cluster(z, names)
         assert sum(m.height == 0.0 for m in tree.merges) > 10
         assert tree.to_json() == ward_reference(z, names).to_json()
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ClusteringError, match="at least 1 sample"):
+            ward_cluster(np.empty((0, 3)), check_normalized=False)
 
     def test_rejects_non_finite(self):
         z = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]])

@@ -15,6 +15,7 @@ from pmcpower.dataset import (
     Dataset,
     PowerTrace,
     RunMeta,
+    _check_header_names,
     aggregate_run,
     isolate_dataset,
     load_manifest,
@@ -152,6 +153,50 @@ class TestConstructedTrace:
         assert [f.name for f in fields(trace)] == ["timestamps_ms", "current_ma", "voltage_v"]
 
 
+class TestQuotesInSampleRows:
+    """Sample values are numbers: a quote after the header is a fault of
+    the physical line that holds it."""
+
+    @pytest.mark.parametrize("text, message", [
+        # The quoted field spans lines 2-3; the malformed row is on line 4.
+        ('ts_ms,c1\n0,"1\n"\n1000,x\n', "line 2: quote in sample row"),
+        ('ts_ms,c1\n0,1\n1000,"5"\n', "line 3: quote in sample row"),
+        ('ts_ms,c1\r\n0,1\r\n\r\n2000,\'5\'"\r\n', "line 4: quote in sample row"),
+        # A fault the line reader meets first is reported first.
+        ('ts_ms,c1\n0,x\n1000,"5"\n', "line 2: malformed row ['0', 'x']"),
+        ('ts_ms,c1,c2\n0,1\n1000,"5",1\n', "line 2: column mismatch (expected 3 values, got 2)"),
+        ('time,c1\n0,"1"\n', "line 1: expected 'ts_ms' as first column"),
+        # Once past a quoted header, rows are named by their physical line.
+        ('ts_ms,"c\n1"\n0,x\n', "line 3: malformed row ['0', 'x']"),
+    ])
+    def test_counter_trace(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_counter_trace(text)
+
+    def test_power_trace(self):
+        with pytest.raises(ParseError, match="^line 2: quote in sample row$"):
+            parse_power_trace('ts_ms,current_ma\n"0",1\n1000,2\n')
+
+    def test_quoted_header_still_read(self):
+        trace = parse_counter_trace('"ts_ms","c1"\n0,1\n1000,2\n')
+        assert trace.counter_names == ("c1",)
+
+
+class TestHeaderCheckCache:
+    def test_good_header_checked_once(self):
+        text = "ts_ms,cached_a,cached_b\n0,0,0\n1000,1,1\n"
+        parse_counter_trace(text)
+        hits = _check_header_names.cache_info().hits
+        parse_counter_trace(text)
+        assert _check_header_names.cache_info().hits == hits + 1
+
+    def test_bad_header_raises_every_time(self):
+        text = "ts_ms,bad*name\n0,0\n1000,1\n"
+        for _ in range(3):
+            with pytest.raises(ParseError, match=r"^line 1: counter name 'bad\*name' contains '\*'$"):
+                parse_counter_trace(text)
+
+
 class TestCsvErrors:
     @pytest.mark.parametrize("text, line", [("ts_ms,a\r0,1\r1000,2\r", 1),
                                             ("ts_ms,a\n0,1\r1000,2\n", 2)])
@@ -218,6 +263,14 @@ def trace_texts(draw, kind):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+def _quote_line(text):
+    """The physical line of the first quote after a one-line header, or None."""
+    _, _, body = text.partition("\n")
+    if '"' not in body:
+        return None
+    return 2 + body[:body.index('"')].count("\n")
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -240,6 +293,15 @@ class TestFastParseMatchesReference:
 
     def assert_same(self, parse, reference, text):
         got, expected = _outcome(parse, text), _outcome(reference, text)
+        quote = _quote_line(text)
+        if quote is not None:
+            # The reference reads a quoted field; the parser rejects a quote
+            # in a sample row unless a fault on an earlier line, worded as
+            # the reference words it, comes first.
+            if type(got) is ParseError and str(got) == f"line {quote}: quote in sample row":
+                return
+            named = re.search(r"line (\d+)", str(got))
+            assert named and int(named.group(1)) < quote, got
         if isinstance(expected, csv.Error):
             assert isinstance(got, ParseError)
             assert re.fullmatch(r"line \d+: " + re.escape(str(expected)), str(got))
