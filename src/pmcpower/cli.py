@@ -83,7 +83,10 @@ def load_run_config(path) -> RunConfig:
         # JSON true/false load as bool, which Python counts as an int.
         if not isinstance(value, types[key]) or (isinstance(value, bool) and bool not in types[key]):
             raise ConfigError(f"config {path}: key {key!r} has a value of the wrong type: {value!r}")
-    return RunConfig(**doc)
+    try:
+        return RunConfig(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from None
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:

@@ -8,14 +8,19 @@ linearly with the number of samples, which is what makes a cut threshold
 proportional to the sample count dimensionally sensible.
 
 The merge loop is Müllner's "generic" algorithm (Müllner 2011, §3): every
-active row caches its exact minimum distance and the tie key of its best
-partner, so a merge step costs O(n) plus a rescan of the few rows whose
-cached minimum involved the merged pair, instead of a scan of the whole
-matrix. Tie keys are (smaller label, larger label) encoded through each
-name's rank in sorted order. The nearest-neighbour-chain algorithm would
-be cheaper still, but exactly collinear counters produce many zero-height
-ties at once and the chain does not merge them in this tie order, so the
-tree (and every cut of it) would depend on how the chain walked.
+active row caches its exact minimum distance and the first slot at it, so
+a merge step costs O(n) plus a rescan of the few rows whose cached minimum
+involved the merged pair, instead of a scan of the whole matrix. The
+leaves take their slots in sorted name order, and a merged cluster keeps
+the smaller of its two slots along with the smaller of the two labels (a
+cluster's label is its smallest member name), so slot order is label order
+at every step. Equal heights break toward the pair whose (smaller label,
+larger label) sorts first; in slot order that is the first row at the
+minimum and the first slot in that row, the first index argmin returns.
+The nearest-neighbour-chain algorithm would be cheaper still, but exactly
+collinear counters produce many zero-height ties at once and the chain
+does not merge them in this tie order, so the tree (and every cut of it)
+would depend on how the chain walked.
 
 The initial distances are computed once per pair of distinct columns, in
 the input's memory order, and then expanded to every pair. Counters of one
@@ -89,16 +94,17 @@ def default_cut_threshold(n_samples: int, factor: float = DEFAULT_CUT_FACTOR) ->
     return factor * n_samples
 
 
-def _initial_distances(points: np.ndarray) -> np.ndarray:
+def _initial_distances(points: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Half the squared Euclidean distance between every two rows of
-    ``points``, with inf on the diagonal.
+    ``points``, slot ``s`` holding row ``order[s]``, with inf on the diagonal.
 
     A pair's distance depends only on the bits of its two rows (swapping
     them only negates the difference), so the triangle is computed once
     per pair of distinct rows and expanded; bit-equal rows are +0.0 apart,
     as their difference would give. The distinct rows keep the memory
     order of ``points``: einsum sums a row in the order its operand is laid
-    out, and a copy in the other order can change a distance in the last bit.
+    out, and a copy in the other order can change a distance in the last
+    bit. ``order`` is applied only in the expansion, for the same reason.
     """
     width = points.shape[1]
     as_bytes = np.ascontiguousarray(points).view(np.dtype((np.void, width * points.itemsize)))
@@ -115,7 +121,8 @@ def _initial_distances(points: np.ndarray) -> np.ndarray:
         row = 0.5 * np.einsum("ij,ij->i", diff, diff)[1:]
         small[i, i + 1 :] = row
         small[i + 1 :, i] = row
-    dist = small[np.ix_(inverse, inverse)]
+    slots = inverse[order]
+    dist = small[np.ix_(slots, slots)]
     np.fill_diagonal(dist, np.inf)
     return dist
 
@@ -134,11 +141,13 @@ def ward_cluster(
     delta-SSE of its merge. Equal heights break toward the pair whose
     (smaller name, larger name) label pair sorts first, which makes the
     tree independent of column order; a cluster's label is its smallest
-    member name and the merged cluster keeps the smaller slot index.
+    member name.
 
-    Each merge is picked from per-row caches (exact row minimum, smallest
-    tie key among that row's partners at the minimum) rather than from the
-    full matrix. After a merge only rows whose cached minimum equalled
+    The columns take their slots in sorted name order, and a merge keeps
+    the smaller slot, so slot order stays label order and the tie rule is
+    index order: each row caches its exact minimum and the first slot at
+    it, and a merge joins the first row at the global minimum with its
+    cached slot. After a merge only rows whose cached minimum equalled
     their old distance to either merged cluster are rescanned; every other
     row just compares its cache against its one new distance. The initial
     distances are computed once per pair of distinct columns, in the
@@ -176,48 +185,34 @@ def ward_cluster(
                 f"column {names[bad[0]]!r} is not z-scored (mean {means[bad[0]]:.3g})"
             )
 
-    dist = _initial_distances(z.T)  # rows of z.T are the features
-
-    # rank[s] is the position of slot s's label in sorted(names); a pair's
-    # tie key lo * n_features + hi orders pairs exactly as (smaller label,
-    # larger label).
-    slot_of_rank = np.array(
-        sorted(range(n_features), key=names.__getitem__), dtype=np.int64
-    )
-    rank = np.empty(n_features, dtype=np.int64)
-    rank[slot_of_rank] = np.arange(n_features)
+    order = sorted(range(n_features), key=names.__getitem__)
+    dist = _initial_distances(z.T, order)  # rows of z.T are the features
     row_min = np.empty(n_features)
-    row_key = np.empty(n_features, dtype=np.int64)
-
-    def pair_keys(rank_a, rank_b):
-        return np.minimum(rank_a, rank_b) * n_features + np.maximum(rank_a, rank_b)
+    row_best = np.empty(n_features, dtype=np.int64)
 
     def rescan(rows: np.ndarray) -> None:
         for start in range(0, rows.size, _RESCAN_ROWS):
             block_rows = rows[start : start + _RESCAN_ROWS]
             block = dist[block_rows]
-            lows = block.min(axis=1)
-            r, c = np.nonzero(block == lows[:, None])
-            keys = pair_keys(rank[block_rows[r]], rank[c])
-            row_starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-            row_min[block_rows] = lows
-            row_key[block_rows] = np.minimum.reduceat(keys, row_starts)
+            best = block.argmin(axis=1)
+            row_best[block_rows] = best
+            row_min[block_rows] = block[np.arange(block_rows.size), best]
 
     rescan(np.arange(n_features))
 
     active = np.ones(n_features, dtype=bool)
     size = np.ones(n_features, dtype=np.int64)
-    node_id = list(range(n_features))
+    node_id = order
 
     merges: list[Merge] = []
     for step in range(n_features - 1):
-        height = float(row_min.min())
-        key = int(row_key[row_min == height].min())
-        left_slot = int(slot_of_rank[key // n_features])
-        right_slot = int(slot_of_rank[key % n_features])
-        i, j = sorted((left_slot, right_slot))
+        # i < j: a partner c < i at this height would make row c an earlier
+        # row at the global minimum.
+        i = int(row_min.argmin())
+        j = int(row_best[i])
+        height = float(row_min[i])
         merged_size = int(size[i] + size[j])
-        merges.append(Merge(node_id[left_slot], node_id[right_slot], height, merged_size))
+        merges.append(Merge(node_id[i], node_id[j], height, merged_size))
 
         others = active.copy()
         others[i] = others[j] = False
@@ -235,24 +230,19 @@ def ward_cluster(
             dist[:, j] = np.inf
             row_min[j] = np.inf
 
-            rank[i] = min(rank[i], rank[j])
-            slot_of_rank[rank[i]] = i
-            new_keys = pair_keys(rank[k], rank[i])
-            low = updated.min()
-            row_min[i] = low
-            row_key[i] = new_keys[updated == low].min()
+            first = int(updated.argmin())
+            row_min[i] = updated[first]
+            row_best[i] = k[first]
 
             # Ward is reducible: in exact arithmetic the new distance is never
             # below min(d_ik, d_jk), so a row that is not stale changes only
             # when rounding brings the new value down to its minimum.
-            mins, keys = row_min[k], row_key[k]
+            mins, best = row_min[k], row_best[k]
             stale = (mins == d_ik) | (mins == d_jk)
             closer = updated < mins
             tied = updated == mins
             row_min[k] = np.where(closer, updated, mins)
-            row_key[k] = np.where(
-                closer, new_keys, np.where(tied, np.minimum(keys, new_keys), keys)
-            )
+            row_best[k] = np.where(closer, i, np.where(tied, np.minimum(best, i), best))
             rescan(k[stale])
         size[i] = merged_size
         node_id[i] = n_features + step

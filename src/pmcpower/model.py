@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from . import features as ft
 from .clustering import (
+    DEFAULT_CUT_FACTOR,
     ClusterAssignment,
     Dendrogram,
     cut_dendrogram,
@@ -36,14 +38,24 @@ MODEL_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline knobs; the defaults are the recommended operating point."""
+    """Pipeline knobs; the defaults are the recommended operating point.
+
+    Every float field must be finite; so must those of a subclass such as
+    the CLI's ``RunConfig``, which inherits the check.
+    """
 
     alpha: float = 0.05
-    cut_factor: float = 0.05
+    cut_factor: float = DEFAULT_CUT_FACTOR
     epsilon: float = 0.01
     patience: int = 5
     top_k: int = 1000
     combined: bool = True
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"field {f.name!r} must be a finite number, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -317,12 +329,19 @@ def model_from_dict(doc: dict) -> PowerModel:
         raw_specs = doc["features"]
         coefficients = [float(c) for c in doc["coefficients"]]
         intercept = float(doc["intercept"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"malformed model document: {exc}") from None
     try:
         specs = tuple(ft.parse_feature_spec(text) for text in raw_specs)
     except FeatureError as exc:
         raise ModelFileError(str(exc)) from None
+    for spec, coef in zip(specs, coefficients):
+        if not math.isfinite(coef):
+            raise ModelFileError(
+                f"coefficient of {spec.canonical()!r} must be a finite number, got {coef!r}"
+            )
+    if not math.isfinite(intercept):
+        raise ModelFileError(f"intercept must be a finite number, got {intercept!r}")
     return PowerModel(
         features=specs,
         coefficients=tuple(coefficients),

@@ -86,15 +86,6 @@ def cluster_importance(
     return ClusterInfo(members=members, importance=importance, representative=representative)
 
 
-def _members_by_cluster(
-    assignment: ClusterAssignment, matrix: FeatureMatrix
-) -> list[list[FeatureSpec]]:
-    groups: list[list[FeatureSpec]] = [[] for _ in range(assignment.n_clusters)]
-    for i, spec in enumerate(matrix.specs):
-        groups[int(assignment.cluster_of[i])].append(spec)
-    return groups
-
-
 def select_significant(
     assignment: ClusterAssignment,
     matrix: FeatureMatrix,
@@ -118,7 +109,9 @@ def select_significant(
     if assignment.n_clusters < 1:
         raise FeatureError("need at least 1 cluster")
     y = np.asarray(y, dtype=float)
-    groups = _members_by_cluster(assignment, matrix)
+    groups = [
+        [matrix.specs[i] for i in assignment.members(c)] for c in range(assignment.n_clusters)
+    ]
     infos = [cluster_importance(members, matrix, y) for members in groups]
     order = sorted(
         range(len(infos)),

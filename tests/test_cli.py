@@ -179,6 +179,39 @@ class TestBadInputExit2:
         self.assert_usage_error(proc, f"{label}{bad}: not UTF-8 text at byte offset 10 "
                                       "(invalid start byte)")
 
+    @pytest.mark.parametrize(
+        "flags, problem",
+        [(["--alpha", "nan"], "field 'alpha' must be a finite number, got nan"),
+         (["--base-current", "inf"], "field 'base_current_ma' must be a finite number, got inf")],
+        ids=["alpha", "base-current"],
+    )
+    def test_non_finite_flag(self, tmp_path, synth_manifest, flags, problem):
+        proc = run_cli("train", "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "out"), *flags)
+        self.assert_usage_error(proc, problem)
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_config_value(self, tmp_path, synth_manifest):
+        path = run_config(tmp_path, synth_manifest, cut_factor=float("nan"))
+        assert '"cut_factor": NaN' in path.read_text()
+        proc = run_cli("train", "--config", str(path))
+        self.assert_usage_error(
+            proc, f"config {path}: field 'cut_factor' must be a finite number, got nan"
+        )
+
+    def test_eval_non_finite_coefficient(self, tmp_path, synth_manifest):
+        assert main(["train", "--config", str(run_config(tmp_path, synth_manifest))]) == 0
+        model = tmp_path / "out" / "model.json"
+        doc = json.loads(model.read_text())
+        doc["coefficients"][0] = float("nan")
+        model.write_text(json.dumps(doc))
+        proc = run_cli("eval", "--model", str(model), "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "eval"))
+        self.assert_usage_error(
+            proc, f"coefficient of {doc['features'][0]!r} must be a finite number, got nan"
+        )
+        assert not (tmp_path / "eval" / "eval.json").exists()
+
     @pytest.mark.parametrize("key, value", [("combined", 1), ("patience", True),
                                             ("aux_model", 3), ("alpha", "0.1")])
     def test_config_types_checked(self, tmp_path, synth_manifest, capsys, key, value):

@@ -148,10 +148,16 @@ class TestWardMatchesReference:
         names = [f"c{int(i)}" for i in rng.permutation(n_features)]
         assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
 
-    def test_all_columns_bit_equal(self, rng):
+    @pytest.mark.parametrize("name_order", ["sorted", "reversed", "shuffled"])
+    def test_all_columns_bit_equal(self, rng, name_order):
+        # Every merge is at height 0, so the tree is the tie rule alone.
         col = _zscore(rng.normal(size=(11, 1)))
         z = np.repeat(col, 40, axis=1)
         names = [f"c{i:02d}" for i in range(40)]
+        if name_order == "reversed":
+            names.reverse()
+        elif name_order == "shuffled":
+            names = [names[i] for i in rng.permutation(40)]
         tree = ward_cluster(z, names)
         assert all(m.height == 0.0 for m in tree.merges)
         assert tree.to_json() == ward_reference(z, names).to_json()

@@ -99,6 +99,12 @@ class TestTrainPipeline:
         result = run_pipeline(ds, PipelineConfig())
         assert len(result.model.features) <= result.assignment.n_clusters
 
+    @pytest.mark.parametrize("field", ["alpha", "cut_factor", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=f"field '{field}' must be a finite number"):
+            PipelineConfig(**{field: value})
+
     def test_needs_enough_records(self):
         ds, _ = generate(three_factor_config(n_runs=120, seed=6))
         with pytest.raises(ConfigError, match="at least 10"):
@@ -239,6 +245,26 @@ class TestPersistence:
         path.write_text(__import__("json").dumps(doc))
         with pytest.raises(ModelFileError, match="sqrt"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "key, index, value, problem",
+        [("coefficients", 1, float("nan"), "coefficient of 'prod:a*b' must be a finite number, got nan"),
+         ("coefficients", 0, float("-inf"), "coefficient of 'base:c1' must be a finite number, got -inf"),
+         ("intercept", None, float("inf"), "intercept must be a finite number, got inf"),
+         ("intercept", None, 10**400, "malformed model document")],
+        ids=["nan-coefficient", "inf-coefficient", "inf-intercept", "overflowing-intercept"],
+    )
+    def test_non_finite_value_named(self, tmp_path, key, index, value, problem):
+        path = tmp_path / "model.json"
+        doc = model_to_dict(self.build_model())
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+        path.write_text(__import__("json").dumps(doc))
+        with pytest.raises(ModelFileError) as info:
+            load_model(path)
+        assert problem in str(info.value)
 
     def test_fingerprint_sensitivity(self, rng):
         ds1 = make_dataset({"a": [1.0, 2.0, 3.0]}, [1.0, 2.0, 3.0])
