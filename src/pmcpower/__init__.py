@@ -46,13 +46,11 @@ from .model import (
 )
 from .numerics import (
     EvalReport,
-    NormStats,
     Regression,
     evaluate,
     ols_fit,
     pearson,
     pearson_p_value,
-    zscore,
 )
 from .selection import SelectionResult, cluster_importance, select_significant
 from .synth import SynthConfig, generate, verify_recovery

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -50,6 +51,11 @@ class RunConfig(PipelineConfig):
     seed: int = 0
     base_current_ma: float = 0.0
     aux_model: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigError(f"field 'seed' must be a non-negative integer, got {self.seed!r}")
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(**{f.name: getattr(self, f.name) for f in fields(PipelineConfig)})
@@ -290,6 +296,8 @@ def cmd_compare(config: RunConfig, k: int | None = None) -> int:
 
 def cmd_synth(profile: str, out_dir: str, n_runs: int | None, noise: float | None,
               seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     if profile == "three-factor":
         cfg = synthmod.three_factor_config(
             n_runs=n_runs or 120, noise_sigma=noise or 0.0, seed=seed
@@ -319,8 +327,8 @@ def cmd_synth(profile: str, out_dir: str, n_runs: int | None, noise: float | Non
 
 def compute_energy_mws(current_ma: float, voltage_v: float, latency_ms: float) -> float:
     """Energy per inference in mWs: current (mA) x voltage (V) x time (s)."""
-    if current_ma <= 0 or voltage_v <= 0 or latency_ms <= 0:
-        raise ConfigError("current, voltage, and latency must all be > 0")
+    if not all(math.isfinite(v) and v > 0 for v in (current_ma, voltage_v, latency_ms)):
+        raise ConfigError("current, voltage, and latency must all be finite and > 0")
     return current_ma * voltage_v * latency_ms / 1000.0
 
 

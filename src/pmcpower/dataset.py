@@ -444,7 +444,7 @@ def _manifest_run(entry, index: int) -> ManifestRun:
         if kind is float:
             try:
                 value = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 value = math.nan
         if not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
             expected = "a finite number" if kind is float else "a string"

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateSeriesError, FeatureError
-from .numerics import NormStats, compute_norm_stats, pearson, pearson_p_value
+from .numerics import pearson, pearson_p_value
 
 KINDS = ("base", "inv", "prod", "ratio")
 
@@ -343,33 +343,18 @@ def generate_combined(
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Evaluated feature columns plus the stats for their z-scored view."""
+    """Evaluated feature columns: column ``i`` of ``values`` holds ``specs[i]``
+    in every run. A feature is addressed by that position from here on."""
 
     specs: tuple[FeatureSpec, ...]
     values: np.ndarray
-    norm: NormStats
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index: dict[FeatureSpec, int] = {}
-        for i, spec in enumerate(self.specs):
-            index.setdefault(spec, i)
-        object.__setattr__(self, "_index", index)
 
     def zscored(self) -> np.ndarray:
-        return (self.values - self.norm.mean) / self.norm.std
+        """Each column less its mean, over its population std (ddof=0)."""
+        return (self.values - self.values.mean(axis=0)) / self.values.std(axis=0)
 
     def names(self) -> list[str]:
         return [spec.canonical() for spec in self.specs]
-
-    def index_of(self, spec: FeatureSpec) -> int:
-        try:
-            return self._index[spec]
-        except KeyError:
-            raise ValueError(f"{spec} is not a column of this matrix") from None
-
-    def column(self, spec: FeatureSpec) -> np.ndarray:
-        return self.values[:, self.index_of(spec)]
 
 
 def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
@@ -388,6 +373,4 @@ def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
     keep = [i for i in range(values.shape[1]) if not _near_zero_variance(values[:, i])]
     if not keep:
         raise FeatureError("no usable features")
-    kept_specs = tuple(specs[i] for i in keep)
-    kept_values = values[:, keep]
-    return FeatureMatrix(kept_specs, kept_values, compute_norm_stats(kept_values))
+    return FeatureMatrix(tuple(specs[i] for i in keep), values[:, keep])

@@ -40,8 +40,9 @@ MODEL_SCHEMA_VERSION = 1
 class PipelineConfig:
     """Pipeline knobs; the defaults are the recommended operating point.
 
-    Every float field must be finite; so must those of a subclass such as
-    the CLI's ``RunConfig``, which inherits the check.
+    Every float field must be finite, and an int given for one must fit a
+    float; so must those of a subclass such as the CLI's ``RunConfig``,
+    which inherits the check.
     """
 
     alpha: float = 0.05
@@ -54,8 +55,15 @@ class PipelineConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "float" and isinstance(value, int):
+                try:
+                    value = float(value)  # a config file may give a float field an int
+                except OverflowError:
+                    value = math.inf
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"field {f.name!r} must be a finite number, got {value!r}")
+                raise ConfigError(
+                    f"field {f.name!r} must be a finite number, got {getattr(self, f.name)!r}"
+                )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -127,11 +135,6 @@ class PipelineResult:
         return [self.matrix.specs[i] for i in self.assignment.members(cluster_id)]
 
 
-def _final_fit(matrix: FeatureMatrix, specs: Sequence[FeatureSpec], y: np.ndarray):
-    X = np.column_stack([matrix.column(spec) for spec in specs])
-    return ols_fit(X, y)
-
-
 def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> PipelineResult:
     """Automatic cluster-then-forward feature selection plus final linear fit.
 
@@ -147,8 +150,9 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
         raise ConfigError("need at least 10 training records")
     y = train.target_current
 
-    retained, dropped = ft.drop_zero_variance(train)
     specs: Sequence[FeatureSpec] = ft.invert_negative(train, config.alpha)
+    retained = {spec.a for spec in specs}
+    dropped = [name for name in train.counter_names if name not in retained]
     if config.combined:
         specs = ft.generate_combined(train, specs, config.alpha, config.top_k)
     matrix = ft.build_matrix(train, specs)
@@ -160,8 +164,9 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
         assignment, matrix, y, epsilon=config.epsilon, patience=config.patience
     )
 
-    reps = selection.representatives()
-    fit = _final_fit(matrix, reps, y)
+    steps = selection.accepted_steps
+    reps = [step.best_member for step in steps]
+    fit = ols_fit(matrix.values[:, [step.column for step in steps]], y)
     used_counters = sorted({name for spec in reps for name in spec.counters()})
     meta = {
         "trainer": "auto",
@@ -203,7 +208,7 @@ def train_all_pmc(train: Dataset) -> PowerModel:
     retained, _ = ft.drop_zero_variance(train)
     specs = [ft.base(name) for name in retained]
     matrix = ft.build_matrix(train, specs)
-    fit = _final_fit(matrix, matrix.specs, train.target_current)
+    fit = ols_fit(matrix.values, train.target_current)
     meta = {
         "trainer": "all_pmc",
         "dataset_fingerprint": dataset_fingerprint(train),
@@ -229,7 +234,7 @@ def train_k_top(train: Dataset, k: int) -> PowerModel:
     )
     specs = [ft.base(name) for name in ranked[:k]]
     matrix = ft.build_matrix(train, specs)
-    fit = _final_fit(matrix, matrix.specs, y)
+    fit = ols_fit(matrix.values, y)
     meta = {
         "trainer": "k_top",
         "k": k,
@@ -331,6 +336,10 @@ def model_from_dict(doc: dict) -> PowerModel:
         intercept = float(doc["intercept"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"malformed model document: {exc}") from None
+    if not isinstance(raw_specs, list) or not all(isinstance(t, str) for t in raw_specs):
+        raise ModelFileError(
+            f"'features' must be a list of feature spec strings, got {raw_specs!r}"
+        )
     try:
         specs = tuple(ft.parse_feature_spec(text) for text in raw_specs)
     except FeatureError as exc:

@@ -19,14 +19,6 @@ from .errors import DegenerateSeriesError
 
 
 @dataclass(frozen=True)
-class NormStats:
-    """Per-feature mean and population standard deviation."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-@dataclass(frozen=True)
 class Regression:
     coefficients: np.ndarray
     intercept: float
@@ -208,7 +200,11 @@ def ols_fit(X, y) -> Regression:
         raise DegenerateSeriesError("need at least 1 feature")
     if y.shape != (n,):
         raise DegenerateSeriesError("target length must match rows")
-    A = np.hstack([np.ones((n, 1)), X])
+    # A is C-ordered whatever the layout of X, so A @ beta sums in the
+    # same order for a column block such as values[:, cols] (F-ordered).
+    A = np.empty((n, p + 1))
+    A[:, 0] = 1.0
+    A[:, 1:] = X
     beta, *_ = np.linalg.lstsq(A, y, rcond=None)
     residuals = y - A @ beta
     return Regression(
@@ -244,21 +240,3 @@ def evaluate(predictions, truth) -> EvalReport:
         n=int(true.size),
         n_mape_excluded=int(true.size - nonzero.sum()),
     )
-
-
-def compute_norm_stats(values) -> NormStats:
-    """Column-wise mean and population std of a sample matrix (or one series)."""
-    v = np.asarray(values, dtype=float)
-    mean = v.mean(axis=0)
-    std = v.std(axis=0)  # numpy default ddof=0: population convention
-    if np.any(std == 0.0):
-        raise DegenerateSeriesError("zero-variance column; drop it upstream")
-    return NormStats(mean=np.atleast_1d(mean), std=np.atleast_1d(std))
-
-
-def zscore(values, stats: NormStats):
-    """Standardize values with precomputed stats: (x - mean) / std."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1 and stats.mean.size == 1:
-        return (v - stats.mean[0]) / stats.std[0]
-    return (v - stats.mean) / stats.std

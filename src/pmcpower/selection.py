@@ -31,59 +31,66 @@ R2_GAIN_EPS = 1e-10
 
 
 @dataclass(frozen=True)
-class ClusterInfo:
-    members: tuple[FeatureSpec, ...]
-    importance: float
-    representative: FeatureSpec
-
-
-@dataclass(frozen=True)
 class SelectionStep:
-    """Audit-trail entry for one examined cluster."""
+    """Audit-trail entry for one examined cluster: its best member, which is
+    column ``column`` of the feature matrix, and that member's R-squared."""
 
     cluster_id: int
     best_member: FeatureSpec
+    column: int
     r_squared: float
     accepted: bool
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    significant: tuple[tuple[int, FeatureSpec], ...]
-    r2_trajectory: tuple[float, ...]
-    skipped: tuple[int, ...]
-    terminated_at: int  # clusters examined, seed included
+    """The examined clusters in order, seed first; everything else about the
+    selection is read off them."""
+
     trace: tuple[SelectionStep, ...]
 
-    def representatives(self) -> list[FeatureSpec]:
-        return [spec for _, spec in self.significant]
+    @property
+    def accepted_steps(self) -> tuple[SelectionStep, ...]:
+        return tuple(step for step in self.trace if step.accepted)
+
+    @property
+    def significant(self) -> tuple[tuple[int, FeatureSpec], ...]:
+        return tuple((step.cluster_id, step.best_member) for step in self.accepted_steps)
+
+    @property
+    def r2_trajectory(self) -> tuple[float, ...]:
+        return tuple(step.r_squared for step in self.accepted_steps)
+
+    @property
+    def skipped(self) -> tuple[int, ...]:
+        return tuple(step.cluster_id for step in self.trace if not step.accepted)
+
+    @property
+    def terminated_at(self) -> int:
+        """Clusters examined, seed included."""
+        return len(self.trace)
 
 
 def _best_member(
-    members: Sequence[FeatureSpec], basis: np.ndarray, matrix: FeatureMatrix, y: np.ndarray
-) -> tuple[float, FeatureSpec]:
-    """The best R-squared of a member refit with the ``basis`` columns (runs x
-    k, k may be 0), and that member; scores within R2_TIE_EPS of the best
-    tie, and the smallest canonical name among them wins."""
-    scores = [
-        (ols_fit(np.column_stack([basis, matrix.column(spec)]), y).r_squared, spec)
-        for spec in members
-    ]
+    members: Sequence[int], basis: Sequence[int], matrix: FeatureMatrix, y: np.ndarray
+) -> tuple[float, int]:
+    """The best R-squared of a member column refit with the ``basis`` columns
+    (may be empty), and that member's position; scores within R2_TIE_EPS of
+    the best tie, and the smallest canonical name among them wins."""
+    scores = [(ols_fit(matrix.values[:, [*basis, m]], y).r_squared, m) for m in members]
     best = max(score for score, _ in scores)
-    tied = [spec for score, spec in scores if score >= best - R2_TIE_EPS]
-    return best, min(tied, key=lambda spec: spec.canonical())
+    tied = [m for score, m in scores if score >= best - R2_TIE_EPS]
+    return best, min(tied, key=lambda m: matrix.specs[m].canonical())
 
 
 def cluster_importance(
-    cluster: Sequence[FeatureSpec], train: FeatureMatrix, y
-) -> ClusterInfo:
-    """Best single-feature fit within one cluster, on raw (unnormalized) values."""
-    members = tuple(cluster)
+    members: Sequence[int], matrix: FeatureMatrix, y
+) -> tuple[float, int]:
+    """Best single-feature fit within one cluster of column positions, on raw
+    (unnormalized) values: (importance, position of that member)."""
     if not members:
         raise FeatureError("cluster must be non-empty")
-    y = np.asarray(y, dtype=float)
-    importance, representative = _best_member(members, np.empty((len(y), 0)), train, y)
-    return ClusterInfo(members=members, importance=importance, representative=representative)
+    return _best_member(members, [], matrix, np.asarray(y, dtype=float))
 
 
 def select_significant(
@@ -109,38 +116,26 @@ def select_significant(
     if assignment.n_clusters < 1:
         raise FeatureError("need at least 1 cluster")
     y = np.asarray(y, dtype=float)
-    groups = [
-        [matrix.specs[i] for i in assignment.members(c)] for c in range(assignment.n_clusters)
-    ]
-    infos = [cluster_importance(members, matrix, y) for members in groups]
+    groups = [assignment.members(c) for c in range(assignment.n_clusters)]
+    scores = [cluster_importance(members, matrix, y) for members in groups]
     order = sorted(
-        range(len(infos)),
-        key=lambda c: (-infos[c].importance, infos[c].representative.canonical()),
+        range(len(scores)),
+        key=lambda c: (-scores[c][0], matrix.specs[scores[c][1]].canonical()),
     )
 
     seed = order[0]
-    selected_cols = [matrix.column(infos[seed].representative)]
-    significant = [(seed, infos[seed].representative)]
-    r2_sc = infos[seed].importance
-    trajectory = [r2_sc]
-    skipped: list[int] = []
-    trace = [SelectionStep(seed, infos[seed].representative, r2_sc, True)]
+    r2_sc, representative = scores[seed]
+    basis = [representative]
+    trace = [SelectionStep(seed, matrix.specs[representative], representative, r2_sc, True)]
     r2_after_examined = [r2_sc]
 
     for cluster_id in order[1:]:
-        best_r2, best_member = _best_member(
-            groups[cluster_id], np.column_stack(selected_cols), matrix, y
-        )
-
+        best_r2, best = _best_member(groups[cluster_id], basis, matrix, y)
         accepted = best_r2 > r2_sc + R2_GAIN_EPS
         if accepted:
-            significant.append((cluster_id, best_member))
-            selected_cols.append(matrix.column(best_member))
+            basis.append(best)
             r2_sc = best_r2
-            trajectory.append(r2_sc)
-        else:
-            skipped.append(cluster_id)
-        trace.append(SelectionStep(cluster_id, best_member, best_r2, accepted))
+        trace.append(SelectionStep(cluster_id, matrix.specs[best], best, best_r2, accepted))
 
         r2_after_examined.append(r2_sc)
         if len(r2_after_examined) > patience:
@@ -148,13 +143,7 @@ def select_significant(
             if gain < epsilon:
                 break
 
-    return SelectionResult(
-        significant=tuple(significant),
-        r2_trajectory=tuple(trajectory),
-        skipped=tuple(skipped),
-        terminated_at=len(r2_after_examined),
-        trace=tuple(trace),
-    )
+    return SelectionResult(tuple(trace))
 
 
 def format_trace(result: SelectionResult) -> str:

@@ -220,6 +220,62 @@ class TestBadInputExit2:
         assert f"key {key!r} has a value of the wrong type" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "command, features",
+        [("eval", None), ("eval", [1]), ("eval", [{"a": 1}]), ("predict", "base:a")],
+        ids=["eval-null", "eval-int", "eval-object", "predict-string"],
+    )
+    def test_model_features_not_a_list_of_strings(self, tmp_path, synth_manifest,
+                                                   command, features):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schema_version": 1, "kind": "linear_power_model",
+                                     "features": features, "coefficients": [1.0],
+                                     "intercept": 0.0}))
+        args = ["--output-dir", str(tmp_path / "eval")] if command == "eval" else \
+            ["--out", str(tmp_path / "pred.csv")]
+        proc = run_cli(command, "--model", str(model), "--manifest", str(synth_manifest), *args)
+        self.assert_usage_error(
+            proc, f"'features' must be a list of feature spec strings, got {features!r}"
+        )
+
+    def test_negative_seed(self, tmp_path, synth_manifest):
+        problem = "field 'seed' must be a non-negative integer, got -1"
+        proc = run_cli("train", "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "out"), "--seed", "-1")
+        self.assert_usage_error(proc, problem)
+        path = run_config(tmp_path, synth_manifest, seed=-1)
+        self.assert_usage_error(run_cli("train", "--config", str(path)), f"config {path}: {problem}")
+        proc = run_cli("synth", "--out", str(tmp_path / "synth"), "--seed", "-1")
+        self.assert_usage_error(proc, "--seed must be a non-negative integer, got -1")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "synth").exists()
+
+    def test_manifest_integer_too_large_for_a_float(self, tmp_path, synth_manifest):
+        doc = json.loads(synth_manifest.read_text())
+        doc["runs"][1]["frequency_hz"] = 10**400
+        synth_manifest.write_text(json.dumps(doc))
+        proc = run_cli("train", "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "out"))
+        self.assert_usage_error(
+            proc, f"manifest run 1: field 'frequency_hz' must be a finite number, got {10**400}"
+        )
+
+    def test_config_integer_too_large_for_a_float(self, tmp_path, synth_manifest):
+        path = run_config(tmp_path, synth_manifest, base_current_ma=10**400)
+        proc = run_cli("train", "--config", str(path))
+        self.assert_usage_error(
+            proc, f"config {path}: field 'base_current_ma' must be a finite number, got {10**400}"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--current", "nan"), ("--current", "inf"),
+                                             ("--voltage", "inf"), ("--latency", "nan")])
+    def test_energy_non_finite(self, flag, value):
+        values = {"--current": "242.39", "--voltage": "3.86", "--latency": "14.81", flag: value}
+        proc = run_cli("energy", *[part for item in values.items() for part in item])
+        self.assert_usage_error(proc, "current, voltage, and latency must all be finite and > 0")
+        assert proc.stdout == ""
+
+
 class TestPredictAndEval:
     def test_predict_then_eval(self, tmp_path, synth_manifest):
         config = run_config(tmp_path, synth_manifest)

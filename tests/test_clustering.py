@@ -194,6 +194,23 @@ class TestWardMatchesReference:
         assert sum(m.height == 0.0 for m in tree.merges) > 10
         assert tree.to_json() == ward_reference(z, names).to_json()
 
+    def test_rounding_tie_with_a_non_stale_row_minimum(self):
+        # Ten leaves 1.69 apart up to rounding. Leaf 0's cached nearest is
+        # leaf 8 until node 16 forms (slot 1); its Lance-Williams distance to
+        # node 16 rounds to exactly that cached minimum while row 0 is not
+        # stale, so only the tie rule (the smaller slot) makes node 16 its
+        # partner, as the full scan does.
+        z = np.full((12, 10), 0.1)
+        z[range(10), range(10)] = [
+            1.4000000000000006, 1.3999999999999997, 1.4000000000000001, 1.4000000000000001,
+            1.4000000000000001, 1.4000000000000001, 1.4000000000000001, 1.4000000000000001,
+            1.4000000000000004, 1.4000000000000001,
+        ]
+        names = [f"c{i}" for i in range(10)]
+        tree = ward_cluster(z, names, check_normalized=False)
+        assert (tree.merges[-2].left, tree.merges[-2].right) == (0, 16)
+        assert tree.to_json() == ward_reference(z, names, check_normalized=False).to_json()
+
     def test_rejects_no_samples(self):
         with pytest.raises(ClusteringError, match="at least 1 sample"):
             ward_cluster(np.empty((0, 3)), check_normalized=False)

@@ -289,10 +289,11 @@ class TestBuildMatrix:
     def test_column_lookup_by_spec(self):
         ds = make_dataset({"a": [1.0, 2.0, 3.0], "b": [4.0, 5.0, 7.0]}, [1, 2, 3])
         matrix = build_matrix(ds, [base("b"), product("a", "b")])
-        assert matrix.index_of(product("b", "a")) == 1
-        assert matrix.column(base("b")).tolist() == [4.0, 5.0, 7.0]
-        with pytest.raises(ValueError, match="base:a"):
-            matrix.index_of(base("a"))
+        # A spec's column is its position in matrix.specs.
+        assert matrix.specs.index(product("b", "a")) == 1
+        assert matrix.values[:, matrix.specs.index(base("b"))].tolist() == [4.0, 5.0, 7.0]
+        assert matrix.values[:, 1].tolist() == [4.0, 10.0, 21.0]
+        assert base("a") not in matrix.specs
 
     def test_duplicate_spec_rejected(self):
         ds = make_dataset({"a": [1, 2, 3]}, [1, 2, 3])

@@ -18,26 +18,26 @@ class TestClusterImportance:
     def test_exact_fit(self, rng):
         f = rng.uniform(1, 10, 20)
         matrix, y = matrix_from({"f": f}, 3 * f + 2)
-        info = cluster_importance([base("f")], matrix, y)
-        assert info.importance == pytest.approx(1.0)
-        assert info.representative == base("f")
+        importance, member = cluster_importance([0], matrix, y)
+        assert importance == pytest.approx(1.0)
+        assert member == 0
 
     def test_collinear_tie_breaks_by_name(self, rng):
         f = rng.uniform(1, 10, 20)
         matrix, y = matrix_from({"g": 2 * f, "f": f}, 3 * f + 2 + rng.normal(0, 0.5, 20))
-        info = cluster_importance([base("g"), base("f")], matrix, y)
-        assert info.representative == base("f")  # lexicographically smaller
+        _, member = cluster_importance([0, 1], matrix, y)
+        assert matrix.specs[member] == base("f")  # lexicographically smaller
 
     def test_better_feature_wins(self, rng):
         y = rng.uniform(100, 500, 60)
         good = y + rng.normal(0, 10, 60)
         poor = y + rng.normal(0, 200, 60)
-        matrix, target = matrix_from({"good": good, "poor": poor}, y)
-        info = cluster_importance([base("good"), base("poor")], matrix, target)
-        assert info.representative == base("good")
+        matrix, target = matrix_from({"poor": poor, "good": good}, y)
+        importance, member = cluster_importance([0, 1], matrix, target)
+        assert matrix.specs[member] == base("good")
         # importance equals the best member's single-feature fit
         direct = ols_fit(good[:, None], y).r_squared
-        assert info.importance == pytest.approx(direct)
+        assert importance == pytest.approx(direct)
 
 
 def assignment_of(matrix, groups):
@@ -129,6 +129,7 @@ class TestSelectSignificant:
         assignment = assignment_of(matrix, [[name] for name in cols])
         result = select_significant(assignment, matrix, target)
         assert len(result.trace) == result.terminated_at
+        assert all(matrix.specs[step.column] == step.best_member for step in result.trace)
         text = format_trace(result)
         assert text.count("\n") == result.terminated_at + 1
         assert "accept" in text
