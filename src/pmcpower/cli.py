@@ -52,10 +52,12 @@ class RunConfig(PipelineConfig):
     base_current_ma: float = 0.0
     aux_model: str | None = None
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.seed < 0:
-            raise ConfigError(f"field 'seed' must be a non-negative integer, got {self.seed!r}")
+    def _ranges(self) -> list[tuple[str, bool, str]]:
+        return super()._ranges() + [
+            ("train_fraction", 0.0 < self.train_fraction < 1.0, "in (0, 1)"),
+            ("seed", self.seed >= 0, "a non-negative integer"),
+            ("base_current_ma", self.base_current_ma >= 0.0, ">= 0"),
+        ]
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(**{f.name: getattr(self, f.name) for f in fields(PipelineConfig)})

@@ -8,8 +8,7 @@ with the target far better than either input does on its own.
 """
 from __future__ import annotations
 
-import heapq
-import math
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,27 +16,12 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateSeriesError, FeatureError
-from .numerics import pearson, pearson_p_value
+from .numerics import correlations, pearson, pearson_p_value
 
 KINDS = ("base", "inv", "prod", "ratio")
 
 # Denominator columns with any sample this close to zero never become ratios.
 RATIO_DENOM_EPS = 1e-9
-
-# Largest gap allowed between a candidate's block pre-score and its exact
-# |r|, with a factor 4 to spare. The two differ by summation order only:
-# at most a few n*eps for a trusted column of n runs, and under 1e-15 on
-# the benchmark campaigns (200 and 1,334 runs). A walked candidate further
-# apart than PRESCORE_MARGIN / 4 makes generate_combined score every
-# candidate exactly.
-PRESCORE_MARGIN = 1e-9
-# A pre-score is untrusted when the column's variance is at most this share
-# of its square sum: the centred sums have lost most of their digits.
-PRESCORE_MIN_VARIANCE_SHARE = 1e-10
-# A pre-score is untrusted when sxx*syy is outside this range, where
-# pearson's own sxx*syy may over- or underflow.
-_PRESCORE_SCALE_RANGE = (2.0**-960, 2.0**960)
-
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -162,6 +146,18 @@ def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
     return retained, dropped
 
 
+def counter_correlations(ds: Dataset, names: Sequence[str]) -> np.ndarray:
+    """``pearson`` of each named counter against the target, from one
+    row-wise call; raises pearson's error for the first counter it rejects."""
+    rows = np.array([ds.column(name) for name in names])
+    y = ds.target_current
+    r = correlations(rows, y)
+    rejected = np.flatnonzero(np.isnan(r))
+    if rejected.size:
+        pearson(rows[rejected[0]], y)  # raises that counter's error
+    return r
+
+
 def invert_negative(ds: Dataset, alpha: float = 0.05) -> list[FeatureSpec]:
     """One spec per retained counter: Inverted when its correlation with the
     target is negative and significant at level alpha, Base otherwise.
@@ -171,69 +167,13 @@ def invert_negative(ds: Dataset, alpha: float = 0.05) -> list[FeatureSpec]:
     a positive correlation with the target afterwards.
     """
     retained, _ = drop_zero_variance(ds)
-    y = ds.target_current
     specs = []
-    for name in retained:
-        r = pearson(ds.column(name), y)
+    for name, r in zip(retained, counter_correlations(ds, retained).tolist()):
         if r < 0 and pearson_p_value(r, len(ds)) < alpha:
             specs.append(inverted(name))
         else:
             specs.append(base(name))
     return specs
-
-
-def _prescore(block: np.ndarray, dy: np.ndarray, syy: float) -> tuple[np.ndarray, np.ndarray]:
-    """|Pearson r| of each row of ``block`` against the centred target ``dy``,
-    and whether that value may stand in for ``pearson``'s when ranking.
-
-    The rows are summed in a different order than ``pearson`` sums a
-    single column, so the two agree only to rounding. A row is untrusted
-    when its variance is a tiny share of its square sum (the centred sums
-    have then lost their digits, as in a constant ``x*(c/x)`` column), when
-    sxx*syy leaves the range ``pearson`` computes it in, or when any of its
-    values is not finite (NaN fails every comparison below).
-    """
-    with np.errstate(all="ignore"):
-        centred = block - block.mean(axis=1, keepdims=True)
-        sxx = np.einsum("ij,ij->i", centred, centred)
-        ssq = np.einsum("ij,ij->i", block, block)
-        scale = sxx * syy
-        r = np.minimum(np.abs(centred @ dy) / np.sqrt(scale), 1.0)
-    lo, hi = _PRESCORE_SCALE_RANGE
-    trusted = (sxx > PRESCORE_MIN_VARIANCE_SHARE * ssq) & (scale > lo) & (scale < hi)
-    return r, trusted
-
-
-def _prescore_candidates(values: np.ndarray, safe: np.ndarray, y: np.ndarray):
-    """``_prescore`` of every product, then every ratio, of the rows of
-    ``values`` (counters x runs), one block per numerator counter; ratios
-    take their denominators from the rows listed in ``safe``."""
-    m = values.shape[0]
-    dy = y - y.mean()
-    syy = float(np.dot(dy, dy))
-    pre, trusted = [], []
-    denominators = values[safe]
-    with np.errstate(all="ignore"):  # non-finite values end up untrusted
-        for i in range(m - 1):  # products of counter i with every later one
-            r, ok = _prescore(values[i] * values[i + 1 :], dy, syy)
-            pre.append(r)
-            trusted.append(ok)
-        for i in range(m):  # ratios of counter i over every other safe one
-            r, ok = _prescore(values[i] / denominators, dy, syy)
-            keep = safe != i
-            pre.append(r[keep])
-            trusted.append(ok[keep])
-    return np.concatenate(pre), np.concatenate(trusted)
-
-
-def _exact_score(spec: FeatureSpec, ds: Dataset, y: np.ndarray, alpha: float):
-    """(|r|, passes the alpha gate) of one candidate, or None when its
-    column is degenerate."""
-    try:
-        r = pearson(feature_column(spec, ds), y)
-    except DegenerateSeriesError:
-        return None  # constant candidate column, e.g. x * (c/x)
-    return abs(r), pearson_p_value(r, len(ds)) < alpha
 
 
 def generate_combined(
@@ -251,38 +191,29 @@ def generate_combined(
     target, gated at p < alpha, and capped at top_k; ties break on the
     canonical spec name so the ranking is platform-stable.
 
-    Every candidate is first pre-scored with numpy, one block of products
-    and one of ratios per numerator counter. Only candidates that can reach
-    the output are then scored exactly with ``pearson`` and
-    ``pearson_p_value``, in descending pre-score order, so the result is
-    the one scoring every candidate exactly would give:
-
-    * candidates whose pre-score is untrusted (see ``_prescore``) are
-      always scored exactly;
-    * the walk stops when top_k candidates have passed the gate and the
-      next pre-score is below the k-th exact |r| minus PRESCORE_MARGIN,
-      or is below a gate failure's exact |r| minus PRESCORE_MARGIN (p is
-      monotone in |r|, so those fail too);
-    * if a walked candidate's exact |r| differs from its pre-score by more
-      than PRESCORE_MARGIN / 4, every candidate is scored exactly instead.
+    Every candidate is scored with ``correlations``, one block of products
+    and one of ratios per numerator counter, so each r is the one
+    ``pearson`` gives its column, bit for bit; a candidate ``pearson``
+    rejects (a constant column such as x * (c/x)) is dropped. p is a
+    function of |r| and the gate holds on a prefix of the candidates in
+    descending |r|, so the end of that prefix is found by bisection with
+    ``pearson_p_value``.
     """
     if top_k < 0:
         raise FeatureError("top_k must be >= 0")
     if any(spec.kind not in ("base", "inv") for spec in base_specs):
         raise FeatureError("combined candidates build on base/inverted specs only")
     names = sorted({spec.a for spec in base_specs})
-    columns = {name: ds.column(name) for name in names}  # KeyError if missing
+    m = len(names)
+    # counters x runs; ds.column raises KeyError for a missing counter
+    values = np.array([ds.column(name) for name in names]).reshape(m, len(ds))
     y = ds.target_current
 
-    unsafe_denominator = {
-        name: bool(np.min(np.abs(columns[name])) < RATIO_DENOM_EPS * np.max(np.abs(columns[name])))
-        for name in names
-    }
-
     # Candidates as (numerator, denominator) indices into names: every
-    # product, then every ratio, in the order of the canonical loops.
-    m = len(names)
-    safe = np.array([j for j, b in enumerate(names) if not unsafe_denominator[b]], dtype=np.intp)
+    # product, then every ratio over a safe denominator, in the order of
+    # the canonical loops.
+    sizes = np.abs(values)
+    safe = np.flatnonzero(~(sizes.min(axis=1) < RATIO_DENOM_EPS * sizes.max(axis=1)))
     prod_a, prod_b = np.triu_indices(m, k=1)
     ratio_a = np.repeat(np.arange(m), safe.size)
     ratio_b = np.tile(safe, m)
@@ -295,50 +226,35 @@ def generate_combined(
         make = product if c < n_products else ratio
         return make(names[cand_a[c]], names[cand_b[c]])
 
-    if cand_a.size:
-        values = np.array([columns[name] for name in names])  # counters x runs
-        pre, trusted = _prescore_candidates(values, safe, y)
-    else:
-        pre, trusted = np.empty(0), np.empty(0, dtype=bool)
+    # A safe denominator may still hold a zero (an all-zero column); the
+    # first ratio over one raises, as evaluating it would.
+    zero_ratios = np.flatnonzero(~values.all(axis=1)[cand_b[n_products:]])
+    if zero_ratios.size:
+        raise FeatureError(f"zero denominator evaluating {spec_of(n_products + zero_ratios[0])}")
+    scores = [np.empty(0)]  # so that no candidates concatenate too
+    denominators = values[safe]
+    with np.errstate(all="ignore"):  # correlations rejects non-finite rows
+        for i in range(m - 1):  # products of counter i with every later one
+            scores.append(correlations(values[i] * values[i + 1 :], y))
+        for i in range(m):  # ratios of counter i over every other safe one
+            scores.append(correlations(values[i] / denominators, y)[safe != i])
+    r = np.concatenate(scores)
 
-    scored: list[tuple[float, str, FeatureSpec]] = []
-    best: list[float] = []  # min-heap of the top_k largest passing |r|
-    highest_failure = -math.inf  # largest exact |r| that failed the gate
-
-    def score(c: int):
-        nonlocal highest_failure
-        spec = spec_of(c)
-        result = _exact_score(spec, ds, y, alpha)
-        if result is not None:
-            r, passed = result
-            if not passed:
-                highest_failure = max(highest_failure, r)
-            elif top_k:
-                scored.append((r, spec.canonical(), spec))
-                (heapq.heappush if len(best) < top_k else heapq.heappushpop)(best, r)
-        return result
-
-    for c in np.flatnonzero(~trusted):
-        score(c)
-    walk = np.flatnonzero(trusted)
-    walk = walk[np.argsort(-pre[walk], kind="stable")]
-    for c in walk:
-        if len(best) < top_k:
-            kth = -math.inf
-        else:
-            kth = best[0] if best else math.inf  # top_k == 0 admits nothing
-        if pre[c] < max(kth, highest_failure) - PRESCORE_MARGIN:
-            break
-        result = score(c)
-        if result is None or abs(result[0] - pre[c]) > PRESCORE_MARGIN / 4:
-            scored = []
-            for spec in map(spec_of, range(cand_a.size)):
-                result = _exact_score(spec, ds, y, alpha)
-                if result is not None and result[1]:
-                    scored.append((result[0], spec.canonical(), spec))
-            break
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    return list(base_specs) + [spec for _, _, spec in scored[:top_k]]
+    scored = np.flatnonzero(~np.isnan(r))
+    order = scored[np.argsort(-np.abs(r[scored]), kind="stable")]
+    magnitude = np.abs(r[order])
+    passed = bisect.bisect_left(
+        magnitude, True, key=lambda v: not pearson_p_value(float(v), len(ds)) < alpha
+    )
+    if not (top_k and passed):
+        return list(base_specs)
+    # Candidates tied with the k-th passing |r| compete for the cut by name.
+    cut = np.count_nonzero(magnitude[:passed] >= magnitude[min(top_k, passed) - 1])
+    kept = sorted(
+        zip(magnitude[:cut].tolist(), map(spec_of, order[:cut].tolist())),
+        key=lambda item: (-item[0], item[1].canonical()),
+    )
+    return list(base_specs) + [spec for _, spec in kept[:top_k]]
 
 
 @dataclass(frozen=True)

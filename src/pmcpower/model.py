@@ -30,7 +30,7 @@ from .clustering import (
 from .dataset import Dataset
 from .errors import ConfigError, FeatureError, ModelFileError, read_utf8
 from .features import FeatureMatrix, FeatureSpec
-from .numerics import EvalReport, evaluate, ols_fit, pearson
+from .numerics import EvalReport, evaluate, ols_fit
 from .selection import SelectionResult, select_significant
 
 MODEL_SCHEMA_VERSION = 1
@@ -42,7 +42,8 @@ class PipelineConfig:
 
     Every float field must be finite, and an int given for one must fit a
     float; so must those of a subclass such as the CLI's ``RunConfig``,
-    which inherits the check.
+    which inherits the check. Each knob must then lie in its range (see
+    ``_ranges``), so a bad value is named before any data is read.
     """
 
     alpha: float = 0.05
@@ -64,6 +65,19 @@ class PipelineConfig:
                 raise ConfigError(
                     f"field {f.name!r} must be a finite number, got {getattr(self, f.name)!r}"
                 )
+        for name, ok, rule in self._ranges():
+            if not ok:
+                raise ConfigError(f"field {name!r} must be {rule}, got {getattr(self, name)!r}")
+
+    def _ranges(self) -> list[tuple[str, bool, str]]:
+        """(field, whether its value is in range, the range in words)."""
+        return [
+            ("alpha", 0.0 < self.alpha <= 1.0, "in (0, 1]"),
+            ("cut_factor", self.cut_factor >= 0.0, ">= 0"),
+            ("epsilon", self.epsilon > 0.0, "> 0"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("top_k", self.top_k >= 0, ">= 0"),
+        ]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -229,9 +243,8 @@ def train_k_top(train: Dataset, k: int) -> PowerModel:
     if k > len(retained):
         raise ConfigError(f"k={k} exceeds the {len(retained)} retained counters")
     y = train.target_current
-    ranked = sorted(
-        retained, key=lambda name: (-abs(pearson(train.column(name), y)), name)
-    )
+    r = dict(zip(retained, np.abs(ft.counter_correlations(train, retained)).tolist()))
+    ranked = sorted(retained, key=lambda name: (-r[name], name))
     specs = [ft.base(name) for name in ranked[:k]]
     matrix = ft.build_matrix(train, specs)
     fit = ols_fit(matrix.values, y)

@@ -49,6 +49,61 @@ class EvalReport:
         }
 
 
+# Why pearson rejects a series, in the order it checks; a row's code in
+# _correlate indexes this tuple, 0 meaning it is not rejected.
+_REJECTIONS = (
+    None,
+    "need at least 3 points",
+    "series holds a non-finite value",
+    "degenerate series (zero variance)",
+    "correlation is not finite",
+)
+
+
+def _correlate(rows, y) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r of each row of ``rows`` against ``y`` (NaN where rejected),
+    and each row's index in _REJECTIONS."""
+    # A strided row would reach a different BLAS kernel than a contiguous
+    # one, and round differently; C order gives every row the one kernel.
+    rows = np.ascontiguousarray(rows, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if rows.ndim != 2 or y.shape != rows.shape[1:]:
+        raise DegenerateSeriesError("rows must be 2-D and as long as the target")
+    if y.size < 3:
+        return np.full(len(rows), np.nan), np.full(len(rows), 1)
+    # A non-finite or huge input makes numpy warn before the checks below
+    # reject it; the checks are the report.
+    with np.errstate(all="ignore"):
+        dx = rows - rows.mean(axis=1, keepdims=True)
+        dy = y - y.mean()
+        # vecdot takes each row's sum with the BLAS dot that np.dot uses.
+        sxx = np.vecdot(dx, dx)
+        syy = float(np.dot(dy, dy))
+        variance_product = sxx * syy
+        # Both sums are finite, but their product may overflow; the root is
+        # split only then, so every other r keeps its bits.
+        scale = np.where(
+            variance_product == np.inf,
+            np.sqrt(sxx) * math.sqrt(syy),
+            np.sqrt(variance_product),
+        )
+        r = np.vecdot(dx, dy) / scale
+    # Only the sums are checked: a NaN or inf anywhere in a series reaches
+    # them, and the clamp below would otherwise turn a NaN r into 1.0. The
+    # checks are applied last to first, so a row keeps pearson's first.
+    rejection = np.zeros(len(rows), dtype=np.intp)
+    rejection[~np.isfinite(r)] = 4
+    rejection[(sxx == 0.0) | (syy == 0.0)] = 3
+    rejection[~(np.isfinite(sxx) & math.isfinite(syy))] = 2
+    return np.where(rejection, np.nan, np.clip(r, -1.0, 1.0)), rejection
+
+
+def correlations(rows, y) -> np.ndarray:
+    """``pearson`` of each row of ``rows`` against ``y``, bit for bit, with
+    NaN wherever ``pearson`` raises."""
+    return _correlate(rows, y)[0]
+
+
 def pearson(x, y) -> float:
     """Pearson correlation coefficient of two equal-length series.
 
@@ -60,32 +115,10 @@ def pearson(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise DegenerateSeriesError("series must be 1-D and equal length")
-    if x.size < 3:
-        raise DegenerateSeriesError("need at least 3 points")
-    # A non-finite or huge input makes numpy warn before the checks below
-    # reject it; the checks are the report.
-    with np.errstate(all="ignore"):
-        dx = x - x.mean()
-        dy = y - y.mean()
-        sxx = float(np.dot(dx, dx))
-        syy = float(np.dot(dy, dy))
-    # Only the sums are checked: a NaN or inf anywhere in a series reaches
-    # them, and the clamp below would otherwise turn a NaN r into 1.0.
-    if not (math.isfinite(sxx) and math.isfinite(syy)):
-        raise DegenerateSeriesError("series holds a non-finite value")
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateSeriesError("degenerate series (zero variance)")
-    variance_product = sxx * syy
-    # Both sums are finite, but their product may overflow; the root is
-    # split only then, so every other r keeps its bits.
-    if variance_product == math.inf:
-        scale = math.sqrt(sxx) * math.sqrt(syy)
-    else:
-        scale = math.sqrt(variance_product)
-    r = float(np.dot(dx, dy)) / scale if scale > 0.0 else math.nan
-    if not math.isfinite(r):
-        raise DegenerateSeriesError("correlation is not finite")
-    return max(-1.0, min(1.0, r))
+    r, rejection = _correlate(x[None], y)
+    if rejection[0]:
+        raise DegenerateSeriesError(_REJECTIONS[rejection[0]])
+    return float(r[0])
 
 
 def _incomplete_beta_cf(a: float, b: float, x: float) -> float:

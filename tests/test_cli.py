@@ -191,6 +191,24 @@ class TestBadInputExit2:
         self.assert_usage_error(proc, problem)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [("--alpha", "2", "field 'alpha' must be in (0, 1], got 2.0"),
+         ("--alpha", "0", "field 'alpha' must be in (0, 1], got 0.0"),
+         ("--top-k", "-1", "field 'top_k' must be >= 0, got -1"),
+         ("--patience", "0", "field 'patience' must be >= 1, got 0"),
+         ("--epsilon", "0", "field 'epsilon' must be > 0, got 0.0"),
+         ("--cut-factor", "-1", "field 'cut_factor' must be >= 0, got -1.0"),
+         ("--train-fraction", "1", "field 'train_fraction' must be in (0, 1), got 1.0"),
+         ("--base-current", "-1", "field 'base_current_ma' must be >= 0, got -1.0")],
+    )
+    def test_out_of_range_flag(self, tmp_path, capsys, flag, value, problem):
+        # The manifest does not exist: the knob is rejected before it is read.
+        assert main(["train", "--manifest", str(tmp_path / "missing.json"),
+                     "--output-dir", str(tmp_path / "out"), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_config_value(self, tmp_path, synth_manifest):
         path = run_config(tmp_path, synth_manifest, cut_factor=float("nan"))
         assert '"cut_factor": NaN' in path.read_text()

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmcpower import features
-from pmcpower.errors import FeatureError, PmcPowerError
+from pmcpower import features, numerics
+from pmcpower.errors import DegenerateSeriesError, FeatureError, PmcPowerError
 from pmcpower.features import (
     base,
     build_matrix,
@@ -58,18 +59,6 @@ def assert_matches_reference(ds, base_specs, **kwargs):
     got = outcome(generate_combined, ds, base_specs, **kwargs)
     assert got == outcome(generate_combined_reference, ds, base_specs, **kwargs)
     return got
-
-
-def count_exact_scores(monkeypatch):
-    """Count the candidates generate_combined scores with pearson."""
-    calls = []
-
-    def counting(x, y):
-        calls.append(1)
-        return pearson(x, y)
-
-    monkeypatch.setattr(features, "pearson", counting)
-    return calls
 
 
 def n_candidates(ds):
@@ -208,6 +197,16 @@ class TestInvertNegative:
             assert flipped > 0
 
 
+    @pytest.mark.parametrize("target, problem", [
+        ([5.0, 5.0, 5.0], "degenerate series (zero variance)"),
+        ([5.0, 6.0], "need at least 3 points"),
+    ])
+    def test_rejected_target_raises_pearsons_error(self, target, problem):
+        cols = {"a": [1.0, 2.0, 4.0][: len(target)], "b": [3.0, 1.0, 2.0][: len(target)]}
+        with pytest.raises(DegenerateSeriesError, match=re.escape(problem)):
+            invert_negative(make_dataset(cols, target))
+
+
 class TestGenerateCombined:
     def test_candidate_combinatorics(self, rng):
         # 3 counters -> 3 products + 6 ratios; alpha=1 disables the gate
@@ -319,8 +318,8 @@ class TestBuildMatrix:
 
 
 class TestGenerateCombinedMatchesReference:
-    """The pre-scored walk returns the spec list exact scoring of every
-    candidate returns, including its errors."""
+    """Block scoring with a bisected gate returns the spec list scalar
+    scoring of every candidate returns, including its errors."""
 
     @pytest.mark.parametrize("factors,runs,seed", [
         (10, 120, 3), (10, 120, 17), (10, 60, 29), (20, 90, 5), (4, 400, 11),
@@ -405,7 +404,7 @@ class TestGenerateCombinedMatchesReference:
 
     def test_constant_product_of_reciprocals(self, rng):
         # x * (c/x) is c up to rounding noise, whose r is whatever the noise
-        # gives; its pre-score cannot be trusted.
+        # gives, or a constant that pearson rejects.
         n = 60
         x = rng.uniform(1, 100, n)
         cols = {"x": x, "c_over_x": 37.0 / x, "w": rng.uniform(1, 5, n), "w3": 3.0 / x}
@@ -428,6 +427,24 @@ class TestGenerateCombinedMatchesReference:
         for y_scale in (1.0, 1e10, 1e-100):
             ds = make_dataset(cols, rng.uniform(1, 10, n) * y_scale)
             assert_matches_reference(ds, [base(k) for k in cols], alpha=1.0, top_k=100)
+
+    def test_candidates_across_the_gate(self, rng):
+        # prod(b,x0) and prod(b,x1) differ in |r| by about 1e-11, and alpha
+        # is the p-value of the lower one: it fails the gate and the higher
+        # one passes, so the bisection must end between them.
+        n = 40
+        b = rng.uniform(1, 10, n)
+        x0 = rng.uniform(1, 10, n)
+        x1 = x0 * (1.0 + 1e-11 * rng.normal(size=n))
+        y = x0 * b + rng.normal(0, 60, n)
+        ds = make_dataset({"b": b, "x0": x0, "x1": x1}, y)
+        r0, r1 = sorted(abs(pearson(b * x, y)) for x in (x0, x1))
+        assert 0 < r1 - r0 < 1e-10
+        alpha = pearson_p_value(r0, n)
+        assert pearson_p_value(r1, n) < alpha
+        specs = assert_matches_reference(ds, [base("b"), base("x0"), base("x1")],
+                                         alpha=alpha, top_k=1000)
+        assert len(specs) == 4
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -455,106 +472,22 @@ class TestGenerateCombinedMatchesReference:
         )
 
 
-def walked_in_reverse(prescore):
-    """``prescore`` with every value moved down by less than
-    PRESCORE_MARGIN / 4, so that candidates closer than PRESCORE_MARGIN / 8
-    are walked in the reverse of their exact order: the worst order the
-    self-check lets through."""
-    width = features.PRESCORE_MARGIN / 8
-
-    def wrapped(block, dy, syy):
-        r, trusted = prescore(block, dy, syy)
-        return r - 0.99 * 2 * width * np.mod(r, width) / width, trusted
-
-    return wrapped
-
-
-class TestPrescore:
-    def test_trusted_rows(self, rng):
-        n = 40
-        y = rng.uniform(1, 10, n)
-        dy = y - y.mean()
-        syy = float(np.dot(dy, dy))
-        x = rng.uniform(1, 100, n)
-        rows = {
-            "plain": rng.uniform(1, 10, n),
-            "negative": -rng.uniform(1, 10, n),
-            "x*(c/x)": x * (37.0 / x),
-            "constant": np.full(n, 3.0),
-            "nan": np.where(np.arange(n) == 3, np.nan, 1.0 + x),
-            "inf": np.where(np.arange(n) == 3, np.inf, 1.0 + x),
-            "square overflows": x * 1e160,
-            "sxx underflows": x * 1e-160,
-            "sxx*syy overflows": x * 1e146,
-        }
-        r, trusted = features._prescore(np.array(list(rows.values())), dy, syy)
-        assert dict(zip(rows, trusted.tolist())) == {
-            "plain": True, "negative": True, "x*(c/x)": False, "constant": False,
-            "nan": False, "inf": False, "square overflows": False,
-            "sxx underflows": False, "sxx*syy overflows": False,
-        }
-        for i, name in enumerate(("plain", "negative")):
-            assert r[i] == pytest.approx(abs(pearson(rows[name], y)), abs=1e-14)
-
-    def test_reverse_walk_within_the_margin(self, monkeypatch):
-        ds = wide_dataset(10, 120, 3)
-        base_specs = invert_negative(ds)
-        expected = generate_combined_reference(ds, base_specs)
-        monkeypatch.setattr(features, "_prescore", walked_in_reverse(features._prescore))
-        calls = count_exact_scores(monkeypatch)
-        assert generate_combined(ds, base_specs) == expected
-        assert len(calls) < n_candidates(ds)  # no fallback
-
-    def test_reverse_walk_across_the_gate(self, rng, monkeypatch):
-        # prod(b,x0) and prod(b,x1) differ in |r| by about 1e-11, and alpha
-        # is the p-value of the lower one: it fails the gate, the higher
-        # one passes, and the reversed walk meets the failure first.
-        n = 40
-        b = rng.uniform(1, 10, n)
-        x0 = rng.uniform(1, 10, n)
-        x1 = x0 * (1.0 + 1e-11 * rng.normal(size=n))
-        y = x0 * b + rng.normal(0, 60, n)
-        ds = make_dataset({"b": b, "x0": x0, "x1": x1}, y)
-        r0, r1 = sorted(abs(pearson(b * x, y)) for x in (x0, x1))
-        assert 0 < r1 - r0 < features.PRESCORE_MARGIN / 8
-        alpha = pearson_p_value(r0, n)
-        assert pearson_p_value(r1, n) < alpha
-        monkeypatch.setattr(features, "_prescore", walked_in_reverse(features._prescore))
-        specs = assert_matches_reference(ds, [base("b"), base("x0"), base("x1")],
-                                         alpha=alpha, top_k=1000)
-        assert len(specs) == 4
-
-
-class TestGenerateCombinedScoresFewExactly:
-    def test_failed_self_check_scores_everything(self, monkeypatch):
-        ds = wide_dataset(6, 60, 3)
-        base_specs = invert_negative(ds)
-        expected = generate_combined_reference(ds, base_specs)
-        prescore = features._prescore
-
-        def off_by_a_margin(block, dy, syy):
-            r, trusted = prescore(block, dy, syy)
-            return r + features.PRESCORE_MARGIN, trusted
-
-        monkeypatch.setattr(features, "_prescore", off_by_a_margin)
-        calls = count_exact_scores(monkeypatch)
-        assert generate_combined(ds, base_specs) == expected
-        assert len(calls) > n_candidates(ds)
-
-    def test_zero_margin_still_matches(self, monkeypatch):
-        ds = wide_dataset(6, 60, 4)
-        base_specs = invert_negative(ds)
-        monkeypatch.setattr(features, "PRESCORE_MARGIN", 0.0)
-        assert_matches_reference(ds, base_specs)
-        assert_matches_reference(ds, base_specs, top_k=20)
-
-    def test_under_five_percent_scored_exactly(self, monkeypatch):
+class TestGenerateCombinedScoresInBlocks:
+    def test_pearson_never_and_p_value_by_bisection(self, monkeypatch):
         ds = wide_dataset(40, 200, 3)  # 240 counters, 86,040 candidates
         base_specs = invert_negative(ds)
-        total = n_candidates(ds)
-        assert total == 86_040
-        calls = count_exact_scores(monkeypatch)
+        assert n_candidates(ds) == 86_040
+        calls = {"pearson": 0, "pearson_p_value": 0}
+
+        def counting(name):
+            def wrapped(*args):
+                calls[name] += 1
+                return getattr(numerics, name)(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(features, name, counting(name))
         specs = generate_combined(ds, base_specs)
         assert len(specs) == len(base_specs) + 1000
-        assert len(calls) < 0.05 * total
-
+        assert calls["pearson"] == 0
+        assert calls["pearson_p_value"] <= 20

@@ -1,7 +1,7 @@
 import pytest
 
 from pmcpower.dataset import split_dataset
-from pmcpower.errors import ConfigError, FeatureError, ModelFileError
+from pmcpower.errors import ConfigError, DegenerateSeriesError, FeatureError, ModelFileError
 from pmcpower.features import base, product
 from pmcpower.model import (
     PipelineConfig,
@@ -147,6 +147,12 @@ class TestBaselines:
         ds = make_dataset({"strong": strong, "weak": weak}, y)
         model = train_k_top(ds, 1)
         assert model.features == (base("strong"),)
+
+    def test_k_top_constant_target_raises_pearsons_error(self, rng):
+        ds = make_dataset({"a": rng.uniform(1, 2, 10), "b": rng.uniform(1, 2, 10)},
+                          [5.0] * 10)
+        with pytest.raises(DegenerateSeriesError, match="zero variance"):
+            train_k_top(ds, 1)
 
     def test_k_top_validates_k(self, rng):
         ds = make_dataset({"a": rng.uniform(1, 2, 10)}, rng.uniform(1, 2, 10))

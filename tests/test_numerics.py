@@ -4,6 +4,7 @@ import pytest
 from pmcpower.errors import DegenerateSeriesError, PmcPowerError
 from pmcpower.features import FeatureMatrix, base
 from pmcpower.numerics import (
+    correlations,
     evaluate,
     ols_fit,
     pearson,
@@ -81,6 +82,71 @@ class TestPearson:
             assert pearson(a * x + b, y) == pytest.approx(expected, rel=1e-12)
 
 
+class TestCorrelations:
+    @staticmethod
+    def rows(rng, n):
+        x = rng.uniform(1, 100, n)
+        rows = {
+            "plain": rng.uniform(1, 10, n),
+            "negated": -rng.uniform(1, 10, n),
+            "x*(c/x)": x * (37.0 / x),
+            "constant": np.full(n, 3.0),
+            "nan": np.where(np.arange(n) == 1, np.nan, x),
+            "inf": np.where(np.arange(n) == 1, np.inf, x),
+            "-inf": np.where(np.arange(n) == 1, -np.inf, x),
+            "sxx overflows": x * 1e160,
+            "sxx underflows": x * 1e-160,
+            "sxx*syy overflows": x * 1e150,
+        }
+        return list(rows), np.array(list(rows.values()))
+
+    @staticmethod
+    def expected(row, y):
+        try:
+            return pearson(row, y)
+        except DegenerateSeriesError:
+            return np.nan
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [3, 40, 1334])
+    def test_rows_match_pearson_bitwise(self, rng, n):
+        names, block = self.rows(rng, n)
+        y = rng.uniform(1, 10, n) * 1e4
+        dy = y - y.mean()
+
+        def sxx(name):
+            dx = block[names.index(name)] - block[names.index(name)].mean()
+            return float(np.dot(dx, dx))
+
+        with np.errstate(over="ignore"):
+            assert sxx("sxx overflows") == np.inf
+            assert sxx("sxx*syy overflows") * float(np.dot(dy, dy)) == np.inf
+        assert 0.0 < sxx("sxx underflows") < 1e-300
+        expected = np.array([self.expected(row, y) for row in block])
+        rejected = dict(zip(names, np.isnan(expected).tolist()))
+        assert not any(rejected[k] for k in ("plain", "negated", "sxx*syy overflows"))
+        assert all(rejected[k] for k in ("constant", "nan", "inf", "-inf", "sxx overflows"))
+        for source in (block, np.asfortranarray(block)):
+            many = correlations(source, y)
+            ones = np.concatenate([correlations(source[i : i + 1], y)
+                                   for i in range(len(block))])
+            for got in (many, ones):
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 3.0])
+    def test_rejected_target_rejects_every_row(self, rng, bad):
+        _, block = self.rows(rng, 10)
+        y = np.full(10, 3.0) if bad == 3.0 else np.where(np.arange(10) == 2, bad, 1.0 + np.arange(10))
+        assert np.isnan(correlations(block, y)).all()
+        with pytest.raises(DegenerateSeriesError):
+            pearson(block[0], y)
+
+    def test_short_series_are_rejected(self):
+        assert np.isnan(correlations(np.ones((4, 2)), [1.0, 2.0])).all()
+        assert correlations(np.empty((0, 5)), np.arange(5.0)).shape == (0,)
+
+
 class TestPValue:
     def test_zero_correlation_is_one(self):
         for n in (3, 10, 500):
@@ -102,6 +168,23 @@ class TestPValue:
         with pytest.raises(PmcPowerError) as info:
             pearson_p_value(r, 10)
         assert isinstance(info.value, DegenerateSeriesError)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-6])
+    @pytest.mark.parametrize("n", [5, 12, 40, 200, 1334])
+    def test_gate_crosses_once_near_the_critical_r(self, n, alpha):
+        # generate_combined bisects for the end of the passing prefix, so
+        # p < alpha must switch once as |r| rises. p itself is not monotone
+        # in the last bit; only the gate's single crossing is asserted.
+        def gate(bits):
+            return pearson_p_value(float(np.int64(bits).view(np.float64)), n) < alpha
+
+        lo, hi = int(np.float64(0.0).view(np.int64)), int(np.float64(1.0).view(np.int64))
+        assert not gate(lo) and gate(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if gate(mid) else (mid, hi)
+        scan = [gate(bits) for bits in range(hi - 2000, hi + 2000)]
+        assert sum(a != b for a, b in zip(scan, scan[1:])) == 1
 
     def test_matches_t_cdf_oracle(self):
         rng = np.random.default_rng(3)
