@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -20,7 +21,14 @@ import numpy as np
 
 from . import synth as synthmod
 from .dataset import Dataset, isolate_dataset, load_manifest, split_dataset
-from .errors import ConfigError, ModelFileError, ParseError, PmcPowerError, read_utf8
+from .errors import (
+    ConfigError,
+    IsolationError,
+    ModelFileError,
+    ParseError,
+    PmcPowerError,
+    read_utf8,
+)
 from .model import (
     PipelineConfig,
     evaluate_by_workload,
@@ -118,7 +126,14 @@ def _load_isolated(config: RunConfig) -> tuple[Dataset, int]:
                 "aux model given but the manifest lists no aux_counter_file entries"
             )
         aux_current = predict_dataset(aux_model, aux)
-    return isolate_dataset(ds, config.base_current_ma, aux_current)
+    isolated, n_clamped = isolate_dataset(ds, config.base_current_ma, aux_current)
+    if n_clamped == len(ds):
+        aux_part = " plus the aux model's prediction" if config.aux_model else ""
+        raise IsolationError(
+            f"every isolated current is 0 mA: the base current of {config.base_current_ma!r} "
+            f"mA{aux_part} is at least every run's measured current"
+        )
+    return isolated, n_clamped
 
 
 def _report_dict(report: EvalReport, by_workload: dict[str, EvalReport] | None = None) -> dict:
@@ -300,6 +315,10 @@ def cmd_synth(profile: str, out_dir: str, n_runs: int | None, noise: float | Non
               seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    if n_runs is not None and n_runs < 1:
+        raise ConfigError(f"--runs must be a positive integer, got {n_runs}")
+    if noise is not None and not (math.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"--noise must be a finite number >= 0, got {noise}")
     if profile == "three-factor":
         cfg = synthmod.three_factor_config(
             n_runs=n_runs or 120, noise_sigma=noise or 0.0, seed=seed
@@ -411,30 +430,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.command == "train":
+        return cmd_train(_config_from_args(args))
+    if args.command == "eval":
+        return cmd_eval(args.model, _config_from_args(args))
+    if args.command == "predict":
+        return cmd_predict(args.model, args.manifest, args.out)
+    if args.command == "compare":
+        return cmd_compare(_config_from_args(args), args.k)
+    if args.command == "synth":
+        return cmd_synth(args.profile, args.out, args.runs, args.noise, args.seed)
+    if args.command == "energy":
+        return cmd_energy(args.current, args.voltage, args.latency)
+    parser.error(f"unknown command {args.command!r}")
+    return 2
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "train":
-            return cmd_train(_config_from_args(args))
-        if args.command == "eval":
-            return cmd_eval(args.model, _config_from_args(args))
-        if args.command == "predict":
-            return cmd_predict(args.model, args.manifest, args.out)
-        if args.command == "compare":
-            return cmd_compare(_config_from_args(args), args.k)
-        if args.command == "synth":
-            return cmd_synth(args.profile, args.out, args.runs, args.noise, args.seed)
-        if args.command == "energy":
-            return cmd_energy(args.current, args.voltage, args.latency)
-        parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ParseError, ModelFileError, FileNotFoundError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PmcPowerError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    return 0
+    # A warning prints as one line, like an error, not as Python's source excerpt.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _run(parser, args)
+        except (ConfigError, ParseError, ModelFileError, FileNotFoundError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
+        except PmcPowerError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

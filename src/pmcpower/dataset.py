@@ -12,13 +12,23 @@ import functools
 import io
 import json
 import math
+import os
+import stat
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import AggregationError, ConfigError, IsolationError, ParseError, read_utf8
+from .errors import (
+    AggregationError,
+    ConfigError,
+    IsolationError,
+    ParseError,
+    PmcPowerError,
+    decode_utf8,
+    read_utf8,
+)
 
 WORKLOAD_TYPES = ("Rendering", "NeuralNetwork", "Compute", "Other")
 
@@ -255,7 +265,18 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
 _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
-def _fast_rows(text: str, expected_first: str) -> tuple[list[str], np.ndarray] | None:
+@functools.lru_cache(maxsize=64)
+def _split_header(head: str, limit: int) -> tuple[str, ...] | None:
+    """The stripped fields of a header line as the csv reader splits it
+    under the field size ``limit``, remembered per line: the trace files of
+    a campaign repeat a few headers. None when the reader rejects the line."""
+    try:
+        return tuple(h.strip() for h in next(csv.reader([head])))
+    except csv.Error:
+        return None
+
+
+def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndarray] | None:
     """The header and sample table as ``_parse_rows`` would return them,
     read by numpy's C reader; None wherever that read could differ or fails.
 
@@ -276,11 +297,8 @@ def _fast_rows(text: str, expected_first: str) -> tuple[list[str], np.ndarray] |
     limit = csv.field_size_limit()
     if len(body) > limit and max(map(len, lines)) > limit:
         return None
-    try:
-        header = [h.strip() for h in next(csv.reader([head]))]
-    except csv.Error:
-        return None
-    if len(header) < 2 or header[0] != expected_first:
+    header = _split_header(head, limit)
+    if header is None or len(header) < 2 or header[0] != expected_first:
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
@@ -315,16 +333,25 @@ def _counter_trace(header: list[str], table: np.ndarray, linenos) -> CounterTrac
     return CounterTrace(names, table[:, 0].copy(), table[:, 1:].copy(), linenos)
 
 
+def _voltage_constant(power: np.ndarray) -> bool:
+    """Whether every power table of a block (runs x samples x columns)
+    lacks a voltage column or holds one within 1e-6 (relative, at least
+    1e-6 V) of its first value."""
+    if power.shape[2] < 3:
+        return True
+    volts, first = power[:, :, 2], power[:, :1, 2]
+    return not (np.abs(volts - first) > 1e-6 * np.maximum(1.0, np.abs(first))).any()
+
+
 def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:
     if len(header) not in (2, 3) or header[1] != "current_ma":
         raise ParseError("line 1: expected header ts_ms,current_ma[,voltage_v]")
     if len(header) == 3 and header[2] != "voltage_v":
         raise ParseError("line 1: third column must be voltage_v")
-    volts = table[:, 2] if len(header) == 3 else None
-    trace = PowerTrace(table[:, 0].copy(), table[:, 1].copy(),
-                       None if volts is None else float(volts[0]), linenos)
+    volts = float(table[0, 2]) if len(header) == 3 else None
+    trace = PowerTrace(table[:, 0].copy(), table[:, 1].copy(), volts, linenos)
     # Checked once the samples pass: a sample fault is reported first.
-    if volts is not None and np.any(np.abs(volts - volts[0]) > 1e-6 * max(1.0, abs(volts[0]))):
+    if not _voltage_constant(table[None]):
         raise ParseError("voltage column is not constant")
     return trace
 
@@ -341,7 +368,8 @@ def parse_power_trace(text: str) -> PowerTrace:
 
 def aggregate_run(counters: CounterTrace, power: PowerTrace) -> tuple[np.ndarray, float]:
     """Collapse one run's traces into its average event rates (one per
-    counter, in trace order) and its mean current.
+    counter, in trace order) and its mean current: ``aggregate_block`` on
+    a block of one run.
 
     Rates are total counts inside the overlap window divided by its duration;
     counter intervals that straddle a window edge contribute pro-rata
@@ -350,30 +378,46 @@ def aggregate_run(counters: CounterTrace, power: PowerTrace) -> tuple[np.ndarray
     power sampler and the counter dumper tick at different periods. The
     first counter row only opens the window; its counts have no interval.
     """
-    c_ts = counters.timestamps_ms
-    p_ts = power.timestamps_ms
-    w0 = max(c_ts[0], p_ts[0])
-    w1 = min(c_ts[-1], p_ts[-1])
-    if w1 <= w0:
-        raise AggregationError("no temporal overlap")
-    if w1 - w0 < 1000.0:
-        raise AggregationError(
-            f"overlap shorter than 1 second ({(w1 - w0) / 1000.0:.3f} s)"
-        )
-    duration_s = (w1 - w0) / 1000.0
+    rates, current = aggregate_block(counters.timestamps_ms[None], counters.counts[None],
+                                     power.timestamps_ms[None], power.current_ma[None])
+    return rates[0], float(current[0])
 
-    # Counter intervals: (c_ts[i-1], c_ts[i]] carrying counts[i].
-    starts = c_ts[:-1]
-    ends = c_ts[1:]
+
+def aggregate_block(counter_ts: np.ndarray, counts: np.ndarray, power_ts: np.ndarray,
+                    current: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``aggregate_run`` of several runs at once: each argument stacks one
+    array per run along its first axis (counts as runs x samples x
+    counters). Returns the rates (runs x counters) and the mean currents.
+
+    Each run's rates are the BLAS gemv of its window fractions with its
+    counts, and its current the BLAS ddot of its current with its segment
+    lengths, so a run gets the same bits in any block, provided each run's
+    counts and current are contiguous. The first run whose traces do not
+    overlap by a second raises.
+    """
+    c0, c1, p0, p1 = counter_ts[:, 0], counter_ts[:, -1], power_ts[:, 0], power_ts[:, -1]
+    w0, w1 = np.maximum(c0, p0), np.minimum(c1, p1)
+    span = w1 - w0
+    short = np.flatnonzero((w1 <= w0) | (span < 1000.0))
+    if short.size:
+        run = short[0]
+        if w1[run] <= w0[run]:
+            raise AggregationError("no temporal overlap")
+        raise AggregationError(f"overlap shorter than 1 second ({span[run] / 1000.0:.3f} s)")
+    w0, w1 = w0[:, None], w1[:, None]
+
+    # Counter intervals: (ts[i-1], ts[i]] carrying counts[i].
+    starts = counter_ts[:, :-1]
+    ends = counter_ts[:, 1:]
     frac = (np.minimum(ends, w1) - np.maximum(starts, w0)) / (ends - starts)
     frac = np.clip(frac, 0.0, 1.0)
-    totals = frac @ counters.counts[1:]
-    rates = totals / duration_s
+    totals = np.matmul(frac[:, None, :], counts[:, 1:, :])[:, 0]
+    rates = totals / (span / 1000.0)[:, None]
 
-    # Current step segments: sample j holds on [p_ts[j], p_ts[j+1]), last to w1.
-    seg_ends = np.append(p_ts[1:], w1)
-    dur = np.maximum(0.0, np.minimum(seg_ends, w1) - np.maximum(p_ts, w0))
-    return rates, float(np.dot(power.current_ma, dur) / (w1 - w0))
+    # Current step segments: sample j holds on [ts[j], ts[j+1]), last to w1.
+    seg_ends = np.concatenate([power_ts[:, 1:], w1], axis=1)
+    dur = np.maximum(0.0, np.minimum(seg_ends, w1) - np.maximum(power_ts, w0))
+    return rates, np.vecdot(current, dur) / span
 
 
 def isolate_dataset(
@@ -415,9 +459,14 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Datase
     n = len(ds)
     if n < 3:
         raise ConfigError("need at least 3 records to split")
-    perm = np.random.default_rng(seed).permutation(n)
     # The epsilon guards against 300 * (2/3) landing a hair above 200.
     n_train = math.ceil(n * train_fraction - 1e-9)
+    if not 0 < n_train < n:
+        raise ConfigError(
+            f"train_fraction {train_fraction!r} splits {n} runs into {n_train} for training "
+            f"and {n - n_train} for test; each side needs at least one run"
+        )
+    perm = np.random.default_rng(seed).permutation(n)
     return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
 
@@ -461,11 +510,31 @@ def _manifest_run(entry, index: int) -> ManifestRun:
                        get("aux_counter_file", str, required=False))
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the ``what`` file at ``path``, in one open, one read and
+    one decode. A path that names no regular file raises an OSError naming
+    ``what``; undecodable bytes raise a ParseError naming the file."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so a FIFO cannot block
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(f"{what} is a directory: {path}")
+        if not stat.S_ISREG(info.st_mode):
+            raise FileNotFoundError(f"{what} is not a regular file: {path}")
+        data = os.read(fd, info.st_size)
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+    finally:
+        os.close(fd)
+    return decode_utf8(data, ParseError, path)
+
+
 def _read_trace(parse, path: Path, what: str):
     """Parse the trace file at ``path``; a ParseError names the file."""
-    if not path.is_file():
-        raise FileNotFoundError(f"{what} not found: {path}")
-    text = read_utf8(path, ParseError, str(path))
+    text = _read_text(str(path), what)
     try:
         return parse(text)
     except ParseError as exc:
@@ -479,6 +548,173 @@ def _aggregate(trace: CounterTrace, power: PowerTrace, where: str) -> tuple[np.n
         raise AggregationError(f"{where}: {exc}") from None
 
 
+# The counter tables of one block of runs hold at most this many cells
+# (0.5 MB of float64) unless one run holds more, so the memory ingest takes
+# does not grow with the campaign.
+BLOCK_CELLS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _FastRun:
+    """A manifest run whose trace files the fast read took: each file's
+    header and table (samples x columns, timestamps first), the samples not
+    yet checked."""
+
+    index: int
+    meta: RunMeta
+    counters: tuple[tuple[str, ...], np.ndarray]
+    power: tuple[tuple[str, ...], np.ndarray]
+    aux: tuple[tuple[str, ...], np.ndarray] | None
+
+    def key(self) -> tuple:
+        """Runs of equal keys stack into one block."""
+        traces = (self.counters, self.power) + ((self.aux,) if self.aux else ())
+        return tuple((header, table.shape) for header, table in traces)
+
+    def cells(self) -> int:
+        return sum(table.size for _, table in filter(None, (self.counters, self.aux)))
+
+
+_POWER_HEADERS = (("ts_ms", "current_ma"), ("ts_ms", "current_ma", "voltage_v"))
+
+
+def _samples_pass(tables: np.ndarray, values: np.ndarray) -> bool:
+    """Whether every trace of a block (runs x samples x columns) passes
+    ``_check_samples``: all finite, timestamps increasing, no negative
+    among ``values``."""
+    return bool(np.isfinite(tables).all() and (np.diff(tables[:, :, 0]) > 0).all()
+                and not (values < 0).any())
+
+
+def _block_rates(counters: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``aggregate_block`` of stacked counter and power tables."""
+    return aggregate_block(counters[:, :, 0], np.ascontiguousarray(counters[:, :, 1:]),
+                           power[:, :, 0], np.ascontiguousarray(power[:, :, 1]))
+
+
+class _Campaign:
+    """The rows of a manifest's runs, gathered in manifest order, and the
+    counter columns its first run set."""
+
+    def __init__(self, runs: list, base_dir: Path):
+        self.runs = runs
+        self.base_dir = base_dir
+        self.metas: list[RunMeta] = []
+        self.rates: list[np.ndarray] = []
+        self.currents: list[np.ndarray] = []
+        self.aux_rates: list[np.ndarray] = []
+        self.aux_currents: list[np.ndarray] = []
+        self.counter_names = self.aux_names = None
+
+    def add_run(self, i: int) -> None:
+        """Read, check and aggregate run ``i`` alone. Each fault raises as
+        soon as it is met, so the first fault of the run is the one named."""
+        run = _manifest_run(self.runs[i], i)
+        where = f"manifest run {i} ({run.meta.benchmark_name!r})"
+        base_dir = self.base_dir
+        trace = _read_trace(parse_counter_trace, base_dir / run.counter_file, "counter trace")
+        power = _read_trace(parse_power_trace, base_dir / run.power_file, "power trace")
+        if self.counter_names is None:
+            self.counter_names = trace.counter_names
+        elif trace.counter_names != self.counter_names:
+            raise ParseError(f"{where}: counter columns differ from the first run")
+        row, current = _aggregate(trace, power, where)
+        self.metas.append(run.meta)
+        self.rates.append(row[None])
+        self.currents.append(np.array([current]))
+        # Run 0 decides whether the runs list aux traces: aux_names is set then.
+        if i and (run.aux_counter_file is None) != (self.aux_names is None):
+            raise ParseError(
+                f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
+                "aux_counter_file, unlike the first run"
+            )
+        if run.aux_counter_file is None:
+            return
+        aux_trace = _read_trace(
+            parse_counter_trace, base_dir / run.aux_counter_file, "aux counter trace"
+        )
+        if self.aux_names is None:
+            self.aux_names = aux_trace.counter_names
+        elif aux_trace.counter_names != self.aux_names:
+            raise ParseError(f"{where}: aux counter columns differ from the first run")
+        aux_row, aux_current = _aggregate(aux_trace, power, where)
+        self.aux_rates.append(aux_row[None])
+        self.aux_currents.append(np.array([aux_current]))
+
+    def fast_read(self, i: int) -> _FastRun | None:
+        """Run ``i`` with its files read, each in one pass, by the fast
+        read; None when its entry or a file cannot be read, the fast read
+        declines a file, or a header would raise."""
+        base = str(self.base_dir)
+
+        def read(name: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+            return _fast_rows(_read_text(os.path.join(base, name), "trace"), "ts_ms")
+
+        try:
+            run = _manifest_run(self.runs[i], i)
+            counters, power = read(run.counter_file), read(run.power_file)
+            aux = None if run.aux_counter_file is None else read(run.aux_counter_file)
+            if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
+                return None
+            for header, _ in filter(None, (counters, aux)):
+                _check_header_names(header[1:])
+        except (PmcPowerError, OSError):
+            return None
+        if power[0] not in _POWER_HEADERS:
+            return None
+        return _FastRun(i, run.meta, counters, power, aux)
+
+    def add_block(self, block: list[_FastRun]) -> None:
+        """Check and aggregate a block of runs that share a key at once.
+        When a check fails or a run's aggregation would raise, the block's
+        runs are read again by ``add_run``, so the first fault in manifest
+        order raises as it words it."""
+        rows = self._block_rows(block)
+        if rows is None:
+            for run in block:
+                self.add_run(run.index)
+            return
+        first = block[0]
+        self.counter_names = first.counters[0][1:]
+        self.aux_names = None if first.aux is None else first.aux[0][1:]
+        self.metas.extend(run.meta for run in block)
+        (rates, currents), aux = rows
+        self.rates.append(rates)
+        self.currents.append(currents)
+        if aux is not None:
+            self.aux_rates.append(aux[0])
+            self.aux_currents.append(aux[1])
+
+    def _block_rows(self, block: list[_FastRun]):
+        """The block's rows and aux rows, as ``add_run`` would give them run
+        by run; None wherever ``add_run`` would raise for one of its runs."""
+        first = block[0]
+        aux_names = None if first.aux is None else first.aux[0][1:]
+        if self.metas and (first.counters[0][1:] != self.counter_names
+                           or aux_names != self.aux_names):
+            return None
+        counters = np.stack([run.counters[1] for run in block])
+        power = np.stack([run.power[1] for run in block])
+        aux = None if first.aux is None else np.stack([run.aux[1] for run in block])
+        if not (_samples_pass(counters, counters[:, :, 1:]) and _samples_pass(power, power[:, :, 1])
+                and _voltage_constant(power)
+                and (aux is None or _samples_pass(aux, aux[:, :, 1:]))):
+            return None
+        try:
+            return _block_rates(counters, power), None if aux is None else _block_rates(aux, power)
+        except AggregationError:
+            return None
+
+    def datasets(self) -> tuple[Dataset, Dataset | None]:
+        metas = tuple(self.metas)
+        ds = Dataset(self.counter_names, np.concatenate(self.rates), metas,
+                     np.concatenate(self.currents))
+        if self.aux_names is None:
+            return ds, None
+        return ds, Dataset(self.aux_names, np.concatenate(self.aux_rates), metas,
+                           np.concatenate(self.aux_currents))
+
+
 def load_manifest(path) -> tuple[Dataset, Dataset | None]:
     """Build a dataset from a JSON run manifest.
 
@@ -486,6 +722,13 @@ def load_manifest(path) -> tuple[Dataset, Dataset | None]:
     (all of them or none), a second dataset of the same runs holding the
     auxiliary component's counter rates, for subtracting that component's
     predicted current during isolation.
+
+    Consecutive runs whose traces share their headers and shapes are read
+    into a block of at most BLOCK_CELLS counter cells, whose samples are
+    checked and whose runs are aggregated at once. A run the fast read
+    cannot take, and every run of a block that fails, is read again alone,
+    so a fault raises as the first one in manifest order, in the words of
+    the one-run path.
     """
     path = Path(path)
     if not path.is_file():
@@ -498,42 +741,20 @@ def load_manifest(path) -> tuple[Dataset, Dataset | None]:
     if not isinstance(runs, list) or not runs:
         raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
 
-    base_dir = path.parent
-    metas, rates, currents = [], [], []
-    aux_rates, aux_currents = [], []
-    counter_names = aux_names = None
-    for i, entry in enumerate(runs):
-        run = _manifest_run(entry, i)
-        where = f"manifest run {i} ({run.meta.benchmark_name!r})"
-        trace = _read_trace(parse_counter_trace, base_dir / run.counter_file, "counter trace")
-        power = _read_trace(parse_power_trace, base_dir / run.power_file, "power trace")
-        if counter_names is None:
-            counter_names = trace.counter_names
-        elif trace.counter_names != counter_names:
-            raise ParseError(f"{where}: counter columns differ from the first run")
-        row, current = _aggregate(trace, power, where)
-        metas.append(run.meta)
-        rates.append(row)
-        currents.append(current)
-        # Run 0 decides whether the runs list aux traces: aux_names is set then.
-        if i and (run.aux_counter_file is None) != (aux_names is None):
-            raise ParseError(
-                f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
-                "aux_counter_file, unlike the first run"
-            )
-        if run.aux_counter_file is None:
-            continue
-        aux_trace = _read_trace(
-            parse_counter_trace, base_dir / run.aux_counter_file, "aux counter trace"
-        )
-        if aux_names is None:
-            aux_names = aux_trace.counter_names
-        elif aux_trace.counter_names != aux_names:
-            raise ParseError(f"{where}: aux counter columns differ from the first run")
-        aux_row, aux_current = _aggregate(aux_trace, power, where)
-        aux_rates.append(aux_row)
-        aux_currents.append(aux_current)
-    ds = Dataset(counter_names, np.array(rates), tuple(metas), np.array(currents))
-    if aux_names is None:
-        return ds, None
-    return ds, Dataset(aux_names, np.array(aux_rates), tuple(metas), np.array(aux_currents))
+    campaign = _Campaign(runs, path.parent)
+    block: list[_FastRun] = []
+    cells = 0
+    for i in range(len(runs)):
+        run = campaign.fast_read(i)
+        if block and (run is None or run.key() != block[0].key()
+                      or cells + run.cells() > BLOCK_CELLS):
+            campaign.add_block(block)
+            block, cells = [], 0
+        if run is None:
+            campaign.add_run(i)
+        else:
+            block.append(run)
+            cells += run.cells()
+    if block:
+        campaign.add_block(block)
+    return campaign.datasets()

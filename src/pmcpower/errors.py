@@ -41,11 +41,20 @@ class ConfigError(PmcPowerError):
     """A run configuration value is missing or out of range."""
 
 
-def read_utf8(path: Path, error: type[PmcPowerError], label: str) -> str:
-    """The UTF-8 text of the file at ``path``; bytes that do not decode raise
+def decode_utf8(data: bytes, error: type[PmcPowerError], label: str) -> str:
+    """``data`` as UTF-8 text, its line ends read as text mode reads them
+    ("\\r\\n" and a lone "\\r" become "\\n"); bytes that do not decode raise
     ``error`` naming ``label`` (the file) and the offset of the first one."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{label}: not UTF-8 text at byte offset {exc.start} "
                     f"({exc.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_utf8(path: Path, error: type[PmcPowerError], label: str) -> str:
+    """The text of the file at ``path``, decoded by ``decode_utf8``."""
+    return decode_utf8(path.read_bytes(), error, label)

@@ -197,7 +197,8 @@ def generate_combined(
     rejects (a constant column such as x * (c/x)) is dropped. p is a
     function of |r| and the gate holds on a prefix of the candidates in
     descending |r|, so the end of that prefix is found by bisection with
-    ``pearson_p_value``.
+    ``pearson_p_value``. Only the candidates that can make the cut, the
+    ``top_k`` largest |r| and any tied with the k-th, are sorted.
     """
     if top_k < 0:
         raise FeatureError("top_k must be >= 0")
@@ -241,6 +242,10 @@ def generate_combined(
     r = np.concatenate(scores)
 
     scored = np.flatnonzero(~np.isnan(r))
+    if 0 < top_k < scored.size:
+        strength = np.abs(r[scored])
+        kth = strength[np.argpartition(-strength, top_k - 1)[top_k - 1]]
+        scored = scored[strength >= kth]
     order = scored[np.argsort(-np.abs(r[scored]), kind="stable")]
     magnitude = np.abs(r[order])
     passed = bisect.bisect_left(

@@ -112,26 +112,19 @@ def predict_dataset(model: PowerModel, ds: Dataset) -> np.ndarray:
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
-    """Stable content hash used to tie a saved model to its training data."""
-    doc = {
-        "counters": list(ds.counter_names),
-        "runs": [
-            {
-                "benchmark": meta.benchmark_name,
-                "workload": meta.workload_type,
-                "frequency_hz": meta.frequency_hz,
-                "utilization": meta.utilization,
-                "rates": rates,
-                "total": total,
-                "target": target,
-            }
-            for meta, rates, total, target in zip(
-                ds.meta, ds.rates.tolist(), ds.total_current.tolist(), ds.target_current.tolist()
-            )
-        ],
-    }
-    blob = json.dumps(doc, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """Stable content hash used to tie a saved model to its training data:
+    sha256 over the counter names and each run's metadata as JSON, then the
+    little-endian float64 bytes of the rates, total and target currents.
+    The JSON fixes the runs and counters, and so the length of each array."""
+    digest = hashlib.sha256()
+    digest.update(json.dumps(list(ds.counter_names)).encode())
+    digest.update(json.dumps([
+        [meta.benchmark_name, meta.workload_type, meta.frequency_hz, meta.utilization]
+        for meta in ds.meta
+    ]).encode())
+    for values in (ds.rates, ds.total_current, ds.target_current):
+        digest.update(values.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -12,28 +12,49 @@ fast paths can be compared with them exactly:
   be compared with the fast loop's byte for byte;
 * ``generate_combined_reference``, the candidate loop that scored every
   product and ratio with the scalar ``pearson`` and ``pearson_p_value``
-  before ``pmcpower.features.generate_combined`` pre-scored them in
-  blocks; it reuses the package's spec constructors and statistics, and
-  keeps its own copy of the package's former ``_spec_column``, so the two
-  must return equal spec lists;
+  before ``pmcpower.features.generate_combined`` scored them in blocks
+  with ``correlations``; it reuses the package's spec constructors and
+  statistics, and keeps its own copy of the package's former
+  ``_spec_column``, so the two must return equal spec lists;
 * ``parse_counter_trace_reference`` and ``parse_power_trace_reference``
   with their helpers, the csv line parser that read every trace before
   ``pmcpower.dataset`` gained its numpy fast path; they build the
   package's CounterTrace/PowerTrace, so the two parsers' results and
-  errors can be compared exactly.
+  errors can be compared exactly;
+* ``load_manifest_reference``, the loader that read, checked and
+  aggregated one run at a time before ``pmcpower.dataset.load_manifest``
+  took runs in blocks; it keeps its own copy of the one-run aggregation
+  (``aggregate_run_reference``) and reuses the package's manifest-entry
+  check and trace parsers, so the two loaders' datasets can be compared
+  bit for bit and their errors word for word.
 """
 from __future__ import annotations
 
 import csv
 import io
+import json
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
 from pmcpower.clustering import Dendrogram, Merge
-from pmcpower.dataset import CounterTrace, Dataset, PowerTrace
-from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError, ParseError
+from pmcpower.dataset import (
+    CounterTrace,
+    Dataset,
+    PowerTrace,
+    _manifest_run,
+    parse_counter_trace,
+    parse_power_trace,
+)
+from pmcpower.errors import (
+    AggregationError,
+    ClusteringError,
+    DegenerateSeriesError,
+    FeatureError,
+    ParseError,
+)
 from pmcpower.features import (
     RATIO_DENOM_EPS,
     FeatureSpec,
@@ -363,3 +384,111 @@ def parse_power_trace_reference(text: str) -> PowerTrace:
             raise ParseError("voltage column is not constant")
         voltage = float(volts[0])
     return PowerTrace(ts, cur, voltage)
+
+
+def aggregate_run_reference(counters: CounterTrace, power: PowerTrace) -> tuple[np.ndarray, float]:
+    """One run's average event rates and mean current over the overlap of
+    its traces; counter intervals that straddle a window edge count pro-rata
+    and the current is the time-weighted mean of its step function."""
+    c_ts = counters.timestamps_ms
+    p_ts = power.timestamps_ms
+    w0 = max(c_ts[0], p_ts[0])
+    w1 = min(c_ts[-1], p_ts[-1])
+    if w1 <= w0:
+        raise AggregationError("no temporal overlap")
+    if w1 - w0 < 1000.0:
+        raise AggregationError(
+            f"overlap shorter than 1 second ({(w1 - w0) / 1000.0:.3f} s)"
+        )
+    duration_s = (w1 - w0) / 1000.0
+    starts = c_ts[:-1]
+    ends = c_ts[1:]
+    frac = (np.minimum(ends, w1) - np.maximum(starts, w0)) / (ends - starts)
+    frac = np.clip(frac, 0.0, 1.0)
+    totals = frac @ counters.counts[1:]
+    rates = totals / duration_s
+    seg_ends = np.append(p_ts[1:], w1)
+    dur = np.maximum(0.0, np.minimum(seg_ends, w1) - np.maximum(p_ts, w0))
+    return rates, float(np.dot(power.current_ma, dur) / (w1 - w0))
+
+
+def _read_trace_reference(parse, path: Path, what: str):
+    if not path.is_file():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte offset {exc.start} "
+                         f"({exc.reason})") from None
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _aggregate_reference(trace, power, where: str):
+    try:
+        return aggregate_run_reference(trace, power)
+    except AggregationError as exc:
+        raise AggregationError(f"{where}: {exc}") from None
+
+
+def load_manifest_reference(path) -> tuple[Dataset, Dataset | None]:
+    """Build a dataset, and the aux dataset when the runs list aux counter
+    traces, from a JSON run manifest, one run at a time."""
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest {path}: not UTF-8 text at byte offset {exc.start} "
+                         f"({exc.reason})") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"manifest {path}: {exc}") from None
+    runs = doc.get("runs") if isinstance(doc, dict) else None
+    if not isinstance(runs, list) or not runs:
+        raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
+
+    base_dir = path.parent
+    metas, rates, currents = [], [], []
+    aux_rates, aux_currents = [], []
+    counter_names = aux_names = None
+    for i, entry in enumerate(runs):
+        run = _manifest_run(entry, i)
+        where = f"manifest run {i} ({run.meta.benchmark_name!r})"
+        trace = _read_trace_reference(parse_counter_trace, base_dir / run.counter_file,
+                                      "counter trace")
+        power = _read_trace_reference(parse_power_trace, base_dir / run.power_file,
+                                      "power trace")
+        if counter_names is None:
+            counter_names = trace.counter_names
+        elif trace.counter_names != counter_names:
+            raise ParseError(f"{where}: counter columns differ from the first run")
+        row, current = _aggregate_reference(trace, power, where)
+        metas.append(run.meta)
+        rates.append(row)
+        currents.append(current)
+        if i and (run.aux_counter_file is None) != (aux_names is None):
+            raise ParseError(
+                f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
+                "aux_counter_file, unlike the first run"
+            )
+        if run.aux_counter_file is None:
+            continue
+        aux_trace = _read_trace_reference(
+            parse_counter_trace, base_dir / run.aux_counter_file, "aux counter trace"
+        )
+        if aux_names is None:
+            aux_names = aux_trace.counter_names
+        elif aux_trace.counter_names != aux_names:
+            raise ParseError(f"{where}: aux counter columns differ from the first run")
+        aux_row, aux_current = _aggregate_reference(aux_trace, power, where)
+        aux_rates.append(aux_row)
+        aux_currents.append(aux_current)
+    ds = Dataset(counter_names, np.array(rates), tuple(metas), np.array(currents))
+    if aux_names is None:
+        return ds, None
+    return ds, Dataset(aux_names, np.array(aux_rates), tuple(metas), np.array(aux_currents))

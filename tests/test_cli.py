@@ -285,6 +285,33 @@ class TestBadInputExit2:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--runs", "0", "--runs must be a positive integer, got 0"),
+        ("--runs", "-3", "--runs must be a positive integer, got -3"),
+        ("--noise", "-1", "--noise must be a finite number >= 0, got -1.0"),
+        ("--noise", "nan", "--noise must be a finite number >= 0, got nan"),
+    ])
+    def test_synth_bad_value_writes_nothing(self, tmp_path, capsys, flag, value, problem):
+        assert main(["synth", "--out", str(tmp_path / "synth"), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "synth").exists()
+
+    def test_train_fraction_that_leaves_no_test_run(self, tmp_path, synth_manifest, capsys):
+        assert main(["train", "--manifest", str(synth_manifest), "--output-dir",
+                     str(tmp_path / "out"), "--train-fraction", "0.99"]) == 2
+        assert capsys.readouterr().err == (
+            "error: train_fraction 0.99 splits 60 runs into 60 for training and 0 for test; "
+            "each side needs at least one run\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_path_is_a_directory(self, tmp_path, synth_manifest):
+        doc = json.loads(synth_manifest.read_text())
+        doc["runs"][3]["counter_file"] = "runs"
+        synth_manifest.write_text(json.dumps(doc))
+        proc = run_cli("train", "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "out"))
+        self.assert_usage_error(proc, f"counter trace is a directory: {synth_manifest.parent / 'runs'}")
+
     @pytest.mark.parametrize("flag, value", [("--current", "nan"), ("--current", "inf"),
                                              ("--voltage", "inf"), ("--latency", "nan")])
     def test_energy_non_finite(self, flag, value):
@@ -292,6 +319,17 @@ class TestBadInputExit2:
         proc = run_cli("energy", *[part for item in values.items() for part in item])
         self.assert_usage_error(proc, "current, voltage, and latency must all be finite and > 0")
         assert proc.stdout == ""
+
+
+class TestWarnings:
+    def test_base_current_above_every_run(self, tmp_path, synth_manifest):
+        proc = run_cli("train", "--manifest", str(synth_manifest),
+                       "--output-dir", str(tmp_path / "out"), "--base-current", "1e9")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "warning: 60 of 60 isolated currents clamped to 0 mA\n"
+            "error: every isolated current is 0 mA: the base current of 1000000000.0 mA "
+            "is at least every run's measured current\n")
 
 
 class TestPredictAndEval:

@@ -1,14 +1,19 @@
 import csv
 import json
 import math
+import os
 import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pmcpower import dataset
 from pmcpower.dataset import (
     ClampWarning,
     CounterTrace,
@@ -16,6 +21,7 @@ from pmcpower.dataset import (
     PowerTrace,
     RunMeta,
     _check_header_names,
+    aggregate_block,
     aggregate_run,
     isolate_dataset,
     load_manifest,
@@ -23,12 +29,23 @@ from pmcpower.dataset import (
     parse_power_trace,
     split_dataset,
 )
-from pmcpower.errors import AggregationError, ConfigError, IsolationError, ParseError
+from pmcpower.errors import (
+    AggregationError,
+    ConfigError,
+    IsolationError,
+    ParseError,
+    PmcPowerError,
+)
 from pmcpower.features import base
 from pmcpower.model import PowerModel, predict_dataset
 
 from conftest import make_dataset
-from oracles import parse_counter_trace_reference, parse_power_trace_reference
+from oracles import (
+    aggregate_run_reference,
+    load_manifest_reference,
+    parse_counter_trace_reference,
+    parse_power_trace_reference,
+)
 
 class TestParseCounterTrace:
     def test_minimal_well_formed(self):
@@ -513,6 +530,56 @@ class TestAggregateRunProperties:
         assert current == pytest.approx(math.fsum(pieces) / (w1 - w0), rel=1e-12, abs=1e-9)
 
 
+class TestBlockArithmetic:
+    """A block of runs keeps each run's rate and current bits: the stacked
+    matmul runs the per-run gemv and vecdot the per-run ddot, whatever the
+    run's place in the block."""
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 61, 100, 130])
+    def test_stacked_products_equal_per_run_products(self, n):
+        rng = np.random.default_rng(n)
+        for k in (1, 2, 7, 60, 121, 241):
+            for runs in (1, 2, 3, 5, 8, 16, 31, 33, 64):
+                counts = rng.uniform(0.0, 1e6, (runs, n, k)).round(rng.integers(0, 7))
+                frac = rng.uniform(0.0, 1.0, (runs, n - 1))
+                frac[:, 0] = 0.37  # a window edge inside the first interval
+                current = rng.uniform(50.0, 500.0, (runs, n))
+                dur = rng.uniform(0.0, 1000.0, (runs, n))
+                stacked = np.matmul(frac[:, None, :], counts[:, 1:, :])[:, 0]
+                dotted = np.vecdot(current, dur)
+                for b in range(runs):
+                    # A run alone holds its own copies, as the one-run path does.
+                    own = counts[b].copy()
+                    assert stacked[b].tobytes() == (frac[b].copy() @ own[1:]).tobytes()
+                    assert dotted[b] == np.dot(current[b].copy(), dur[b].copy())
+
+    def test_aggregate_run_is_a_block_of_one(self):
+        rng = np.random.default_rng(7)
+        c_ts = np.cumsum(rng.uniform(500, 1500, (4, 9)), axis=1)
+        counts = rng.uniform(0, 1e6, (4, 9, 5))
+        p_ts = np.cumsum(rng.uniform(100, 900, (4, 30)), axis=1) - 400
+        current = rng.uniform(50, 500, (4, 30))
+        rates, currents = aggregate_block(c_ts, counts, p_ts, current)
+        for b in range(4):
+            alone = aggregate_run_reference(
+                CounterTrace(tuple("abcde"), c_ts[b].copy(), counts[b].copy()),
+                PowerTrace(p_ts[b].copy(), current[b].copy()),
+            )
+            assert rates[b].tobytes() == alone[0].tobytes()
+            assert currents[b] == alone[1]
+
+    @pytest.mark.parametrize("p_ts, problem", [
+        ([5000.0, 6000.0], "no temporal overlap"),
+        ([900.0, 1800.0], r"overlap shorter than 1 second \(0.900 s\)"),
+    ])
+    def test_first_failing_run_raises(self, p_ts, problem):
+        c_ts = np.array([[0.0, 1000.0, 2000.0]] * 3)
+        counts = np.ones((3, 3, 1))
+        power_ts = np.array([[0.0, 2000.0], [0.0, 2000.0], p_ts])
+        with pytest.raises(AggregationError, match=f"^{problem}$"):
+            aggregate_block(c_ts, counts, power_ts, np.ones((3, 2)))
+
+
 class TestIsolatePower:
     def dataset(self, total=500.0):
         return make_dataset({"c1": [1.0]}, [total])
@@ -600,6 +667,13 @@ class TestSplitDataset:
         with pytest.raises(ConfigError):
             split_dataset(self.dataset(9), 1.0, seed=0)
 
+    @pytest.mark.parametrize("fraction, n_train", [(0.95, 9), (1e-12, 0)])
+    def test_fraction_that_empties_a_side(self, fraction, n_train):
+        problem = (f"train_fraction {fraction!r} splits 9 runs into {n_train} for training "
+                   f"and {9 - n_train} for test; each side needs at least one run")
+        with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
+            split_dataset(self.dataset(9), fraction, seed=0)
+
 
 class TestManifest:
     def write_run(self, tmp_path, i, rate=100.0, current=250.0):
@@ -635,6 +709,16 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="manifest not found"):
             load_manifest(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("kind, problem", [("directory", "is a directory"),
+                                               ("fifo", "is not a regular file")])
+    def test_trace_path_names_no_regular_file(self, tmp_path, kind, problem):
+        runs = [self.write_run(tmp_path, i) for i in range(2)]
+        odd = tmp_path / "odd"
+        odd.mkdir() if kind == "directory" else os.mkfifo(odd)
+        runs[1]["counter_file"] = odd.name
+        with pytest.raises(OSError, match=f"^counter trace {problem}: {re.escape(str(odd))}$"):
+            self.load(tmp_path, runs)
 
     def test_mismatched_counters(self, tmp_path):
         runs = [self.write_run(tmp_path, 0)]
@@ -755,6 +839,173 @@ class TestManifest:
         assert n_clamped == 0
         # 500 total - 100 base - (2*40 + 20) = 300; second run subtracts 2*50+20
         assert isolated.target_current.tolist() == pytest.approx([300.0, 280.0])
+
+
+COUNTER_FAULTS = ("negative", "step_back", "nan", "overflow", "ragged", "renamed",
+                  "reserved", "quoted", "not_utf8", "missing", "one_row")
+POWER_FAULTS = ("negative", "step_back", "voltage", "late", "short", "header", "quoted",
+                "missing")
+ENTRY_FAULTS = ("workload", "no_power_file", "aux_listing")
+
+
+class Campaign:
+    """A campaign as manifest runs and one table of text cells per trace
+    file, into which faults are planted before it is written out."""
+
+    def __init__(self, rng, sample_counts, n_counters=2, voltage=True, aux=True):
+        def value(low, high):
+            return repr(round(float(rng.uniform(low, high)), int(rng.integers(0, 9))))
+
+        names = [f"c{j}" for j in range(n_counters)]
+        self.voltage = voltage
+        self.traces, self.runs, self.broken = [], [], set()
+        for i, n in enumerate(sample_counts):
+            ts = (np.cumsum(rng.uniform(400.0, 1500.0, n)) - 400.0).tolist()
+            p_ts = np.linspace(-rng.uniform(0, 300), ts[-1] + rng.uniform(0, 300), n + 2)
+            power = [["ts_ms", "current_ma"] + ["voltage_v"] * voltage]
+            self.traces.append({
+                "counter": [["ts_ms", *names]] + [[repr(t)] + [value(0, 1e6) for _ in names]
+                                                  for t in ts],
+                "power": power + [[repr(t), value(50, 500)] + ["3.3"] * voltage
+                                  for t in p_ts.tolist()],
+                "aux": [["ts_ms", "cycles"]] + [[repr(t), value(0, 1e4)] for t in ts],
+            })
+            entry = {"benchmark": f"b{i}", "workload_type": "Compute", "frequency_hz": 1e8,
+                     "counter_file": f"r{i}.counter.csv", "power_file": f"r{i}.power.csv"}
+            if aux:
+                entry["aux_counter_file"] = f"r{i}.aux.csv"
+            self.runs.append(entry)
+
+    def plant(self, i, where, fault, r=1, c=1):
+        """Plant ``fault`` in run ``i``'s ``where`` file ("entry" for its
+        manifest entry), at sample row ``r`` and column ``c`` where it takes
+        a cell."""
+        if where == "entry":
+            run = self.runs[i]
+            if fault == "workload":
+                run["workload_type"] = "Gaming"
+            elif fault == "no_power_file":
+                run.pop("power_file", None)
+            elif run.pop("aux_counter_file", None) is None:
+                run["aux_counter_file"] = run["counter_file"]
+            return
+        rows = self.traces[i][where]
+        r, c = min(r, len(rows) - 1), min(c, len(rows[0]) - 1)
+        if fault == "negative":
+            rows[r][c] = "-5.0"
+        elif fault == "step_back" and len(rows) > 2:
+            rows[max(r, 2)][0] = rows[max(r, 2) - 1][0]
+        elif fault in ("nan", "overflow"):
+            rows[r][c] = "nan" if fault == "nan" else "1e400"
+        elif fault == "ragged":
+            rows[r].append("1.0")
+        elif fault == "renamed":
+            rows[0][c] = "zz"
+        elif fault == "reserved":
+            rows[0][c] = "a*b"
+        elif fault == "quoted":
+            rows[0] = [f'"{h}"' for h in rows[0]]
+        elif fault == "one_row":
+            del rows[2:]
+        elif fault == "voltage":
+            rows[r][-1] = "3.4"
+        elif fault in ("late", "short"):
+            for row, t in zip(rows[1:], np.linspace(0.0, 800.0, len(rows) - 1).tolist()):
+                row[0] = repr(t + (1e6 if fault == "late" else 0.0))
+        elif fault == "header":
+            rows[0][1] = "current"
+        else:
+            self.broken.add((i, where, fault))
+
+    def write(self, directory: Path) -> Path:
+        for i, (trace, run) in enumerate(zip(self.traces, self.runs)):
+            for where, rows in trace.items():
+                if (i, where, "missing") in self.broken:
+                    continue
+                data = "".join(",".join(row) + "\n" for row in rows).encode()
+                if (i, where, "not_utf8") in self.broken:
+                    data = data[:-3] + b"\xff" + data[-3:]
+                (directory / f"r{i}.{where}.csv").write_bytes(data)
+        manifest = directory / "manifest.json"
+        manifest.write_text(json.dumps({"runs": self.runs}))
+        return manifest
+
+
+@st.composite
+def campaigns(draw):
+    """A campaign of mixed sample counts, a voltage column or none and aux
+    counter traces or none, with up to three faults, each planted in a
+    trace, an aux trace or an entry of a run; and a block size in cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.sampled_from([(6,), (6,), (4, 6), (2, 5, 9)]))
+    n_runs = draw(st.integers(1, 13))
+    campaign = Campaign(rng, [draw(st.sampled_from(counts)) for _ in range(n_runs)],
+                        n_counters=draw(st.integers(1, 3)), voltage=draw(st.booleans()),
+                        aux=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 3))):
+        where = draw(st.sampled_from(["counter", "power", "aux", "entry"]))
+        faults = {"counter": COUNTER_FAULTS, "aux": COUNTER_FAULTS,
+                  "power": POWER_FAULTS, "entry": ENTRY_FAULTS}[where]
+        campaign.plant(draw(st.integers(0, n_runs - 1)), where, draw(st.sampled_from(faults)),
+                       draw(st.integers(1, 9)), draw(st.integers(1, 3)))
+    return campaign, draw(st.sampled_from([1, 30, 60, 100, dataset.BLOCK_CELLS]))
+
+
+def _loaded(load, manifest):
+    """The bits of both loaded datasets, or the type and words of the error."""
+    try:
+        datasets = load(manifest)
+    except (PmcPowerError, OSError) as exc:
+        return type(exc), str(exc)
+    return [None if ds is None else (ds.counter_names, ds.meta, ds.rates.shape, ds.rates.tobytes(),
+                                     ds.total_current.tobytes(), ds.target_current.tobytes())
+            for ds in datasets]
+
+
+def _assert_loads_as_reference(campaign: Campaign, cells: int, expect_ok=False):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = campaign.write(Path(tmp))
+        with mock.patch.object(dataset, "BLOCK_CELLS", cells):
+            got = _loaded(load_manifest, manifest)
+        assert got == _loaded(load_manifest_reference, manifest)
+    assert isinstance(got, list) or not expect_ok, got
+    return got
+
+
+class TestLoadManifestMatchesReference:
+    """Blocks of runs give the one-run loader's datasets bit for bit, and
+    its first error word for word, wherever in a block a fault sits."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(campaign=campaigns())
+    def test_campaigns(self, campaign):
+        _assert_loads_as_reference(*campaign)
+
+    # Seven runs of 6 samples x 3 columns plus a 6 x 2 aux table: 30 cells,
+    # so blocks of 100 cells hold runs 0-2, 3-5 and 6.
+    @pytest.mark.parametrize("run", [0, 1, 2, 3, 6])
+    @pytest.mark.parametrize("where, fault", [
+        *(("counter", f) for f in COUNTER_FAULTS),
+        *(("power", f) for f in POWER_FAULTS),
+        *(("aux", f) for f in COUNTER_FAULTS if f != "renamed"),
+        ("aux", "short"), ("aux", "late"),
+        *(("entry", f) for f in ENTRY_FAULTS),
+    ])
+    def test_planted_fault(self, run, where, fault):
+        campaign = Campaign(np.random.default_rng(run), [6] * 7)
+        campaign.plant(run, where, fault, r=3)
+        _assert_loads_as_reference(campaign, 100)
+
+    @pytest.mark.parametrize("cells", [1, 100, 10_000])
+    def test_mixed_sample_counts(self, cells):
+        rng = np.random.default_rng(cells)
+        campaign = Campaign(rng, rng.choice([3, 6, 11], 23).tolist(), voltage=False)
+        _assert_loads_as_reference(campaign, cells, expect_ok=True)
+
+    def test_wide_blocks(self):
+        # 150 runs of 11 x 41 cells: blocks of 5,000 cells hold 11 runs.
+        campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40, aux=False)
+        _assert_loads_as_reference(campaign, 5_000, expect_ok=True)
 
 
 class TestRunMeta:

@@ -378,6 +378,20 @@ class TestGenerateCombinedMatchesReference:
         for top_k in cuts:
             assert_matches_reference(ds, base_specs, alpha=1.0, top_k=top_k)
 
+    def test_ties_at_the_cut_under_a_binding_gate(self, rng):
+        # Few runs: the gate rejects the weaker candidates, while exact
+        # power-of-two copies tie at every cut the gate leaves.
+        n = 8
+        events = rng.uniform(1, 10, n)
+        cols = {"a": events, "a8": 8.0 * events, "a2": 0.5 * events,
+                "b": rng.uniform(1, 10, n), "c": rng.uniform(1, 10, n)}
+        ds = make_dataset(cols, events * cols["b"] + rng.normal(0, 5, n))
+        base_specs = [base(k) for k in cols]
+        passing = len(generate_combined_reference(ds, base_specs, top_k=10_000)) - len(cols)
+        assert 0 < passing < n_candidates(ds)
+        for top_k in range(1, passing + 2):
+            assert_matches_reference(ds, base_specs, alpha=0.05, top_k=top_k)
+
     def test_near_zero_denominators(self, rng):
         n = 30
         cols = {
