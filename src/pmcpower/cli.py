@@ -83,10 +83,8 @@ _CONFIG_TYPES = {
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"config not found: {path}")
     try:
-        doc = json.loads(read_utf8(path, ConfigError, f"config {path}"))
+        doc = json.loads(read_utf8(path, "config", ConfigError))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -116,11 +114,17 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def _load_isolated(config: RunConfig) -> tuple[Dataset, int]:
-    ds, aux = load_manifest(config.manifest)
+def _load_isolated(config: RunConfig, counters=None) -> tuple[Dataset, int]:
+    """The campaign with the base current and the aux model's prediction
+    subtracted, and the number of runs clamped. With ``counters``, only
+    they are read, and of the aux traces only the aux model's counters."""
+    aux_model = load_model(config.aux_model) if config.aux_model else None
+    aux_counters = None
+    if counters is not None:
+        aux_counters = () if aux_model is None else aux_model.counters()
+    ds, aux = load_manifest(config.manifest, counters, aux_counters)
     aux_current = None
-    if config.aux_model:
-        aux_model = load_model(config.aux_model)
+    if aux_model is not None:
         if aux is None:
             raise ConfigError(
                 "aux model given but the manifest lists no aux_counter_file entries"
@@ -231,7 +235,7 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_eval(model_path: str, config: RunConfig) -> int:
     model = load_model(model_path)
-    ds, _ = _load_isolated(config)
+    ds, _ = _load_isolated(config, model.counters())
     predictions = predict_dataset(model, ds)
     report = evaluate(predictions, ds.target_current)
     out = Path(config.output_dir)
@@ -251,7 +255,7 @@ def cmd_eval(model_path: str, config: RunConfig) -> int:
 
 def cmd_predict(model_path: str, manifest: str, out_file: str) -> int:
     model = load_model(model_path)
-    ds, _ = load_manifest(manifest)
+    ds, _ = load_manifest(manifest, model.counters(), ())
     predictions = predict_dataset(model, ds)
     n_negative = int((predictions < 0).sum())
     Path(out_file).parent.mkdir(parents=True, exist_ok=True)
@@ -334,6 +338,9 @@ def cmd_synth(profile: str, out_dir: str, n_runs: int | None, noise: float | Non
             n_runs=n_runs or 120, seed=seed, noise_sigma=noise or 0.0
         )
     elif profile == "util-freq":
+        if noise is not None:
+            raise ConfigError("--noise does not apply to profile 'util-freq', "
+                              "whose currents follow its law exactly")
         ds = synthmod.generate_util_freq(
             {251e6: 100.0, 351e6: 200.0, 471e6: 300.0}, 50.0,
             n_per_freq=(n_runs or 120) // 3, seed=seed,

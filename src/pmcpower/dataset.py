@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-import stat
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
@@ -27,6 +26,7 @@ from .errors import (
     ParseError,
     PmcPowerError,
     decode_utf8,
+    read_bytes,
     read_utf8,
 )
 
@@ -264,6 +264,64 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
 # other byte sends the text to the line parser.
 _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
+# A proved body's skeleton (its bytes less the digits) holds, within a cell,
+# at most a point, then at most an exponent mark and its sign, then the
+# separator that ends the cell. _SKELETON_CLASSES numbers them 0-3, and
+# _SKELETON_STEPS[4 * a + b] says whether class b may follow class a.
+_SKELETON_CLASSES = bytes.maketrans(b".eE+-,\n", b"\0\1\1\2\2\3\3")
+_SKELETON_STEPS = np.zeros(16, dtype=bool)
+_SKELETON_STEPS[[4 * a + b for a, b in ((3, 3), (3, 0), (3, 1), (0, 3), (0, 1),
+                                        (1, 2), (1, 3), (2, 3))]] = True
+
+
+def _cells_proved(body: bytes, width: int) -> bool:
+    """Whether every line of ``body`` holds ``width`` cells, each a number
+    that numpy's reader and ``float()`` read alike, finite and not negative.
+
+    A proved cell is one to 69 digits, then at most a point and digits,
+    then at most an exponent mark, a sign and one or two digits: below
+    1e70 * 1e99, so no cell overflows. The proof is stricter than the
+    readers (no leading point or sign, space, blank line or exponent of
+    three digits); a body it declines is read in full. It builds the
+    body's skeleton and a few byte masks, a fraction of the cost of
+    converting every cell.
+    """
+    if not body[:1].isdigit():
+        return False  # an empty first cell, a leading point or sign, a blank line
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    skeleton = body.translate(None, b"0123456789")
+    # Any byte but a point, mark or sign stays here and fails the match.
+    separators = skeleton.translate(None, b".eE+-")
+    if separators != (b"," * (width - 1) + b"\n") * (len(separators) // width):
+        return False
+    steps = np.frombuffer((b"\n" + skeleton).translate(_SKELETON_CLASSES), dtype=np.uint8)
+    if not _SKELETON_STEPS[steps[:-1] * 4 + steps[1:]].all():
+        return False
+    # Every digit run the skeleton implies is there: a non-digit is followed
+    # by a digit unless it is a point ("1.", "1.e5") or the next byte is an
+    # exponent's sign, and a sign follows no digit.
+    raw = np.frombuffer(body, dtype=np.uint8)
+    shifted = raw - ord(".")
+    loose = shifted > ord("9") - ord(".")  # neither a digit nor a point
+    shifted -= ord("0") - ord(".")
+    apart = shifted > 9  # not a digit
+    follows = apart[1:]
+    if skeleton.translate(None, b".,\n"):  # an exponent
+        sign = (raw == ord("+")) | (raw == ord("-"))
+        if (sign[1:] & ~apart[:-1]).any():
+            return False
+        follows = follows & ~sign[1:]
+        lead = sign | (raw == ord("e")) | (raw == ord("E"))
+        if (lead[:-3] & ~(apart[1:-2] | apart[2:-1] | apart[3:])).any():
+            return False  # three exponent digits
+    if (loose[:-1] & follows).any():
+        return False
+    # Seven aligned words of digits in a row hold any run of 63; a run of 70
+    # reaches them past the unaligned tail.
+    words = apart[:apart.size // 8 * 8].view(np.uint64) == 0
+    return b"\1" * 7 not in words.tobytes()
+
 
 @functools.lru_cache(maxsize=64)
 def _split_header(head: str, limit: int) -> tuple[str, ...] | None:
@@ -276,9 +334,29 @@ def _split_header(head: str, limit: int) -> tuple[str, ...] | None:
         return None
 
 
-def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+def _kept(names: tuple[str, ...], wanted: frozenset[str] | None) -> list[int]:
+    """The positions in ``names`` of the counters in ``wanted`` (all when None)."""
+    return [j for j, name in enumerate(names) if wanted is None or name in wanted]
+
+
+@functools.lru_cache(maxsize=64)
+def _wanted_columns(header: tuple[str, ...], wanted: frozenset[str]) -> tuple[int, ...] | None:
+    """The timestamp column and the columns of ``header`` that name a
+    counter in ``wanted``; None when that is every column."""
+    columns = (0, *(j + 1 for j in _kept(header[1:], wanted)))
+    return None if len(columns) == len(header) else columns
+
+
+def _fast_rows(text: str, expected_first: str, wanted: frozenset[str] | None = None
+               ) -> tuple[tuple[str, ...], np.ndarray] | None:
     """The header and sample table as ``_parse_rows`` would return them,
     read by numpy's C reader; None wherever that read could differ or fails.
+
+    With ``wanted``, the table holds only the timestamps and the counters in
+    ``wanted``, in header order, and the result is None also when another
+    cell is not finite or is negative. The other cells are not converted
+    when ``_cells_proved`` proves them from their bytes; otherwise the text
+    is read in full and they are checked here.
 
     numpy reads an overflow such as ``1e400`` as inf where the line parser
     rejects it; the trace's own checks reject the inf in turn. The csv
@@ -289,10 +367,7 @@ def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndar
     head, _, body = text.partition("\n")
     if '"' in head or not body.isascii() or not body.strip():
         return None
-    if body.encode("ascii").translate(None, _FAST_BYTES):
-        return None
-    if "\r" in body and body.count("\r") != body.count("\r\n"):
-        return None
+    data = body.encode("ascii")
     lines = body.split("\n")
     limit = csv.field_size_limit()
     if len(body) > limit and max(map(len, lines)) > limit:
@@ -300,13 +375,25 @@ def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndar
     header = _split_header(head, limit)
     if header is None or len(header) < 2 or header[0] != expected_first:
         return None
+    columns = None if wanted is None else _wanted_columns(header, wanted)
+    proved = columns is not None and _cells_proved(data, len(header))
+    if not proved and (data.translate(None, _FAST_BYTES)
+                       or "\r" in body and body.count("\r") != body.count("\r\n")):
+        return None
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                           usecols=columns if proved else None)
     except ValueError:
         return None
+    if proved:
+        return header, table
     if table.shape[1] != len(header):
         return None
-    return header, table
+    if columns is None:
+        return header, table
+    if not np.isfinite(table).all() or (table[:, 1:] < 0).any():
+        return None
+    return header, table[:, columns]
 
 
 def _parse(text: str, build):
@@ -328,9 +415,7 @@ def _counter_trace(header: list[str], table: np.ndarray, linenos) -> CounterTrac
         raise ParseError("line 1: counter trace needs at least one counter column")
     names = tuple(header[1:])
     _check_header_names(names)
-    # Contiguous copies: BLAS may sum a strided operand of aggregate_run's
-    # products in another order, and the rates would change in the last bit.
-    return CounterTrace(names, table[:, 0].copy(), table[:, 1:].copy(), linenos)
+    return CounterTrace(names, table[:, 0], table[:, 1:], linenos)
 
 
 def _voltage_constant(power: np.ndarray) -> bool:
@@ -389,11 +474,12 @@ def aggregate_block(counter_ts: np.ndarray, counts: np.ndarray, power_ts: np.nda
     array per run along its first axis (counts as runs x samples x
     counters). Returns the rates (runs x counters) and the mean currents.
 
-    Each run's rates are the BLAS gemv of its window fractions with its
-    counts, and its current the BLAS ddot of its current with its segment
-    lengths, so a run gets the same bits in any block, provided each run's
-    counts and current are contiguous. The first run whose traces do not
-    overlap by a second raises.
+    A rate is the BLAS ddot of the run's window fractions with a
+    contiguous copy of its counter's counts, and the current the ddot of
+    its current with its segment lengths. So a rate has the same bits in
+    any block and whichever other counters the table holds, and so has
+    the current, provided each run's current is contiguous. The first run
+    whose traces do not overlap by a second raises.
     """
     c0, c1, p0, p1 = counter_ts[:, 0], counter_ts[:, -1], power_ts[:, 0], power_ts[:, -1]
     w0, w1 = np.maximum(c0, p0), np.minimum(c1, p1)
@@ -411,8 +497,8 @@ def aggregate_block(counter_ts: np.ndarray, counts: np.ndarray, power_ts: np.nda
     ends = counter_ts[:, 1:]
     frac = (np.minimum(ends, w1) - np.maximum(starts, w0)) / (ends - starts)
     frac = np.clip(frac, 0.0, 1.0)
-    totals = np.matmul(frac[:, None, :], counts[:, 1:, :])[:, 0]
-    rates = totals / (span / 1000.0)[:, None]
+    columns = np.ascontiguousarray(counts[:, 1:, :].transpose(0, 2, 1))
+    rates = np.vecdot(frac[:, None, :], columns) / (span / 1000.0)[:, None]
 
     # Current step segments: sample j holds on [ts[j], ts[j+1]), last to w1.
     seg_ends = np.concatenate([power_ts[:, 1:], w1], axis=1)
@@ -511,25 +597,9 @@ def _manifest_run(entry, index: int) -> ManifestRun:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of the ``what`` file at ``path``, in one open, one read and
-    one decode. A path that names no regular file raises an OSError naming
-    ``what``; undecodable bytes raise a ParseError naming the file."""
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so a FIFO cannot block
-    except (FileNotFoundError, NotADirectoryError, ValueError):
-        raise FileNotFoundError(f"{what} not found: {path}") from None
-    try:
-        info = os.fstat(fd)
-        if stat.S_ISDIR(info.st_mode):
-            raise IsADirectoryError(f"{what} is a directory: {path}")
-        if not stat.S_ISREG(info.st_mode):
-            raise FileNotFoundError(f"{what} is not a regular file: {path}")
-        data = os.read(fd, info.st_size)
-        while chunk := os.read(fd, 1 << 16):
-            data += chunk
-    finally:
-        os.close(fd)
-    return decode_utf8(data, ParseError, path)
+    """The text of the ``what`` file at ``path``; undecodable bytes raise a
+    ParseError naming the file."""
+    return decode_utf8(read_bytes(path, what), ParseError, path)
 
 
 def _read_trace(parse, path: Path, what: str):
@@ -588,17 +658,21 @@ def _samples_pass(tables: np.ndarray, values: np.ndarray) -> bool:
 
 def _block_rates(counters: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``aggregate_block`` of stacked counter and power tables."""
-    return aggregate_block(counters[:, :, 0], np.ascontiguousarray(counters[:, :, 1:]),
+    return aggregate_block(counters[:, :, 0], counters[:, :, 1:],
                            power[:, :, 0], np.ascontiguousarray(power[:, :, 1]))
 
 
 class _Campaign:
     """The rows of a manifest's runs, gathered in manifest order, and the
-    counter columns its first run set."""
+    counter columns its first run set. Rows hold the rates of the counters
+    in ``wanted`` (of its aux traces: in ``aux_wanted``), all when None."""
 
-    def __init__(self, runs: list, base_dir: Path):
+    def __init__(self, runs: list, base_dir: Path, wanted: frozenset[str] | None,
+                 aux_wanted: frozenset[str] | None):
         self.runs = runs
         self.base_dir = base_dir
+        self.wanted = wanted
+        self.aux_wanted = aux_wanted
         self.metas: list[RunMeta] = []
         self.rates: list[np.ndarray] = []
         self.currents: list[np.ndarray] = []
@@ -620,7 +694,7 @@ class _Campaign:
             raise ParseError(f"{where}: counter columns differ from the first run")
         row, current = _aggregate(trace, power, where)
         self.metas.append(run.meta)
-        self.rates.append(row[None])
+        self.rates.append(row[None, _kept(self.counter_names, self.wanted)])
         self.currents.append(np.array([current]))
         # Run 0 decides whether the runs list aux traces: aux_names is set then.
         if i and (run.aux_counter_file is None) != (self.aux_names is None):
@@ -638,7 +712,7 @@ class _Campaign:
         elif aux_trace.counter_names != self.aux_names:
             raise ParseError(f"{where}: aux counter columns differ from the first run")
         aux_row, aux_current = _aggregate(aux_trace, power, where)
-        self.aux_rates.append(aux_row[None])
+        self.aux_rates.append(aux_row[None, _kept(self.aux_names, self.aux_wanted)])
         self.aux_currents.append(np.array([aux_current]))
 
     def fast_read(self, i: int) -> _FastRun | None:
@@ -647,13 +721,14 @@ class _Campaign:
         declines a file, or a header would raise."""
         base = str(self.base_dir)
 
-        def read(name: str) -> tuple[tuple[str, ...], np.ndarray] | None:
-            return _fast_rows(_read_text(os.path.join(base, name), "trace"), "ts_ms")
+        def read(name: str, wanted=None) -> tuple[tuple[str, ...], np.ndarray] | None:
+            return _fast_rows(_read_text(os.path.join(base, name), "trace"), "ts_ms", wanted)
 
         try:
             run = _manifest_run(self.runs[i], i)
-            counters, power = read(run.counter_file), read(run.power_file)
-            aux = None if run.aux_counter_file is None else read(run.aux_counter_file)
+            counters, power = read(run.counter_file, self.wanted), read(run.power_file)
+            aux = (None if run.aux_counter_file is None
+                   else read(run.aux_counter_file, self.aux_wanted))
             if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
                 return None
             for header, _ in filter(None, (counters, aux)):
@@ -706,22 +781,31 @@ class _Campaign:
             return None
 
     def datasets(self) -> tuple[Dataset, Dataset | None]:
+        def dataset(names, wanted, rates, currents) -> Dataset:
+            kept = tuple(names[j] for j in _kept(names, wanted))
+            return Dataset(kept, np.concatenate(rates), metas, np.concatenate(currents))
+
         metas = tuple(self.metas)
-        ds = Dataset(self.counter_names, np.concatenate(self.rates), metas,
-                     np.concatenate(self.currents))
+        ds = dataset(self.counter_names, self.wanted, self.rates, self.currents)
         if self.aux_names is None:
             return ds, None
-        return ds, Dataset(self.aux_names, np.concatenate(self.aux_rates), metas,
-                           np.concatenate(self.aux_currents))
+        return ds, dataset(self.aux_names, self.aux_wanted, self.aux_rates, self.aux_currents)
 
 
-def load_manifest(path) -> tuple[Dataset, Dataset | None]:
+def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Dataset | None]:
     """Build a dataset from a JSON run manifest.
 
     Returns the dataset plus, when the runs list an ``aux_counter_file``
     (all of them or none), a second dataset of the same runs holding the
     auxiliary component's counter rates, for subtracting that component's
     predicted current during isolation.
+
+    ``counters`` (``aux_counters`` for the aux traces), when given, names
+    the only counters the caller reads: each dataset then holds those its
+    traces name, in trace order, with the bits a full read gives them. The
+    other cells are not converted when their bytes prove them well-formed,
+    finite and not negative; a file they do not prove is read in full, so
+    every fault raises as it does without ``counters``.
 
     Consecutive runs whose traces share their headers and shapes are read
     into a block of at most BLOCK_CELLS counter cells, whose samples are
@@ -731,17 +815,16 @@ def load_manifest(path) -> tuple[Dataset, Dataset | None]:
     the one-run path.
     """
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"manifest not found: {path}")
     try:
-        doc = json.loads(read_utf8(path, ParseError, f"manifest {path}"))
+        doc = json.loads(read_utf8(path, "manifest", ParseError))
     except json.JSONDecodeError as exc:
         raise ParseError(f"manifest {path}: {exc}") from None
     runs = doc.get("runs") if isinstance(doc, dict) else None
     if not isinstance(runs, list) or not runs:
         raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
 
-    campaign = _Campaign(runs, path.parent)
+    campaign = _Campaign(runs, path.parent, None if counters is None else frozenset(counters),
+                         None if aux_counters is None else frozenset(aux_counters))
     block: list[_FastRun] = []
     cells = 0
     for i in range(len(runs)):

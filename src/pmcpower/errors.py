@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package, and the text-file reader
-that turns undecodable bytes into one of its errors."""
+"""Exception hierarchy shared across the package, and the file readers
+that name a missing or irregular file and turn undecodable bytes into one
+of its errors."""
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 
 
@@ -55,6 +58,29 @@ def decode_utf8(data: bytes, error: type[PmcPowerError], label: str) -> str:
     return text
 
 
-def read_utf8(path: Path, error: type[PmcPowerError], label: str) -> str:
-    """The text of the file at ``path``, decoded by ``decode_utf8``."""
-    return decode_utf8(path.read_bytes(), error, label)
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``, in one open and one read.
+    A path that names no regular file raises an OSError naming ``what``:
+    IsADirectoryError for a directory, FileNotFoundError otherwise."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so a FIFO cannot block
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(f"{what} is a directory: {path}")
+        if not stat.S_ISREG(info.st_mode):
+            raise FileNotFoundError(f"{what} is not a regular file: {path}")
+        data = os.read(fd, info.st_size)
+        while chunk := os.read(fd, 1 << 16):
+            data += chunk
+    finally:
+        os.close(fd)
+    return data
+
+
+def read_utf8(path: Path, what: str, error: type[PmcPowerError]) -> str:
+    """The text of the ``what`` file at ``path``: ``read_bytes`` decoded by
+    ``decode_utf8``, an error labelled ``<what> <path>``."""
+    return decode_utf8(read_bytes(path, what), error, f"{what} {path}")

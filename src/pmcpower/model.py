@@ -97,6 +97,10 @@ class PowerModel:
         if len(self.features) != len(self.coefficients):
             raise ModelFileError("one coefficient per feature required")
 
+    def counters(self) -> frozenset[str]:
+        """The counters the model's features read."""
+        return frozenset(name for spec in self.features for name in spec.counters())
+
 
 def predict_dataset(model: PowerModel, ds: Dataset) -> np.ndarray:
     """Predicted current in mA of every run; may be negative (reported as-is).
@@ -357,11 +361,14 @@ def model_from_dict(doc: dict) -> PowerModel:
             )
     if not math.isfinite(intercept):
         raise ModelFileError(f"intercept must be a finite number, got {intercept!r}")
+    train_meta = doc.get("train_meta", {})
+    if not isinstance(train_meta, dict):
+        raise ModelFileError(f"'train_meta' must be a JSON object, got {train_meta!r}")
     return PowerModel(
         features=specs,
         coefficients=tuple(coefficients),
         intercept=intercept,
-        train_meta=doc.get("train_meta", {}),
+        train_meta=train_meta,
     )
 
 
@@ -373,10 +380,8 @@ def save_model(model: PowerModel, path) -> None:
 
 def load_model(path) -> PowerModel:
     path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"model file not found: {path}")
     try:
-        doc = json.loads(read_utf8(path, ModelFileError, f"model file {path}"))
+        doc = json.loads(read_utf8(path, "model file", ModelFileError))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"model file {path}: {exc}") from None
     return model_from_dict(doc)

@@ -22,11 +22,18 @@ fast paths can be compared with them exactly:
   package's CounterTrace/PowerTrace, so the two parsers' results and
   errors can be compared exactly;
 * ``load_manifest_reference``, the loader that read, checked and
-  aggregated one run at a time before ``pmcpower.dataset.load_manifest``
-  took runs in blocks; it keeps its own copy of the one-run aggregation
-  (``aggregate_run_reference``) and reuses the package's manifest-entry
-  check and trace parsers, so the two loaders' datasets can be compared
-  bit for bit and their errors word for word.
+  aggregated one run at a time, converting every cell of every trace,
+  before ``pmcpower.dataset.load_manifest`` took runs in blocks and read
+  only the counters a caller asks for; it keeps its own copy of the one-run
+  aggregation (``aggregate_run_reference``) and reuses the package's
+  manifest-entry check and trace parsers, so the two loaders' datasets can
+  be compared bit for bit and their errors word for word.
+
+``aggregate_run_reference`` sums each counter's window-weighted counts as
+one ``np.dot`` of two contiguous vectors, the BLAS ddot, so a rate does not
+depend on which other counters the trace holds. It replaced one gemv of the
+fractions with the whole count table, whose summation order follows the
+table's width.
 """
 from __future__ import annotations
 
@@ -405,7 +412,8 @@ def aggregate_run_reference(counters: CounterTrace, power: PowerTrace) -> tuple[
     ends = c_ts[1:]
     frac = (np.minimum(ends, w1) - np.maximum(starts, w0)) / (ends - starts)
     frac = np.clip(frac, 0.0, 1.0)
-    totals = frac @ counters.counts[1:]
+    counts = counters.counts[1:]
+    totals = np.array([np.dot(frac, counts[:, j].copy()) for j in range(counts.shape[1])])
     rates = totals / duration_s
     seg_ends = np.append(p_ts[1:], w1)
     dur = np.maximum(0.0, np.minimum(seg_ends, w1) - np.maximum(p_ts, w0))

@@ -312,6 +312,26 @@ class TestBadInputExit2:
                        "--output-dir", str(tmp_path / "out"))
         self.assert_usage_error(proc, f"counter trace is a directory: {synth_manifest.parent / 'runs'}")
 
+    @pytest.mark.parametrize("flag, what", [("--manifest", "manifest"), ("--config", "config"),
+                                            ("--model", "model file")])
+    def test_path_argument_is_a_directory(self, tmp_path, synth_manifest, flag, what):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        args = {"--manifest": ["train", "--manifest", str(folder)],
+                "--config": ["train", "--config", str(folder)],
+                "--model": ["eval", "--model", str(folder), "--manifest", str(synth_manifest)]}
+        proc = run_cli(*args[flag], "--output-dir", str(tmp_path / "out"))
+        self.assert_usage_error(proc, f"{what} is a directory: {folder}")
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_noise_with_util_freq(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "synth"), "--profile", "util-freq",
+                     "--noise", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --noise does not apply to profile 'util-freq', "
+            "whose currents follow its law exactly\n")
+        assert not (tmp_path / "synth").exists()
+
     @pytest.mark.parametrize("flag, value", [("--current", "nan"), ("--current", "inf"),
                                              ("--voltage", "inf"), ("--latency", "nan")])
     def test_energy_non_finite(self, flag, value):
@@ -350,6 +370,26 @@ class TestPredictAndEval:
                      "--output-dir", str(eval_dir)]) == 0
         doc = json.loads((eval_dir / "eval.json").read_text())
         assert doc["eval"]["r_squared"] >= 0.999
+
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_model_counter_missing_from_the_traces(self, tmp_path, synth_manifest, command,
+                                                   capsys):
+        # The model's first feature reads a counter the traces hold, its
+        # second one they lack.
+        present = (synth_manifest.parent / "runs" / "run-0000.counters.csv").read_text()
+        present = present.split("\n", 1)[0].split(",")[1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "schema_version": 1, "kind": "linear_power_model",
+            "features": [f"base:{present}", f"prod:{present}*zz_absent"],
+            "coefficients": [1.0, 2.0], "intercept": 0.0}))
+        args = ["--output-dir", str(tmp_path / "eval")] if command == "eval" else \
+            ["--out", str(tmp_path / "pred.csv")]
+        assert main([command, "--model", str(model), "--manifest", str(synth_manifest),
+                     *args]) == 1
+        assert capsys.readouterr().err == "error: missing counter zz_absent\n"
+        assert not (tmp_path / "eval").exists() and not (tmp_path / "pred.csv").exists()
 
 
 class TestCompare:

@@ -532,8 +532,8 @@ class TestAggregateRunProperties:
 
 class TestBlockArithmetic:
     """A block of runs keeps each run's rate and current bits: the stacked
-    matmul runs the per-run gemv and vecdot the per-run ddot, whatever the
-    run's place in the block."""
+    vecdot runs one ddot per run and counter, whatever the run's place in
+    the block and whichever other counters its table holds."""
 
     @pytest.mark.parametrize("n", [2, 3, 11, 61, 100, 130])
     def test_stacked_products_equal_per_run_products(self, n):
@@ -545,13 +545,33 @@ class TestBlockArithmetic:
                 frac[:, 0] = 0.37  # a window edge inside the first interval
                 current = rng.uniform(50.0, 500.0, (runs, n))
                 dur = rng.uniform(0.0, 1000.0, (runs, n))
-                stacked = np.matmul(frac[:, None, :], counts[:, 1:, :])[:, 0]
+                columns = np.ascontiguousarray(counts[:, 1:, :].transpose(0, 2, 1))
+                stacked = np.vecdot(frac[:, None, :], columns)
                 dotted = np.vecdot(current, dur)
                 for b in range(runs):
                     # A run alone holds its own copies, as the one-run path does.
-                    own = counts[b].copy()
-                    assert stacked[b].tobytes() == (frac[b].copy() @ own[1:]).tobytes()
+                    own = frac[b].copy()
+                    per_column = [np.dot(own, counts[b, 1:, j].copy()) for j in range(k)]
+                    assert stacked[b].tobytes() == np.array(per_column).tobytes()
                     assert dotted[b] == np.dot(current[b].copy(), dur[b].copy())
+
+    @pytest.mark.parametrize("n", [3, 11, 61, 130])
+    def test_ddot_rates_stay_near_the_gemv_rates(self, n):
+        # The rates were one gemv of the fractions with the count table; the
+        # per-counter ddot sums in another order. Both sum n - 1 terms that
+        # are not negative, so each is within (n - 1) eps of the exact sum.
+        rng = np.random.default_rng(n)
+        c_ts = np.cumsum(rng.uniform(500.0, 1500.0, n))
+        p_ts = np.linspace(c_ts[0] + 250.0, c_ts[-1] - 250.0, 7)
+        counts = rng.uniform(0.0, 1e6, (n, 121)).round(rng.integers(0, 7))
+        rates, _ = aggregate_run(CounterTrace(tuple(f"c{j}" for j in range(121)), c_ts, counts),
+                                 PowerTrace(p_ts, np.full(7, 100.0)))
+        w0, w1 = p_ts[0], p_ts[-1]
+        frac = np.clip((np.minimum(c_ts[1:], w1) - np.maximum(c_ts[:-1], w0))
+                       / np.diff(c_ts), 0.0, 1.0)
+        gemv = (frac @ counts[1:]) / ((w1 - w0) / 1000.0)
+        eps = np.finfo(float).eps
+        assert (np.abs(rates - gemv) <= 2 * n * eps * gemv).all()
 
     def test_aggregate_run_is_a_block_of_one(self):
         rng = np.random.default_rng(7)
@@ -914,8 +934,21 @@ class Campaign:
                 row[0] = repr(t + (1e6 if fault == "late" else 0.0))
         elif fault == "header":
             rows[0][1] = "current"
+        elif fault == "trailing_comma":
+            rows[r].append("")
+        elif fault == "short_row":
+            rows[r].pop()
+        elif fault == "blank_line":
+            rows.insert(r, [])
         else:
             self.broken.add((i, where, fault))
+
+    def plant_cell(self, i, where, r, c, text):
+        """Write ``text`` into the cell at sample row ``r``, column ``c`` of
+        run ``i``'s ``where`` file."""
+        row = self.traces[i][where][min(r, len(self.traces[i][where]) - 1)]
+        if row:  # not a planted blank line
+            row[min(c, len(row) - 1)] = text
 
     def write(self, directory: Path) -> Path:
         for i, (trace, run) in enumerate(zip(self.traces, self.runs)):
@@ -923,6 +956,8 @@ class Campaign:
                 if (i, where, "missing") in self.broken:
                     continue
                 data = "".join(",".join(row) + "\n" for row in rows).encode()
+                if (i, where, "crlf") in self.broken:
+                    data = data.replace(b"\n", b"\r\n")
                 if (i, where, "not_utf8") in self.broken:
                     data = data[:-3] + b"\xff" + data[-3:]
                 (directory / f"r{i}.{where}.csv").write_bytes(data)
@@ -1006,6 +1041,166 @@ class TestLoadManifestMatchesReference:
         # 150 runs of 11 x 41 cells: blocks of 5,000 cells hold 11 runs.
         campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40, aux=False)
         _assert_loads_as_reference(campaign, 5_000, expect_ok=True)
+
+
+# Cells the line parser or the trace checks reject, and rows of the wrong
+# shape or line ends the proof declines, planted where a subset read does
+# not convert them; then cells the full read takes that the proof may decline.
+UNREAD_CELL_FAULTS = ("1.2.3", "1e", "1e+5.3", ".", "", "-1", "1e400", "1" * 400, "nan", "inf",
+                      "e5", "1e+", "+", "1-2", "1e5+3", "1e5-3", "0x10", "1_0")
+UNREAD_ROW_FAULTS = ("trailing_comma", "short_row", "ragged", "crlf", "blank_line")
+UNREAD_ODD_CELLS = (".5", "5.", "+5", " 5", "5 ", "-0", "-0.0", "1E5", "1.e5", "1e-300", "1e+99",
+                    "9" * 69, "9" * 70 + ".5", "0" * 400, "1e007", "00.00", "\t5")
+
+
+def _cut(datasets, wanted, aux_wanted):
+    """``datasets`` cut to the counters in ``wanted`` and ``aux_wanted``
+    (all when None), each kept in its trace order."""
+    def cut(ds, names):
+        if ds is None or names is None:
+            return ds
+        keep = [j for j, name in enumerate(ds.counter_names) if name in names]
+        return Dataset(tuple(ds.counter_names[j] for j in keep), ds.rates[:, keep], ds.meta,
+                       ds.total_current, ds.target_current)
+
+    ds, aux = datasets
+    return cut(ds, wanted), cut(aux, aux_wanted)
+
+
+def _assert_subset_loads_as_full(campaign, cells, wanted, aux_wanted, expect_ok=False):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = campaign.write(Path(tmp))
+        with mock.patch.object(dataset, "BLOCK_CELLS", cells):
+            got = _loaded(lambda path: load_manifest(path, wanted, aux_wanted), manifest)
+        full = _loaded(lambda path: _cut(load_manifest_reference(path), wanted, aux_wanted),
+                       manifest)
+    assert got == full
+    assert isinstance(got, list) or not expect_ok, got
+    return got
+
+
+@st.composite
+def subset_campaigns(draw):
+    """A campaign as ``campaigns`` draws it, with up to three more cells or
+    rows planted from the faults a subset read leaves unconverted, and the
+    counters and aux counters to read (a name may be one no trace holds)."""
+    campaign, cells = draw(campaigns())
+    n_runs = len(campaign.runs)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n_runs - 1))
+        where = draw(st.sampled_from(["counter", "aux", "power"]))
+        r, c = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            campaign.plant(i, where, draw(st.sampled_from(UNREAD_ROW_FAULTS)), r, c)
+        else:
+            campaign.plant_cell(i, where, r, c,
+                                draw(st.sampled_from(UNREAD_CELL_FAULTS + UNREAD_ODD_CELLS)))
+    names = ["c0", "c1", "c2", "zz"]
+    wanted = draw(st.none() | st.frozensets(st.sampled_from(names)))
+    aux_wanted = draw(st.none() | st.frozensets(st.sampled_from(["cycles", "zz"])))
+    return campaign, cells, wanted, aux_wanted
+
+
+class TestSubsetReadMatchesFullRead:
+    """A load of some counters gives the chosen columns of the one-run full
+    read bit for bit, and its first error word for word: a cell left
+    unconverted is proved from its bytes or read in full."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=subset_campaigns())
+    def test_campaigns(self, case):
+        _assert_subset_loads_as_full(*case)
+
+    # Seven runs of 6 samples x 3 columns plus a 6 x 2 aux table: blocks of
+    # 100 cells hold runs 0-2, 3-5 and 6 at the full width. Only c0 is read,
+    # so column 2 (c1) and the aux cycles are never converted.
+    @pytest.mark.parametrize("run", [0, 2, 3, 6])
+    @pytest.mark.parametrize("where", ["counter", "aux"])
+    @pytest.mark.parametrize("text", UNREAD_CELL_FAULTS + UNREAD_ODD_CELLS)
+    def test_cell_in_an_unread_column(self, run, where, text):
+        campaign = Campaign(np.random.default_rng(run), [6] * 7)
+        campaign.plant_cell(run, where, 3, 2, text)
+        _assert_subset_loads_as_full(campaign, 100, {"c0"}, ())
+
+    @pytest.mark.parametrize("run", [0, 2, 3, 6])
+    @pytest.mark.parametrize("where", ["counter", "aux"])
+    @pytest.mark.parametrize("fault", UNREAD_ROW_FAULTS)
+    def test_row_fault_beside_read_columns(self, run, where, fault):
+        campaign = Campaign(np.random.default_rng(run), [6] * 7)
+        campaign.plant(run, where, fault, r=3, c=2)
+        _assert_subset_loads_as_full(campaign, 100, {"c0"}, ())
+
+    def test_clean_campaign_is_proved_not_converted(self):
+        # 150 runs of 11 x 41 cells: every counter and aux table is proved,
+        # and only the timestamps and c3, c17 are converted.
+        campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40)
+        proved = []
+
+        def spy(body, width):
+            proved.append(real(body, width))
+            return proved[-1]
+
+        real = dataset._cells_proved
+        with mock.patch.object(dataset, "_cells_proved", spy):
+            ds, aux = _assert_subset_loads_as_full(campaign, 5_000, {"c3", "c17", "zz"}, (),
+                                                   expect_ok=True)
+        assert len(proved) == 300 and all(proved)
+        assert ds[0] == ("c3", "c17") and aux[0] == () and ds[2] == (150, 2)
+
+    def test_every_counter_wanted_reads_in_full(self):
+        campaign = Campaign(np.random.default_rng(1), [6] * 9, n_counters=2)
+        with mock.patch.object(dataset, "_cells_proved", side_effect=AssertionError):
+            _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"}, {"cycles"},
+                                         expect_ok=True)
+
+
+@st.composite
+def cell_tables(draw):
+    """A table width and a body of rows of cells: numbers written as repr,
+    near-misses of the float grammar, and the planted faults."""
+    width = draw(st.integers(1, 4))
+    number = st.floats(0.0, 1e300).map(repr)
+    near = st.text(alphabet="0123456789.eE+-", min_size=0, max_size=6)
+    cell = st.one_of(number, number, near, st.sampled_from(UNREAD_CELL_FAULTS + UNREAD_ODD_CELLS))
+    rows = draw(st.lists(st.lists(cell, min_size=max(1, width - 1), max_size=width + 1),
+                         min_size=1, max_size=4))
+    body = "".join(",".join(row) + "\n" for row in rows)
+    return width, body if draw(st.booleans()) else body[:-1]
+
+
+class TestCellProof:
+    """What ``_cells_proved`` accepts, both readers take alike: every line
+    holds the width's cells, and every cell is a finite number that is not
+    negative, equal to the bit under numpy's reader and float()."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=cell_tables())
+    def test_proved_cells_read_alike(self, case):
+        width, body = case
+        if not dataset._cells_proved(body.encode(), width):
+            return
+        rows = [line.split(",") for line in body.split("\n") if line]
+        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
+        assert table.shape == (len(rows), width)
+        assert np.array([[float(cell) for cell in row] for row in rows]).tobytes() == table.tobytes()
+        assert np.isfinite(table).all() and not (table < 0).any()
+
+    # repr writes an exponent of three digits outside these, which is declined.
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 5),
+           values=st.lists(st.just(0.0) | st.floats(1e-99, 1e99), min_size=1, max_size=40))
+    def test_written_floats_are_proved(self, width, values):
+        rows = [values[k:k + width] for k in range(0, len(values) - width + 1, width)] or [[0.0] * width]
+        body = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        assert dataset._cells_proved(body.encode(), width)
+
+    @pytest.mark.parametrize("body", ["1,2,3\n4,5\n", "1,2,3\n4,5,6,7\n", "1,2,3\n4,5,x\n",
+                                      "1,2,3\n\n4,5,6\n", "1,2,3\r\n4,5,6\r\n",
+                                      "1,2,3\n4,5,6,\n", ",2,3\n", "1,2,1e123\n",
+                                      "1,2,1e+123\n", "1,2," + "1" * 70 + "\n",
+                                      "1,2,1e5-3\n"])
+    def test_declined(self, body):
+        assert not dataset._cells_proved(body.encode(), 3)
 
 
 class TestRunMeta:

@@ -272,6 +272,19 @@ class TestPersistence:
             load_model(path)
         assert problem in str(info.value)
 
+    @pytest.mark.parametrize("train_meta", [["trainer", "auto"], None, "auto", 3])
+    def test_train_meta_not_an_object_named(self, tmp_path, train_meta):
+        path = tmp_path / "model.json"
+        doc = model_to_dict(self.build_model())
+        doc["train_meta"] = train_meta
+        path.write_text(__import__("json").dumps(doc))
+        with pytest.raises(ModelFileError) as info:
+            load_model(path)
+        assert str(info.value) == f"'train_meta' must be a JSON object, got {train_meta!r}"
+
+    def test_counters_of_the_features(self):
+        assert self.build_model().counters() == {"c1", "a", "b"}
+
     def test_fingerprint_sensitivity(self, rng):
         ds1 = make_dataset({"a": [1.0, 2.0, 3.0]}, [1.0, 2.0, 3.0])
         ds2 = make_dataset({"a": [1.0, 2.0, 3.0]}, [1.0, 2.0, 3.1])
