@@ -937,7 +937,7 @@ class Campaign:
         elif fault == "trailing_comma":
             rows[r].append("")
         elif fault == "short_row":
-            rows[r].pop()
+            rows[r] = rows[r][:-1]
         elif fault == "blank_line":
             rows.insert(r, [])
         else:
@@ -1134,13 +1134,12 @@ class TestSubsetReadMatchesFullRead:
         # 150 runs of 11 x 41 cells: every counter and aux table is proved,
         # and only the timestamps and c3, c17 are converted.
         campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40)
-        proved = []
+        real, proved = dataset._cells_proved, []
 
         def spy(body, width):
             proved.append(real(body, width))
             return proved[-1]
 
-        real = dataset._cells_proved
         with mock.patch.object(dataset, "_cells_proved", spy):
             ds, aux = _assert_subset_loads_as_full(campaign, 5_000, {"c3", "c17", "zz"}, (),
                                                    expect_ok=True)
@@ -1182,7 +1181,8 @@ class TestCellProof:
         rows = [line.split(",") for line in body.split("\n") if line]
         table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
         assert table.shape == (len(rows), width)
-        assert np.array([[float(cell) for cell in row] for row in rows]).tobytes() == table.tobytes()
+        by_float = np.array([[float(cell) for cell in row] for row in rows])
+        assert by_float.tobytes() == table.tobytes()
         assert np.isfinite(table).all() and not (table < 0).any()
 
     # repr writes an exponent of three digits outside these, which is declined.
@@ -1190,7 +1190,8 @@ class TestCellProof:
     @given(width=st.integers(1, 5),
            values=st.lists(st.just(0.0) | st.floats(1e-99, 1e99), min_size=1, max_size=40))
     def test_written_floats_are_proved(self, width, values):
-        rows = [values[k:k + width] for k in range(0, len(values) - width + 1, width)] or [[0.0] * width]
+        rows = [values[k:k + width] for k in range(0, len(values) - width + 1, width)]
+        rows = rows or [[0.0] * width]
         body = "".join(",".join(map(repr, row)) + "\n" for row in rows)
         assert dataset._cells_proved(body.encode(), width)
 
