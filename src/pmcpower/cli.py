@@ -116,12 +116,10 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
 
 def _load_isolated(config: RunConfig, counters=None) -> tuple[Dataset, int]:
     """The campaign with the base current and the aux model's prediction
-    subtracted, and the number of runs clamped. With ``counters``, only
-    they are read, and of the aux traces only the aux model's counters."""
+    subtracted, and the number of runs clamped. Only ``counters`` are read
+    (all when None), and of the aux traces only the aux model's counters."""
     aux_model = load_model(config.aux_model) if config.aux_model else None
-    aux_counters = None
-    if counters is not None:
-        aux_counters = () if aux_model is None else aux_model.counters()
+    aux_counters = () if aux_model is None else aux_model.counters()
     ds, aux = load_manifest(config.manifest, counters, aux_counters)
     aux_current = None
     if aux_model is not None:

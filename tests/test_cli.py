@@ -4,9 +4,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from pmcpower import cli
 from pmcpower.cli import compute_energy_mws, main
 from pmcpower.errors import ConfigError
 from pmcpower.synth import generate, three_factor_config, write_dataset_files
@@ -371,6 +373,42 @@ class TestPredictAndEval:
         doc = json.loads((eval_dir / "eval.json").read_text())
         assert doc["eval"]["r_squared"] >= 0.999
 
+    def test_eval_and_predict_read_the_models_counters(self, tmp_path, synth_manifest):
+        # Each run's counter trace doubles as its aux trace. The outputs
+        # must equal those of a full read, and the read must ask for the
+        # model's counters, and for the aux model's in the aux traces.
+        doc = json.loads(synth_manifest.read_text())
+        for run in doc["runs"]:
+            run["aux_counter_file"] = run["counter_file"]
+        synth_manifest.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(run_config(tmp_path, synth_manifest))]) == 0
+        model = tmp_path / "out" / "model.json"
+        counters = sorted(json.loads(model.read_text())["train_meta"]["counters_used"])
+        aux_model = tmp_path / "aux.json"
+        aux_model.write_text(json.dumps({
+            "schema_version": 1, "kind": "linear_power_model",
+            "features": [f"base:{counters[0]}"], "coefficients": [1e-6], "intercept": 1.0}))
+        jobs = {"eval": ["eval", "--model", str(model), "--manifest", str(synth_manifest),
+                         "--aux-model", str(aux_model), "--output-dir"],
+                "predict": ["predict", "--model", str(model), "--manifest", str(synth_manifest),
+                            "--out"]}
+        real = cli.load_manifest
+        for name, args in jobs.items():
+            asked = []
+
+            def subset(path, wanted=None, aux_wanted=None):
+                asked.append((sorted(wanted), sorted(aux_wanted)))
+                return real(path, wanted, aux_wanted)
+
+            outputs = []
+            for load in (subset, lambda path, *_: real(path)):
+                out = tmp_path / f"{name}-{len(outputs)}"
+                with mock.patch.object(cli, "load_manifest", load):
+                    assert main(args + [str(out)]) == 0
+                outputs.append(out.read_bytes() if out.is_file() else
+                               [(out / f).read_bytes() for f in ("eval.json", "predictions.csv")])
+            assert outputs[0] == outputs[1]
+            assert asked == [(counters, [counters[0]] if name == "eval" else [])]
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_model_counter_missing_from_the_traces(self, tmp_path, synth_manifest, command,
