@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     PmcPowerError,
     decode_utf8,
+    json_float,
     read_bytes,
     read_utf8,
 )
@@ -279,25 +280,31 @@ def _cells_proved(body: bytes, width: int) -> bool:
     that numpy's reader and ``float()`` read alike, finite and not negative.
 
     A proved cell is one to 69 digits, then at most a point and digits,
-    then at most an exponent mark, a sign and one or two digits: below
-    1e70 * 1e99, so no cell overflows. The proof is stricter than the
-    readers (no leading point or sign, space, blank line or exponent of
-    three digits); a body it declines is read in full. It builds the
-    body's skeleton and a few byte masks, a fraction of the cost of
-    converting every cell.
+    then at most an exponent mark, a sign and one or two digits, or a
+    minus and three: below 1e70 * 1e99, so no cell overflows. The proof is
+    stricter than the readers (no leading point or sign, no space or blank
+    line, and three exponent digits only after a minus); a body it
+    declines is read in full. It builds the body's skeleton and a few byte
+    masks, a fraction of the cost of converting every cell.
     """
+    return _proof(body, width) is not None
+
+
+def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray] | None:
+    """The skeleton of ``body`` ended by a newline, and the mask of its bytes
+    that are not digits, when ``_cells_proved`` accepts it; else None."""
     if not body[:1].isdigit():
-        return False  # an empty first cell, a leading point or sign, a blank line
+        return None  # an empty first cell, a leading point or sign, a blank line
     if not body.endswith(b"\n"):
         body += b"\n"
     skeleton = body.translate(None, b"0123456789")
     # Any byte but a point, mark or sign stays here and fails the match.
     separators = skeleton.translate(None, b".eE+-")
     if separators != (b"," * (width - 1) + b"\n") * (len(separators) // width):
-        return False
+        return None
     steps = np.frombuffer((b"\n" + skeleton).translate(_SKELETON_CLASSES), dtype=np.uint8)
     if not _SKELETON_STEPS[steps[:-1] * 4 + steps[1:]].all():
-        return False
+        return None
     # Every digit run the skeleton implies is there: a non-digit is followed
     # by a digit unless it is a point ("1.", "1.e5") or the next byte is an
     # exponent's sign, and a sign follows no digit.
@@ -310,17 +317,80 @@ def _cells_proved(body: bytes, width: int) -> bool:
     if skeleton.translate(None, b".,\n"):  # an exponent
         sign = (raw == ord("+")) | (raw == ord("-"))
         if (sign[1:] & ~apart[:-1]).any():
-            return False
+            return None
         follows = follows & ~sign[1:]
-        lead = sign | (raw == ord("e")) | (raw == ord("E"))
+        minus = raw == ord("-")
+        lead = (sign & ~minus) | (raw == ord("e")) | (raw == ord("E"))
         if (lead[:-3] & ~(apart[1:-2] | apart[2:-1] | apart[3:])).any():
-            return False  # three exponent digits
+            return None  # three exponent digits, not after a minus
+        if (minus[:-4] & ~(apart[1:-3] | apart[2:-2] | apart[3:-1] | apart[4:])).any():
+            return None  # four after a minus
     if (loose[:-1] & follows).any():
-        return False
+        return None
     # Seven aligned words of digits in a row hold any run of 63; a run of 70
     # reaches them past the unaligned tail.
     words = apart[:apart.size // 8 * 8].view(np.uint64) == 0
-    return b"\1" * 7 not in words.tobytes()
+    return None if b"\1" * 7 in words.tobytes() else (skeleton, apart)
+
+
+# The kernel's quotients are exact enough only with an IEEE long double of a
+# 64-bit significand or wider, each operation rounded once: x87's extended
+# format (x86-64 Linux, 64 bits) or binary128 (aarch64 Linux, 113). The
+# double-double of older POWER systems (106 bits) rounds twice.
+_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+# 10**k for k = 0..27 as long doubles, each exact: 10**k = 2**k * 5**k and
+# 5**27 < 2**64.
+_TENS = np.cumprod(np.concatenate([[1], np.full(27, 10)]).astype(np.longdouble))
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
+def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
+    """The cells of ``body`` as a table of ``width`` columns, each the
+    double nearest its decimal, as ``float()`` and numpy's reader give it;
+    None when the body is not one this kernel takes.
+
+    It takes a body ``_cells_proved`` accepts that holds no exponent mark,
+    each cell of at most 19 significant digits and 27 after the point. A
+    cell is then D / 10**k, with D < 10**19 and 10**k exact long doubles,
+    so their quotient q is rounded once. Rounding q to a double gives the
+    cell's correct rounding unless q lies exactly midway between two
+    doubles: such a midpoint is a long double, which the rounding of the
+    true quotient could reach but not cross. Those cells, rare, are read
+    by ``float()``. r = q - double(q) is exact, and at a midpoint |r| is
+    half the spacing of the doubles at double(q), or r a quarter of it
+    below a power of two.
+    """
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if not _WIDE_LONG_DOUBLE or b"e" in body or b"E" in body:
+        return None
+    proof = _proof(body, width)
+    if proof is None:
+        return None
+    skeleton, apart = proof
+    marks = np.flatnonzero(apart)  # the points and the separators, as in the skeleton
+    point = np.frombuffer(skeleton, dtype=np.uint8) == ord(".")
+    at = np.flatnonzero(point)
+    fraction = np.zeros(marks.size - at.size, dtype=np.intp)
+    # A point's cell is the number of separators before it.
+    fraction[at - np.arange(at.size)] = marks[at + 1] - marks[at] - 1
+    if fraction.max() > 27:
+        return None
+    whole = np.fromstring(body.translate(_NEWLINE_TO_COMMA, b"."), dtype=np.uint64,
+                          count=fraction.size, sep=",")
+    # np.fromstring saturates a D of 2**64 or more to 2**64 - 1, without a word.
+    if whole.max() >= 10**19:
+        return None
+    quotient = whole.astype(np.longdouble) / _TENS[fraction]
+    table = quotient.astype(float)
+    r = (quotient - table).astype(float)
+    spacing = np.spacing(table)
+    midway = (r != 0) & ((np.abs(r) == spacing / 2) | (r == spacing / -4))
+    if midway.any():
+        ends = marks[~point]  # each cell's separator
+        for i in np.flatnonzero(midway).tolist():
+            table[i] = float(body[ends[i - 1] + 1 if i else 0:ends[i]])
+    return table.reshape(-1, width)
 
 
 @functools.lru_cache(maxsize=64)
@@ -347,16 +417,63 @@ def _wanted_columns(header: tuple[str, ...], wanted: frozenset[str]) -> tuple[in
     return None if len(columns) == len(header) else columns
 
 
-def _fast_rows(text: str, expected_first: str, wanted: frozenset[str] | None = None
-               ) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The header and sample table as ``_parse_rows`` would return them,
-    read by numpy's C reader; None wherever that read could differ or fails.
+def _trace_parts(text: str, expected_first: str) -> tuple[tuple[str, ...], str] | None:
+    """The header and body of ``text`` when the fast read may take them: a
+    header the csv reader splits, of two or more fields led by
+    ``expected_first``, and an ASCII body that is not blank, with no line
+    longer than the csv field size limit; else None."""
+    head, _, body = text.partition("\n")
+    if '"' in head or not body.isascii() or not body.strip():
+        return None
+    limit = csv.field_size_limit()
+    start = 0  # of a line, the ones before it no longer than the limit
+    while len(body) - start > limit:
+        end = body.rfind("\n", start, start + limit + 1)
+        if end < 0:
+            return None
+        start = end + 1
+    header = _split_header(head, limit)
+    if header is None or len(header) < 2 or header[0] != expected_first:
+        return None
+    return header, body
+
+
+def _table(header: tuple[str, ...], body: str, wanted: frozenset[str] | None = None
+           ) -> np.ndarray | None:
+    """The sample table of ``body`` as ``_parse_rows`` would return it, read
+    by numpy's C reader; None wherever that read could differ or fails.
 
     With ``wanted``, the table holds only the timestamps and the counters in
     ``wanted``, in header order, and the result is None also when another
     cell is not finite or is negative. The other cells are not converted
-    when ``_cells_proved`` proves them from their bytes; otherwise the text
+    when ``_cells_proved`` proves them from their bytes; otherwise the body
     is read in full and they are checked here.
+    """
+    columns = None if wanted is None else _wanted_columns(header, wanted)
+    data = body.encode("ascii")
+    proved = columns is not None and _cells_proved(data, len(header))
+    if not proved and (data.translate(None, _FAST_BYTES)
+                       or "\r" in body and body.count("\r") != body.count("\r\n")):
+        return None
+    try:
+        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2,
+                           usecols=columns if proved else None)
+    except ValueError:
+        return None
+    if proved:
+        return table
+    if table.shape[1] != len(header):
+        return None
+    if columns is None:
+        return table
+    if not np.isfinite(table).all() or (table[:, 1:] < 0).any():
+        return None
+    return table[:, columns]
+
+
+def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """The header and sample table as ``_parse_rows`` would return them,
+    read by ``_table``; None wherever that read could differ or fails.
 
     numpy reads an overflow such as ``1e400`` as inf where the line parser
     rejects it; the trace's own checks reject the inf in turn. The csv
@@ -364,36 +481,9 @@ def _fast_rows(text: str, expected_first: str, wanted: frozenset[str] | None = N
     reads, and a bare carriage return, which numpy rejects only as not
     supported yet.
     """
-    head, _, body = text.partition("\n")
-    if '"' in head or not body.isascii() or not body.strip():
-        return None
-    data = body.encode("ascii")
-    lines = body.split("\n")
-    limit = csv.field_size_limit()
-    if len(body) > limit and max(map(len, lines)) > limit:
-        return None
-    header = _split_header(head, limit)
-    if header is None or len(header) < 2 or header[0] != expected_first:
-        return None
-    columns = None if wanted is None else _wanted_columns(header, wanted)
-    proved = columns is not None and _cells_proved(data, len(header))
-    if not proved and (data.translate(None, _FAST_BYTES)
-                       or "\r" in body and body.count("\r") != body.count("\r\n")):
-        return None
-    try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                           usecols=columns if proved else None)
-    except ValueError:
-        return None
-    if proved:
-        return header, table
-    if table.shape[1] != len(header):
-        return None
-    if columns is None:
-        return header, table
-    if not np.isfinite(table).all() or (table[:, 1:] < 0).any():
-        return None
-    return header, table[:, columns]
+    parts = _trace_parts(text, expected_first)
+    table = None if parts is None else _table(*parts)
+    return None if table is None else (parts[0], table)
 
 
 def _parse(text: str, build):
@@ -578,8 +668,8 @@ def _manifest_run(entry, index: int) -> ManifestRun:
         value = entry[key]
         if kind is float:
             try:
-                value = float(value)
-            except (TypeError, ValueError, OverflowError):
+                value = json_float(value)
+            except OverflowError:
                 value = math.nan
         if not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
             expected = "a finite number" if kind is float else "a string"
@@ -619,30 +709,56 @@ def _aggregate(trace: CounterTrace, power: PowerTrace, where: str) -> tuple[np.n
 
 
 # The counter tables of one block of runs hold at most this many cells
-# (0.5 MB of float64) unless one run holds more, so the memory ingest takes
-# does not grow with the campaign.
-BLOCK_CELLS = 1 << 16
+# (64 KB of float64) unless one run holds more, so the memory ingest takes
+# does not grow with the campaign. Blocks of 1 << 16 cells converted more
+# slowly: their text (about 1 MB) and the conversion's temporaries are
+# allocated afresh for each block, not reused.
+BLOCK_CELLS = 1 << 13
+
+
+# A trace file the fast read took: its header, the shape of its table
+# (samples x columns, timestamps first), and the table or, not yet
+# converted, the file's body.
+_Trace = tuple[tuple[str, ...], tuple[int, ...], "np.ndarray | str"]
+
+
+def _stacked(traces: list[_Trace]) -> np.ndarray | None:
+    """The tables of one kind of trace of a block (runs x samples x
+    columns). Bodies not yet converted are converted by one
+    ``_decimal_table`` on their bodies joined or, when it declines them, by
+    ``_table`` file by file. None when ``_table`` declines a file or reads a
+    shape other than the block's."""
+    _, shape, data = traces[0]
+    if not isinstance(data, str):
+        return np.stack([table for _, _, table in traces])
+    body = "".join(text if text.endswith("\n") else text + "\n" for _, _, text in traces)
+    table = _decimal_table(body.encode("ascii"), shape[1])
+    if table is not None:
+        return table.reshape(len(traces), *shape)
+    tables = [_table(header, text) for header, _, text in traces]
+    if any(table is None or table.shape != shape for table in tables):
+        return None
+    return np.stack(tables)
 
 
 @dataclass(frozen=True, eq=False)
 class _FastRun:
-    """A manifest run whose trace files the fast read took: each file's
-    header and table (samples x columns, timestamps first), the samples not
+    """A manifest run whose trace files the fast read took, the samples not
     yet checked."""
 
     index: int
     meta: RunMeta
-    counters: tuple[tuple[str, ...], np.ndarray]
-    power: tuple[tuple[str, ...], np.ndarray]
-    aux: tuple[tuple[str, ...], np.ndarray] | None
+    counters: _Trace
+    power: _Trace
+    aux: _Trace | None
 
     def key(self) -> tuple:
         """Runs of equal keys stack into one block."""
         traces = (self.counters, self.power) + ((self.aux,) if self.aux else ())
-        return tuple((header, table.shape) for header, table in traces)
+        return tuple((header, shape) for header, shape, _ in traces)
 
     def cells(self) -> int:
-        return sum(table.size for _, table in filter(None, (self.counters, self.aux)))
+        return sum(math.prod(shape) for _, shape, _ in filter(None, (self.counters, self.aux)))
 
 
 _POWER_HEADERS = (("ts_ms", "current_ma"), ("ts_ms", "current_ma", "voltage_v"))
@@ -718,11 +834,20 @@ class _Campaign:
     def fast_read(self, i: int) -> _FastRun | None:
         """Run ``i`` with its files read, each in one pass, by the fast
         read; None when its entry or a file cannot be read, the fast read
-        declines a file, or a header would raise."""
+        declines a file, or a header would raise. A file of which only some
+        counters are wanted is converted here; the bodies of the others are
+        kept for ``_stacked``."""
         base = str(self.base_dir)
 
-        def read(name: str, wanted=None) -> tuple[tuple[str, ...], np.ndarray] | None:
-            return _fast_rows(_read_text(os.path.join(base, name), "trace"), "ts_ms", wanted)
+        def read(name: str, wanted=None) -> _Trace | None:
+            parts = _trace_parts(_read_text(os.path.join(base, name), "trace"), "ts_ms")
+            if parts is None:
+                return None
+            header, body = parts
+            if wanted is not None and _wanted_columns(header, wanted) is not None:
+                table = _table(header, body, wanted)
+                return None if table is None else (header, table.shape, table)
+            return header, (body.count("\n") + (not body.endswith("\n")), len(header)), body
 
         try:
             run = _manifest_run(self.runs[i], i)
@@ -731,7 +856,7 @@ class _Campaign:
                    else read(run.aux_counter_file, self.aux_wanted))
             if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
                 return None
-            for header, _ in filter(None, (counters, aux)):
+            for header, _, _ in filter(None, (counters, aux)):
                 _check_header_names(header[1:])
         except (PmcPowerError, OSError):
             return None
@@ -740,10 +865,11 @@ class _Campaign:
         return _FastRun(i, run.meta, counters, power, aux)
 
     def add_block(self, block: list[_FastRun]) -> None:
-        """Check and aggregate a block of runs that share a key at once.
-        When a check fails or a run's aggregation would raise, the block's
-        runs are read again by ``add_run``, so the first fault in manifest
-        order raises as it words it."""
+        """Convert, check and aggregate a block of runs that share a key at
+        once. When a file does not convert, a check fails or a run's
+        aggregation would raise, the block's runs are read again by
+        ``add_run``, so the first fault in manifest order raises as it
+        words it."""
         rows = self._block_rows(block)
         if rows is None:
             for run in block:
@@ -762,15 +888,18 @@ class _Campaign:
 
     def _block_rows(self, block: list[_FastRun]):
         """The block's rows and aux rows, as ``add_run`` would give them run
-        by run; None wherever ``add_run`` would raise for one of its runs."""
+        by run; None wherever ``add_run`` would raise for one of its runs,
+        or ``_stacked`` declines a kind of trace."""
         first = block[0]
         aux_names = None if first.aux is None else first.aux[0][1:]
         if self.metas and (first.counters[0][1:] != self.counter_names
                            or aux_names != self.aux_names):
             return None
-        counters = np.stack([run.counters[1] for run in block])
-        power = np.stack([run.power[1] for run in block])
-        aux = None if first.aux is None else np.stack([run.aux[1] for run in block])
+        counters = _stacked([run.counters for run in block])
+        power = _stacked([run.power for run in block])
+        aux = None if first.aux is None else _stacked([run.aux for run in block])
+        if counters is None or power is None or (first.aux is not None and aux is None):
+            return None
         if not (_samples_pass(counters, counters[:, :, 1:]) and _samples_pass(power, power[:, :, 1])
                 and _voltage_constant(power)
                 and (aux is None or _samples_pass(aux, aux[:, :, 1:]))):

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package, and the file readers
-that name a missing or irregular file and turn undecodable bytes into one
-of its errors."""
+"""Exception hierarchy shared across the package, the file readers that
+name a missing or irregular file and turn undecodable bytes into one of its
+errors, and the reading of a JSON number."""
 from __future__ import annotations
 
+import math
 import os
 import stat
 from pathlib import Path
@@ -84,3 +85,12 @@ def read_utf8(path: Path, what: str, error: type[PmcPowerError]) -> str:
     """The text of the ``what`` file at ``path``: ``read_bytes`` decoded by
     ``decode_utf8``, an error labelled ``<what> <path>``."""
     return decode_utf8(read_bytes(path, what), error, f"{what} {path}")
+
+
+def json_float(value) -> float:
+    """The JSON number ``value`` as a float, NaN for any other JSON value
+    (``true`` and ``"1.5"`` too), so that a check for a finite number
+    rejects it. An int too large for a float raises OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
+    return float(value)

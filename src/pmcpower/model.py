@@ -28,7 +28,7 @@ from .clustering import (
     ward_cluster,
 )
 from .dataset import Dataset
-from .errors import ConfigError, FeatureError, ModelFileError, read_utf8
+from .errors import ConfigError, FeatureError, ModelFileError, json_float, read_utf8
 from .features import FeatureMatrix, FeatureSpec
 from .numerics import EvalReport, evaluate, ols_fit
 from .selection import SelectionResult, select_significant
@@ -335,16 +335,17 @@ def model_from_dict(doc: dict) -> PowerModel:
     if not isinstance(doc, dict):
         raise ModelFileError("model document must be a JSON object")
     version = doc.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
+    if version != MODEL_SCHEMA_VERSION or isinstance(version, bool):  # true == 1
         raise ModelFileError(
             f"unsupported model schema version {version!r} "
             f"(this build reads version {MODEL_SCHEMA_VERSION})"
         )
     try:
         raw_specs = doc["features"]
-        coefficients = [float(c) for c in doc["coefficients"]]
-        intercept = float(doc["intercept"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raw_coefficients = list(doc["coefficients"])
+        coefficients = [json_float(c) for c in raw_coefficients]
+        intercept = json_float(doc["intercept"])
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ModelFileError(f"malformed model document: {exc}") from None
     if not isinstance(raw_specs, list) or not all(isinstance(t, str) for t in raw_specs):
         raise ModelFileError(
@@ -354,13 +355,13 @@ def model_from_dict(doc: dict) -> PowerModel:
         specs = tuple(ft.parse_feature_spec(text) for text in raw_specs)
     except FeatureError as exc:
         raise ModelFileError(str(exc)) from None
-    for spec, coef in zip(specs, coefficients):
+    for spec, coef, raw in zip(specs, coefficients, raw_coefficients):
         if not math.isfinite(coef):
             raise ModelFileError(
-                f"coefficient of {spec.canonical()!r} must be a finite number, got {coef!r}"
+                f"coefficient of {spec.canonical()!r} must be a finite number, got {raw!r}"
             )
     if not math.isfinite(intercept):
-        raise ModelFileError(f"intercept must be a finite number, got {intercept!r}")
+        raise ModelFileError(f"intercept must be a finite number, got {doc['intercept']!r}")
     train_meta = doc.get("train_meta", {})
     if not isinstance(train_meta, dict):
         raise ModelFileError(f"'train_meta' must be a JSON object, got {train_meta!r}")

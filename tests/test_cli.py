@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pmcpower import cli
 from pmcpower.cli import compute_energy_mws, main
@@ -145,6 +151,8 @@ class TestBadInputExit2:
         "change, problem",
         [(lambda run: dict(run, frequency_hz="fast"),
           "manifest run 1: field 'frequency_hz' must be a finite number, got 'fast'"),
+         (lambda run: dict(run, utilization=False),
+          "manifest run 1: field 'utilization' must be a finite number, got False"),
          (lambda run: [run["counter_file"]], "manifest run 1: expected an object, got list")],
     )
     def test_bad_manifest_value(self, tmp_path, synth_manifest, change, problem):
@@ -488,3 +496,124 @@ class TestSynthCommand:
         assert main(["train", "--config", str(config)]) == 0
         report = json.loads((tmp_path / "out" / "eval.json").read_text())
         assert report["test"]["r_squared"] >= 0.999
+
+
+# One mutation of a campaign or a model file: trace cells the exact kernel
+# declines (20 digits, 28 after the point, exponents) or no reader takes,
+# line ends and bytes, manifest fields of every JSON type, model-file fields.
+ODD_TRACE_CELLS = ("12345678901234567890", "0." + "0" * 27 + "1", "1e5", "2.5E-3", "1e-300",
+                   "1e+300", "1e400", "-1", "+1", "-0", ".5", "1.", "1.5.2", "", "nan", "inf",
+                   "1_0", " 7", "é", "３")
+LINE_FAULTS = ("crlf", "lone_cr", "blank_line", "not_utf8", "bom")
+JSON_VALUES = (True, False, None, "1.5", "x", 1.5, 0, -1, 10**400, [], {}, [1.0], float("nan"))
+RUN_FIELDS = ("benchmark", "workload_type", "frequency_hz", "utilization", "counter_file",
+              "power_file", "aux_counter_file")
+MODEL_FIELDS = ("coefficients", "coefficient", "intercept", "features", "schema_version",
+                "train_meta", "kind")
+
+
+@st.composite
+def mutations(draw, command):
+    kinds = ["cell", "line", "manifest"] + (["model"] if command != "train" else [])
+    kind = draw(st.sampled_from(kinds))
+    run = draw(st.integers(0, 17))
+    if kind == "cell":
+        return kind, run, (draw(st.sampled_from(["counter_file", "power_file"])),
+                           draw(st.integers(1, 12)), draw(st.integers(0, 9)),
+                           draw(st.sampled_from(ODD_TRACE_CELLS)))
+    if kind == "line":
+        return kind, run, (draw(st.sampled_from(["counter_file", "power_file"])),
+                           draw(st.sampled_from(LINE_FAULTS)), draw(st.integers(1, 12)))
+    fields = RUN_FIELDS if kind == "manifest" else MODEL_FIELDS
+    return kind, run, (draw(st.sampled_from(fields)), draw(st.sampled_from(JSON_VALUES)))
+
+
+def _mutate(manifest: Path, model: Path, mutation) -> None:
+    kind, run, change = mutation
+    doc = json.loads(manifest.read_text())
+    entry = doc["runs"][run]
+    if kind == "manifest":
+        field, value = change
+        entry[field] = value
+        manifest.write_text(json.dumps(doc))
+    elif kind == "model":
+        field, value = change
+        model_doc = json.loads(model.read_text())
+        if field == "coefficient":
+            model_doc["coefficients"][0] = value
+        else:
+            model_doc[field] = value
+        model.write_text(json.dumps(model_doc))
+    else:
+        path = manifest.parent / entry[change[0]]
+        lines = path.read_bytes().split(b"\n")
+        if kind == "cell":
+            _, row, column, text = change
+            cells = lines[min(row, len(lines) - 2)].split(b",")
+            cells[min(column, len(cells) - 1)] = text.encode()
+            lines[min(row, len(lines) - 2)] = b",".join(cells)
+            data = b"\n".join(lines)
+        else:
+            _, fault, row = change
+            row = min(row, len(lines) - 1)
+            data = b"\n".join(lines)
+            if fault == "crlf":
+                data = data.replace(b"\n", b"\r\n")
+            elif fault == "lone_cr":
+                data = b"\n".join(lines[:row]) + b"\r" + b"\n".join(lines[row:])
+            elif fault == "blank_line":
+                data = b"\n".join(lines[:row] + [b""] + lines[row:])
+            elif fault == "not_utf8":
+                data = b"\n".join(lines[:row] + [lines[row] + b"\xff"] + lines[row + 1:])
+            else:
+                data = b"\xef\xbb\xbf" + data
+        path.write_bytes(data)
+
+
+@pytest.fixture(scope="module")
+def small_campaign(tmp_path_factory):
+    """An 18-run campaign and a model trained on it."""
+    root = tmp_path_factory.mktemp("small")
+    ds, truth = generate(three_factor_config(n_runs=18, seed=3))
+    manifest = write_dataset_files(ds, root / "data", truth)
+    assert main(["train", "--manifest", str(manifest), "--output-dir", str(root / "trained"),
+                 "--top-k", "20"]) == 0
+    return manifest, root / "trained" / "model.json"
+
+
+class TestNeverATraceback:
+    """Whatever one mutation of a campaign or model file does, ``train``,
+    ``eval`` and ``predict`` exit 0, 1 or 2, raise nothing, and a nonzero
+    exit prints one ``error:`` line."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_mutation(self, small_campaign, data):
+        command = data.draw(st.sampled_from(["train", "eval", "predict"]))
+        mutation = data.draw(mutations(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            manifest, model = small_campaign
+            shutil.copytree(manifest.parent, tmp / "data")
+            shutil.copy(model, tmp / "model.json")
+            manifest, model = tmp / "data" / manifest.name, tmp / "model.json"
+            _mutate(manifest, model, mutation)
+            out = tmp / "out"
+            argv = {"train": ["train", "--manifest", str(manifest), "--output-dir", str(out),
+                              "--top-k", "20"],
+                    "eval": ["eval", "--model", str(model), "--manifest", str(manifest),
+                             "--output-dir", str(out)],
+                    "predict": ["predict", "--model", str(model), "--manifest", str(manifest),
+                                "--out", str(out / "predictions.csv")]}[command]
+            err = io.StringIO()
+            # Warnings as a user sees them, each printed by the CLI as one
+            # line, not raised as the test suite's filter would raise them.
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("default")
+                code = main(argv)
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+        assert sum(line.startswith("error: ") for line in lines) == (code != 0), lines

@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import decimal
 import json
 import math
 import os
 import re
 import tempfile
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -802,6 +806,12 @@ class TestManifest:
         [(["run0.counters.csv"], "manifest run 1: expected an object, got list"),
          ({"frequency_hz": "fast"}, "manifest run 1: field 'frequency_hz' must be a finite number"),
          ({"frequency_hz": None}, "manifest run 1: field 'frequency_hz' must be a finite number"),
+         ({"frequency_hz": True},
+          "manifest run 1: field 'frequency_hz' must be a finite number, got True"),
+         ({"frequency_hz": "1e8"},
+          "manifest run 1: field 'frequency_hz' must be a finite number, got '1e8'"),
+         ({"utilization": False},
+          "manifest run 1: field 'utilization' must be a finite number, got False"),
          ({"counter_file": 5}, "manifest run 1: field 'counter_file' must be a string"),
          ({"workload_type": "Gaming"}, "manifest run 1 ('bench-1'): unknown workload type")],
     )
@@ -872,7 +882,10 @@ class Campaign:
     """A campaign as manifest runs and one table of text cells per trace
     file, into which faults are planted before it is written out."""
 
-    def __init__(self, rng, sample_counts, n_counters=2, voltage=True, aux=True):
+    def __init__(self, rng, sample_counts, n_counters=2, voltage=True, aux=True,
+                 power_first=True):
+        """``power_first``: whether each power trace starts before its
+        counter trace, at a negative time; else it starts at 0."""
         def value(low, high):
             return repr(round(float(rng.uniform(low, high)), int(rng.integers(0, 9))))
 
@@ -881,7 +894,8 @@ class Campaign:
         self.traces, self.runs, self.broken = [], [], set()
         for i, n in enumerate(sample_counts):
             ts = (np.cumsum(rng.uniform(400.0, 1500.0, n)) - 400.0).tolist()
-            p_ts = np.linspace(-rng.uniform(0, 300), ts[-1] + rng.uniform(0, 300), n + 2)
+            lead = rng.uniform(0, 300)
+            p_ts = np.linspace(-lead if power_first else 0.0, ts[-1] + rng.uniform(0, 300), n + 2)
             power = [["ts_ms", "current_ma"] + ["voltage_v"] * voltage]
             self.traces.append({
                 "counter": [["ts_ms", *names]] + [[repr(t)] + [value(0, 1e6) for _ in names]
@@ -995,6 +1009,30 @@ def _loaded(load, manifest):
     return [None if ds is None else (ds.counter_names, ds.meta, ds.rates.shape, ds.rates.tobytes(),
                                      ds.total_current.tobytes(), ds.target_current.tobytes())
             for ds in datasets]
+
+
+# Where the long double cannot make the exact kernel's quotients exact, it
+# declines every body, and numpy's reader converts every file.
+needs_exact_kernel = pytest.mark.skipif(not dataset._WIDE_LONG_DOUBLE,
+                                        reason="no long double of 64 bits or more")
+
+
+@contextlib.contextmanager
+def _loadtxt_calls():
+    """The line counts of the ``np.loadtxt`` calls ``load_manifest`` makes
+    within the block; the reference loader's calls are not counted."""
+    calls, loadtxt, load = [], np.loadtxt, load_manifest
+
+    def counted(lines, *args, **kwargs):
+        calls.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    def spied(*args):
+        with mock.patch.object(np, "loadtxt", counted):
+            return load(*args)
+
+    with mock.patch(f"{__name__}.load_manifest", spied):
+        yield calls
 
 
 def _assert_loads_as_reference(campaign: Campaign, cells: int, expect_ok=False):
@@ -1130,27 +1168,38 @@ class TestSubsetReadMatchesFullRead:
         campaign.plant(run, where, fault, r=3, c=2)
         _assert_subset_loads_as_full(campaign, 100, {"c0"}, ())
 
+    @needs_exact_kernel
     def test_clean_campaign_is_proved_not_converted(self):
-        # 150 runs of 11 x 41 cells: every counter and aux table is proved,
-        # and only the timestamps and c3, c17 are converted.
-        campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40)
+        # 150 runs of 11 x 41 cells: every counter and aux table is proved
+        # and read file by file, with only the timestamps and c3, c17
+        # converted; the power tables go to the kernel a block at a time.
+        campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40,
+                            power_first=False)
         real, proved = dataset._cells_proved, []
 
         def spy(body, width):
             proved.append(real(body, width))
             return proved[-1]
 
-        with mock.patch.object(dataset, "_cells_proved", spy):
+        with mock.patch.object(dataset, "_cells_proved", spy), _loadtxt_calls() as calls:
             ds, aux = _assert_subset_loads_as_full(campaign, 5_000, {"c3", "c17", "zz"}, (),
                                                    expect_ok=True)
-        assert len(proved) == 300 and all(proved)
+        assert len(proved) == 300 and all(proved) and calls == [12] * 300
         assert ds[0] == ("c3", "c17") and aux[0] == () and ds[2] == (150, 2)
 
+    @needs_exact_kernel
     def test_every_counter_wanted_reads_in_full(self):
-        campaign = Campaign(np.random.default_rng(1), [6] * 9, n_counters=2)
-        with mock.patch.object(dataset, "_cells_proved", side_effect=AssertionError):
-            _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"}, {"cycles"},
-                                         expect_ok=True)
+        # A read of every counter is a full read: the kernel converts every
+        # table, and it gives what the tables read file by file give.
+        campaign = Campaign(np.random.default_rng(1), [6] * 9, n_counters=2, power_first=False)
+        with _loadtxt_calls() as calls:
+            got = _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"}, {"cycles"},
+                                               expect_ok=True)
+        assert calls == []
+        with mock.patch.object(dataset, "_decimal_table", return_value=None):
+            declined = _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"},
+                                                    {"cycles"}, expect_ok=True)
+        assert got == declined
 
 
 @st.composite
@@ -1159,8 +1208,8 @@ def cell_tables(draw):
     up to three cells are swapped for strings over the float grammar's
     bytes or planted faults, or a row loses or gains a cell."""
     width = draw(st.integers(1, 4))
-    # repr writes three exponent digits (declined) outside [1e-99, 1e100).
-    proved = st.just(0.0) | st.floats(1e-99, 1e99)
+    # repr writes three exponent digits, declined after a plus, from 1e100.
+    proved = st.floats(0.0, 1e99)
     number = st.one_of(proved, proved, proved, st.floats(0.0, 1e300)).map(repr)
     rows = draw(st.lists(st.lists(number, min_size=width, max_size=width), min_size=1, max_size=4))
     odd = st.text(alphabet="0123456789.eE+-", max_size=6) | st.sampled_from(
@@ -1196,10 +1245,12 @@ class TestCellProof:
         assert by_float.tobytes() == table.tobytes()
         assert np.isfinite(table).all() and not (table < 0).any()
 
-    # repr writes an exponent of three digits outside these, which is declined.
+    # repr writes an exponent of "+" and three digits from 1e100, which is
+    # declined; below 1e-99 it writes "-" and three digits, down to 5e-324.
     @settings(max_examples=200, deadline=None)
     @given(width=st.integers(1, 5),
-           values=st.lists(st.just(0.0) | st.floats(1e-99, 1e99), min_size=1, max_size=40))
+           values=st.lists(st.floats(0.0, 1e99) | st.sampled_from([5e-324, 1e-100, 2.5e-308]),
+                           min_size=1, max_size=40))
     def test_written_floats_are_proved(self, width, values):
         rows = [values[k:k + width] for k in range(0, len(values) - width + 1, width)]
         rows = rows or [[0.0] * width]
@@ -1210,9 +1261,119 @@ class TestCellProof:
                                       "1,2,3\n\n4,5,6\n", "1,2,3\r\n4,5,6\r\n",
                                       "1,2,3\n4,5,6,\n", ",2,3\n", "1,2,1e123\n",
                                       "1,2,1e+123\n", "1,2," + "1" * 70 + "\n",
-                                      "1,2,1e5-3\n"])
+                                      "1,2,1e5-3\n", "1,2,1e-1234\n", "1,2,1e-0100\n"])
     def test_declined(self, body):
         assert not dataset._cells_proved(body.encode(), 3)
+
+
+def _decimal_table(rows):
+    """The kernel's table of ``rows`` (lists of cell texts), or None."""
+    return dataset._decimal_table("".join(",".join(row) + "\n" for row in rows).encode(),
+                                  len(rows[0]))
+
+
+def _assert_read_as_float(cells, width=1):
+    """The kernel takes ``cells`` in rows of ``width`` and reads each as
+    ``float()`` does, bit for bit."""
+    cells = cells + ["0"] * (-len(cells) % width)
+    rows = [cells[k:k + width] for k in range(0, len(cells), width)]
+    table = _decimal_table(rows)
+    assert table is not None
+    assert table.tobytes() == np.array([[float(cell) for cell in row] for row in rows]).tobytes()
+
+
+@st.composite
+def digit_strings(draw):
+    """A cell of up to 19 significant digits, leading zeros aside, with 0
+    to 27 of its digits after the point (a bare point now and then)."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    after = draw(st.integers(0, 27))
+    if after == 0:
+        return digits + draw(st.sampled_from(["", "."]))
+    digits = digits.rjust(after + draw(st.integers(1, 3)), "0")
+    return f"{digits[:-after]}.{digits[-after:]}"
+
+
+def _near_midpoints(values):
+    """For each of ``values``, the exact midpoints between it and the doubles
+    next to it, each written to 19 significant digits, with its two
+    neighbours there."""
+    cells = []
+    for value in values:
+        for other in (np.nextafter(value, 0), np.nextafter(value, np.inf)):
+            midpoint = (Fraction(value) + Fraction(other)) / 2
+            with decimal.localcontext(prec=19):
+                near = Decimal(midpoint.numerator) / Decimal(midpoint.denominator)
+                cells += [format(x, "f") for x in (near.next_minus(), near, near.next_plus())]
+    return cells
+
+
+@needs_exact_kernel
+class TestDecimalTable:
+    """The exact kernel reads every cell it takes as ``float()`` does, and
+    takes only proved bodies free of exponents, with cells of at most 19
+    significant digits and 27 after the point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 4),
+           values=st.lists(st.just(0.0) | st.floats(1e-4, 1e16, exclude_max=True),
+                           min_size=1, max_size=60))
+    def test_written_floats(self, width, values):
+        _assert_read_as_float([repr(v) for v in values], width)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.integers(0, 10**19 - 1), min_size=1, max_size=40))
+    def test_counts(self, values):
+        _assert_read_as_float([str(v) for v in values], 2 if len(values) > 1 else 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(digit_strings(), min_size=1, max_size=40))
+    def test_digit_strings(self, cells):
+        _assert_read_as_float(cells)
+
+    def test_midpoints_reach_float(self):
+        # The powers of two add midpoints at a binade's edge: the one just
+        # below 2**e lies a quarter of the spacing above 2**e under it.
+        values = (10.0 ** np.random.default_rng(7).uniform(-4, 16, 300)).tolist()
+        cells = _near_midpoints(values + [2.0 ** e for e in range(-13, 53)])
+        _assert_read_as_float(cells, 3)
+        # The long double quotient, rounded again to a double, is wrong for
+        # some of them: the kernel read those by float().
+        whole = np.array([int(cell.replace(".", "")) for cell in cells], dtype=np.uint64)
+        after = [len(cell.partition(".")[2]) for cell in cells]
+        twice = (whole.astype(np.longdouble) / dataset._TENS[after]).astype(float)
+        assert (twice != np.array([float(cell) for cell in cells])).any()
+
+    @pytest.mark.parametrize("cell", ["1.", "0", "9999999999999999999", "0.000", "1.5",
+                                      "0." + "0" * 26 + "1", "0" * 40 + "7"])
+    def test_edge_cells(self, cell):
+        _assert_read_as_float([cell, "1"], 2)
+
+    @pytest.mark.parametrize("cell", ["12345678901234567890", "18446744073709551616",
+                                      "0." + "0" * 27 + "1", "1e5", "1.5E3", "2e-05", "-1", ".5",
+                                      "1,"])
+    def test_declined(self, cell):
+        assert _decimal_table([["1", cell]]) is None
+
+    def test_declined_without_a_wide_long_double(self):
+        with mock.patch.object(dataset, "_WIDE_LONG_DOUBLE", False):
+            assert _decimal_table([["1", "2.5"]]) is None
+
+    def test_loads_alike_without_the_kernel(self):
+        campaign = Campaign(np.random.default_rng(3), [6] * 20, n_counters=3)
+        got = _assert_loads_as_reference(campaign, 200, expect_ok=True)
+        with mock.patch.object(dataset, "_WIDE_LONG_DOUBLE", False):
+            assert _assert_loads_as_reference(campaign, 200) == got
+
+    @pytest.mark.parametrize("power_first", [False, True])
+    def test_clean_full_read_takes_no_loadtxt(self, power_first):
+        # A power trace that starts at a negative time is declined and read
+        # file by file; the other kinds of trace still go to the kernel.
+        campaign = Campaign(np.random.default_rng(4), [11] * 40, n_counters=20,
+                            power_first=power_first)
+        with _loadtxt_calls() as calls:
+            _assert_loads_as_reference(campaign, 2_000, expect_ok=True)
+        assert calls == ([14] * 40 if power_first else [])
 
 
 class TestRunMeta:

@@ -244,6 +244,14 @@ class TestPersistence:
         with pytest.raises(ModelFileError, match="schema version"):
             load_model(path)
 
+    def test_schema_version_true_is_not_1(self, tmp_path):
+        path = tmp_path / "model.json"
+        doc = model_to_dict(self.build_model())
+        doc["schema_version"] = True
+        path.write_text(__import__("json").dumps(doc))
+        with pytest.raises(ModelFileError, match="schema version True"):
+            load_model(path)
+
     def test_unknown_feature_kind_named(self, tmp_path):
         path = tmp_path / "model.json"
         doc = model_to_dict(self.build_model())
@@ -257,8 +265,12 @@ class TestPersistence:
         [("coefficients", 1, float("nan"), "coefficient of 'prod:a*b' must be a finite number, got nan"),
          ("coefficients", 0, float("-inf"), "coefficient of 'base:c1' must be a finite number, got -inf"),
          ("intercept", None, float("inf"), "intercept must be a finite number, got inf"),
-         ("intercept", None, 10**400, "malformed model document")],
-        ids=["nan-coefficient", "inf-coefficient", "inf-intercept", "overflowing-intercept"],
+         ("intercept", None, 10**400, "malformed model document"),
+         ("coefficients", 0, True, "coefficient of 'base:c1' must be a finite number, got True"),
+         ("coefficients", 1, "1.5", "coefficient of 'prod:a*b' must be a finite number, got '1.5'"),
+         ("intercept", None, False, "intercept must be a finite number, got False")],
+        ids=["nan-coefficient", "inf-coefficient", "inf-intercept", "overflowing-intercept",
+             "true-coefficient", "string-coefficient", "false-intercept"],
     )
     def test_non_finite_value_named(self, tmp_path, key, index, value, problem):
         path = tmp_path / "model.json"
