@@ -265,6 +265,8 @@ def cmd_predict(model_path: str, manifest: str, out_file: str) -> int:
 
 
 def cmd_compare(config: RunConfig, k: int | None = None) -> int:
+    if k is not None and k < 1:
+        raise ConfigError(f"--k must be a positive integer, got {k}")
     ds, _ = _load_isolated(config)
     train, test = split_dataset(ds, config.train_fraction, config.seed)
 
@@ -355,7 +357,10 @@ def compute_energy_mws(current_ma: float, voltage_v: float, latency_ms: float) -
     """Energy per inference in mWs: current (mA) x voltage (V) x time (s)."""
     if not all(math.isfinite(v) and v > 0 for v in (current_ma, voltage_v, latency_ms)):
         raise ConfigError("current, voltage, and latency must all be finite and > 0")
-    return current_ma * voltage_v * latency_ms / 1000.0
+    energy = current_ma * voltage_v * latency_ms / 1000.0
+    if not math.isfinite(energy):
+        raise ConfigError("current x voltage x latency overflows a float")
+    return energy
 
 
 def cmd_energy(current_ma: float, voltage_v: float, latency_ms: float) -> int:
@@ -393,8 +398,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return _apply_overrides(config, args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that
+    ``main`` prints them as one ``error:`` line and exits 2, as it does for
+    any other bad input. Subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pmcpower",
         description="Synthesize linear power models from performance-counter traces.",
     )
@@ -458,12 +472,11 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     # A warning prints as one line, like an error, not as Python's source excerpt.
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return _run(parser, args)
+            return _run(parser, parser.parse_args(argv))
         except (ConfigError, ParseError, ModelFileError, FileNotFoundError, OSError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 2

@@ -275,26 +275,26 @@ _SKELETON_STEPS[[4 * a + b for a, b in ((3, 3), (3, 0), (3, 1), (0, 3), (0, 1),
                                         (1, 2), (1, 3), (2, 3))]] = True
 
 
-def _cells_proved(body: bytes, width: int) -> bool:
-    """Whether every line of ``body`` holds ``width`` cells, each a number
-    that numpy's reader and ``float()`` read alike, finite and not negative.
+def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray, np.ndarray] | None:
+    """The skeleton of ``body`` (its bytes less the digits) ended by a
+    newline, the mask of the bytes of ``body`` that are not digits and the
+    mask of those that are neither digits nor points, all three without the
+    minus a line may start with, when every line of ``body`` holds
+    ``width`` cells, each a number that numpy's reader and ``float()`` read
+    alike, finite, and not negative unless it is the line's first; else
+    None.
 
-    A proved cell is one to 69 digits, then at most a point and digits,
-    then at most an exponent mark, a sign and one or two digits, or a
-    minus and three: below 1e70 * 1e99, so no cell overflows. The proof is
-    stricter than the readers (no leading point or sign, no space or blank
-    line, and three exponent digits only after a minus); a body it
-    declines is read in full. It builds the body's skeleton and a few byte
-    masks, a fraction of the cost of converting every cell.
+    A proved cell is a minus, if it is the line's first, or none, then one
+    to 69 digits, then at most a point and digits, then at most an exponent
+    mark, a sign and one or two digits, or a minus and three: below 1e70 *
+    1e99, so no cell overflows. The proof is stricter than the readers (no
+    leading point or plus, no space or blank line, and three exponent
+    digits only after a minus); a body it declines is read in full. It
+    builds the body's skeleton and a few byte masks, a fraction of the
+    cost of converting every cell.
     """
-    return _proof(body, width) is not None
-
-
-def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray] | None:
-    """The skeleton of ``body`` ended by a newline, and the mask of its bytes
-    that are not digits, when ``_cells_proved`` accepts it; else None."""
-    if not body[:1].isdigit():
-        return None  # an empty first cell, a leading point or sign, a blank line
+    if not (body[1:2] if body[:1] == b"-" else body[:1]).isdigit():
+        return None  # an empty first cell, a leading point or plus, a blank line
     if not body.endswith(b"\n"):
         body += b"\n"
     skeleton = body.translate(None, b"0123456789")
@@ -302,8 +302,18 @@ def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray] | None:
     separators = skeleton.translate(None, b".eE+-")
     if separators != (b"," * (width - 1) + b"\n") * (len(separators) // width):
         return None
-    steps = np.frombuffer((b"\n" + skeleton).translate(_SKELETON_CLASSES), dtype=np.uint8)
-    if not _SKELETON_STEPS[steps[:-1] * 4 + steps[1:]].all():
+    # A minus that starts a line is the sign of its first cell. It follows a
+    # newline in the skeleton, as does a minus after a line's first digits;
+    # as many in the body tell that there is none of those.
+    lined = b"\n" + skeleton
+    signs = lined.count(b"\n-") if b"-" in skeleton else 0
+    if signs:
+        if (b"\n" + body).count(b"\n-") != signs:
+            return None
+        lined = lined.replace(b"\n-", b"\n")
+        skeleton = lined[1:]
+    steps = np.frombuffer(lined.translate(_SKELETON_CLASSES), dtype=np.uint8)
+    if not _SKELETON_STEPS.take(steps[:-1] * 4 + steps[1:]).all():
         return None
     # Every digit run the skeleton implies is there: a non-digit is followed
     # by a digit unless it is a point ("1.", "1.e5") or the next byte is an
@@ -312,14 +322,17 @@ def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray] | None:
     shifted = raw - ord(".")
     loose = shifted > ord("9") - ord(".")  # neither a digit nor a point
     shifted -= ord("0") - ord(".")
-    apart = shifted > 9  # not a digit
+    apart = np.greater(shifted, 9, out=shifted.view(np.bool_))  # not a digit
+    if signs:
+        first = np.append(True, raw[:-1] == ord("\n"))
+        apart &= ~(first & (raw == ord("-")))  # a line's sign is followed by a digit
     follows = apart[1:]
     if skeleton.translate(None, b".,\n"):  # an exponent
-        sign = (raw == ord("+")) | (raw == ord("-"))
+        minus = (raw == ord("-")) & apart  # not a line's sign
+        sign = (raw == ord("+")) | minus
         if (sign[1:] & ~apart[:-1]).any():
             return None
         follows = follows & ~sign[1:]
-        minus = raw == ord("-")
         lead = (sign & ~minus) | (raw == ord("e")) | (raw == ord("E"))
         if (lead[:-3] & ~(apart[1:-2] | apart[2:-1] | apart[3:])).any():
             return None  # three exponent digits, not after a minus
@@ -327,10 +340,12 @@ def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray] | None:
             return None  # four after a minus
     if (loose[:-1] & follows).any():
         return None
+    if signs:
+        loose &= apart
     # Seven aligned words of digits in a row hold any run of 63; a run of 70
     # reaches them past the unaligned tail.
     words = apart[:apart.size // 8 * 8].view(np.uint64) == 0
-    return None if b"\1" * 7 in words.tobytes() else (skeleton, apart)
+    return None if b"\1" * 7 in words.tobytes() else (skeleton, apart, loose)
 
 
 # The kernel's quotients are exact enough only with an IEEE long double of a
@@ -342,6 +357,7 @@ _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 # 5**27 < 2**64.
 _TENS = np.cumprod(np.concatenate([[1], np.full(27, 10)]).astype(np.longdouble))
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+_IS_SEPARATOR = bytes(byte in b",\n" for byte in range(256))
 
 
 def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
@@ -349,16 +365,17 @@ def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
     double nearest its decimal, as ``float()`` and numpy's reader give it;
     None when the body is not one this kernel takes.
 
-    It takes a body ``_cells_proved`` accepts that holds no exponent mark,
-    each cell of at most 19 significant digits and 27 after the point. A
-    cell is then D / 10**k, with D < 10**19 and 10**k exact long doubles,
-    so their quotient q is rounded once. Rounding q to a double gives the
-    cell's correct rounding unless q lies exactly midway between two
-    doubles: such a midpoint is a long double, which the rounding of the
-    true quotient could reach but not cross. Those cells, rare, are read
-    by ``float()``. r = q - double(q) is exact, and at a midpoint |r| is
-    half the spacing of the doubles at double(q), or r a quarter of it
-    below a power of two.
+    It takes a body ``_proof`` accepts that holds no exponent mark, each
+    cell of at most 19 significant digits and 27 after the point. A cell,
+    its sign aside, is then D / 10**k, with D < 10**19 and 10**k exact
+    long doubles, so their quotient q is rounded once. Rounding q to a
+    double gives the cell's correct rounding unless q lies exactly midway
+    between two doubles: such a midpoint is a long double, which the
+    rounding of the true quotient could reach but not cross. Those cells,
+    rare, are read by ``float()``. r = q - double(q) is exact, and at a
+    midpoint |r| is half the spacing of the doubles at double(q), or r a
+    quarter of it below a power of two. The minus a line may start with is
+    set on its first cell last.
     """
     if not body.endswith(b"\n"):
         body += b"\n"
@@ -367,7 +384,7 @@ def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
     proof = _proof(body, width)
     if proof is None:
         return None
-    skeleton, apart = proof
+    skeleton, apart, _ = proof
     marks = np.flatnonzero(apart)  # the points and the separators, as in the skeleton
     point = np.frombuffer(skeleton, dtype=np.uint8) == ord(".")
     at = np.flatnonzero(point)
@@ -376,7 +393,7 @@ def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
     fraction[at - np.arange(at.size)] = marks[at + 1] - marks[at] - 1
     if fraction.max() > 27:
         return None
-    whole = np.fromstring(body.translate(_NEWLINE_TO_COMMA, b"."), dtype=np.uint64,
+    whole = np.fromstring(body.translate(_NEWLINE_TO_COMMA, b".-"), dtype=np.uint64,
                           count=fraction.size, sep=",")
     # np.fromstring saturates a D of 2**64 or more to 2**64 - 1, without a word.
     if whole.max() >= 10**19:
@@ -390,6 +407,10 @@ def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
         ends = marks[~point]  # each cell's separator
         for i in np.flatnonzero(midway).tolist():
             table[i] = float(body[ends[i - 1] + 1 if i else 0:ends[i]])
+    if b"-" in body:  # without an exponent, only a line's sign
+        minus = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("-"))
+        signed = np.searchsorted(marks[~point], minus)  # the cell of each
+        table[signed] = np.copysign(table[signed], -1.0)
     return table.reshape(-1, width)
 
 
@@ -423,7 +444,7 @@ def _trace_parts(text: str, expected_first: str) -> tuple[tuple[str, ...], str] 
     ``expected_first``, and an ASCII body that is not blank, with no line
     longer than the csv field size limit; else None."""
     head, _, body = text.partition("\n")
-    if '"' in head or not body.isascii() or not body.strip():
+    if '"' in head or not body.isascii() or not body or body.isspace():
         return None
     limit = csv.field_size_limit()
     start = 0  # of a line, the ones before it no longer than the limit
@@ -438,32 +459,26 @@ def _trace_parts(text: str, expected_first: str) -> tuple[tuple[str, ...], str] 
     return header, body
 
 
-def _table(header: tuple[str, ...], body: str, wanted: frozenset[str] | None = None
+def _table(header: tuple[str, ...], body: bytes, wanted: frozenset[str] | None = None
            ) -> np.ndarray | None:
     """The sample table of ``body`` as ``_parse_rows`` would return it, read
     by numpy's C reader; None wherever that read could differ or fails.
 
     With ``wanted``, the table holds only the timestamps and the counters in
     ``wanted``, in header order, and the result is None also when another
-    cell is not finite or is negative. The other cells are not converted
-    when ``_cells_proved`` proves them from their bytes; otherwise the body
-    is read in full and they are checked here.
+    cell is not finite or is negative.
     """
-    columns = None if wanted is None else _wanted_columns(header, wanted)
-    data = body.encode("ascii")
-    proved = columns is not None and _cells_proved(data, len(header))
-    if not proved and (data.translate(None, _FAST_BYTES)
-                       or "\r" in body and body.count("\r") != body.count("\r\n")):
+    if (body.translate(None, _FAST_BYTES)
+            or b"\r" in body and body.count(b"\r") != body.count(b"\r\n")):
         return None
     try:
-        table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2,
-                           usecols=columns if proved else None)
+        table = np.loadtxt(body.decode("ascii").split("\n"), delimiter=",", comments=None,
+                           ndmin=2)
     except ValueError:
         return None
-    if proved:
-        return table
     if table.shape[1] != len(header):
         return None
+    columns = None if wanted is None else _wanted_columns(header, wanted)
     if columns is None:
         return table
     if not np.isfinite(table).all() or (table[:, 1:] < 0).any():
@@ -482,7 +497,7 @@ def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndar
     supported yet.
     """
     parts = _trace_parts(text, expected_first)
-    table = None if parts is None else _table(*parts)
+    table = None if parts is None else _table(parts[0], parts[1].encode("ascii"))
     return None if table is None else (parts[0], table)
 
 
@@ -709,33 +724,65 @@ def _aggregate(trace: CounterTrace, power: PowerTrace, where: str) -> tuple[np.n
 
 
 # The counter tables of one block of runs hold at most this many cells
-# (64 KB of float64) unless one run holds more, so the memory ingest takes
-# does not grow with the campaign. Blocks of 1 << 16 cells converted more
-# slowly: their text (about 1 MB) and the conversion's temporaries are
-# allocated afresh for each block, not reused.
+# (64 KB of float64), and its trace bodies at most BLOCK_BYTES of text,
+# unless one run holds more, so the memory ingest takes does not grow with
+# the campaign. Blocks of 1 << 16 cells converted more slowly: their text
+# (about 1 MB) and the conversion's temporaries are allocated afresh for
+# each block, not reused. A read of a few counters converts few cells of
+# much text, and the proof's byte masks are a few times the text's size.
 BLOCK_CELLS = 1 << 13
+BLOCK_BYTES = 1 << 19
 
 
-# A trace file the fast read took: its header, the shape of its table
-# (samples x columns, timestamps first), and the table or, not yet
-# converted, the file's body.
-_Trace = tuple[tuple[str, ...], tuple[int, ...], "np.ndarray | str"]
+# A trace file the fast read took: its header, the shape of the table it
+# gives (samples x columns, timestamps first, then the wanted counters),
+# and its body, not yet converted, ended by a newline.
+_Trace = tuple[tuple[str, ...], tuple[int, int], bytes]
 
 
-def _stacked(traces: list[_Trace]) -> np.ndarray | None:
+def _wanted_cells(body: bytes, width: int, columns: tuple[int, ...]) -> bytes | None:
+    """The cells of ``columns`` (0, the timestamps, first) of every line of
+    ``body``, joined into a body of as many cells a line, when ``_proof``
+    proves every cell of ``body``, so that those left out are finite and
+    not negative; else None."""
+    proof = _proof(body, width)
+    if proof is None:
+        return None
+    skeleton, _, loose = proof
+    # Cell k of ``body`` follows bounds[k] and ends at its separator,
+    # bounds[k + 1]: the separators are the bytes neither digits nor points
+    # that the skeleton less its points shows as separators.
+    separator = np.frombuffer(skeleton.translate(_IS_SEPARATOR, b"."), dtype=bool)
+    bounds = np.append(-1, np.flatnonzero(loose)[separator])
+    picked = (np.arange(0, bounds.size - 1, width)[:, None] + columns).ravel()
+    starts = bounds[picked] + 1
+    # Each wanted cell with its separator, gathered in order, the separator
+    # then set to end a cell or a line of the new body.
+    lengths = bounds[picked + 1] + 1 - starts
+    stops = np.cumsum(lengths)
+    cells = np.frombuffer(body, dtype=np.uint8)[
+        np.repeat(starts - (stops - lengths), lengths) + np.arange(stops[-1])]
+    cells[stops - 1] = ord(",")
+    cells[stops[len(columns) - 1::len(columns)] - 1] = ord("\n")
+    return cells.tobytes()
+
+
+def _stacked(traces: list[_Trace], wanted: frozenset[str] | None = None) -> np.ndarray | None:
     """The tables of one kind of trace of a block (runs x samples x
-    columns). Bodies not yet converted are converted by one
-    ``_decimal_table`` on their bodies joined or, when it declines them, by
-    ``_table`` file by file. None when ``_table`` declines a file or reads a
-    shape other than the block's."""
-    _, shape, data = traces[0]
-    if not isinstance(data, str):
-        return np.stack([table for _, _, table in traces])
-    body = "".join(text if text.endswith("\n") else text + "\n" for _, _, text in traces)
-    table = _decimal_table(body.encode("ascii"), shape[1])
+    columns), of the timestamps and the counters in ``wanted`` (all when
+    None). One ``_decimal_table`` converts the bodies joined or, when not
+    every counter is wanted, the wanted cells of them proved; when it
+    declines them, ``_table`` reads file by file. None when ``_table``
+    declines a file or reads a shape other than the block's."""
+    header, shape, _ = traces[0]
+    body = b"".join(text for _, _, text in traces)
+    columns = None if wanted is None else _wanted_columns(header, wanted)
+    if columns is not None:
+        body = _wanted_cells(body, len(header), columns)
+    table = None if body is None else _decimal_table(body, shape[1])
     if table is not None:
         return table.reshape(len(traces), *shape)
-    tables = [_table(header, text) for header, _, text in traces]
+    tables = [_table(header, text, wanted) for header, _, text in traces]
     if any(table is None or table.shape != shape for table in tables):
         return None
     return np.stack(tables)
@@ -759,6 +806,9 @@ class _FastRun:
 
     def cells(self) -> int:
         return sum(math.prod(shape) for _, shape, _ in filter(None, (self.counters, self.aux)))
+
+    def text_bytes(self) -> int:
+        return sum(len(body) for _, _, body in filter(None, (self.counters, self.power, self.aux)))
 
 
 _POWER_HEADERS = (("ts_ms", "current_ma"), ("ts_ms", "current_ma", "voltage_v"))
@@ -833,21 +883,23 @@ class _Campaign:
 
     def fast_read(self, i: int) -> _FastRun | None:
         """Run ``i`` with its files read, each in one pass, by the fast
-        read; None when its entry or a file cannot be read, the fast read
-        declines a file, or a header would raise. A file of which only some
-        counters are wanted is converted here; the bodies of the others are
-        kept for ``_stacked``."""
+        read, their bodies kept for ``_stacked``; None when its entry or a
+        file cannot be read, the fast read declines a file, or a header
+        would raise."""
         base = str(self.base_dir)
 
         def read(name: str, wanted=None) -> _Trace | None:
             parts = _trace_parts(_read_text(os.path.join(base, name), "trace"), "ts_ms")
             if parts is None:
                 return None
-            header, body = parts
-            if wanted is not None and _wanted_columns(header, wanted) is not None:
-                table = _table(header, body, wanted)
-                return None if table is None else (header, table.shape, table)
-            return header, (body.count("\n") + (not body.endswith("\n")), len(header)), body
+            header, text = parts
+            body = text.encode("ascii")
+            if not body.endswith(b"\n"):
+                body += b"\n"
+            columns = None if wanted is None else _wanted_columns(header, wanted)
+            # numpy counts the lines about four times as fast as bytes.count.
+            rows = np.count_nonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+            return header, (rows, len(columns or header)), body
 
         try:
             run = _manifest_run(self.runs[i], i)
@@ -895,9 +947,9 @@ class _Campaign:
         if self.metas and (first.counters[0][1:] != self.counter_names
                            or aux_names != self.aux_names):
             return None
-        counters = _stacked([run.counters for run in block])
+        counters = _stacked([run.counters for run in block], self.wanted)
         power = _stacked([run.power for run in block])
-        aux = None if first.aux is None else _stacked([run.aux for run in block])
+        aux = None if first.aux is None else _stacked([run.aux for run in block], self.aux_wanted)
         if counters is None or power is None or (first.aux is not None and aux is None):
             return None
         if not (_samples_pass(counters, counters[:, :, 1:]) and _samples_pass(power, power[:, :, 1])
@@ -933,12 +985,14 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     the only counters the caller reads: each dataset then holds those its
     traces name, in trace order, with the bits a full read gives them. The
     other cells are not converted when their bytes prove them well-formed,
-    finite and not negative; a file they do not prove is read in full, so
-    every fault raises as it does without ``counters``.
+    finite and not negative; a block of files they do not prove is read in
+    full, file by file, so every fault raises as it does without
+    ``counters``.
 
     Consecutive runs whose traces share their headers and shapes are read
-    into a block of at most BLOCK_CELLS counter cells, whose samples are
-    checked and whose runs are aggregated at once. A run the fast read
+    into a block of at most BLOCK_CELLS converted counter cells and
+    BLOCK_BYTES of trace text, whose samples are checked and whose runs are
+    aggregated at once. A run the fast read
     cannot take, and every run of a block that fails, is read again alone,
     so a fault raises as the first one in manifest order, in the words of
     the one-run path.
@@ -955,18 +1009,20 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     campaign = _Campaign(runs, path.parent, None if counters is None else frozenset(counters),
                          None if aux_counters is None else frozenset(aux_counters))
     block: list[_FastRun] = []
-    cells = 0
+    cells = text = 0
     for i in range(len(runs)):
         run = campaign.fast_read(i)
         if block and (run is None or run.key() != block[0].key()
-                      or cells + run.cells() > BLOCK_CELLS):
+                      or cells + run.cells() > BLOCK_CELLS
+                      or text + run.text_bytes() > BLOCK_BYTES):
             campaign.add_block(block)
-            block, cells = [], 0
+            block, cells, text = [], 0, 0
         if run is None:
             campaign.add_run(i)
         else:
             block.append(run)
             cells += run.cells()
+            text += run.text_bytes()
     if block:
         campaign.add_block(block)
     return campaign.datasets()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -342,6 +343,31 @@ class TestBadInputExit2:
             "whose currents follow its law exactly\n")
         assert not (tmp_path / "synth").exists()
 
+    @pytest.mark.parametrize("argv, problem", [
+        (["train", "--top-k", "x"], "pmcpower train: argument --top-k: invalid int value: 'x'"),
+        (["train", "--alpha", "-inf"], "pmcpower train: argument --alpha: expected one argument"),
+        (["eval", "--manifest", "m.json"],
+         "pmcpower eval: the following arguments are required: --model"),
+        (["synth", "--out", "o", "--profile", "flat"],
+         "pmcpower synth: argument --profile: invalid choice: 'flat'"),
+        (["train", "--no-such-flag"], "pmcpower: unrecognized arguments: --no-such-flag"),
+        (["fit"], "pmcpower: argument command: invalid choice: 'fit'"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, problem):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {problem}") and err.count("\n") == 1
+
+    def test_compare_k_checked_at_entry(self, tmp_path, synth_manifest, capsys):
+        assert main(["compare", "--manifest", str(synth_manifest), "--output-dir",
+                     str(tmp_path / "out"), "--k", "0"]) == 2
+        assert capsys.readouterr().err == "error: --k must be a positive integer, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_energy_overflow(self, capsys):
+        assert main(["energy", "--current", "1e308", "--voltage", "1e308", "--latency", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: current x voltage x latency overflows a float\n")
+
     @pytest.mark.parametrize("flag, value", [("--current", "nan"), ("--current", "inf"),
                                              ("--voltage", "inf"), ("--latency", "nan")])
     def test_energy_non_finite(self, flag, value):
@@ -498,9 +524,11 @@ class TestSynthCommand:
         assert report["test"]["r_squared"] >= 0.999
 
 
-# One mutation of a campaign or a model file: trace cells the exact kernel
-# declines (20 digits, 28 after the point, exponents) or no reader takes,
-# line ends and bytes, manifest fields of every JSON type, model-file fields.
+# One mutation of a campaign, a model file, a config file or a flag: trace
+# cells the exact kernel declines (20 digits, 28 after the point, exponents)
+# or no reader takes, line ends and bytes, manifest, model and config fields
+# of every JSON type, config files that are no JSON object, and flag values
+# out of range, not finite, too large for a float or not numbers at all.
 ODD_TRACE_CELLS = ("12345678901234567890", "0." + "0" * 27 + "1", "1e5", "2.5E-3", "1e-300",
                    "1e+300", "1e400", "-1", "+1", "-0", ".5", "1.", "1.5.2", "", "nan", "inf",
                    "1_0", " 7", "é", "３")
@@ -510,12 +538,28 @@ RUN_FIELDS = ("benchmark", "workload_type", "frequency_hz", "utilization", "coun
               "power_file", "aux_counter_file")
 MODEL_FIELDS = ("coefficients", "coefficient", "intercept", "features", "schema_version",
                 "train_meta", "kind")
+CONFIG_FIELDS = tuple(f.name for f in fields(cli.RunConfig)) + ("typo_knob",)
+CONFIG_FILES = (b"", b"[]", b"{", b"null", b"1e400", b'{"manifest": "a", "manifest": 1}',
+                b"\xff\xfe{}", '{"seed": 1}'.encode("utf-16"))
+FLAG_VALUES = ("0", "-1", "1", "0.5", "7", "1e-300", "1e308", "1e400", "nan", "inf", "-inf",
+               "-0", "x", "", "1_0", "0x10", " 3", "99999999999999999999")
+# --runs sizes a campaign in memory: no large count.
+RUNS_VALUES = ("0", "-1", "1", "2", "7", "1e3", "nan", "x", "")
+PIPELINE_FLAGS = ("--alpha", "--cut-factor", "--epsilon", "--patience", "--top-k",
+                  "--train-fraction", "--seed", "--base-current")
+FLAGS = {"train": PIPELINE_FLAGS, "eval": PIPELINE_FLAGS, "compare": PIPELINE_FLAGS + ("--k",),
+         "synth": ("--runs", "--noise", "--seed"),
+         "energy": ("--current", "--voltage", "--latency")}
+KINDS = {"train": ("cell", "line", "manifest", "config", "flag"),
+         "eval": ("cell", "line", "manifest", "model", "config", "flag"),
+         "predict": ("cell", "line", "manifest", "model"),
+         "compare": ("cell", "line", "manifest", "config", "flag"),
+         "synth": ("flag",), "energy": ("flag",)}
 
 
 @st.composite
 def mutations(draw, command):
-    kinds = ["cell", "line", "manifest"] + (["model"] if command != "train" else [])
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(KINDS[command]))
     run = draw(st.integers(0, 17))
     if kind == "cell":
         return kind, run, (draw(st.sampled_from(["counter_file", "power_file"])),
@@ -524,12 +568,46 @@ def mutations(draw, command):
     if kind == "line":
         return kind, run, (draw(st.sampled_from(["counter_file", "power_file"])),
                            draw(st.sampled_from(LINE_FAULTS)), draw(st.integers(1, 12)))
-    fields = RUN_FIELDS if kind == "manifest" else MODEL_FIELDS
-    return kind, run, (draw(st.sampled_from(fields)), draw(st.sampled_from(JSON_VALUES)))
+    if kind == "config":
+        if draw(st.booleans()):
+            return kind, run, (None, draw(st.sampled_from(CONFIG_FILES)))
+        return kind, run, (draw(st.sampled_from(CONFIG_FIELDS)), draw(st.sampled_from(JSON_VALUES)))
+    if kind == "flag":
+        flag = draw(st.sampled_from(FLAGS[command]))
+        return kind, run, (flag, draw(st.sampled_from(RUNS_VALUES if flag == "--runs"
+                                                      else FLAG_VALUES)))
+    names = RUN_FIELDS if kind == "manifest" else MODEL_FIELDS
+    return kind, run, (draw(st.sampled_from(names)), draw(st.sampled_from(JSON_VALUES)))
+
+
+def _argv(command: str, manifest: Path, model: Path, out: Path, mutation) -> list[str]:
+    """The command line of ``command`` on the campaign at ``manifest``, with
+    a config file written beside it when the mutation is of a config, and
+    the mutated flag last, where it overrides an earlier one."""
+    kind, _, change = mutation
+    campaign = {"manifest": str(manifest), "output_dir": str(out), "top_k": 20}
+    if kind == "config":
+        path = out.parent / "config.json"
+        key, value = change
+        path.write_bytes(value if key is None else json.dumps({**campaign, key: value}).encode())
+        data = ["--config", str(path)]
+    else:
+        data = ["--manifest", str(manifest), "--output-dir", str(out), "--top-k", "20"]
+    argv = {"train": ["train", *data],
+            "eval": ["eval", "--model", str(model), *data],
+            "predict": ["predict", "--model", str(model), "--manifest", str(manifest),
+                        "--out", str(out / "predictions.csv")],
+            "compare": ["compare", *data],
+            "synth": ["synth", "--out", str(out), "--runs", "6", "--seed", "1"],
+            "energy": ["energy", "--current", "242.39", "--voltage", "3.86",
+                       "--latency", "14.81"]}[command]
+    return argv + list(change) if kind == "flag" else argv
 
 
 def _mutate(manifest: Path, model: Path, mutation) -> None:
     kind, run, change = mutation
+    if kind in ("config", "flag"):
+        return
     doc = json.loads(manifest.read_text())
     entry = doc["runs"][run]
     if kind == "manifest":
@@ -581,31 +659,37 @@ def small_campaign(tmp_path_factory):
     return manifest, root / "trained" / "model.json"
 
 
-class TestNeverATraceback:
-    """Whatever one mutation of a campaign or model file does, ``train``,
-    ``eval`` and ``predict`` exit 0, 1 or 2, raise nothing, and a nonzero
-    exit prints one ``error:`` line."""
+@contextlib.contextmanager
+def _working_directory(path):
+    """``contextlib.chdir``, which Python 3.10 lacks."""
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
 
-    @settings(max_examples=150, deadline=None,
+
+class TestNeverATraceback:
+    """Whatever one mutation of a campaign, a model file, a config file or
+    a flag does, every command exits 0, 1 or 2, raises nothing, and a
+    nonzero exit prints one ``error:`` line."""
+
+    @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_one_mutation(self, small_campaign, data):
-        command = data.draw(st.sampled_from(["train", "eval", "predict"]))
+        command = data.draw(st.sampled_from(list(KINDS)))
         mutation = data.draw(mutations(command))
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, _working_directory(tmp):
+            # A relative path a config or flag names stays in ``tmp``.
             tmp = Path(tmp)
             manifest, model = small_campaign
             shutil.copytree(manifest.parent, tmp / "data")
             shutil.copy(model, tmp / "model.json")
             manifest, model = tmp / "data" / manifest.name, tmp / "model.json"
             _mutate(manifest, model, mutation)
-            out = tmp / "out"
-            argv = {"train": ["train", "--manifest", str(manifest), "--output-dir", str(out),
-                              "--top-k", "20"],
-                    "eval": ["eval", "--model", str(model), "--manifest", str(manifest),
-                             "--output-dir", str(out)],
-                    "predict": ["predict", "--model", str(model), "--manifest", str(manifest),
-                                "--out", str(out / "predictions.csv")]}[command]
+            argv = _argv(command, manifest, model, tmp / "out", mutation)
             err = io.StringIO()
             # Warnings as a user sees them, each printed by the CLI as one
             # line, not raised as the test suite's filter would raise them.
@@ -615,5 +699,5 @@ class TestNeverATraceback:
                 code = main(argv)
         assert code in (0, 1, 2)
         lines = err.getvalue().splitlines()
-        assert all(line.startswith(("error: ", "warning: ")) for line in lines), lines
+        assert all(line.startswith(("error: ", "warning: ", "note: ")) for line in lines), lines
         assert sum(line.startswith("error: ") for line in lines) == (code != 0), lines

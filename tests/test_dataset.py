@@ -1170,22 +1170,78 @@ class TestSubsetReadMatchesFullRead:
 
     @needs_exact_kernel
     def test_clean_campaign_is_proved_not_converted(self):
-        # 150 runs of 11 x 41 cells: every counter and aux table is proved
-        # and read file by file, with only the timestamps and c3, c17
-        # converted; the power tables go to the kernel a block at a time.
-        campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40,
-                            power_first=False)
-        real, proved = dataset._cells_proved, []
+        # 150 runs of 11 x 41 cells: the counter bodies of each block are
+        # proved once, joined, and the kernel converts only the timestamps
+        # and c3, c17 of them; no file is read on its own.
+        campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40)
+        real_proof, real_stacked, proofs, blocks = dataset._proof, dataset._stacked, [], []
 
-        def spy(body, width):
-            proved.append(real(body, width))
-            return proved[-1]
+        def proof(body, width):
+            proofs.append((width, len(body)))
+            return real_proof(body, width)
 
-        with mock.patch.object(dataset, "_cells_proved", spy), _loadtxt_calls() as calls:
+        def stacked(traces, wanted=None):
+            if len(traces[0][0]) == 41:
+                blocks.append(sum(len(text) for _, _, text in traces))
+            return real_stacked(traces, wanted)
+
+        with mock.patch.object(dataset, "_proof", proof), \
+                mock.patch.object(dataset, "_stacked", stacked), _loadtxt_calls() as calls:
             ds, aux = _assert_subset_loads_as_full(campaign, 5_000, {"c3", "c17", "zz"}, (),
                                                    expect_ok=True)
-        assert len(proved) == 300 and all(proved) and calls == [12] * 300
+        assert calls == []
+        assert [n for width, n in proofs if width == 41] == blocks and len(blocks) > 1
         assert ds[0] == ("c3", "c17") and aux[0] == () and ds[2] == (150, 2)
+
+    @needs_exact_kernel
+    def test_negative_timestamps_take_the_kernel(self):
+        # Every trace starts before 0: the kernel takes the minus that
+        # starts a line of a subset read's counter and aux bodies too.
+        campaign = Campaign(np.random.default_rng(6), [6] * 9)
+        for trace in campaign.traces:
+            for rows in trace.values():
+                for row in rows[1:]:
+                    row[0] = repr(float(row[0]) - 5000.0)
+        with _loadtxt_calls() as calls:
+            _assert_subset_loads_as_full(campaign, 100, {"c0"}, (), expect_ok=True)
+        assert calls == []
+
+    @needs_exact_kernel
+    def test_blocks_join_at_most_block_bytes(self):
+        # The cells a subset read converts are few; its blocks are bounded
+        # by the text they join.
+        campaign = Campaign(np.random.default_rng(5), [11] * 60, n_counters=40)
+        real, joined = dataset._wanted_cells, []
+
+        def spy(body, width, columns):
+            joined.append(len(body))
+            return real(body, width, columns)
+
+        with mock.patch.object(dataset, "_wanted_cells", spy), \
+                mock.patch.object(dataset, "BLOCK_BYTES", 40_000):
+            _assert_subset_loads_as_full(campaign, dataset.BLOCK_CELLS, {"c3"}, (),
+                                         expect_ok=True)
+        assert len(joined) > 2 and max(joined) <= 40_000
+
+    # One block of seven runs reads c0 and the aux cycles. Into run 1 goes a
+    # cell in c0, into run 4 one in c1, which is not read: cells the kernel
+    # declines (exponents, 20 digits, 28 after the point, a four-digit
+    # exponent the proof declines), cells it takes, and faults.
+    @pytest.mark.parametrize("read", ["1e5", "12345678901234567890", "1e-0100", "2.5",
+                                      "0." + "0" * 27 + "1"])
+    @pytest.mark.parametrize("unread", ["1e5", "1.5E3", "12345678901234567890", "1e-0100",
+                                        "0." + "0" * 27 + "1", "7", "-1", "1e400", "nan"])
+    def test_declined_cells_in_one_block(self, read, unread):
+        campaign = Campaign(np.random.default_rng(9), [6] * 7)
+        campaign.plant_cell(1, "counter", 3, 1, read)
+        campaign.plant_cell(4, "counter", 2, 2, unread)
+        with _loadtxt_calls() as calls:
+            got = _assert_subset_loads_as_full(campaign, 10_000, {"c0"}, {"cycles"})
+        if isinstance(got, list) and dataset._WIDE_LONG_DOUBLE:
+            # A block falls back to numpy's reader only when the kernel
+            # declines a read cell or the proof an unread one.
+            declined = read != "2.5" or unread == "1e-0100"
+            assert bool(calls) == declined
 
     @needs_exact_kernel
     def test_every_counter_wanted_reads_in_full(self):
@@ -1227,23 +1283,28 @@ def cell_tables(draw):
     return width, body if draw(st.booleans()) else body[:-1]
 
 
+def _proved(body: str, width: int) -> bool:
+    return dataset._proof(body.encode(), width) is not None
+
+
 class TestCellProof:
-    """What ``_cells_proved`` accepts, both readers take alike: every line
-    holds the width's cells, and every cell is a finite number that is not
-    negative, equal to the bit under numpy's reader and float()."""
+    """What ``_proof`` accepts, both readers take alike: every line holds
+    the width's cells, and every cell is a finite number, not negative
+    unless it is the line's first, equal to the bit under numpy's reader
+    and float()."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=cell_tables())
     def test_proved_cells_read_alike(self, case):
         width, body = case
-        if not dataset._cells_proved(body.encode(), width):
+        if not _proved(body, width):
             return
         rows = [line.split(",") for line in body.split("\n") if line]
         table = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
         assert table.shape == (len(rows), width)
         by_float = np.array([[float(cell) for cell in row] for row in rows])
         assert by_float.tobytes() == table.tobytes()
-        assert np.isfinite(table).all() and not (table < 0).any()
+        assert np.isfinite(table).all() and not (table[:, 1:] < 0).any()
 
     # repr writes an exponent of "+" and three digits from 1e100, which is
     # declined; below 1e-99 it writes "-" and three digits, down to 5e-324.
@@ -1255,15 +1316,22 @@ class TestCellProof:
         rows = [values[k:k + width] for k in range(0, len(values) - width + 1, width)]
         rows = rows or [[0.0] * width]
         body = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-        assert dataset._cells_proved(body.encode(), width)
+        assert _proved(body, width)
 
     @pytest.mark.parametrize("body", ["1,2,3\n4,5\n", "1,2,3\n4,5,6,7\n", "1,2,3\n4,5,x\n",
                                       "1,2,3\n\n4,5,6\n", "1,2,3\r\n4,5,6\r\n",
                                       "1,2,3\n4,5,6,\n", ",2,3\n", "1,2,1e123\n",
                                       "1,2,1e+123\n", "1,2," + "1" * 70 + "\n",
-                                      "1,2,1e5-3\n", "1,2,1e-1234\n", "1,2,1e-0100\n"])
+                                      "1,2,1e5-3\n", "1,2,1e-1234\n", "1,2,1e-0100\n",
+                                      "1,-2,3\n", "1-2,2,3\n", "-,2,3\n", "--1,2,3\n",
+                                      "-.5,2,3\n", "1,2,3\n-\n", "+1,2,3\n"])
     def test_declined(self, body):
-        assert not dataset._cells_proved(body.encode(), 3)
+        assert not _proved(body, 3)
+
+    @pytest.mark.parametrize("body", ["-1,2,3\n", "1,2,3\n-0.5,2,3", "-0,2,3\n-12345.5e-7,2,3\n",
+                                      "-1e-300,2,3\n"])
+    def test_signed_first_cell(self, body):
+        assert _proved(body, 3)
 
 
 def _decimal_table(rows):
@@ -1344,6 +1412,16 @@ class TestDecimalTable:
         twice = (whole.astype(np.longdouble) / dataset._TENS[after]).astype(float)
         assert (twice != np.array([float(cell) for cell in cells])).any()
 
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(st.tuples(st.booleans(), digit_strings()), min_size=1, max_size=40))
+    def test_signed_first_cells(self, cells):
+        # One cell a line: each may carry a minus, and "-0" stays -0.0.
+        _assert_read_as_float(["-" * signed + cell for signed, cell in cells])
+
+    def test_signed_midpoints_reach_float(self):
+        values = (10.0 ** np.random.default_rng(8).uniform(-4, 16, 100)).tolist()
+        _assert_read_as_float(["-" + cell for cell in _near_midpoints(values)])
+
     @pytest.mark.parametrize("cell", ["1.", "0", "9999999999999999999", "0.000", "1.5",
                                       "0." + "0" * 26 + "1", "0" * 40 + "7"])
     def test_edge_cells(self, cell):
@@ -1367,13 +1445,13 @@ class TestDecimalTable:
 
     @pytest.mark.parametrize("power_first", [False, True])
     def test_clean_full_read_takes_no_loadtxt(self, power_first):
-        # A power trace that starts at a negative time is declined and read
-        # file by file; the other kinds of trace still go to the kernel.
+        # A power trace may start at a negative time: the kernel takes the
+        # minus that starts a line.
         campaign = Campaign(np.random.default_rng(4), [11] * 40, n_counters=20,
                             power_first=power_first)
         with _loadtxt_calls() as calls:
             _assert_loads_as_reference(campaign, 2_000, expect_ok=True)
-        assert calls == ([14] * 40 if power_first else [])
+        assert calls == []
 
 
 class TestRunMeta:
