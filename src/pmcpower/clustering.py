@@ -23,15 +23,26 @@ does not merge them in this tie order, so the tree (and every cut of it)
 would depend on how the chain walked.
 
 The initial distances are computed once per pair of distinct columns, in
-the input's memory order, and then expanded to every pair. Counters of one
-family counted at power-of-two scales, and the products and ratios built
-from them, z-score to bit-equal columns; in the synthetic campaigns about
-half the leaves are bit-equal to another. A pair's distance depends only
-on the bits of its two columns, so the expansion changes none. The memory
-order is kept because einsum sums a row in the order its operand is laid
-out. Distances are not taken from a Gram matrix (|a|^2 + |b|^2 - 2 a.b):
-cancellation leaves exactly collinear columns a small nonzero distance
-apart, which breaks the zero-height tie order.
+the input's memory order. Counters of one family counted at power-of-two
+scales, and the products and ratios built from them, z-score to bit-equal
+columns; in the synthetic campaigns about half the leaves are bit-equal to
+another. A pair's distance depends only on the bits of its two columns.
+The memory order is kept because einsum sums a row in the order its operand
+is laid out. Distances are not taken from a Gram matrix (|a|^2 + |b|^2 -
+2 a.b): cancellation leaves exactly collinear columns a small nonzero
+distance apart, which breaks the zero-height tie order.
+
+Bit-equal columns are 0 apart, and the loop's first merges join them: each
+group merges completely into its first slot, member by member in slot
+order, the groups in order of first slot. Those zero-height merges are
+collapsed before the loop, one Lance-Williams chain per group over the
+distinct columns, and the loop then runs over one slot per distinct column
+with the same distances, bit for bit. The guard is that every two distinct
+columns are at least the smallest normal float apart; then no other pair
+reaches height 0 while the groups merge. Columns that differ only in the
+sign of a zero, or by an amount whose square underflows, fail it, and the
+distances are expanded to every pair of columns for the loop to merge them
+all.
 """
 from __future__ import annotations
 
@@ -94,17 +105,17 @@ def default_cut_threshold(n_samples: int, factor: float = DEFAULT_CUT_FACTOR) ->
     return factor * n_samples
 
 
-def _initial_distances(points: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Half the squared Euclidean distance between every two rows of
-    ``points``, slot ``s`` holding row ``order[s]``, with inf on the diagonal.
+def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half the squared Euclidean distance between every two distinct rows
+    of ``points``, with inf on the diagonal, and the index of each row's
+    distinct row.
 
     A pair's distance depends only on the bits of its two rows (swapping
-    them only negates the difference), so the triangle is computed once
-    per pair of distinct rows and expanded; bit-equal rows are +0.0 apart,
-    as their difference would give. The distinct rows keep the memory
-    order of ``points``: einsum sums a row in the order its operand is laid
-    out, and a copy in the other order can change a distance in the last
-    bit. ``order`` is applied only in the expansion, for the same reason.
+    them only negates the difference), so the triangle is computed once per
+    pair of distinct rows; bit-equal rows are +0.0 apart, as their
+    difference would give. The distinct rows keep the memory order of
+    ``points``: einsum sums a row in the order its operand is laid out, and
+    a copy in the other order can change a distance in the last bit.
     """
     width = points.shape[1]
     as_bytes = np.ascontiguousarray(points).view(np.dtype((np.void, width * points.itemsize)))
@@ -112,7 +123,7 @@ def _initial_distances(points: np.ndarray, order: Sequence[int]) -> np.ndarray:
     distinct = points[first]  # C order
     if abs(points.strides[0]) < abs(points.strides[1]):  # column-major points
         distinct = np.asfortranarray(distinct)
-    small = np.zeros((first.size, first.size))
+    small = np.full((first.size, first.size), np.inf)
     for i in range(first.size - 1):
         # The slice keeps row i itself so einsum always sees at least two
         # rows: a single-row operand takes a different summation path whose
@@ -121,74 +132,77 @@ def _initial_distances(points: np.ndarray, order: Sequence[int]) -> np.ndarray:
         row = 0.5 * np.einsum("ij,ij->i", diff, diff)[1:]
         small[i, i + 1 :] = row
         small[i + 1 :, i] = row
-    slots = inverse[order]
-    dist = small[np.ix_(slots, slots)]
-    np.fill_diagonal(dist, np.inf)
-    return dist
+    return small, inverse.ravel()
 
 
-def ward_cluster(
-    z_matrix,
-    names: Sequence[str] | None = None,
-    *,
-    check_normalized: bool = True,
-) -> Dendrogram:
-    """Cluster the columns of a z-scored sample matrix bottom-up.
+def _collapse_bit_equal(
+    small: np.ndarray, slots: np.ndarray, order: Sequence[int]
+) -> tuple[list[Merge], np.ndarray, np.ndarray, list[int]] | None:
+    """The zero-height merges of the generic loop, done group by group.
 
-    Pairwise SSE increases start at half the squared Euclidean distance
-    between columns and are maintained through the Lance-Williams recurrence
-    for Ward's method, so every recorded height equals the exact
-    delta-SSE of its merge. Equal heights break toward the pair whose
-    (smaller name, larger name) label pair sorts first, which makes the
-    tree independent of column order; a cluster's label is its smallest
-    member name.
+    ``slots[s]`` is the distinct column of the leaf in slot ``s`` (slots in
+    name order). When every two distinct columns are at least the smallest
+    normal float apart, the loop's first merges join the bit-equal leaves:
+    the global minimum is 0 and its first row is the first slot of the group
+    that starts earliest, so each group merges completely into its first
+    slot, member by member in slot order, and the groups go in order of
+    first slot. Every other cluster's distance to the group is then the
+    loop's Lance-Williams chain with height 0, one vector operation per
+    member over the distinct columns: each distinct column is one active
+    cluster at every step, and all members of a group share their row.
+    A chain value is at least the smaller of its two inputs up to rounding,
+    and the weights make up for the rounding, so no value falls to 0 and no
+    other pair is merged at height 0 before the groups are done.
 
-    The columns take their slots in sorted name order, and a merge keeps
-    the smaller slot, so slot order stays label order and the tie rule is
-    index order: each row caches its exact minimum and the first slot at
-    it, and a merge joins the first row at the global minimum with its
-    cached slot. After a merge only rows whose cached minimum equalled
-    their old distance to either merged cluster are rescanned; every other
-    row just compares its cache against its one new distance. The initial
-    distances are computed once per pair of distinct columns, in the
-    input's memory order, and expanded (see ``_initial_distances``); the
-    result is bit for bit that of computing every pair. Rescans read blocks
-    of rows, so no n x n array is allocated besides the distance matrix and
-    the distinct-column triangle it is expanded from.
-
-    ``check_normalized`` rejects columns whose mean is not ~0; disable it
-    to cluster raw coordinates (used by low-level tests).
+    Returns the merges, the distances between the remaining clusters (one
+    per distinct column, in slot order, inf on the diagonal), their sizes
+    and node ids; or None when the guard fails.
     """
-    z = np.asarray(z_matrix, dtype=float)
-    if z.ndim != 2:
-        raise ClusteringError("expected a 2-D n_samples x n_features matrix")
-    n_samples, n_features = z.shape
-    if n_features < 2:
-        raise ClusteringError("need at least 2 features to cluster")
-    if n_samples < 1:
-        raise ClusteringError("need at least 1 sample to cluster")
-    if names is None:
-        names = tuple(f"f{i:05d}" for i in range(n_features))
-    else:
-        names = tuple(names)
-        if len(names) != n_features:
-            raise ClusteringError("one name per feature column required")
-        if len(set(names)) != n_features:
-            raise ClusteringError("feature names must be unique")
-    if not np.isfinite(z).all():
-        raise ClusteringError("feature matrix holds non-finite values")
-    if check_normalized:
-        means = z.mean(axis=0)
-        bad = np.flatnonzero(np.abs(means) > 1e-6)
-        if bad.size:
-            raise ClusteringError(
-                f"column {names[bad[0]]!r} is not z-scored (mean {means[bad[0]]:.3g})"
-            )
+    if small.size and small.min() < np.finfo(float).tiny:
+        return None
+    n = slots.size
+    _, first, counts = np.unique(slots, return_index=True, return_counts=True)
+    by_column = np.split(np.argsort(slots, kind="stable"), np.cumsum(counts)[:-1])
+    firsts = np.sort(first)
+    columns = slots[firsts]  # the distinct column of each remaining cluster
+    size = np.ones(columns.size, dtype=np.int64)  # by distinct column
+    node_of = {}
+    merges: list[Merge] = []
+    for u in columns[counts[columns] > 1].tolist():
+        members = by_column[u].tolist()
+        others = np.r_[0:u, u + 1 : columns.size]
+        # The loop's update with i the group (size t), j its next member
+        # and height 0: ((t + s_k) d + (1 + s_k) d0 - s_k 0.0) / (t + 1 + s_k)
+        # clipped at 0. The sizes are exact as floats, subtracting +0.0
+        # and the clip (the guard keeps every value positive) change no
+        # bit, and the second term is the same at every step.
+        d0 = small[u, others]
+        s_k = size[others].astype(float)
+        fixed = (1 + s_k) * d0
+        d = d0
+        node = order[members[0]]
+        for t, slot in enumerate(members[1:], start=1):
+            weight = t + s_k
+            d = (weight * d + fixed) / (weight + 1)
+            merges.append(Merge(node, order[slot], 0.0, t + 1))
+            node = n + len(merges) - 1
+        small[u, others] = d
+        small[others, u] = d
+        size[u] = len(members)
+        node_of[u] = node
+    node_id = [node_of.get(u, order[s]) for u, s in zip(columns.tolist(), firsts.tolist())]
+    return merges, small[np.ix_(columns, columns)], size[columns], node_id
 
-    order = sorted(range(n_features), key=names.__getitem__)
-    dist = _initial_distances(z.T, order)  # rows of z.T are the features
-    row_min = np.empty(n_features)
-    row_best = np.empty(n_features, dtype=np.int64)
+
+def _merge_loop(
+    dist: np.ndarray, size: np.ndarray, node_id: list[int], n_leaves: int, step0: int
+) -> list[Merge]:
+    """Müllner's generic loop over the clusters in ``dist``'s slots (slot
+    order is label order), numbering new nodes from ``n_leaves + step0``.
+    ``dist`` (inf on the diagonal), ``size`` and ``node_id`` are consumed."""
+    n = dist.shape[0]
+    row_min = np.empty(n)
+    row_best = np.empty(n, dtype=np.int64)
 
     def rescan(rows: np.ndarray) -> None:
         for start in range(0, rows.size, _RESCAN_ROWS):
@@ -198,14 +212,11 @@ def ward_cluster(
             row_best[block_rows] = best
             row_min[block_rows] = block[np.arange(block_rows.size), best]
 
-    rescan(np.arange(n_features))
-
-    active = np.ones(n_features, dtype=bool)
-    size = np.ones(n_features, dtype=np.int64)
-    node_id = order
+    rescan(np.arange(n))
+    active = np.ones(n, dtype=bool)
 
     merges: list[Merge] = []
-    for step in range(n_features - 1):
+    for step in range(step0, step0 + n - 1):
         # i < j: a partner c < i at this height would make row c an earlier
         # row at the global minimum.
         i = int(row_min.argmin())
@@ -245,9 +256,87 @@ def ward_cluster(
             row_best[k] = np.where(closer, i, np.where(tied, np.minimum(best, i), best))
             rescan(k[stale])
         size[i] = merged_size
-        node_id[i] = n_features + step
+        node_id[i] = n_leaves + step
         active[j] = False
+    return merges
 
+
+def ward_cluster(
+    z_matrix,
+    names: Sequence[str] | None = None,
+    *,
+    check_normalized: bool = True,
+) -> Dendrogram:
+    """Cluster the columns of a z-scored sample matrix bottom-up.
+
+    Pairwise SSE increases start at half the squared Euclidean distance
+    between columns and are maintained through the Lance-Williams recurrence
+    for Ward's method, so every recorded height equals the exact
+    delta-SSE of its merge. Equal heights break toward the pair whose
+    (smaller name, larger name) label pair sorts first, which makes the
+    tree independent of column order; a cluster's label is its smallest
+    member name.
+
+    The columns take their slots in sorted name order, and a merge keeps
+    the smaller slot, so slot order stays label order and the tie rule is
+    index order: each row caches its exact minimum and the first slot at
+    it, and a merge joins the first row at the global minimum with its
+    cached slot. After a merge only rows whose cached minimum equalled
+    their old distance to either merged cluster are rescanned; every other
+    row just compares its cache against its one new distance. The initial
+    distances are computed once per pair of distinct columns, in the
+    input's memory order (see ``_distinct_distances``). Groups of bit-equal
+    columns are merged first, each in one pass (see
+    ``_collapse_bit_equal``), and the loop goes on over one slot per
+    distinct column; when two distinct columns are closer than the smallest
+    normal float, the distances are expanded to every pair of columns and
+    the loop does all the merges. Either way the result is bit for bit that
+    of the loop over every pair. Rescans read blocks of rows, so no other
+    array as large as the distance matrix is allocated.
+
+    ``check_normalized`` rejects columns whose mean is not ~0; disable it
+    to cluster raw coordinates (used by low-level tests).
+    """
+    z = np.asarray(z_matrix, dtype=float)
+    if z.ndim != 2:
+        raise ClusteringError("expected a 2-D n_samples x n_features matrix")
+    n_samples, n_features = z.shape
+    if n_features < 2:
+        raise ClusteringError("need at least 2 features to cluster")
+    if n_samples < 1:
+        raise ClusteringError("need at least 1 sample to cluster")
+    if names is None:
+        names = tuple(f"f{i:05d}" for i in range(n_features))
+    else:
+        names = tuple(names)
+        if len(names) != n_features:
+            raise ClusteringError("one name per feature column required")
+        if len(set(names)) != n_features:
+            raise ClusteringError("feature names must be unique")
+    if not np.isfinite(z).all():
+        raise ClusteringError("feature matrix holds non-finite values")
+    if check_normalized:
+        means = z.mean(axis=0)
+        bad = np.flatnonzero(np.abs(means) > 1e-6)
+        if bad.size:
+            raise ClusteringError(
+                f"column {names[bad[0]]!r} is not z-scored (mean {means[bad[0]]:.3g})"
+            )
+
+    order = sorted(range(n_features), key=names.__getitem__)
+    small, inverse = _distinct_distances(z.T)  # rows of z.T are the features
+    slots = inverse[order]
+    collapsed = _collapse_bit_equal(small, slots, order)
+    if collapsed is None:
+        np.fill_diagonal(small, 0.0)  # bit-equal columns are +0.0 apart
+        dist = small[np.ix_(slots, slots)]
+        np.fill_diagonal(dist, np.inf)
+        merges = []
+        size = np.ones(n_features, dtype=np.int64)
+        node_id = list(order)
+    else:
+        merges, dist, size, node_id = collapsed
+    merges += _merge_loop(dist, size, node_id, n_features, len(merges))
     return Dendrogram(leaves=names, merges=tuple(merges))
 
 

@@ -100,30 +100,55 @@ def parse_feature_spec(text: str) -> FeatureSpec:
     raise FeatureError(f"unknown feature kind {kind!r} in {text!r}")
 
 
+# The arithmetic of each kind, in KINDS order, on two counters' values (a
+# single-counter kind ignores the second); the only place a spec kind
+# becomes arithmetic.
+_KIND_OPS = (
+    lambda x, _: x,
+    lambda x, _: -x,
+    np.multiply,
+    np.divide,
+)
+
+
 def feature_column(spec: FeatureSpec, ds: Dataset) -> np.ndarray:
     """The spec's value in every run of ``ds``.
 
-    This is the only place a spec kind becomes arithmetic. Raises when a
-    counter is missing, or when a ratio's denominator is zero in any run.
+    Raises when a counter is missing, or when a ratio's denominator is zero
+    in any run.
     """
     try:
         columns = [ds.column(name) for name in spec.counters()]
     except KeyError as exc:
         raise FeatureError(f"missing counter {exc.args[0]}") from None
-    if spec.kind == "base":
-        return columns[0]
-    if spec.kind == "inv":
-        return -columns[0]
-    if spec.kind == "prod":
-        return columns[0] * columns[1]
-    if np.any(columns[1] == 0.0):
+    if spec.kind == "ratio" and np.any(columns[1] == 0.0):
         raise FeatureError(f"zero denominator evaluating {spec.canonical()}")
-    return columns[0] / columns[1]
+    return _KIND_OPS[KINDS.index(spec.kind)](columns[0], columns[-1])
 
 
-def _near_zero_variance(col: np.ndarray) -> bool:
-    peak = float(np.max(np.abs(col))) if col.size else 0.0
-    return float(np.var(col)) <= 1e-12 * peak * peak
+def _near_zero_variance(values: np.ndarray) -> np.ndarray:
+    """Which columns of a finite runs x columns array are constant up to
+    rounding: population variance at most 1e-12 times the squared peak.
+
+    The variances are one axis-0 ``np.var``, which sums each column as
+    ``np.var`` of that column alone does. Where the variance or the bound
+    overflows (a column near 1e154 or above), the column is decided again
+    scaled by the power of two that brings its peak into [0.5, 1), which
+    scales both sides alike and takes only the overflow out. Every column
+    whose two sides are finite keeps its decision.
+    """
+    peak = np.abs(values).max(axis=0, initial=0.0)
+    with np.errstate(over="ignore"):
+        variance = values.var(axis=0)
+        bound = 1e-12 * peak * peak
+    flat = variance <= bound
+    big = np.flatnonzero((variance == np.inf) | (bound == np.inf))
+    if big.size:
+        exponent = np.frexp(peak[big])[1]
+        scaled_peak = np.ldexp(peak[big], -exponent)
+        scaled = np.ldexp(values[:, big], -exponent)
+        flat[big] = scaled.var(axis=0) <= 1e-12 * scaled_peak * scaled_peak
+    return flat
 
 
 def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
@@ -135,12 +160,13 @@ def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
     """
     if len(ds) < 2:
         raise DegenerateSeriesError("need at least 2 records")
-    retained, dropped = [], []
-    for name in ds.counter_names:
-        column = ds.column(name)
-        if not np.isfinite(column).all():
-            raise FeatureError(f"counter {name} has a non-finite rate")
-        (dropped if _near_zero_variance(column) else retained).append(name)
+    finite = np.isfinite(ds.rates).all(axis=0)
+    if not finite.all():
+        name = ds.counter_names[int(np.argmin(finite))]
+        raise FeatureError(f"counter {name} has a non-finite rate")
+    flat = _near_zero_variance(np.asfortranarray(ds.rates)).tolist()
+    retained = [name for name, drop in zip(ds.counter_names, flat) if not drop]
+    dropped = [name for name, drop in zip(ds.counter_names, flat) if drop]
     if not retained:
         raise FeatureError("no usable counters")
     return retained, dropped
@@ -278,8 +304,50 @@ class FeatureMatrix:
         return [spec.canonical() for spec in self.specs]
 
 
+def _plan(ds: Dataset, specs: Sequence[FeatureSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each spec's kind (its index in KINDS) and the positions of its two
+    counters in ``ds`` (a single-counter spec repeats its one).
+
+    Raises ``feature_column``'s error for the first spec, in order, that it
+    would reject: a missing counter, or a ratio over a counter that is zero
+    in some run.
+    """
+    index = {name: i for i, name in enumerate(ds.counter_names)}
+    has_zero = (~ds.rates.all(axis=0)).tolist()
+    kind = np.empty(len(specs), dtype=np.intp)
+    a = np.empty(len(specs), dtype=np.intp)
+    b = np.empty(len(specs), dtype=np.intp)
+    for c, spec in enumerate(specs):
+        try:
+            positions = [index[name] for name in spec.counters()]
+        except KeyError as exc:
+            raise FeatureError(f"missing counter {exc.args[0]}") from None
+        if spec.kind == "ratio" and has_zero[positions[1]]:
+            raise FeatureError(f"zero denominator evaluating {spec.canonical()}")
+        kind[c] = KINDS.index(spec.kind)
+        a[c] = positions[0]
+        b[c] = positions[-1]
+    return kind, a, b
+
+
+# Features build_matrix evaluates and checks at once; this bounds its
+# temporaries to a few blocks of this many columns.
+_BLOCK_FEATURES = 64
+
+
 def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
-    """Evaluate every spec on every run and drop degenerate columns."""
+    """Evaluate every spec on every run and drop degenerate columns.
+
+    The specs are evaluated a block at a time, kind by kind, with the
+    arithmetic ``feature_column`` uses, on rows of the transposed rates, so
+    every value has the bits ``feature_column`` gives it. A block is
+    checked for non-finite values and put through the variance gate
+    (``_near_zero_variance``) at once, and its surviving features are
+    stored as rows of one array whose transpose is the column-major
+    ``values``; ``zscored()`` and Ward's distances read that layout. The
+    first non-finite value named is the one in the earliest run, then the
+    first feature, as a row-major scan finds it.
+    """
     specs = list(specs)
     seen = set()
     for spec in specs:
@@ -287,11 +355,31 @@ def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
         if key in seen:
             raise FeatureError(f"duplicate canonical spec {key}")
         seen.add(key)
-    values = np.column_stack([feature_column(spec, ds) for spec in specs])
-    if not np.isfinite(values).all():
-        bad = specs[int(np.argwhere(~np.isfinite(values))[0][1])]
-        raise FeatureError(f"non-finite value evaluating {bad.canonical()}")
-    keep = [i for i in range(values.shape[1]) if not _near_zero_variance(values[:, i])]
-    if not keep:
+    kind, a, b = _plan(ds, specs)
+    counters = np.ascontiguousarray(ds.rates.T)  # one row per counter
+    rows = np.empty((len(specs), len(ds)))  # kept features, in order
+    kept: list[int] = []
+    first_bad = None  # (run, feature) of the first non-finite value
+    for start in range(0, len(specs), _BLOCK_FEATURES):
+        stop = min(start + _BLOCK_FEATURES, len(specs))
+        block = np.empty((stop - start, len(ds)))
+        with np.errstate(all="ignore"):  # a non-finite value is reported below
+            for code, op in enumerate(_KIND_OPS):
+                at = np.flatnonzero(kind[start:stop] == code)
+                if at.size:
+                    block[at] = op(counters[a[start + at]], counters[b[start + at]])
+        bad = ~np.isfinite(block)
+        if bad.any():
+            run = int(bad.any(axis=0).argmax())
+            here = (run, start + int(bad[:, run].argmax()))
+            first_bad = here if first_bad is None else min(first_bad, here)
+        if first_bad is not None:
+            continue
+        keep = np.flatnonzero(~_near_zero_variance(block.T))
+        rows[len(kept) : len(kept) + keep.size] = block[keep]
+        kept.extend((start + keep).tolist())
+    if first_bad is not None:
+        raise FeatureError(f"non-finite value evaluating {specs[first_bad[1]].canonical()}")
+    if not kept:
         raise FeatureError("no usable features")
-    return FeatureMatrix(tuple(specs[i] for i in keep), values[:, keep])
+    return FeatureMatrix(tuple(specs[i] for i in kept), rows[: len(kept)].T)

@@ -3,7 +3,7 @@
 Nothing here shares code with src/: least squares goes through the normal
 equations, Ward merges recompute every pairwise SSE increase from raw
 coordinates at every step, and the t-distribution CDF comes from scipy.
-Two exceptions are frozen copies of code the package replaced, kept so the
+The exceptions are frozen copies of code the package replaced, kept so the
 fast paths can be compared with them exactly:
 
 * ``ward_reference``, the full-matrix Ward loop that
@@ -21,6 +21,18 @@ fast paths can be compared with them exactly:
   ``pmcpower.dataset`` gained its numpy fast path; they build the
   package's CounterTrace/PowerTrace, so the two parsers' results and
   errors can be compared exactly;
+* ``build_matrix_reference``, which evaluated the specs one
+  ``feature_column`` call at a time and ran the variance gate one
+  ``np.var`` per column, before ``pmcpower.features.build_matrix``
+  evaluated them in blocks, kind by kind; it reuses the package's
+  ``feature_column`` and FeatureMatrix, so values, layout and errors can be
+  compared exactly;
+* ``select_significant_reference`` with ``best_member_reference``, the
+  greedy selection that refit every member of every cluster with
+  ``ols_fit`` to rank the clusters, before ``pmcpower.selection`` refit
+  only the members its pre-score cannot rule out; it reuses the package's
+  ``ols_fit``, tie constants and result containers, so the two traces can
+  be compared bit for bit;
 * ``load_manifest_reference``, the loader that read, checked and
   aggregated one run at a time, converting every cell of every trace,
   before ``pmcpower.dataset.load_manifest`` took runs in blocks and read
@@ -46,7 +58,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from pmcpower.clustering import Dendrogram, Merge
+from pmcpower.clustering import ClusterAssignment, Dendrogram, Merge
 from pmcpower.dataset import (
     CounterTrace,
     Dataset,
@@ -64,11 +76,14 @@ from pmcpower.errors import (
 )
 from pmcpower.features import (
     RATIO_DENOM_EPS,
+    FeatureMatrix,
     FeatureSpec,
+    feature_column,
     product,
     ratio,
 )
-from pmcpower.numerics import pearson, pearson_p_value
+from pmcpower.numerics import ols_fit, pearson, pearson_p_value
+from pmcpower.selection import R2_GAIN_EPS, R2_TIE_EPS, SelectionResult, SelectionStep
 
 
 def normal_equation_fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -293,6 +308,92 @@ def generate_combined_reference(
             scored.append((abs(r), spec.canonical(), spec))
     scored.sort(key=lambda item: (-item[0], item[1]))
     return list(base_specs) + [spec for _, _, spec in scored[:top_k]]
+
+
+def _near_zero_variance_reference(col: np.ndarray) -> bool:
+    peak = float(np.max(np.abs(col))) if col.size else 0.0
+    return float(np.var(col)) <= 1e-12 * peak * peak
+
+
+def build_matrix_reference(ds: Dataset, specs) -> FeatureMatrix:
+    """Evaluate every spec on every run and drop degenerate columns."""
+    specs = list(specs)
+    seen = set()
+    for spec in specs:
+        key = spec.canonical()
+        if key in seen:
+            raise FeatureError(f"duplicate canonical spec {key}")
+        seen.add(key)
+    values = np.column_stack([feature_column(spec, ds) for spec in specs])
+    if not np.isfinite(values).all():
+        bad = specs[int(np.argwhere(~np.isfinite(values))[0][1])]
+        raise FeatureError(f"non-finite value evaluating {bad.canonical()}")
+    keep = [i for i in range(values.shape[1]) if not _near_zero_variance_reference(values[:, i])]
+    if not keep:
+        raise FeatureError("no usable features")
+    return FeatureMatrix(tuple(specs[i] for i in keep), values[:, keep])
+
+
+def best_member_reference(
+    members: Sequence[int], basis: Sequence[int], matrix: FeatureMatrix, y: np.ndarray
+) -> tuple[float, int]:
+    """The best R-squared of a member column refit with the ``basis`` columns
+    (may be empty), and that member's position; scores within R2_TIE_EPS of
+    the best tie, and the smallest canonical name among them wins."""
+    scores = [(ols_fit(matrix.values[:, [*basis, m]], y).r_squared, m) for m in members]
+    best = max(score for score, _ in scores)
+    tied = [m for score, m in scores if score >= best - R2_TIE_EPS]
+    return best, min(tied, key=lambda m: matrix.specs[m].canonical())
+
+
+def select_significant_reference(
+    assignment: ClusterAssignment,
+    matrix: FeatureMatrix,
+    y,
+    epsilon: float = 0.01,
+    patience: int = 5,
+) -> SelectionResult:
+    """Grow the significant-cluster set over a sorted cluster list, every
+    member of every cluster refit by ``ols_fit``."""
+    if epsilon <= 0:
+        raise FeatureError("epsilon must be > 0")
+    if patience < 1:
+        raise FeatureError("patience must be >= 1")
+    if assignment.n_clusters < 1:
+        raise FeatureError("need at least 1 cluster")
+    y = np.asarray(y, dtype=float)
+    groups = [assignment.members(c) for c in range(assignment.n_clusters)]
+    scores = []
+    for members in groups:
+        if not members:
+            raise FeatureError("cluster must be non-empty")
+        scores.append(best_member_reference(members, [], matrix, y))
+    order = sorted(
+        range(len(scores)),
+        key=lambda c: (-scores[c][0], matrix.specs[scores[c][1]].canonical()),
+    )
+
+    seed = order[0]
+    r2_sc, representative = scores[seed]
+    basis = [representative]
+    trace = [SelectionStep(seed, matrix.specs[representative], representative, r2_sc, True)]
+    r2_after_examined = [r2_sc]
+
+    for cluster_id in order[1:]:
+        best_r2, best = best_member_reference(groups[cluster_id], basis, matrix, y)
+        accepted = best_r2 > r2_sc + R2_GAIN_EPS
+        if accepted:
+            basis.append(best)
+            r2_sc = best_r2
+        trace.append(SelectionStep(cluster_id, matrix.specs[best], best, best_r2, accepted))
+
+        r2_after_examined.append(r2_sc)
+        if len(r2_after_examined) > patience:
+            gain = r2_after_examined[-1] - r2_after_examined[-1 - patience]
+            if gain < epsilon:
+                break
+
+    return SelectionResult(tuple(trace))
 
 
 def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], np.ndarray]:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcpower.clustering import (
+    _collapse_bit_equal,
+    _distinct_distances,
     cut_dendrogram,
     default_cut_threshold,
     ward_cluster,
@@ -219,6 +223,89 @@ class TestWardMatchesReference:
         z = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]])
         with pytest.raises(ClusteringError, match="non-finite"):
             ward_cluster(z, check_normalized=False)
+
+
+def _takes_collapse(z, names) -> bool:
+    """Whether ward_cluster merges z's bit-equal columns before its loop."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    small, inverse = _distinct_distances(np.asarray(z, dtype=float).T)
+    return _collapse_bit_equal(small, inverse[order], order) is not None
+
+
+@st.composite
+def grouped_columns(draw):
+    """A z-scored matrix of groups of 2-5 columns that z-score to the same
+    bits (copies, or copies scaled by a power of two), beside single
+    columns, under names whose sorted order interleaves the groups."""
+    n_samples = draw(st.integers(2, 12))
+    n_distinct = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n_samples, n_distinct))
+    if draw(st.booleans()):
+        raw = np.round(raw, 1)  # coarse values: rounding ties between groups
+    columns = []
+    for col in range(n_distinct):
+        size = draw(st.sampled_from([1, 2, 3, 4, 5]))
+        for _ in range(size):
+            columns.append(raw[:, col] * 2.0 ** draw(st.integers(-3, 3)))
+    values = np.column_stack(columns)
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)  # the layout build_matrix gives
+    std = values.std(axis=0)
+    z = (values - values.mean(axis=0)) / np.where(std > 0, std, 1.0)
+    names = [f"c{int(i):02d}" for i in rng.permutation(z.shape[1])]
+    return z, names
+
+
+class TestWardCollapse:
+    """Groups of bit-equal columns merged in one pass against the frozen
+    full-scan loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=grouped_columns())
+    def test_groups_match_reference(self, case):
+        z, names = case
+        if z.shape[1] < 2:
+            return
+        assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=grouped_columns())
+    def test_collapse_taken_when_columns_are_apart(self, case):
+        z, names = case
+        distinct = np.unique(z.T, axis=0)
+        gaps = [
+            0.5 * np.sum((a - b) ** 2) for i, a in enumerate(distinct) for b in distinct[i + 1 :]
+        ]
+        if z.shape[1] >= 2 and min(gaps, default=np.inf) >= np.finfo(float).tiny:
+            assert _takes_collapse(z, names)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        copies=st.integers(2, 5),
+        flips=st.integers(1, 4),
+        underflow=st.booleans(),
+    )
+    def test_distinct_columns_zero_apart_take_the_fallback(self, seed, copies, flips, underflow):
+        # Columns that differ only in the sign of a zero, or by an amount
+        # whose square underflows, are distinct yet +0.0 apart: the loop
+        # must merge them, in its own order, beside the bit-equal groups.
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=8)
+        base[[1, 4]] = 0.0
+        columns = [base] * copies
+        for k in range(flips):
+            other = base.copy()
+            other[[1, 4][k % 2]] = 1e-300 * (k + 1) if underflow else -0.0
+            columns.append(other)
+        columns += list(rng.normal(size=(3, 8)))
+        z = np.column_stack(columns)
+        names = [f"r{int(i):02d}" for i in rng.permutation(z.shape[1])]
+        assert not _takes_collapse(z, names)
+        got = ward_cluster(z, names, check_normalized=False).to_json()
+        assert got == ward_reference(z, names, check_normalized=False).to_json()
 
 
 class TestCutDendrogram:

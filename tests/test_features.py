@@ -1,7 +1,9 @@
 import importlib.util
 import re
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from pmcpower.numerics import pearson, pearson_p_value
 from pmcpower.synth import generate
 
 from conftest import make_dataset
-from oracles import generate_combined_reference
+from oracles import build_matrix_reference, generate_combined_reference
 
 
 def _load_campaign():
@@ -315,6 +317,133 @@ class TestBuildMatrix:
         matrix = build_matrix(ds, [base("bytes"), base("beats")])
         z = matrix.zscored()
         assert np.abs(z[:, 0] - z[:, 1]).max() < 1e-9
+
+
+class TestVarianceGateOverflow:
+    def test_large_varying_column_is_not_constant(self):
+        col = np.array([1.0, 2.0, 3.0, 4.0]) * 1e160
+        assert features._near_zero_variance(col[:, None]).tolist() == [False]
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+    def test_large_constant_column_stays_constant(self, scale):
+        col = np.array([[1.0], [1.0 + 2.0**-50], [1.0]]) * scale
+        assert features._near_zero_variance(col).tolist() == [True]
+
+    def test_decisions_with_finite_sides_unchanged(self, rng):
+        spread = 10.0 ** rng.uniform(-8, 0, 200)
+        cols = 1e150 * (1.0 + spread * rng.normal(size=(12, 200)))
+        cols[:, :20] = rng.normal(size=(12, 20)) * 10.0 ** rng.uniform(-300, 150, 20)
+        expected = []
+        for col in cols.T:
+            peak = float(np.max(np.abs(col)))
+            expected.append(float(np.var(col)) <= 1e-12 * peak * peak)
+        got = features._near_zero_variance(np.asfortranarray(cols))
+        assert got.tolist() == expected
+
+    def test_drop_zero_variance_keeps_a_large_counter(self):
+        ds = make_dataset(
+            {"big": [1e160, 2e160, 3e160, 4e160], "flat": [1e200] * 4}, [1.0, 2.0, 3.0, 4.0]
+        )
+        assert drop_zero_variance(ds) == (["big"], ["flat"])
+
+
+def _matrix_outcome(fn, ds, specs):
+    """The matrix ``fn`` builds (specs, value bits and layouts, z-score bits
+    and layout), or the type and message it raises."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the frozen loop warns on overflow
+        try:
+            matrix = fn(ds, specs)
+        except (PmcPowerError, LookupError) as exc:
+            return type(exc), str(exc)
+    z = matrix.zscored()
+    return (
+        matrix.specs,
+        matrix.values.shape, matrix.values.strides, matrix.values.tobytes(),
+        z.strides, z.tobytes(),
+    )
+
+
+@st.composite
+def matrix_cases(draw):
+    """A small dataset, with constant, near-constant, zero and signed-zero
+    columns, scales from 1e-75 to 1e75 and the odd NaN or inf, and a list
+    of specs over its counters (and now and then a missing one)."""
+    n = draw(st.integers(1, 12))
+    names = draw(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in names:
+        form = draw(st.sampled_from(["uniform", "signed", "constant", "gate", "zeros", "sparse"]))
+        scale = 10.0 ** draw(st.sampled_from([-75, -3, 0, 3, 75]))
+        if form == "uniform":
+            col = rng.uniform(1.0, 10.0, n)
+        elif form == "signed":
+            col = rng.normal(size=n)
+        elif form == "constant":
+            col = np.full(n, 7.0)
+        elif form == "gate":
+            col = 5.0 * (1.0 + 10.0 ** draw(st.floats(-6.5, -5.5)) * rng.normal(size=n))
+        elif form == "zeros":
+            col = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        else:
+            col = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(1.0, 2.0, n))
+        col = col * scale
+        if draw(st.integers(0, 9)) == 0:
+            col[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        columns[name] = col
+    ds = make_dataset(columns, rng.uniform(1.0, 5.0, n))
+    counters = names + (["zz"] if draw(st.integers(0, 9)) == 0 else [])
+    possible = (
+        [base(a) for a in counters] + [inverted(a) for a in counters]
+        + [product(a, b) for a in counters for b in counters if a <= b]
+        + [ratio(a, b) for a in counters for b in counters]
+    )
+    specs = draw(st.lists(st.sampled_from(possible), min_size=1, max_size=40))
+    if draw(st.integers(0, 9)):
+        specs = list(dict.fromkeys(specs))  # mostly without duplicates
+    return ds, specs
+
+
+class TestBuildMatrixMatchesReference:
+    """Block evaluation, kind by kind, against the frozen one-column loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=matrix_cases(), block=st.sampled_from([1, 2, 3, 7, 64]))
+    def test_values_layout_and_errors(self, case, block):
+        ds, specs = case
+        with mock.patch.object(features, "_BLOCK_FEATURES", block):
+            got = _matrix_outcome(build_matrix, ds, specs)
+        assert got == _matrix_outcome(build_matrix_reference, ds, specs)
+
+    def test_first_non_finite_value_is_the_earliest_run(self):
+        ds = make_dataset(
+            {"a": [1.0, 2.0, np.inf], "b": [1.0, np.nan, 3.0], "c": [1.0, 2.0, 4.0]},
+            [1.0, 2.0, 3.0],
+        )
+        specs = [base("c"), base("a"), base("b")]
+        for block in (1, 2, 64):
+            with mock.patch.object(features, "_BLOCK_FEATURES", block):
+                with pytest.raises(FeatureError, match="non-finite value evaluating base:b"):
+                    build_matrix(ds, specs)
+
+    def test_negated_zero_keeps_its_sign(self):
+        ds = make_dataset({"a": [0.0, 1.0, -0.0, 2.0]}, [1.0, 2.0, 3.0, 4.0])
+        values = build_matrix(ds, [inverted("a"), base("a")]).values
+        assert np.signbit(values[:, 0]).tolist() == [True, True, False, True]
+        assert values[:, 0].tobytes() == feature_column(inverted("a"), ds).tobytes()
+
+    def test_pipeline_matrix(self):
+        ds = wide_dataset(6, 80, 4)
+        specs = generate_combined(ds, invert_negative(ds))
+        assert _matrix_outcome(build_matrix, ds, specs) == _matrix_outcome(
+            build_matrix_reference, ds, specs
+        )
+
+    def test_no_specs(self):
+        ds = make_dataset({"a": [1.0, 2.0, 3.0]}, [1.0, 2.0, 3.0])
+        with pytest.raises(FeatureError, match="no usable features"):
+            build_matrix(ds, [])
 
 
 class TestGenerateCombinedMatchesReference:

@@ -1,11 +1,17 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmcpower.errors import DegenerateSeriesError, PmcPowerError
 from pmcpower.features import FeatureMatrix, base
 from pmcpower.numerics import (
     correlations,
     evaluate,
+    median,
     ols_fit,
     pearson,
     pearson_p_value,
@@ -317,6 +323,46 @@ class TestEvaluate:
 def zscored(values):
     """FeatureMatrix.zscored() of a single column."""
     return FeatureMatrix((base("v"),), np.asarray(values, dtype=float)[:, None]).zscored()[:, 0]
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestMedian:
+    """``median`` against ``np.median``, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        min_size=1, max_size=41,
+    ))
+    def test_bit_equal_to_numpy(self, values):
+        values = np.array(values)
+        with np.errstate(all="ignore"):  # both warn on the mean of inf and -inf
+            assert _bits(median(values)) == _bits(np.median(values))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10])
+    def test_signed_zeros_in_the_middle(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(50):
+            values = rng.choice([-0.0, 0.0, 1.0, -1.0], size)
+            assert _bits(median(values)) == _bits(np.median(values))
+
+    def test_does_not_import_numpy_ma(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from pmcpower.numerics import evaluate\n"
+            "evaluate(np.array([1.0, 2.0, 4.0]), np.array([1.0, 3.0, 3.0]))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestZscore:

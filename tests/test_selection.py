@@ -1,12 +1,25 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmcpower import selection
 from pmcpower.clustering import ClusterAssignment
+from pmcpower.errors import DegenerateSeriesError, FeatureError
 from pmcpower.features import base, build_matrix
 from pmcpower.numerics import ols_fit
-from pmcpower.selection import cluster_importance, format_trace, select_significant
+from pmcpower.selection import (
+    R2_TIE_EPS,
+    cluster_importance,
+    format_trace,
+    select_significant,
+)
 
 from conftest import make_dataset
+from oracles import best_member_reference, select_significant_reference
 
 
 def matrix_from(columns, target):
@@ -133,3 +146,161 @@ class TestSelectSignificant:
         text = format_trace(result)
         assert text.count("\n") == result.terminated_at + 1
         assert "accept" in text
+
+
+@st.composite
+def selection_cases(draw):
+    """A feature matrix whose clusters hold exact duplicates, copies scaled
+    by 2^k, members whose R-squared lies near R2_TIE_EPS of another's,
+    columns near the variance gate or at 1e+-150, and a target that may be
+    constant; with a random assignment of its columns to clusters."""
+    n = draw(st.integers(4, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = rng.uniform(1.0, 10.0, size=(n, 3))
+    columns = {}
+    for i in range(draw(st.integers(1, 9))):
+        source = factors[:, draw(st.integers(0, 2))]
+        form = draw(st.sampled_from(["copy", "pow2", "near_tie", "noisy", "gate", "huge", "tiny"]))
+        if form == "copy":
+            col = source.copy()
+        elif form == "pow2":
+            col = source * 2.0 ** draw(st.integers(-4, 4))
+        elif form == "near_tie":
+            # R-squared moves by about the square of the relative wiggle
+            wiggle = 10.0 ** draw(st.floats(-8.0, -5.0))
+            col = source + wiggle * rng.normal(size=n)
+        elif form == "noisy":
+            col = source + rng.normal(0.0, draw(st.floats(0.01, 5.0)), n)
+        elif form == "gate":
+            # relative spread around 1e-6: variance near 1e-12 of the peak squared
+            col = 100.0 * (1.0 + 10.0 ** draw(st.floats(-6.5, -5.5)) * rng.normal(size=n))
+        elif form == "huge":
+            col = source * 1e150
+        else:
+            col = source * 1e-150
+        columns[f"c{i}"] = col
+    if draw(st.booleans()):
+        y = np.full(n, draw(st.sampled_from([0.0, 3.5])))
+    else:
+        y = 2.0 * factors[:, 0] + factors[:, 1] + rng.normal(0.0, draw(st.floats(0.0, 2.0)), n)
+    try:
+        matrix = build_matrix(make_dataset(columns, y), [base(name) for name in columns])
+    except FeatureError:  # every column failed the variance gate
+        return None
+    k = draw(st.integers(1, len(matrix.specs)))
+    cluster_of = rng.integers(0, k, len(matrix.specs))
+    cluster_of[:k] = np.arange(k)  # every cluster non-empty
+    cluster_of = rng.permutation(cluster_of)
+    return matrix, y, ClusterAssignment(cluster_of=cluster_of, n_clusters=k)
+
+
+def _with_warnings(fn, *args, **kwargs):
+    """fn's result and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [str(w.message) for w in caught]
+
+
+class TestSelectionMatchesReference:
+    """The pre-scored importance pass against the frozen refit-everything loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=selection_cases(), patience=st.integers(1, 4))
+    def test_trace_and_warnings(self, case, patience):
+        if case is None:
+            return
+        matrix, y, assignment = case
+        got = _with_warnings(select_significant, assignment, matrix, y, 1e-3, patience)
+        expected = _with_warnings(
+            select_significant_reference, assignment, matrix, y, 1e-3, patience
+        )
+        assert got == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=selection_cases())
+    def test_cluster_importance(self, case):
+        if case is None:
+            return
+        matrix, y, assignment = case
+        for c in range(assignment.n_clusters):
+            members = assignment.members(c)
+            got = _with_warnings(cluster_importance, members, matrix, y)
+            assert got == _with_warnings(best_member_reference, members, [], matrix, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=selection_cases())
+    def test_bounds_hold(self, case):
+        if case is None:
+            return
+        matrix, y, _ = case
+        columns = np.arange(len(matrix.specs))
+        bounds = selection._single_fit_bounds(matrix.values, columns, y)
+        if bounds is None:
+            assert np.ptp(y) == 0.0
+            return
+        for c, low, high in zip(columns, *bounds):
+            score = ols_fit(matrix.values[:, [c]], y).r_squared
+            assert low <= score <= high
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=selection_cases(), every=st.integers(1, 3))
+    def test_result_rests_only_on_upper_bounds(self, case, every):
+        # A lower bound set far too high shrinks the refit set; the check
+        # against the upper bounds must then refit the whole cluster.
+        if case is None:
+            return
+        matrix, y, assignment = case
+        real = selection._single_fit_bounds
+
+        def overstated(values, columns, target):
+            bounds = real(values, columns, target)
+            if bounds is None:
+                return None
+            low, high = bounds[0].copy(), bounds[1].copy()
+            low[::every] = high[::every] = high[::every] + 0.5
+            return low, high
+
+        with mock.patch.object(selection, "_single_fit_bounds", overstated):
+            got = _with_warnings(select_significant, assignment, matrix, y, 1e-3, 3)
+        assert got == _with_warnings(select_significant_reference, assignment, matrix, y, 1e-3, 3)
+
+    def test_exact_duplicates_tie_to_the_smallest_name(self, rng):
+        f = rng.uniform(1, 10, 25)
+        y = 3 * f + rng.normal(0, 0.3, 25)
+        cols = {f"d{i}": f * 2.0**i for i in range(6)}
+        matrix, target = matrix_from(cols, y)
+        members = list(range(6))
+        got = cluster_importance(members, matrix, target)
+        assert got == best_member_reference(members, [], matrix, target)
+        assert matrix.specs[got[1]] == base("d0")
+
+    def test_near_tie_straddling_the_tie_epsilon(self, rng):
+        # Members whose R-squared differs from the best by about R2_TIE_EPS:
+        # refit or not, their tie status is the full loop's.
+        f = rng.uniform(1, 10, 40)
+        y = 3 * f + rng.normal(0, 1.0, 40)
+        cols = {"a": f}
+        for i, wiggle in enumerate([3e-7, 1e-6, 3e-6, 1e-5]):
+            cols[f"b{i}"] = f + wiggle * rng.normal(size=40)
+        matrix, target = matrix_from(cols, y)
+        scores = [ols_fit(matrix.values[:, [m]], target).r_squared for m in range(5)]
+        gaps = max(scores) - np.array(scores)
+        assert (gaps < 10 * R2_TIE_EPS).any() and (gaps > R2_TIE_EPS / 10).any()
+        members = list(range(5))
+        assert cluster_importance(members, matrix, target) == best_member_reference(
+            members, [], matrix, target
+        )
+
+    def test_target_of_another_length_rejected_by_ols_fit(self, rng):
+        matrix, _ = matrix_from({"f": rng.uniform(1, 10, 10)}, rng.uniform(1, 5, 10))
+        with pytest.raises(DegenerateSeriesError, match="target length must match rows"):
+            cluster_importance([0], matrix, rng.uniform(1, 5, 9))
+
+    def test_empty_cluster_rejected(self, rng):
+        matrix, target = matrix_from({"f": rng.uniform(1, 10, 10)}, rng.uniform(1, 5, 10))
+        with pytest.raises(FeatureError, match="cluster must be non-empty"):
+            cluster_importance([], matrix, target)
+        assignment = ClusterAssignment(cluster_of=np.array([1]), n_clusters=2)
+        with pytest.raises(FeatureError, match="cluster must be non-empty"):
+            select_significant(assignment, matrix, target)
