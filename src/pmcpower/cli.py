@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import synth as synthmod
 from .dataset import Dataset, isolate_dataset, load_manifest, split_dataset
 from .errors import (
     ConfigError,
@@ -30,6 +29,7 @@ from .errors import (
     read_utf8,
 )
 from .model import (
+    MIN_TRAIN_RECORDS,
     PipelineConfig,
     evaluate_by_workload,
     evaluate_model,
@@ -183,9 +183,22 @@ _SUMMARY_HEADER = (
 )
 
 
+def _train_split(ds: Dataset, config: RunConfig) -> tuple[Dataset, Dataset]:
+    """The config's split of ``ds``, its train side checked to hold enough
+    records for ``run_pipeline``, a shortfall worded with the campaign's
+    size and the train fraction."""
+    train, test = split_dataset(ds, config.train_fraction, config.seed)
+    if len(train) < MIN_TRAIN_RECORDS:
+        raise ConfigError(
+            f"need at least {MIN_TRAIN_RECORDS} training records, got {len(train)} "
+            f"(train fraction {config.train_fraction:g} of {len(ds)} records in the campaign)"
+        )
+    return train, test
+
+
 def cmd_train(config: RunConfig) -> int:
     ds, n_clamped = _load_isolated(config)
-    train, test = split_dataset(ds, config.train_fraction, config.seed)
+    train, test = _train_split(ds, config)
     result = run_pipeline(train, config.pipeline())
     model = result.model
     # The manifest and output paths are left out so the model file does not
@@ -268,7 +281,7 @@ def cmd_compare(config: RunConfig, k: int | None = None) -> int:
     if k is not None and k < 1:
         raise ConfigError(f"--k must be a positive integer, got {k}")
     ds, _ = _load_isolated(config)
-    train, test = split_dataset(ds, config.train_fraction, config.seed)
+    train, test = _train_split(ds, config)
 
     rows: list[tuple[str, int | None, EvalReport]] = []
     auto = run_pipeline(train, config.pipeline()).model
@@ -317,6 +330,8 @@ def cmd_compare(config: RunConfig, k: int | None = None) -> int:
 
 def cmd_synth(profile: str, out_dir: str, n_runs: int | None, noise: float | None,
               seed: int) -> int:
+    from . import synth as synthmod  # here: no other command loads it
+
     if seed < 0:
         raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
     if n_runs is not None and n_runs < 1:

@@ -93,8 +93,21 @@ class Dendrogram:
 
 @dataclass(frozen=True)
 class ClusterAssignment:
+    """The cluster of each feature column, ``cluster_of``, an id in
+    ``0..n_clusters-1``; a cluster may be empty."""
+
     cluster_of: np.ndarray
     n_clusters: int
+
+    def __post_init__(self):
+        ids = np.asarray(self.cluster_of)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ClusteringError("cluster ids must be a 1-D integer array")
+        outside = np.flatnonzero((ids < 0) | (ids >= self.n_clusters))
+        if outside.size:
+            raise ClusteringError(f"cluster id {ids[outside[0]]} of column {outside[0]} lies "
+                                  f"outside 0..{self.n_clusters - 1}")
+        object.__setattr__(self, "cluster_of", ids)
 
     def members(self, cluster: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.cluster_of == cluster)]

@@ -28,6 +28,7 @@ from .errors import (
     decode_utf8,
     json_float,
     read_bytes,
+    read_into,
     read_utf8,
 )
 
@@ -110,10 +111,8 @@ class RunMeta:
 
     def __post_init__(self):
         if self.workload_type not in WORKLOAD_TYPES:
-            raise ConfigError(
-                f"unknown workload type {self.workload_type!r}; "
-                f"expected one of {WORKLOAD_TYPES}"
-            )
+            raise ConfigError(f"unknown workload type {self.workload_type!r}; "
+                              f"expected one of {WORKLOAD_TYPES}")
         if not self.frequency_hz > 0:
             raise ConfigError("frequency must be > 0")
         if self.utilization is not None and not 0.0 <= self.utilization <= 1.0:
@@ -176,10 +175,8 @@ class Dataset:
         total = _frozen(self.total_current)
         target = total if self.target_current is None else _frozen(self.target_current)
         if rates.shape != (len(meta), len(names)):
-            raise ConfigError(
-                f"rates have shape {rates.shape}; expected "
-                f"({len(meta)} runs, {len(names)} counters)"
-            )
+            raise ConfigError(f"rates have shape {rates.shape}; expected "
+                              f"({len(meta)} runs, {len(names)} counters)")
         if total.shape != (len(meta),) or target.shape != (len(meta),):
             raise ConfigError("one total and one target current per run required")
         for name, value in (("counter_names", names), ("rates", rates), ("meta", meta),
@@ -197,13 +194,8 @@ class Dataset:
     def take(self, rows) -> Dataset:
         """The runs at the positions ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        return Dataset(
-            self.counter_names,
-            self.rates[rows],
-            tuple(self.meta[i] for i in rows),
-            self.total_current[rows],
-            self.target_current[rows],
-        )
+        return Dataset(self.counter_names, self.rates[rows], tuple(self.meta[i] for i in rows),
+                       self.total_current[rows], self.target_current[rows])
 
 
 def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], np.ndarray]:
@@ -238,10 +230,8 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue  # blank line
             if len(row) != len(header):
-                raise ParseError(
-                    f"line {lineno}: column mismatch "
-                    f"(expected {len(header)} values, got {len(row)})"
-                )
+                raise ParseError(f"line {lineno}: column mismatch "
+                                 f"(expected {len(header)} values, got {len(row)})")
             try:
                 rows.append([float(v) for v in row])
             except ValueError:
@@ -265,87 +255,92 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
 # other byte sends the text to the line parser.
 _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
-# A proved body's skeleton (its bytes less the digits) holds, within a cell,
-# at most a point, then at most an exponent mark and its sign, then the
-# separator that ends the cell. _SKELETON_CLASSES numbers them 0-3, and
-# _SKELETON_STEPS[4 * a + b] says whether class b may follow class a.
-_SKELETON_CLASSES = bytes.maketrans(b".eE+-,\n", b"\0\1\1\2\2\3\3")
-_SKELETON_STEPS = np.zeros(16, dtype=bool)
-_SKELETON_STEPS[[4 * a + b for a, b in ((3, 3), (3, 0), (3, 1), (0, 3), (0, 1),
-                                        (1, 2), (1, 3), (2, 3))]] = True
+
+class _Scratch(dict):
+    """Arrays by name that the blocks of one ``load_manifest`` call reuse,
+    so that no block allocates an array the size of its text afresh (a
+    fresh allocation costs a page fault per page). A call gives the first
+    ``size`` items of one, grown, with a quarter to spare, when too small."""
+
+    def __call__(self, name: str, size: int, dtype) -> np.ndarray:
+        array = self.get(name)
+        if array is None or array.size < size:
+            array = self[name] = np.empty(size + size // 4, dtype)
+        return array[:size]
 
 
-def _proof(body: bytes, width: int) -> tuple[bytes, np.ndarray, np.ndarray] | None:
-    """The skeleton of ``body`` (its bytes less the digits) ended by a
-    newline, the mask of the bytes of ``body`` that are not digits and the
-    mask of those that are neither digits nor points, all three without the
-    minus a line may start with, when every line of ``body`` holds
+# The proof reads a body by its marks, the bytes that are not digits, of
+# kinds 0 a point, 1 an exponent mark, 2 a plus, 3 a minus, 4 a minus that
+# starts a line (told apart by the proof), 5 a comma, 6 a newline, 7 other.
+_MARK_KINDS = bytes(next((kind for kind, marks in enumerate(
+    (b".", b"eE", b"+", b"-", b"", b",", b"\n")) if byte in marks), 7) for byte in range(256))
+
+
+# The fewest and the most digits that may lie between a mark of kind a and
+# the next, of kind b, as translate tables from 8 * a + b; other steps may
+# not be taken (1 to 0).
+_DIGIT_RUNS = {8 * a + b: runs for befores, afters, runs in (
+    ((4, 5, 6), (0, 1, 5, 6), (1, 69)),  # a cell's whole digits
+    ((6,), (4,), (0, 0)),  # the minus a line starts with
+    ((0,), (1, 5, 6), (0, 69)),  # the digits after a point
+    ((1,), (2, 3), (0, 0)),  # an exponent's sign
+    ((1, 2), (5, 6), (1, 2)),  # an exponent's digits
+    ((3,), (5, 6), (1, 3)),  # a negative exponent's digits
+) for a in befores for b in afters}
+_FEWEST_DIGITS, _MOST_DIGITS = (bytes(_DIGIT_RUNS.get(step, (1, 0))[end] for step in range(256))
+                                for end in (0, 1))
+
+
+def _ended(body) -> np.ndarray:
+    """The bytes of ``body`` (any buffer) as an array, ended by a newline."""
+    raw = np.frombuffer(body, dtype=np.uint8)
+    return raw if raw.size and raw[-1] == ord("\n") else np.append(raw, np.uint8(ord("\n")))
+
+
+def _proof(body, width: int, scratch: _Scratch | None = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Where the cells of ``body`` (any buffer) lie, when every line holds
     ``width`` cells, each a number that numpy's reader and ``float()`` read
     alike, finite, and not negative unless it is the line's first; else
-    None.
+    None. That is the positions of the bytes that are not digits (marks),
+    their kinds, the marks that end a cell and those of lines' minus signs:
+    the bounds and fraction lengths of any cells follow from them.
+    Its byte mask and digit counts are ``scratch``'s arrays.
 
     A proved cell is a minus, if it is the line's first, or none, then one
-    to 69 digits, then at most a point and digits, then at most an exponent
-    mark, a sign and one or two digits, or a minus and three: below 1e70 *
-    1e99, so no cell overflows. The proof is stricter than the readers (no
-    leading point or plus, no space or blank line, and three exponent
-    digits only after a minus); a body it declines is read in full. It
-    builds the body's skeleton and a few byte masks, a fraction of the
-    cost of converting every cell.
+    to 69 digits, then at most a point and up to 69 digits, then at most an
+    exponent mark, a sign and one or two digits, or a minus and three:
+    below 1e70 * 1e99, so no cell overflows. The proof is stricter than the
+    readers (no leading point or plus, no space or blank line, and three
+    exponent digits only after a minus); a body it declines is read in
+    full. One pass over the bytes finds the marks; the rest reads the marks.
     """
-    if not (body[1:2] if body[:1] == b"-" else body[:1]).isdigit():
-        return None  # an empty first cell, a leading point or plus, a blank line
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    skeleton = body.translate(None, b"0123456789")
-    # Any byte but a point, mark or sign stays here and fails the match.
-    separators = skeleton.translate(None, b".eE+-")
-    if separators != (b"," * (width - 1) + b"\n") * (len(separators) // width):
+    scratch = scratch or _Scratch()
+    raw = _ended(body)
+    apart = np.subtract(raw, ord("0"), out=scratch("apart", raw.size, np.uint8))
+    marks = np.flatnonzero(np.greater(apart, 9, out=apart.view(np.bool_)))
+    skeleton = bytearray(raw[marks]).translate(_MARK_KINDS)  # the marks' kinds
+    kinds = np.frombuffer(skeleton, dtype=np.uint8)
+    before = np.empty_like(kinds)  # the kind of the mark before each, a newline before the first
+    before[0], before[1:] = 6, kinds[:-1]
+    signs = marks[:0]  # the marks of the minus signs lines start with
+    if b"\3" in skeleton:
+        kinds[(kinds == 3) & (before == 6)] = 4
+        before[1:] = kinds[:-1]
+        signs = np.flatnonzero(kinds == 4)
+    digits = scratch("digits", marks.size, np.intp)  # before each mark, at most 70 counted
+    digits[0] = marks[0]
+    np.subtract(marks[1:], marks[:-1], out=digits[1:])
+    digits[1:] -= 1
+    digits = np.minimum(digits, 70, out=digits).astype(np.uint8)
+    steps = (before * 8 + kinds).tobytes()
+    if ((digits < np.frombuffer(steps.translate(_FEWEST_DIGITS), dtype=np.uint8)).any()
+            or (digits > np.frombuffer(steps.translate(_MOST_DIGITS), dtype=np.uint8)).any()):
         return None
-    # A minus that starts a line is the sign of its first cell. It follows a
-    # newline in the skeleton, as does a minus after a line's first digits;
-    # as many in the body tell that there is none of those.
-    lined = b"\n" + skeleton
-    signs = lined.count(b"\n-") if b"-" in skeleton else 0
-    if signs:
-        if (b"\n" + body).count(b"\n-") != signs:
-            return None
-        lined = lined.replace(b"\n-", b"\n")
-        skeleton = lined[1:]
-    steps = np.frombuffer(lined.translate(_SKELETON_CLASSES), dtype=np.uint8)
-    if not _SKELETON_STEPS.take(steps[:-1] * 4 + steps[1:]).all():
+    at = np.flatnonzero(kinds >= 5)  # the separators: no other kind is left
+    if kinds.take(at).tobytes() != (b"\5" * (width - 1) + b"\6") * (at.size // width):
         return None
-    # Every digit run the skeleton implies is there: a non-digit is followed
-    # by a digit unless it is a point ("1.", "1.e5") or the next byte is an
-    # exponent's sign, and a sign follows no digit.
-    raw = np.frombuffer(body, dtype=np.uint8)
-    shifted = raw - ord(".")
-    loose = shifted > ord("9") - ord(".")  # neither a digit nor a point
-    shifted -= ord("0") - ord(".")
-    apart = np.greater(shifted, 9, out=shifted.view(np.bool_))  # not a digit
-    if signs:
-        first = np.append(True, raw[:-1] == ord("\n"))
-        apart &= ~(first & (raw == ord("-")))  # a line's sign is followed by a digit
-    follows = apart[1:]
-    if skeleton.translate(None, b".,\n"):  # an exponent
-        minus = (raw == ord("-")) & apart  # not a line's sign
-        sign = (raw == ord("+")) | minus
-        if (sign[1:] & ~apart[:-1]).any():
-            return None
-        follows = follows & ~sign[1:]
-        lead = (sign & ~minus) | (raw == ord("e")) | (raw == ord("E"))
-        if (lead[:-3] & ~(apart[1:-2] | apart[2:-1] | apart[3:])).any():
-            return None  # three exponent digits, not after a minus
-        if (minus[:-4] & ~(apart[1:-3] | apart[2:-2] | apart[3:-1] | apart[4:])).any():
-            return None  # four after a minus
-    if (loose[:-1] & follows).any():
-        return None
-    if signs:
-        loose &= apart
-    # Seven aligned words of digits in a row hold any run of 63; a run of 70
-    # reaches them past the unaligned tail.
-    words = apart[:apart.size // 8 * 8].view(np.uint64) == 0
-    return None if b"\1" * 7 in words.tobytes() else (skeleton, apart, loose)
+    return marks, kinds, at, signs
 
 
 # The kernel's quotients are exact enough only with an IEEE long double of a
@@ -357,18 +352,36 @@ _WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
 # 5**27 < 2**64.
 _TENS = np.cumprod(np.concatenate([[1], np.full(27, 10)]).astype(np.longdouble))
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
-_IS_SEPARATOR = bytes(byte in b",\n" for byte in range(256))
 
 
-def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
-    """The cells of ``body`` as a table of ``width`` columns, each the
-    double nearest its decimal, as ``float()`` and numpy's reader give it;
-    None when the body is not one this kernel takes.
+def _wanted_cells(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                  scratch: _Scratch) -> bytes:
+    """The digits of the cells of the bytes ``raw`` that start at ``starts``
+    and end at the separators at ``stops``, each ended by a comma. The
+    gather's positions: one after the last, or, at a cell's first, its start."""
+    bounds = np.cumsum(stops + 1 - starts)
+    at = scratch("index", int(bounds[-1]), np.intp)
+    at.fill(1)
+    at[0] = starts[0]
+    at[bounds[:-1]] = starts[1:] - stops[:-1]
+    gathered = raw.take(np.cumsum(at, out=at), out=scratch("cells", at.size, np.uint8),
+                        mode="clip")
+    gathered[bounds - 1] = ord(",")
+    return gathered.tobytes().translate(None, b".-")
 
-    It takes a body ``_proof`` accepts that holds no exponent mark, each
-    cell of at most 19 significant digits and 27 after the point. A cell,
-    its sign aside, is then D / 10**k, with D < 10**19 and 10**k exact
-    long doubles, so their quotient q is rounded once. Rounding q to a
+
+def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
+                   scratch: _Scratch | None = None) -> np.ndarray | None:
+    """The cells of ``body`` (any buffer) as a table of ``width`` columns
+    (of ``columns``, 0 first, when given: the others are proved, not
+    converted), each the double nearest its decimal, as ``float()`` and
+    numpy's reader give it; None when the body is not one this kernel
+    takes. The proof uses ``scratch``'s arrays.
+
+    It takes a body ``_proof`` accepts whose cells read hold no exponent
+    mark, each of at most 19 significant digits and 27 after the point. A
+    cell, its sign aside, is then D / 10**k, with D < 10**19 and 10**k
+    exact long doubles, so their quotient q is rounded once. Rounding q to a
     double gives the cell's correct rounding unless q lies exactly midway
     between two doubles: such a midpoint is a long double, which the
     rounding of the true quotient could reach but not cross. Those cells,
@@ -377,41 +390,48 @@ def _decimal_table(body: bytes, width: int) -> np.ndarray | None:
     quarter of it below a power of two. The minus a line may start with is
     set on its first cell last.
     """
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    if not _WIDE_LONG_DOUBLE or b"e" in body or b"E" in body:
+    scratch = scratch or _Scratch()
+    raw = _ended(body)
+    cells = _proof(raw, width, scratch) if _WIDE_LONG_DOUBLE else None
+    if cells is None:
         return None
-    proof = _proof(body, width)
-    if proof is None:
-        return None
-    skeleton, apart, _ = proof
-    marks = np.flatnonzero(apart)  # the points and the separators, as in the skeleton
-    point = np.frombuffer(skeleton, dtype=np.uint8) == ord(".")
-    at = np.flatnonzero(point)
-    fraction = np.zeros(marks.size - at.size, dtype=np.intp)
-    # A point's cell is the number of separators before it.
-    fraction[at - np.arange(at.size)] = marks[at + 1] - marks[at] - 1
+    marks, kinds, at, signs = cells
+    read = None if columns is None else (np.arange(0, at.size, width)[:, None] + columns).ravel()
+    seps = at if read is None else at.take(read)  # the mark that ends each cell read
+    stops = marks.take(seps)
+    # The mark before each separator: a point, or one that marks no fraction
+    # (before a first cell without one, the body's last newline, wrapped).
+    last = kinds.take(seps - 1, mode="wrap")
+    fraction = stops - marks.take(seps - 1, mode="wrap") - 1
+    fraction[last != 0] = 0
+    fraction[(last > 0) & (last < 4)] = 99  # an exponent's: more than the kernel takes
     if fraction.max() > 27:
         return None
-    whole = np.fromstring(body.translate(_NEWLINE_TO_COMMA, b".-"), dtype=np.uint64,
-                          count=fraction.size, sep=",")
+    if read is None:
+        digits = raw.tobytes().translate(_NEWLINE_TO_COMMA, b".-")
+    else:  # a cell starts after the separator before it
+        starts = marks.take(at.take(read - 1)) + 1
+        starts[0] = 0
+        digits = _wanted_cells(raw, starts, stops, scratch)
+    whole = np.fromstring(digits, dtype=np.uint64, count=fraction.size, sep=",")
     # np.fromstring saturates a D of 2**64 or more to 2**64 - 1, without a word.
     if whole.max() >= 10**19:
         return None
-    quotient = whole.astype(np.longdouble) / _TENS[fraction]
+    quotient = whole.astype(np.longdouble)
+    quotient /= _TENS[fraction]
     table = quotient.astype(float)
-    r = (quotient - table).astype(float)
+    quotient -= table
+    r = quotient.astype(float)
     spacing = np.spacing(table)
     midway = (r != 0) & ((np.abs(r) == spacing / 2) | (r == spacing / -4))
-    if midway.any():
-        ends = marks[~point]  # each cell's separator
-        for i in np.flatnonzero(midway).tolist():
-            table[i] = float(body[ends[i - 1] + 1 if i else 0:ends[i]])
-    if b"-" in body:  # without an exponent, only a line's sign
-        minus = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("-"))
-        signed = np.searchsorted(marks[~point], minus)  # the cell of each
-        table[signed] = np.copysign(table[signed], -1.0)
-    return table.reshape(-1, width)
+    for i in np.flatnonzero(midway).tolist() if midway.any() else ():
+        k = i if read is None else int(read[i])
+        table[i] = float(raw[marks[at[k - 1]] + 1 if k else 0:stops[i]].tobytes())
+    signed = np.searchsorted(at, signs)  # lines' first cells
+    if read is not None:
+        signed = signed // width * len(columns)
+    table[signed] = np.copysign(table[signed], -1.0)
+    return table.reshape(-1, width if columns is None else len(columns))
 
 
 @functools.lru_cache(maxsize=64)
@@ -438,37 +458,17 @@ def _wanted_columns(header: tuple[str, ...], wanted: frozenset[str]) -> tuple[in
     return None if len(columns) == len(header) else columns
 
 
-def _trace_parts(text: str, expected_first: str) -> tuple[tuple[str, ...], str] | None:
-    """The header and body of ``text`` when the fast read may take them: a
-    header the csv reader splits, of two or more fields led by
-    ``expected_first``, and an ASCII body that is not blank, with no line
-    longer than the csv field size limit; else None."""
-    head, _, body = text.partition("\n")
-    if '"' in head or not body.isascii() or not body or body.isspace():
-        return None
-    limit = csv.field_size_limit()
-    start = 0  # of a line, the ones before it no longer than the limit
-    while len(body) - start > limit:
-        end = body.rfind("\n", start, start + limit + 1)
-        if end < 0:
-            return None
-        start = end + 1
-    header = _split_header(head, limit)
-    if header is None or len(header) < 2 or header[0] != expected_first:
-        return None
-    return header, body
-
-
-def _table(header: tuple[str, ...], body: bytes, wanted: frozenset[str] | None = None
+def _table(header: tuple[str, ...], body, wanted: frozenset[str] | None = None
            ) -> np.ndarray | None:
     """The sample table of ``body`` as ``_parse_rows`` would return it, read
     by numpy's C reader; None wherever that read could differ or fails.
-
-    With ``wanted``, the table holds only the timestamps and the counters in
-    ``wanted``, in header order, and the result is None also when another
-    cell is not finite or is negative.
-    """
-    if (body.translate(None, _FAST_BYTES)
+    With ``wanted``, it holds only the timestamps and the counters in
+    ``wanted``, and is None also when another cell is not finite or is
+    negative. numpy reads an overflow such as ``1e400`` as inf, which the
+    trace's checks reject, and a bare carriage return numpy rejects only as
+    not supported yet."""
+    body = bytes(body)
+    if (not body.strip() or body.translate(None, _FAST_BYTES)
             or b"\r" in body and body.count(b"\r") != body.count(b"\r\n")):
         return None
     try:
@@ -476,39 +476,119 @@ def _table(header: tuple[str, ...], body: bytes, wanted: frozenset[str] | None =
                            ndmin=2)
     except ValueError:
         return None
+    columns = None if wanted is None else _wanted_columns(header, wanted)
     if table.shape[1] != len(header):
         return None
-    columns = None if wanted is None else _wanted_columns(header, wanted)
     if columns is None:
         return table
-    if not np.isfinite(table).all() or (table[:, 1:] < 0).any():
+    return table[:, columns] if np.isfinite(table).all() and (table[:, 1:] >= 0).all() else None
+
+
+# A trace file the fast read took: its header, the shape of the table it
+# gives (samples x columns, timestamps first, then the wanted counters),
+# and its body (any buffer), not yet converted, ended by a newline.
+_Trace = tuple[tuple[str, ...], tuple[int, int], memoryview]
+
+
+def _trace(head: str, data, start: int, stop: int, wanted: frozenset[str] | None,
+           scratch: _Scratch) -> _Trace | None:
+    """The trace of the header line ``head`` and the body ``data[start:stop]``
+    when the fast read may take them: a header the csv reader splits, of two
+    or more fields led by ``ts_ms``, and no line longer than the csv field
+    size limit (a byte neither the proof nor numpy's reader takes sends the
+    body to the line parser later); else None."""
+    limit = csv.field_size_limit()
+    header = None if '"' in head else _split_header(head, limit)
+    if header is None or len(header) < 2 or header[0] != "ts_ms":
         return None
-    return table[:, columns]
+    body = memoryview(data)[start:stop]
+    while stop - start > limit:  # start is a line's, the ones before no longer than the limit
+        start = data.rfind(b"\n", start, start + limit + 1) + 1
+        if not start:
+            return None
+    columns = None if wanted is None else _wanted_columns(header, wanted)
+    # numpy counts the lines about four times as fast as bytes.count.
+    raw = np.frombuffer(body, dtype=np.uint8)
+    rows = np.count_nonzero(np.equal(raw, ord("\n"), out=scratch("rows", raw.size, np.bool_)))
+    return header, (rows, len(columns or header)), body
 
 
-def _fast_rows(text: str, expected_first: str) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """The header and sample table as ``_parse_rows`` would return them,
-    read by ``_table``; None wherever that read could differ or fails.
+class _Text:
+    """The bodies of one kind of trace (of which the counters in ``wanted``
+    are read, all when None) of the block being read: the last file read,
+    and the bodies of the block's runs end to end. Both bytearrays are
+    reused from file to file and block to block, so a block's text is
+    joined as its runs join it."""
 
-    numpy reads an overflow such as ``1e400`` as inf where the line parser
-    rejects it; the trace's own checks reject the inf in turn. The csv
-    reader rejects a field longer than its field size limit, which numpy
-    reads, and a bare carriage return, which numpy rejects only as not
-    supported yet.
-    """
-    parts = _trace_parts(text, expected_first)
-    table = None if parts is None else _table(parts[0], parts[1].encode("ascii"))
-    return None if table is None else (parts[0], table)
+    def __init__(self, wanted: frozenset[str] | None):
+        self.wanted, self.used = wanted, 0  # used: bytes of the block's bodies
+        self.file, self.block = bytearray(1 << 16), bytearray(1 << 16)
+
+    def read(self, path: str, scratch: _Scratch) -> _Trace | None:
+        """``_trace`` of the file at ``path``, read into ``file``, its line
+        ends read, and its header decoded, as ``decode_utf8`` reads them."""
+        self.file, size = read_into(path, "trace", self.file)
+        data = self.file
+        if data.find(b"\r", 0, size) >= 0:
+            text = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            size = len(text)
+            data[:size] = text
+        end = data.find(b"\n", 0, size)
+        if end < 0 or end + 1 == size:
+            return None  # no body
+        if data[size - 1] != ord("\n"):
+            data[size] = ord("\n")
+            size += 1
+        return _trace(decode_utf8(data[:end], ParseError, path), data, end + 1, size,
+                      self.wanted, scratch)
+
+    def join(self, trace: _Trace | None) -> _Trace | None:
+        """``trace`` (or None), its body copied after the block's others."""
+        if trace is None:
+            return None
+        header, shape, body = trace
+        end = self.used + len(body)
+        if end > len(self.block):
+            self.block = self.block[:self.used] + bytearray(end + end // 4 - self.used)
+        self.block[self.used:end] = body
+        body, self.used = memoryview(self.block)[self.used:end], end
+        return header, shape, body
+
+    def stacked(self, traces: list[_Trace | None], scratch: _Scratch) -> np.ndarray | None:
+        """``_stacked`` of the block's ``traces`` (None when they are None)."""
+        return None if traces[0] is None else _stacked(
+            traces, self.wanted, scratch, memoryview(self.block)[:self.used])
+
+
+def _stacked(traces: list[_Trace], wanted: frozenset[str] | None = None,
+             scratch: _Scratch | None = None, text=None) -> np.ndarray | None:
+    """The tables of traces of one header and shape (runs x samples x
+    columns) holding the counters in ``wanted`` (all when None):
+    ``_decimal_table`` of their bodies joined (``text``, when the caller
+    holds them so), else ``_table`` file by file, else None."""
+    header, shape, _ = traces[0]
+    text = b"".join(body for _, _, body in traces) if text is None else text
+    columns = None if wanted is None else _wanted_columns(header, wanted)
+    table = _decimal_table(text, len(header), columns, scratch)
+    if table is not None:
+        return table.reshape(len(traces), *shape)
+    tables = [_table(header, body, wanted) for header, _, body in traces]
+    if any(table is None or table.shape != shape for table in tables):
+        return None
+    return np.stack(tables)
 
 
 def _parse(text: str, build):
-    """``build(header, table, linenos)`` on the fast read of ``text``, with
-    ``linenos`` None. When the fast read declines or ``build`` raises, the
-    text is read again line by line, so every ParseError names its line."""
-    fast = _fast_rows(text, "ts_ms")
-    if fast is not None:
+    """``build(header, table, linenos)`` on ``_stacked`` of the one trace
+    ``text`` holds, ``linenos`` None; where that declines or ``build``
+    raises, on the text read line by line, so a ParseError names its line."""
+    head, _, body = text.partition("\n")
+    body = body.encode() + b"\n" * (not body.endswith("\n"))
+    trace = _trace(head, body, 0, len(body), None, _Scratch()) if body.strip() else None
+    table = None if trace is None else _stacked([trace])
+    if table is not None:
         try:
-            return build(*fast, None)
+            return build(trace[0], table[0], None)
         except ParseError:
             pass
     header, linenos, table = _parse_rows(text, "ts_ms")
@@ -611,11 +691,8 @@ def aggregate_block(counter_ts: np.ndarray, counts: np.ndarray, power_ts: np.nda
     return rates, np.vecdot(current, dur) / span
 
 
-def isolate_dataset(
-    ds: Dataset,
-    base_current: float,
-    aux_current: np.ndarray | None = None,
-) -> tuple[Dataset, int]:
+def isolate_dataset(ds: Dataset, base_current: float, aux_current: np.ndarray | None = None
+                    ) -> tuple[Dataset, int]:
     """Subtract the base current and, when given, each run's predicted
     auxiliary-component current from the measured total; returns the
     isolated dataset and the number of runs clamped.
@@ -635,11 +712,8 @@ def isolate_dataset(
     clamped = target < 0.0
     n_clamped = int(clamped.sum())
     if n_clamped:
-        warnings.warn(
-            f"{n_clamped} of {len(ds)} isolated currents clamped to 0 mA",
-            ClampWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"{n_clamped} of {len(ds)} isolated currents clamped to 0 mA",
+                      ClampWarning, stacklevel=2)
     return replace(ds, target_current=np.where(clamped, 0.0, target)), n_clamped
 
 
@@ -653,10 +727,9 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int) -> tuple[Datase
     # The epsilon guards against 300 * (2/3) landing a hair above 200.
     n_train = math.ceil(n * train_fraction - 1e-9)
     if not 0 < n_train < n:
-        raise ConfigError(
-            f"train_fraction {train_fraction!r} splits {n} runs into {n_train} for training "
-            f"and {n - n_train} for test; each side needs at least one run"
-        )
+        raise ConfigError(f"train_fraction {train_fraction!r} splits {n} runs into {n_train} "
+                          f"for training and {n - n_train} for test; each side needs at least "
+                          "one run")
     perm = np.random.default_rng(seed).permutation(n)
     return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
@@ -701,15 +774,9 @@ def _manifest_run(entry, index: int) -> ManifestRun:
                        get("aux_counter_file", str, required=False))
 
 
-def _read_text(path: str, what: str) -> str:
-    """The text of the ``what`` file at ``path``; undecodable bytes raise a
-    ParseError naming the file."""
-    return decode_utf8(read_bytes(path, what), ParseError, path)
-
-
 def _read_trace(parse, path: Path, what: str):
     """Parse the trace file at ``path``; a ParseError names the file."""
-    text = _read_text(str(path), what)
+    text = decode_utf8(read_bytes(str(path), what), ParseError, str(path))
     try:
         return parse(text)
     except ParseError as exc:
@@ -726,92 +793,40 @@ def _aggregate(trace: CounterTrace, power: PowerTrace, where: str) -> tuple[np.n
 # The counter tables of one block of runs hold at most this many cells
 # (64 KB of float64), and its trace bodies at most BLOCK_BYTES of text,
 # unless one run holds more, so the memory ingest takes does not grow with
-# the campaign. Blocks of 1 << 16 cells converted more slowly: their text
-# (about 1 MB) and the conversion's temporaries are allocated afresh for
-# each block, not reused. A read of a few counters converts few cells of
-# much text, and the proof's byte masks are a few times the text's size.
+# the campaign. A read of a few counters converts few cells of much text.
+# The text, its byte mask and digit counts live in arrays the blocks reuse,
+# about four times the text; the proof's positions are allocated per block.
 BLOCK_CELLS = 1 << 13
 BLOCK_BYTES = 1 << 19
-
-
-# A trace file the fast read took: its header, the shape of the table it
-# gives (samples x columns, timestamps first, then the wanted counters),
-# and its body, not yet converted, ended by a newline.
-_Trace = tuple[tuple[str, ...], tuple[int, int], bytes]
-
-
-def _wanted_cells(body: bytes, width: int, columns: tuple[int, ...]) -> bytes | None:
-    """The cells of ``columns`` (0, the timestamps, first) of every line of
-    ``body``, joined into a body of as many cells a line, when ``_proof``
-    proves every cell of ``body``, so that those left out are finite and
-    not negative; else None."""
-    proof = _proof(body, width)
-    if proof is None:
-        return None
-    skeleton, _, loose = proof
-    # Cell k of ``body`` follows bounds[k] and ends at its separator,
-    # bounds[k + 1]: the separators are the bytes neither digits nor points
-    # that the skeleton less its points shows as separators.
-    separator = np.frombuffer(skeleton.translate(_IS_SEPARATOR, b"."), dtype=bool)
-    bounds = np.append(-1, np.flatnonzero(loose)[separator])
-    picked = (np.arange(0, bounds.size - 1, width)[:, None] + columns).ravel()
-    starts = bounds[picked] + 1
-    # Each wanted cell with its separator, gathered in order, the separator
-    # then set to end a cell or a line of the new body.
-    lengths = bounds[picked + 1] + 1 - starts
-    stops = np.cumsum(lengths)
-    cells = np.frombuffer(body, dtype=np.uint8)[
-        np.repeat(starts - (stops - lengths), lengths) + np.arange(stops[-1])]
-    cells[stops - 1] = ord(",")
-    cells[stops[len(columns) - 1::len(columns)] - 1] = ord("\n")
-    return cells.tobytes()
-
-
-def _stacked(traces: list[_Trace], wanted: frozenset[str] | None = None) -> np.ndarray | None:
-    """The tables of one kind of trace of a block (runs x samples x
-    columns), of the timestamps and the counters in ``wanted`` (all when
-    None). One ``_decimal_table`` converts the bodies joined or, when not
-    every counter is wanted, the wanted cells of them proved; when it
-    declines them, ``_table`` reads file by file. None when ``_table``
-    declines a file or reads a shape other than the block's."""
-    header, shape, _ = traces[0]
-    body = b"".join(text for _, _, text in traces)
-    columns = None if wanted is None else _wanted_columns(header, wanted)
-    if columns is not None:
-        body = _wanted_cells(body, len(header), columns)
-    table = None if body is None else _decimal_table(body, shape[1])
-    if table is not None:
-        return table.reshape(len(traces), *shape)
-    tables = [_table(header, text, wanted) for header, _, text in traces]
-    if any(table is None or table.shape != shape for table in tables):
-        return None
-    return np.stack(tables)
 
 
 @dataclass(frozen=True, eq=False)
 class _FastRun:
     """A manifest run whose trace files the fast read took, the samples not
-    yet checked."""
+    yet checked: its counter, power and aux trace (None without one)."""
 
     index: int
     meta: RunMeta
-    counters: _Trace
-    power: _Trace
-    aux: _Trace | None
+    traces: tuple[_Trace, _Trace, _Trace | None]
 
     def key(self) -> tuple:
         """Runs of equal keys stack into one block."""
-        traces = (self.counters, self.power) + ((self.aux,) if self.aux else ())
-        return tuple((header, shape) for header, shape, _ in traces)
+        return tuple((header, shape) for header, shape, _ in filter(None, self.traces))
 
     def cells(self) -> int:
-        return sum(math.prod(shape) for _, shape, _ in filter(None, (self.counters, self.aux)))
+        """The cells of its counter and aux tables."""
+        return sum(math.prod(shape) for _, shape, _ in filter(None, self.traces[::2]))
 
     def text_bytes(self) -> int:
-        return sum(len(body) for _, _, body in filter(None, (self.counters, self.power, self.aux)))
+        return sum(len(body) for _, _, body in filter(None, self.traces))
 
 
 _POWER_HEADERS = (("ts_ms", "current_ma"), ("ts_ms", "current_ma", "voltage_v"))
+
+
+def _names(run: _FastRun) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+    """The counter names of the run's counter and aux traces."""
+    return tuple(None if trace is None else trace[0][1:] for trace in run.traces[::2])
 
 
 def _samples_pass(tables: np.ndarray, values: np.ndarray) -> bool:
@@ -845,6 +860,7 @@ class _Campaign:
         self.aux_rates: list[np.ndarray] = []
         self.aux_currents: list[np.ndarray] = []
         self.counter_names = self.aux_names = None
+        self.scratch, self.texts = _Scratch(), (_Text(wanted), _Text(None), _Text(aux_wanted))
 
     def add_run(self, i: int) -> None:
         """Read, check and aggregate run ``i`` alone. Each fault raises as
@@ -864,15 +880,12 @@ class _Campaign:
         self.currents.append(np.array([current]))
         # Run 0 decides whether the runs list aux traces: aux_names is set then.
         if i and (run.aux_counter_file is None) != (self.aux_names is None):
-            raise ParseError(
-                f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
-                "aux_counter_file, unlike the first run"
-            )
+            raise ParseError(f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
+                             "aux_counter_file, unlike the first run")
         if run.aux_counter_file is None:
             return
-        aux_trace = _read_trace(
-            parse_counter_trace, base_dir / run.aux_counter_file, "aux counter trace"
-        )
+        aux_trace = _read_trace(parse_counter_trace, base_dir / run.aux_counter_file,
+                                "aux counter trace")
         if self.aux_names is None:
             self.aux_names = aux_trace.counter_names
         elif aux_trace.counter_names != self.aux_names:
@@ -883,30 +896,16 @@ class _Campaign:
 
     def fast_read(self, i: int) -> _FastRun | None:
         """Run ``i`` with its files read, each in one pass, by the fast
-        read, their bodies kept for ``_stacked``; None when its entry or a
-        file cannot be read, the fast read declines a file, or a header
-        would raise."""
-        base = str(self.base_dir)
-
-        def read(name: str, wanted=None) -> _Trace | None:
-            parts = _trace_parts(_read_text(os.path.join(base, name), "trace"), "ts_ms")
-            if parts is None:
-                return None
-            header, text = parts
-            body = text.encode("ascii")
-            if not body.endswith(b"\n"):
-                body += b"\n"
-            columns = None if wanted is None else _wanted_columns(header, wanted)
-            # numpy counts the lines about four times as fast as bytes.count.
-            rows = np.count_nonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-            return header, (rows, len(columns or header)), body
-
+        read, their bodies kept until the next fast read; None when its
+        entry or a file cannot be read, the fast read declines a file, or a
+        header would raise."""
         try:
             run = _manifest_run(self.runs[i], i)
-            counters, power = read(run.counter_file, self.wanted), read(run.power_file)
-            aux = (None if run.aux_counter_file is None
-                   else read(run.aux_counter_file, self.aux_wanted))
-            if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
+            files = (run.counter_file, run.power_file, run.aux_counter_file)
+            counters, power, aux = traces = tuple(
+                None if name is None else text.read(os.path.join(self.base_dir, name), self.scratch)
+                for text, name in zip(self.texts, files))
+            if counters is None or power is None or (aux is None) != (files[2] is None):
                 return None
             for header, _, _ in filter(None, (counters, aux)):
                 _check_header_names(header[1:])
@@ -914,7 +913,12 @@ class _Campaign:
             return None
         if power[0] not in _POWER_HEADERS:
             return None
-        return _FastRun(i, run.meta, counters, power, aux)
+        return _FastRun(i, run.meta, traces)
+
+    def join(self, run: _FastRun) -> _FastRun:
+        """``run``, its bodies copied after those of the block's other runs."""
+        return _FastRun(run.index, run.meta,
+                        tuple(text.join(trace) for text, trace in zip(self.texts, run.traces)))
 
     def add_block(self, block: list[_FastRun]) -> None:
         """Convert, check and aggregate a block of runs that share a key at
@@ -923,13 +927,13 @@ class _Campaign:
         ``add_run``, so the first fault in manifest order raises as it
         words it."""
         rows = self._block_rows(block)
+        for text in self.texts:
+            text.used = 0
         if rows is None:
             for run in block:
                 self.add_run(run.index)
             return
-        first = block[0]
-        self.counter_names = first.counters[0][1:]
-        self.aux_names = None if first.aux is None else first.aux[0][1:]
+        self.counter_names, self.aux_names = _names(block[0])
         self.metas.extend(run.meta for run in block)
         (rates, currents), aux = rows
         self.rates.append(rates)
@@ -942,15 +946,11 @@ class _Campaign:
         """The block's rows and aux rows, as ``add_run`` would give them run
         by run; None wherever ``add_run`` would raise for one of its runs,
         or ``_stacked`` declines a kind of trace."""
-        first = block[0]
-        aux_names = None if first.aux is None else first.aux[0][1:]
-        if self.metas and (first.counters[0][1:] != self.counter_names
-                           or aux_names != self.aux_names):
+        if self.metas and _names(block[0]) != (self.counter_names, self.aux_names):
             return None
-        counters = _stacked([run.counters for run in block], self.wanted)
-        power = _stacked([run.power for run in block])
-        aux = None if first.aux is None else _stacked([run.aux for run in block], self.aux_wanted)
-        if counters is None or power is None or (first.aux is not None and aux is None):
+        counters, power, aux = (text.stacked([run.traces[k] for run in block], self.scratch)
+                                for k, text in enumerate(self.texts))
+        if counters is None or power is None or (block[0].traces[2] is not None and aux is None):
             return None
         if not (_samples_pass(counters, counters[:, :, 1:]) and _samples_pass(power, power[:, :, 1])
                 and _voltage_constant(power)
@@ -984,18 +984,17 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     ``counters`` (``aux_counters`` for the aux traces), when given, names
     the only counters the caller reads: each dataset then holds those its
     traces name, in trace order, with the bits a full read gives them. The
-    other cells are not converted when their bytes prove them well-formed,
-    finite and not negative; a block of files they do not prove is read in
-    full, file by file, so every fault raises as it does without
-    ``counters``.
+    other cells are proved well-formed, finite and not negative from their
+    bytes, not converted; a block they do not prove is read in full.
 
     Consecutive runs whose traces share their headers and shapes are read
     into a block of at most BLOCK_CELLS converted counter cells and
-    BLOCK_BYTES of trace text, whose samples are checked and whose runs are
-    aggregated at once. A run the fast read
-    cannot take, and every run of a block that fails, is read again alone,
-    so a fault raises as the first one in manifest order, in the words of
-    the one-run path.
+    BLOCK_BYTES of trace text. Each kind of trace of a block is proved and
+    converted in one structural pass over its bodies joined, in arrays
+    reused from block to block; its samples are checked and its runs
+    aggregated at once. A run the fast read cannot take, and every run of a
+    block that fails, is read again alone, so a fault raises as the first
+    one in manifest order, in the words of the one-run path.
     """
     path = Path(path)
     try:
@@ -1020,7 +1019,7 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
         if run is None:
             campaign.add_run(i)
         else:
-            block.append(run)
+            block.append(campaign.join(run))
             cells += run.cells()
             text += run.text_bytes()
     if block:

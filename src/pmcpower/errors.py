@@ -59,10 +59,11 @@ def decode_utf8(data: bytes, error: type[PmcPowerError], label: str) -> str:
     return text
 
 
-def read_bytes(path, what: str) -> bytes:
-    """The bytes of the ``what`` file at ``path``, in one open and one read.
-    A path that names no regular file raises an OSError naming ``what``:
-    IsADirectoryError for a directory, FileNotFoundError otherwise."""
+def _opened(path, what: str) -> tuple[int, int]:
+    """A descriptor of the ``what`` file at ``path``, opened to read, and
+    its size. A path that names no regular file raises an OSError naming
+    ``what``: IsADirectoryError for a directory, FileNotFoundError
+    otherwise."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # so a FIFO cannot block
     except (FileNotFoundError, NotADirectoryError, ValueError):
@@ -73,12 +74,41 @@ def read_bytes(path, what: str) -> bytes:
             raise IsADirectoryError(f"{what} is a directory: {path}")
         if not stat.S_ISREG(info.st_mode):
             raise FileNotFoundError(f"{what} is not a regular file: {path}")
-        data = os.read(fd, info.st_size)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd, info.st_size
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``, in one open and one read;
+    a path that names no regular file raises as ``_opened`` words it."""
+    fd, size = _opened(path, what)
+    try:
+        data = os.read(fd, size)
         while chunk := os.read(fd, 1 << 16):
             data += chunk
     finally:
         os.close(fd)
     return data
+
+
+def read_into(path, what: str, buffer: bytearray) -> tuple[bytearray, int]:
+    """``read_bytes`` into ``buffer`` from its start, or into a larger
+    bytearray when ``buffer`` cannot hold the file and a byte more: that
+    bytearray and the number of bytes read. ``buffer`` is not resized. A
+    read that does not fill the buffer ends at the end of the file."""
+    fd, size = _opened(path, what)
+    try:
+        if len(buffer) <= size:
+            buffer = bytearray(size + size // 4 + 1)
+        read = os.readv(fd, [buffer])
+        while read == len(buffer):  # the file grew as it was read
+            buffer = buffer + bytes(len(buffer))
+            read += os.readv(fd, [memoryview(buffer)[read:]])
+    finally:
+        os.close(fd)
+    return buffer, read
 
 
 def read_utf8(path: Path, what: str, error: type[PmcPowerError]) -> str:

@@ -132,22 +132,25 @@ def _near_zero_variance(values: np.ndarray) -> np.ndarray:
 
     The variances are one axis-0 ``np.var``, which sums each column as
     ``np.var`` of that column alone does. Where the variance or the bound
-    overflows (a column near 1e154 or above), the column is decided again
-    scaled by the power of two that brings its peak into [0.5, 1), which
-    scales both sides alike and takes only the overflow out. Every column
-    whose two sides are finite keeps its decision.
+    overflows (a column near 1e154 or above), or the bound underflows to a
+    subnormal or zero though the column is not all zeros (a column near
+    1e-148 or below), the column is decided again scaled by the power of
+    two that brings its peak into [0.5, 1), which scales both sides alike
+    and takes only the overflow or underflow out. Every column whose two
+    sides are normal floats keeps its decision.
     """
     peak = np.abs(values).max(axis=0, initial=0.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         variance = values.var(axis=0)
         bound = 1e-12 * peak * peak
     flat = variance <= bound
-    big = np.flatnonzero((variance == np.inf) | (bound == np.inf))
-    if big.size:
-        exponent = np.frexp(peak[big])[1]
-        scaled_peak = np.ldexp(peak[big], -exponent)
-        scaled = np.ldexp(values[:, big], -exponent)
-        flat[big] = scaled.var(axis=0) <= 1e-12 * scaled_peak * scaled_peak
+    odd = np.flatnonzero((variance == np.inf) | (bound == np.inf)
+                         | ((bound < np.finfo(float).tiny) & (peak > 0)))
+    if odd.size:
+        exponent = np.frexp(peak[odd])[1]
+        scaled_peak = np.ldexp(peak[odd], -exponent)
+        scaled = np.ldexp(values[:, odd], -exponent)
+        flat[odd] = scaled.var(axis=0) <= 1e-12 * scaled_peak * scaled_peak
     return flat
 
 

@@ -8,7 +8,6 @@ over the k counters that correlate best with the target.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import warnings
@@ -120,6 +119,8 @@ def dataset_fingerprint(ds: Dataset) -> str:
     sha256 over the counter names and each run's metadata as JSON, then the
     little-endian float64 bytes of the rates, total and target currents.
     The JSON fixes the runs and counters, and so the length of each array."""
+    import hashlib  # here: eval and predict never load it
+
     digest = hashlib.sha256()
     digest.update(json.dumps(list(ds.counter_names)).encode())
     digest.update(json.dumps([
@@ -146,6 +147,10 @@ class PipelineResult:
         return [self.matrix.specs[i] for i in self.assignment.members(cluster_id)]
 
 
+# The fewest training records run_pipeline fits a model to.
+MIN_TRAIN_RECORDS = 10
+
+
 def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> PipelineResult:
     """Automatic cluster-then-forward feature selection plus final linear fit.
 
@@ -157,8 +162,8 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
     representatives' raw values.
     """
     config = config or PipelineConfig()
-    if len(train) < 10:
-        raise ConfigError("need at least 10 training records")
+    if len(train) < MIN_TRAIN_RECORDS:
+        raise ConfigError(f"need at least {MIN_TRAIN_RECORDS} training records, got {len(train)}")
     y = train.target_current
 
     specs: Sequence[FeatureSpec] = ft.invert_negative(train, config.alpha)

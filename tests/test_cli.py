@@ -377,6 +377,19 @@ class TestBadInputExit2:
         assert proc.stdout == ""
 
 
+class TestTooFewRecords:
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_error_names_the_count_and_the_split(self, tmp_path, command, capsys):
+        data = tmp_path / "synth"
+        assert main(["synth", "--out", str(data), "--runs", "8", "--seed", "5"]) == 0
+        capsys.readouterr()
+        args = ["--output-dir", str(tmp_path / "out")] if command == "train" else []
+        assert main([command, "--manifest", str(data / "manifest.json"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: need at least 10 training records, got 6 (train fraction "
+                       "0.666667 of 8 records in the campaign)\n")
+
+
 class TestWarnings:
     def test_base_current_above_every_run(self, tmp_path, synth_manifest):
         proc = run_cli("train", "--manifest", str(synth_manifest),
@@ -443,6 +456,23 @@ class TestPredictAndEval:
                                [(out / f).read_bytes() for f in ("eval.json", "predictions.csv")])
             assert outputs[0] == outputs[1]
             assert asked == [(counters, [counters[0]] if name == "eval" else [])]
+
+    def test_eval_does_not_import_synth_or_hashlib(self, tmp_path, synth_manifest):
+        # eval reads a model and a campaign: it never generates data or
+        # fingerprints a training set.
+        assert main(["train", "--config", str(run_config(tmp_path, synth_manifest))]) == 0
+        code = (
+            "import sys\n"
+            "from pmcpower.cli import main\n"
+            f"assert main(['eval', '--model', {str(tmp_path / 'out' / 'model.json')!r}, "
+            f"'--manifest', {str(synth_manifest)!r}, "
+            f"'--output-dir', {str(tmp_path / 'eval')!r}]) == 0\n"
+            "print(sorted({'pmcpower.synth', 'hashlib'} & set(sys.modules)))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_model_counter_missing_from_the_traces(self, tmp_path, synth_manifest, command,

@@ -1176,14 +1176,14 @@ class TestSubsetReadMatchesFullRead:
         campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40)
         real_proof, real_stacked, proofs, blocks = dataset._proof, dataset._stacked, [], []
 
-        def proof(body, width):
+        def proof(body, width, *scratch):
             proofs.append((width, len(body)))
-            return real_proof(body, width)
+            return real_proof(body, width, *scratch)
 
-        def stacked(traces, wanted=None):
+        def stacked(traces, wanted=None, *scratch):
             if len(traces[0][0]) == 41:
                 blocks.append(sum(len(text) for _, _, text in traces))
-            return real_stacked(traces, wanted)
+            return real_stacked(traces, wanted, *scratch)
 
         with mock.patch.object(dataset, "_proof", proof), \
                 mock.patch.object(dataset, "_stacked", stacked), _loadtxt_calls() as calls:
@@ -1211,13 +1211,14 @@ class TestSubsetReadMatchesFullRead:
         # The cells a subset read converts are few; its blocks are bounded
         # by the text they join.
         campaign = Campaign(np.random.default_rng(5), [11] * 60, n_counters=40)
-        real, joined = dataset._wanted_cells, []
+        real, joined = dataset._proof, []
 
-        def spy(body, width, columns):
-            joined.append(len(body))
-            return real(body, width, columns)
+        def spy(body, width, *scratch):
+            if width == 41:
+                joined.append(len(body))
+            return real(body, width, *scratch)
 
-        with mock.patch.object(dataset, "_wanted_cells", spy), \
+        with mock.patch.object(dataset, "_proof", spy), \
                 mock.patch.object(dataset, "BLOCK_BYTES", 40_000):
             _assert_subset_loads_as_full(campaign, dataset.BLOCK_CELLS, {"c3"}, (),
                                          expect_ok=True)
@@ -1256,6 +1257,74 @@ class TestSubsetReadMatchesFullRead:
             declined = _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"},
                                                     {"cycles"}, expect_ok=True)
         assert got == declined
+
+
+class TestReusedBuffers:
+    """A load reuses its text and proof arrays from block to block; the
+    datasets it returns own their memory."""
+
+    @needs_exact_kernel
+    @pytest.mark.parametrize("wanted", [None, {"c1"}])
+    def test_datasets_do_not_alias_the_buffers(self, wanted):
+        campaign = Campaign(np.random.default_rng(8), [6] * 30, n_counters=3)
+        buffers = []
+        real_scratch, real_join = dataset._Scratch.__call__, dataset._Text.join
+
+        def scratch(self, name, size, dtype):
+            array = real_scratch(self, name, size, dtype)
+            buffers.append(array)
+            return array
+
+        def join(self, trace):
+            buffers.extend(np.frombuffer(text, dtype=np.uint8) for text in (self.file, self.block))
+            return real_join(self, trace)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = campaign.write(Path(tmp))
+            with mock.patch.object(dataset, "BLOCK_CELLS", 40), \
+                    mock.patch.object(dataset._Scratch, "__call__", scratch), \
+                    mock.patch.object(dataset._Text, "join", join):
+                first = load_manifest(manifest, wanted, wanted and ())
+                bits = [ds.rates.tobytes() for ds in first if ds is not None]
+                second = load_manifest(manifest, wanted, wanted and ())
+        assert len(buffers) > 20
+        assert bits == [ds.rates.tobytes() for ds in second if ds is not None]
+        assert bits == [ds.rates.tobytes() for ds in first if ds is not None]
+        for ds in filter(None, first):
+            for array in (ds.rates, ds.total_current, ds.target_current):
+                assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+
+
+@st.composite
+def line_end_traces(draw):
+    """A counter trace whose header names hold non-ASCII letters, of
+    non-negative cells and increasing timestamps, each line ended by a
+    newline, a carriage return and newline, or a bare carriage return."""
+    names = draw(st.lists(st.text("a\u00e9\u00fc\u03bc\u4e2d", min_size=1, max_size=3), min_size=1,
+                          max_size=3, unique=True))
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1e9), min_size=len(names), max_size=len(names)),
+                         min_size=1, max_size=5))
+    lines = [",".join(["ts_ms", *names])] + [
+        ",".join(map(repr, [1000.0 * k, *row])) for k, row in enumerate(rows)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestLineEnds:
+    @settings(max_examples=200, deadline=None)
+    @given(text=line_end_traces())
+    def test_parse_counter_trace_matches_the_line_parser(self, text):
+        try:
+            header, _, table = dataset._parse_rows(text, "ts_ms")
+        except ParseError as exc:
+            with pytest.raises(ParseError, match=re.escape(str(exc))):
+                parse_counter_trace(text)
+            return
+        trace = parse_counter_trace(text)
+        assert trace.counter_names == tuple(header[1:])
+        assert trace.timestamps_ms.tobytes() == table[:, 0].tobytes()
+        assert trace.counts.tobytes() == table[:, 1:].tobytes()
 
 
 @st.composite

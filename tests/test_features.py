@@ -330,21 +330,61 @@ class TestVarianceGateOverflow:
         assert features._near_zero_variance(col).tolist() == [True]
 
     def test_decisions_with_finite_sides_unchanged(self, rng):
+        # Columns below about 1e-148, whose bound underflows, are decided
+        # scaled (TestVarianceGateUnderflow); every other one as before.
         spread = 10.0 ** rng.uniform(-8, 0, 200)
         cols = 1e150 * (1.0 + spread * rng.normal(size=(12, 200)))
         cols[:, :20] = rng.normal(size=(12, 20)) * 10.0 ** rng.uniform(-300, 150, 20)
-        expected = []
-        for col in cols.T:
+        got = features._near_zero_variance(np.asfortranarray(cols)).tolist()
+        for col, flat in zip(cols.T, got):
             peak = float(np.max(np.abs(col)))
-            expected.append(float(np.var(col)) <= 1e-12 * peak * peak)
-        got = features._near_zero_variance(np.asfortranarray(cols))
-        assert got.tolist() == expected
+            if 1e-12 * peak * peak >= np.finfo(float).tiny:
+                assert flat == (float(np.var(col)) <= 1e-12 * peak * peak)
+            else:
+                assert not flat  # each column varies
 
     def test_drop_zero_variance_keeps_a_large_counter(self):
         ds = make_dataset(
             {"big": [1e160, 2e160, 3e160, 4e160], "flat": [1e200] * 4}, [1.0, 2.0, 3.0, 4.0]
         )
         assert drop_zero_variance(ds) == (["big"], ["flat"])
+
+
+class TestVarianceGateUnderflow:
+    def test_tiny_varying_column_is_not_constant(self):
+        col = np.array([1.0, 2.0, 3.0, 4.0]) * 1e-165
+        assert features._near_zero_variance(col[:, None]).tolist() == [False]
+
+    @pytest.mark.parametrize("value", [1e-165, 5e-324, 0.0, -0.0])
+    def test_tiny_constant_column_stays_constant(self, value):
+        assert features._near_zero_variance(np.full((4, 1), value)).tolist() == [True]
+
+    def test_drop_zero_variance_keeps_a_tiny_counter(self):
+        ds = make_dataset({"tiny": [1e-165, 2e-165, 3e-165, 4e-165], "flat": [1e-200] * 4},
+                          [1.0, 2.0, 3.0, 4.0])
+        assert drop_zero_variance(ds) == (["tiny"], ["flat"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=st.lists(
+        st.tuples(st.floats(-320, 300), st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8)),
+        min_size=1, max_size=6))
+    def test_decisions_with_normal_sides_unchanged(self, columns):
+        # Each column is a few numbers times a power of ten; every column
+        # whose variance and bound are normal floats is decided as
+        # variance <= 1e-12 * peak**2 decides it.
+        n = max(len(values) for _, values in columns)
+        cols = np.array([(values * n)[:n] for _, values in columns], dtype=float).T
+        with np.errstate(all="ignore"):
+            cols = cols * 10.0 ** np.array([exponent for exponent, _ in columns])
+        cols = np.where(np.isfinite(cols), cols, 0.0)
+        got = features._near_zero_variance(np.asfortranarray(cols)).tolist()
+        tiny = np.finfo(float).tiny
+        for col, flat in zip(cols.T, got):
+            with np.errstate(all="ignore"):
+                peak = float(np.max(np.abs(col)))
+                variance, bound = float(np.var(col)), 1e-12 * peak * peak
+            if tiny <= variance < np.inf and tiny <= bound < np.inf:
+                assert flat == (variance <= bound)
 
 
 def _matrix_outcome(fn, ds, specs):

@@ -1,3 +1,4 @@
+import re
 import warnings
 from unittest import mock
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from pmcpower import selection
 from pmcpower.clustering import ClusterAssignment
-from pmcpower.errors import DegenerateSeriesError, FeatureError
+from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError
 from pmcpower.features import base, build_matrix
 from pmcpower.numerics import ols_fit
 from pmcpower.selection import (
@@ -296,6 +297,17 @@ class TestSelectionMatchesReference:
         matrix, _ = matrix_from({"f": rng.uniform(1, 10, 10)}, rng.uniform(1, 5, 10))
         with pytest.raises(DegenerateSeriesError, match="target length must match rows"):
             cluster_importance([0], matrix, rng.uniform(1, 5, 9))
+
+    @pytest.mark.parametrize("cluster_of, n_clusters, problem", [
+        ([5, 0, 1], 2, "cluster id 5 of column 0 lies outside 0..1"),
+        ([0, -1, 1], 2, "cluster id -1 of column 1 lies outside 0..1"),
+        ([0.0, 1.0, 1.0], 2, "1-D integer array"),
+        ([[0, 1, 1]], 2, "1-D integer array"),
+    ])
+    def test_assignment_checks_its_ids(self, cluster_of, n_clusters, problem):
+        # With the id 5, select_significant would never examine column a.
+        with pytest.raises(ClusteringError, match=re.escape(problem)):
+            ClusterAssignment(cluster_of=np.array(cluster_of), n_clusters=n_clusters)
 
     def test_empty_cluster_rejected(self, rng):
         matrix, target = matrix_from({"f": rng.uniform(1, 10, 10)}, rng.uniform(1, 5, 10))
