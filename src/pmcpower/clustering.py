@@ -59,6 +59,11 @@ DEFAULT_CUT_FACTOR = 0.05
 # Rows of the distance matrix a rescan reads at once.
 _RESCAN_ROWS = 64
 
+# Bytes of the difference rows the distance triangle takes at once (at
+# least two rows): enough that narrow rows need few einsum calls, small
+# enough to stay in a core's private cache.
+_DIFF_BYTES = 512 * 1024
+
 
 @dataclass(frozen=True)
 class Merge:
@@ -123,29 +128,48 @@ def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of ``points``, with inf on the diagonal, and the index of each row's
     distinct row.
 
+    Rows are grouped by their bytes, so ``-0.0`` and ``+0.0`` tell two rows
+    apart, and the distinct rows are numbered in order of first occurrence.
     A pair's distance depends only on the bits of its two rows (swapping
     them only negates the difference), so the triangle is computed once per
-    pair of distinct rows; bit-equal rows are +0.0 apart, as their
-    difference would give. The distinct rows keep the memory order of
-    ``points``: einsum sums a row in the order its operand is laid out, and
-    a copy in the other order can change a distance in the last bit.
+    pair of distinct rows, whatever their numbering; bit-equal rows are
+    +0.0 apart, as their difference would give.
+
+    The distinct rows are copied once, in the memory order of ``points``:
+    einsum sums a row in the order its operand is laid out, and a copy in
+    the other order can change a distance in the last bit. Row ``i``'s
+    differences with the later rows are taken a block at a time into one
+    reused buffer of at most ``_DIFF_BYTES``, laid out in that order too.
+    Besides the result and the inverse, this allocates the grouping's keys
+    (one bytes object per distinct row, freed before the triangle), the
+    distinct rows and the buffer: never a copy of the whole input.
     """
-    width = points.shape[1]
-    as_bytes = np.ascontiguousarray(points).view(np.dtype((np.void, width * points.itemsize)))
-    _, first, inverse = np.unique(as_bytes.ravel(), return_index=True, return_inverse=True)
-    distinct = points[first]  # C order
+    seen: dict[bytes, int] = {}
+    first_of = np.array([seen.setdefault(row.tobytes(), k) for k, row in enumerate(points)],
+                        dtype=np.intp)
+    del seen
+    first, inverse = np.unique(first_of, return_inverse=True)
+    n, width = first.size, points.shape[1]
     if abs(points.strides[0]) < abs(points.strides[1]):  # column-major points
-        distinct = np.asfortranarray(distinct)
-    small = np.full((first.size, first.size), np.inf)
-    for i in range(first.size - 1):
-        # The slice keeps row i itself so einsum always sees at least two
-        # rows: a single-row operand takes a different summation path whose
-        # rounding can differ in the last bit.
-        diff = distinct[i] - distinct[i:]
-        row = 0.5 * np.einsum("ij,ij->i", diff, diff)[1:]
-        small[i, i + 1 :] = row
-        small[i + 1 :, i] = row
-    return small, inverse.ravel()
+        distinct, order = np.take(points.T, first, axis=1).T, "F"
+    else:
+        distinct, order = points[first], "C"
+    small = np.full((n, n), np.inf)
+    rows = min(n, max(2, _DIFF_BYTES // (points.itemsize * max(width, 1))))
+    buffer = np.empty(rows * width)
+    for i in range(n - 1):
+        for lo in range(i + 1, n, rows):
+            hi = min(lo + rows, n)
+            # A block of one row starts a row early, so einsum always sees
+            # at least two rows: a single-row operand takes a different
+            # summation path whose rounding can differ in the last bit.
+            start = min(lo, hi - 2)
+            diff = buffer[: (hi - start) * width].reshape((hi - start, width), order=order)
+            np.subtract(distinct[i], distinct[start:hi], out=diff)
+            half = 0.5 * np.einsum("ij,ij->i", diff, diff)[lo - start :]
+            small[i, lo:hi] = half
+            small[lo:hi, i] = half
+    return small, inverse
 
 
 def _collapse_bit_equal(
@@ -304,8 +328,13 @@ def ward_cluster(
     distinct column; when two distinct columns are closer than the smallest
     normal float, the distances are expanded to every pair of columns and
     the loop does all the merges. Either way the result is bit for bit that
-    of the loop over every pair. Rescans read blocks of rows, so no other
-    array as large as the distance matrix is allocated.
+    of the loop over every pair. The input is not modified, and it is not
+    copied: besides the distances (one matrix over the distinct columns,
+    and the loop's over its slots), Ward holds a boolean array of the
+    input's shape for the finiteness check, one copy of the distinct
+    columns with a difference buffer of at most ``_DIFF_BYTES`` while the
+    triangle is built, and blocks of ``_RESCAN_ROWS`` distance rows while a
+    rescan runs.
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
     to cluster raw coordinates (used by low-level tests).

@@ -171,7 +171,9 @@ def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
     retained = [name for name, drop in zip(ds.counter_names, flat) if not drop]
     dropped = [name for name, drop in zip(ds.counter_names, flat) if drop]
     if not retained:
-        raise FeatureError("no usable counters")
+        constant = {0: "there are no counters", 1: "the only counter is constant"}.get(
+            len(dropped), f"all {len(dropped)} counters are constant")
+        raise FeatureError(f"no usable counters: {constant} over {len(ds)} runs")
     return retained, dropped
 
 
@@ -300,8 +302,19 @@ class FeatureMatrix:
     values: np.ndarray
 
     def zscored(self) -> np.ndarray:
-        """Each column less its mean, over its population std (ddof=0)."""
-        return (self.values - self.values.mean(axis=0)) / self.values.std(axis=0)
+        """Each column less its mean, over its population std (ddof=0), in
+        the memory order of ``values``; a column whose std is 0 warns as
+        the division does.
+
+        The bits are those of ``(values - mean) / std``, but ``std``, which
+        centres its own copy, is taken first and the division is done in
+        place, so one array the size of ``values`` is live at a time: that
+        copy, then the result.
+        """
+        std = self.values.std(axis=0)
+        z = self.values - self.values.mean(axis=0)
+        z /= std
+        return z
 
     def names(self) -> list[str]:
         return [spec.canonical() for spec in self.specs]

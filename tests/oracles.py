@@ -10,6 +10,12 @@ fast paths can be compared with them exactly:
   ``pmcpower.clustering.ward_cluster`` replaced; it reuses only the
   package's Dendrogram/Merge containers and error type, so its output can
   be compared with the fast loop's byte for byte;
+* ``distinct_distances_reference``, the distinct-row distance triangle
+  that grouped rows with ``np.unique`` over a void view and took each
+  row's differences in a fresh array, before
+  ``pmcpower.clustering._distinct_distances`` grouped them by their bytes
+  in order of first occurrence and took the differences a block at a time
+  in one buffer; the two must give every pair of input rows the same bits;
 * ``generate_combined_reference``, the candidate loop that scored every
   product and ratio with the scalar ``pearson`` and ``pearson_p_value``
   before ``pmcpower.features.generate_combined`` scored them in blocks
@@ -241,6 +247,36 @@ def ward_reference(
         dist[:, j] = np.inf
 
     return Dendrogram(leaves=names, merges=tuple(merges))
+
+
+def distinct_distances_reference(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half the squared Euclidean distance between every two distinct rows
+    of ``points``, with inf on the diagonal, and the index of each row's
+    distinct row; the distinct rows in byte order.
+
+    A pair's distance depends only on the bits of its two rows (swapping
+    them only negates the difference), so the triangle is computed once per
+    pair of distinct rows; bit-equal rows are +0.0 apart, as their
+    difference would give. The distinct rows keep the memory order of
+    ``points``: einsum sums a row in the order its operand is laid out, and
+    a copy in the other order can change a distance in the last bit.
+    """
+    width = points.shape[1]
+    as_bytes = np.ascontiguousarray(points).view(np.dtype((np.void, width * points.itemsize)))
+    _, first, inverse = np.unique(as_bytes.ravel(), return_index=True, return_inverse=True)
+    distinct = points[first]  # C order
+    if abs(points.strides[0]) < abs(points.strides[1]):  # column-major points
+        distinct = np.asfortranarray(distinct)
+    small = np.full((first.size, first.size), np.inf)
+    for i in range(first.size - 1):
+        # The slice keeps row i itself so einsum always sees at least two
+        # rows: a single-row operand takes a different summation path whose
+        # rounding can differ in the last bit.
+        diff = distinct[i] - distinct[i:]
+        row = 0.5 * np.einsum("ij,ij->i", diff, diff)[1:]
+        small[i, i + 1 :] = row
+        small[i + 1 :, i] = row
+    return small, inverse.ravel()
 
 
 def _spec_column(spec: FeatureSpec, columns: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -11,6 +11,7 @@ from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from pmcpower import cli
 from pmcpower.cli import compute_energy_mws, main
 from pmcpower.errors import ConfigError
 from pmcpower.synth import generate, three_factor_config, write_dataset_files
+
+from conftest import make_dataset
 
 
 @pytest.fixture
@@ -388,6 +391,17 @@ class TestTooFewRecords:
         err = capsys.readouterr().err
         assert err == ("error: need at least 10 training records, got 6 (train fraction "
                        "0.666667 of 8 records in the campaign)\n")
+
+
+class TestConstantCounters:
+    def test_train_error_names_the_count(self, tmp_path, capsys):
+        runs = np.linspace(100.0, 200.0, 18)
+        ds = make_dataset({"a": [3.0] * 18, "b": [0.0] * 18, "c": [7.5] * 18}, runs)
+        manifest = write_dataset_files(ds, tmp_path / "data")
+        assert main(["train", "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: no usable counters: all 3 counters are constant over 12 runs\n")
 
 
 class TestWarnings:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcpower.clustering import (
+    _DIFF_BYTES,
     _collapse_bit_equal,
     _distinct_distances,
     cut_dendrogram,
@@ -14,7 +17,12 @@ from pmcpower import features as ft
 from pmcpower.errors import ClusteringError
 from pmcpower.synth import collinear_config, generate
 
-from oracles import dendrogram_leafsets, ward_brute_force, ward_reference
+from oracles import (
+    dendrogram_leafsets,
+    distinct_distances_reference,
+    ward_brute_force,
+    ward_reference,
+)
 
 
 def one_dim_tree():
@@ -306,6 +314,74 @@ class TestWardCollapse:
         assert not _takes_collapse(z, names)
         got = ward_cluster(z, names, check_normalized=False).to_json()
         assert got == ward_reference(z, names, check_normalized=False).to_json()
+
+
+@st.composite
+def distance_points(draw):
+    """Rows for ``_distinct_distances``, C- or F-ordered: distinct rows (some
+    a 2^k multiple of another, or another with a zero's sign flipped), each
+    repeated 1-3 times, shuffled. The distinct count is 1, 2 or around an
+    edge of the triangle's blocks of ``rows`` rows, so a block of one row
+    occurs; wide rows make those blocks a few rows long."""
+    rows = draw(st.sampled_from([2, 3, 4, 7]))
+    if draw(st.booleans()):
+        width = draw(st.integers(_DIFF_BYTES // (8 * (rows + 1)) + 1, _DIFF_BYTES // (8 * rows)))
+    else:
+        width = draw(st.integers(1, 12))
+        rows = max(2, _DIFF_BYTES // (8 * width))
+    n_distinct = draw(st.sampled_from([1, 2, rows - 1, rows, rows + 1, rows + 2]))
+    n_distinct = min(n_distinct, 12)  # narrow rows: blocks too long to reach
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.normal(size=(n_distinct, width))
+    if draw(st.booleans()):
+        distinct = np.round(distinct, 1)  # zeros, and rounding ties between rows
+    for k in range(1, n_distinct):
+        source = distinct[rng.integers(0, k)]
+        form = draw(st.sampled_from(["own", "scaled", "signed zero"]))
+        if form == "scaled":
+            distinct[k] = source * 2.0 ** draw(st.integers(-3, 3))
+        elif form == "signed zero":
+            distinct[k] = source
+            distinct[k, rng.integers(0, width)] = -0.0
+    copies = rng.integers(1, 4, n_distinct)
+    points = np.repeat(distinct, copies, axis=0)[rng.permutation(copies.sum())]
+    return np.asfortranarray(points) if draw(st.booleans()) else points
+
+
+class TestDistinctDistances:
+    """Rows grouped by their bytes and the triangle taken in blocks, against
+    the frozen np.unique grouping with a fresh difference array per row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=distance_points())
+    def test_every_pair_matches_reference(self, points):
+        before = points.tobytes()
+        small, inverse = _distinct_distances(points)
+        assert points.tobytes() == before
+        ref_small, ref_inverse = distinct_distances_reference(points)
+        assert ((inverse[:, None] == inverse) == (ref_inverse[:, None] == ref_inverse)).all()
+        got = small[np.ix_(inverse, inverse)]
+        assert got.tobytes() == ref_small[np.ix_(ref_inverse, ref_inverse)].tobytes()
+        # Distinct rows are numbered in order of first occurrence.
+        assert list(dict.fromkeys(inverse.tolist())) == list(range(small.shape[0]))
+
+    def test_peak_holds_no_copy_of_the_input(self, rng):
+        # Ward's points for a 1,000-run x 400-feature matrix whose second half
+        # of columns copies the first: 400 rows of 1,000, 200 distinct.
+        half = rng.normal(size=(200, 1000))
+        points = np.vstack([half, half])[rng.permutation(400)]
+        tracemalloc.start()
+        try:
+            small, _ = _distinct_distances(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert small.shape == (200, 200)
+        # The distinct rows, the triangle and one block buffer, with slack for
+        # numpy's own buffers; the grouping's keys (about the distinct rows'
+        # size) are freed before the triangle.
+        bound = half.nbytes + small.nbytes + _DIFF_BYTES + 128 * 1024
+        assert peak <= bound < points.nbytes
 
 
 class TestCutDendrogram:

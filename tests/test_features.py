@@ -1,6 +1,7 @@
 import importlib.util
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from pmcpower import features, numerics
 from pmcpower.errors import DegenerateSeriesError, FeatureError, PmcPowerError
 from pmcpower.features import (
+    FeatureMatrix,
     base,
     build_matrix,
     drop_zero_variance,
@@ -150,6 +152,17 @@ class TestDropZeroVariance:
         ds = make_dataset({"dead": [0.0, 0.0]}, [1.0, 2.0])
         with pytest.raises(FeatureError, match="no usable counters"):
             drop_zero_variance(ds)
+
+    @pytest.mark.parametrize("columns, count", [
+        ({}, "there are no counters"),
+        ({"dead": [0.0] * 4}, "the only counter is constant"),
+        ({"dead": [0.0] * 4, "flat": [2.5] * 4, "idle": [1e-3] * 4}, "all 3 counters are constant"),
+    ])
+    def test_all_dropped_error_names_the_count(self, columns, count):
+        ds = make_dataset(columns, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(FeatureError) as err:
+            drop_zero_variance(ds)
+        assert str(err.value) == f"no usable counters: {count} over 4 runs"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rate_names_counter(self, bad):
@@ -317,6 +330,60 @@ class TestBuildMatrix:
         matrix = build_matrix(ds, [base("bytes"), base("beats")])
         z = matrix.zscored()
         assert np.abs(z[:, 0] - z[:, 1]).max() < 1e-9
+
+
+def _zscore_outcome(zscore):
+    """The bits and layout of the array ``zscore()`` returns, and the
+    warnings it raises, in sorted order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        z = zscore()
+    return z.tobytes(), z.strides, sorted((w.category.__name__, str(w.message)) for w in caught)
+
+
+@st.composite
+def zscore_values(draw):
+    """A C- or F-ordered runs x columns array, with constant columns now and
+    then (zero, or one value repeated)."""
+    n_runs = draw(st.integers(1, 30))
+    n_cols = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_runs, n_cols)) * 10.0 ** draw(st.integers(-6, 6))
+    for col in draw(st.lists(st.integers(0, n_cols - 1), max_size=3)):
+        values[:, col] = draw(st.sampled_from([0.0, 0.1, -3.0, 1e9]))
+    return np.asfortranarray(values) if draw(st.booleans()) else values
+
+
+class TestZscored:
+    @settings(max_examples=200, deadline=None)
+    @given(values=zscore_values())
+    def test_bits_layout_and_warnings_of_the_plain_expression(self, values):
+        matrix = FeatureMatrix(tuple(base(f"c{i}") for i in range(values.shape[1])), values)
+        expected = _zscore_outcome(lambda: (values - values.mean(axis=0)) / values.std(axis=0))
+        assert _zscore_outcome(matrix.zscored) == expected
+
+    def test_constant_column_warns(self):
+        matrix = FeatureMatrix((base("a"), base("b")), np.array([[1.0, 5.0], [2.0, 5.0]]))
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in divide"):
+            z = matrix.zscored()
+        assert z[:, 0].tolist() == [-1.0, 1.0]
+        assert np.isnan(z[:, 1]).all()
+
+    def test_peak_is_one_matrix_beyond_values(self, rng):
+        # The layout build_matrix gives: 1,000 runs x 400 columns, column-major,
+        # half the columns 4x copies of the other half.
+        half = rng.normal(size=(1000, 200))
+        values = np.asfortranarray(np.hstack([half, half * 4.0]))
+        matrix = FeatureMatrix(tuple(base(f"c{i}") for i in range(400)), values)
+        tracemalloc.start()
+        try:
+            z = matrix.zscored()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.flags.f_contiguous
+        # Slack for the mean and std and numpy's reduction buffers.
+        assert peak <= values.nbytes + 128 * 1024
 
 
 class TestVarianceGateOverflow:
