@@ -330,11 +330,12 @@ def ward_cluster(
     the loop does all the merges. Either way the result is bit for bit that
     of the loop over every pair. The input is not modified, and it is not
     copied: besides the distances (one matrix over the distinct columns,
-    and the loop's over its slots), Ward holds a boolean array of the
-    input's shape for the finiteness check, one copy of the distinct
+    and the loop's over its slots), Ward holds one copy of the distinct
     columns with a difference buffer of at most ``_DIFF_BYTES`` while the
     triangle is built, and blocks of ``_RESCAN_ROWS`` distance rows while a
-    rescan runs.
+    rescan runs. The finiteness check reads the input's minimum and
+    maximum, which are NaN when any value is, and allocates nothing of its
+    size.
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
     to cluster raw coordinates (used by low-level tests).
@@ -355,7 +356,7 @@ def ward_cluster(
             raise ClusteringError("one name per feature column required")
         if len(set(names)) != n_features:
             raise ClusteringError("feature names must be unique")
-    if not np.isfinite(z).all():
+    if not (np.isfinite(z.min()) and np.isfinite(z.max())):
         raise ClusteringError("feature matrix holds non-finite values")
     if check_normalized:
         means = z.mean(axis=0)

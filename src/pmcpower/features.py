@@ -171,10 +171,16 @@ def drop_zero_variance(ds: Dataset) -> tuple[list[str], list[str]]:
     retained = [name for name, drop in zip(ds.counter_names, flat) if not drop]
     dropped = [name for name, drop in zip(ds.counter_names, flat) if drop]
     if not retained:
-        constant = {0: "there are no counters", 1: "the only counter is constant"}.get(
-            len(dropped), f"all {len(dropped)} counters are constant")
-        raise FeatureError(f"no usable counters: {constant} over {len(ds)} runs")
+        why = _none_varies(len(dropped), "counter", "constant", len(ds))
+        raise FeatureError(f"no usable counters: {why}")
     return retained, dropped
+
+
+def _none_varies(count: int, noun: str, state: str, runs: int) -> str:
+    """Why none of ``count`` columns passed the variance gate, with the counts."""
+    why = {0: f"there are no {noun}s", 1: f"the only {noun} is {state}"}.get(
+        count, f"all {count} {noun}s are {state}")
+    return f"{why} over {runs} runs"
 
 
 def counter_correlations(ds: Dataset, names: Sequence[str]) -> np.ndarray:
@@ -397,5 +403,6 @@ def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
     if first_bad is not None:
         raise FeatureError(f"non-finite value evaluating {specs[first_bad[1]].canonical()}")
     if not kept:
-        raise FeatureError("no usable features")
+        why = _none_varies(len(specs), "candidate column", "near-constant", len(ds))
+        raise FeatureError(f"no usable features: {why}")
     return FeatureMatrix(tuple(specs[i] for i in kept), rows[: len(kept)].T)

@@ -382,6 +382,24 @@ def _csv_text(header: list[str], rows: list[list[float]]) -> str:
     return buf.getvalue()
 
 
+def _reject_unwritable(ds: Dataset) -> None:
+    """Raise ConfigError for the first run whose rate or current is
+    non-finite or negative, naming the run and the counter: no trace may
+    hold such a value, and the loader would refuse the campaign. Rates are
+    checked before currents, each in row-major order; -0.0 passes."""
+    columns = (("rate", ds.counter_names, ds.rates),
+               ("current", ("current_ma",), ds.target_current.reshape(-1, 1)))
+    for what, names, table in columns:
+        bad = np.argwhere(~((table >= 0) & (table < np.inf)))
+        if not bad.size:
+            continue
+        run, col = bad[0].tolist()
+        value = float(table[run, col])
+        fault = "negative" if np.isfinite(value) else "non-finite"
+        raise ConfigError(f"run {run} ({ds.meta[run].benchmark_name}): {fault} {what} "
+                          f"{value!r} in column {names[col]!r}")
+
+
 def write_dataset_files(
     ds: Dataset,
     out_dir,
@@ -393,27 +411,37 @@ def write_dataset_files(
 
     Each run becomes a trace of one dump per second whose deltas reproduce
     the run's average rates, and a constant current at the target level.
+    Every dump after the first repeats the run's rates, so each run's rate
+    row and current are formatted once, the timestamps once per campaign,
+    and each file's text is joined from those pieces: the bytes are those
+    of ``_csv_text`` over every row. A non-finite or negative rate or
+    current, or a negative ``duration_s``, raises ConfigError before any
+    file is created.
     """
+    if duration_s < 0:
+        raise ConfigError(f"duration_s must be >= 0, got {duration_s}")
+    _reject_unwritable(ds)
     out_dir = Path(out_dir)
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-    timestamps = [1000.0 * t for t in range(duration_s + 1)]
+    stamps = [repr(1000.0 * t) for t in range(duration_s + 1)]
+    counter_head = (_csv_text(["ts_ms", *ds.counter_names], [])
+                    + stamps[0] + ",0.0" * len(ds.counter_names) + "\n")
+    power_head = _csv_text(["ts_ms", "current_ma"], [])
 
     manifest_runs = []
     for i, (meta, rates, target) in enumerate(
         zip(ds.meta, ds.rates.tolist(), ds.target_current.tolist())
     ):
-        counter_rows = [[timestamps[0]] + [0.0] * len(ds.counter_names)]
-        counter_rows += [[ts] + rates for ts in timestamps[1:]]
-        power_rows = [[ts, target] for ts in timestamps]
-
+        rate_row = ",".join(["", *map(repr, rates)]) + "\n"
+        current_row = f",{target!r}\n"
         counter_file = f"runs/run-{i:04d}.counters.csv"
         power_file = f"runs/run-{i:04d}.power.csv"
         (out_dir / counter_file).write_text(
-            _csv_text(["ts_ms", *ds.counter_names], counter_rows)
+            counter_head + "".join([ts + rate_row for ts in stamps[1:]])
         )
         (out_dir / power_file).write_text(
-            _csv_text(["ts_ms", "current_ma"], power_rows)
+            power_head + "".join([ts + current_row for ts in stamps])
         )
         entry = {
             "counter_file": counter_file,

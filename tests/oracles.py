@@ -31,8 +31,8 @@ fast paths can be compared with them exactly:
   ``feature_column`` call at a time and ran the variance gate one
   ``np.var`` per column, before ``pmcpower.features.build_matrix``
   evaluated them in blocks, kind by kind; it reuses the package's
-  ``feature_column`` and FeatureMatrix, so values, layout and errors can be
-  compared exactly;
+  ``feature_column``, FeatureMatrix and the wording of its variance-gate
+  error, so values, layout and errors can be compared exactly;
 * ``select_significant_reference`` with ``best_member_reference``, the
   greedy selection that refit every member of every cluster with
   ``ols_fit`` to rank the clusters, before ``pmcpower.selection`` refit
@@ -45,7 +45,11 @@ fast paths can be compared with them exactly:
   only the counters a caller asks for; it keeps its own copy of the one-run
   aggregation (``aggregate_run_reference``) and reuses the package's
   manifest-entry check and trace parsers, so the two loaders' datasets can
-  be compared bit for bit and their errors word for word.
+  be compared bit for bit and their errors word for word;
+* ``write_dataset_files_reference``, the campaign writer that put every
+  row of every trace through the csv writer with one ``repr`` per cell,
+  before ``pmcpower.synth.write_dataset_files`` formatted each run's rate
+  row once and joined the files' text; the two must write the same bytes.
 
 ``aggregate_run_reference`` sums each counter's window-weighted counts as
 one ``np.dot`` of two contiguous vectors, the BLAS ddot, so a rate does not
@@ -84,6 +88,7 @@ from pmcpower.features import (
     RATIO_DENOM_EPS,
     FeatureMatrix,
     FeatureSpec,
+    _none_varies,
     feature_column,
     product,
     ratio,
@@ -366,7 +371,8 @@ def build_matrix_reference(ds: Dataset, specs) -> FeatureMatrix:
         raise FeatureError(f"non-finite value evaluating {bad.canonical()}")
     keep = [i for i in range(values.shape[1]) if not _near_zero_variance_reference(values[:, i])]
     if not keep:
-        raise FeatureError("no usable features")
+        why = _none_varies(len(specs), "candidate column", "near-constant", len(ds))
+        raise FeatureError(f"no usable features: {why}")
     return FeatureMatrix(tuple(specs[i] for i in keep), values[:, keep])
 
 
@@ -637,3 +643,68 @@ def load_manifest_reference(path) -> tuple[Dataset, Dataset | None]:
     if aux_names is None:
         return ds, None
     return ds, Dataset(aux_names, np.array(aux_rates), tuple(metas), np.array(aux_currents))
+
+
+def _csv_text_reference(header: list[str], rows: list[list[float]]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def write_dataset_files_reference(ds: Dataset, out_dir, truth=None, duration_s: int = 10) -> Path:
+    """Emit per-run counter/power CSV traces plus a manifest (and ground-truth
+    sidecar), writing every cell of every row through the csv writer."""
+    out_dir = Path(out_dir)
+    runs_dir = out_dir / "runs"
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    timestamps = [1000.0 * t for t in range(duration_s + 1)]
+
+    manifest_runs = []
+    for i, (meta, rates, target) in enumerate(
+        zip(ds.meta, ds.rates.tolist(), ds.target_current.tolist())
+    ):
+        counter_rows = [[timestamps[0]] + [0.0] * len(ds.counter_names)]
+        counter_rows += [[ts] + rates for ts in timestamps[1:]]
+        power_rows = [[ts, target] for ts in timestamps]
+
+        counter_file = f"runs/run-{i:04d}.counters.csv"
+        power_file = f"runs/run-{i:04d}.power.csv"
+        (out_dir / counter_file).write_text(
+            _csv_text_reference(["ts_ms", *ds.counter_names], counter_rows)
+        )
+        (out_dir / power_file).write_text(
+            _csv_text_reference(["ts_ms", "current_ma"], power_rows)
+        )
+        entry = {
+            "counter_file": counter_file,
+            "power_file": power_file,
+            "benchmark": meta.benchmark_name,
+            "workload_type": meta.workload_type,
+            "frequency_hz": meta.frequency_hz,
+        }
+        if meta.utilization is not None:
+            entry["utilization"] = meta.utilization
+        manifest_runs.append(entry)
+
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(
+        json.dumps({"runs": manifest_runs}, sort_keys=True, indent=2) + "\n"
+    )
+    if truth is not None:
+        (out_dir / "ground_truth.json").write_text(
+            json.dumps(
+                {
+                    "factor_of_counter": truth.factor_of_counter,
+                    "scale_of_counter": truth.scale_of_counter,
+                    "true_coefficients": truth.true_coefficients,
+                    "true_intercept": truth.true_intercept,
+                },
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n"
+        )
+    return manifest_path

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from pmcpower import cli
 from pmcpower.cli import compute_energy_mws, main
+from pmcpower.dataset import Dataset
 from pmcpower.errors import ConfigError
 from pmcpower.synth import generate, three_factor_config, write_dataset_files
 
@@ -344,6 +345,17 @@ class TestBadInputExit2:
         assert capsys.readouterr().err == (
             "error: --noise does not apply to profile 'util-freq', "
             "whose currents follow its law exactly\n")
+        assert not (tmp_path / "synth").exists()
+
+    def test_synth_non_finite_rate(self, tmp_path, capsys):
+        ds, truth = generate(three_factor_config(n_runs=6, seed=1))
+        rates = ds.rates.copy()
+        rates[3, ds.counter_names.index("alu_total")] = np.nan
+        bad = Dataset(ds.counter_names, rates, ds.meta, ds.target_current)
+        with mock.patch("pmcpower.synth.generate", return_value=(bad, truth)):
+            assert main(["synth", "--out", str(tmp_path / "synth")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: run 3 (synth-0003): non-finite rate nan in column 'alu_total'\n")
         assert not (tmp_path / "synth").exists()
 
     @pytest.mark.parametrize("argv, problem", [

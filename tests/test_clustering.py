@@ -232,6 +232,14 @@ class TestWardMatchesReference:
         with pytest.raises(ClusteringError, match="non-finite"):
             ward_cluster(z, check_normalized=False)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 2), (1, 0), (2, 1)])
+    def test_rejects_each_non_finite_kind(self, value, at):
+        z = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [-1.0, 5.0, 4.0]])
+        z[at] = value
+        with pytest.raises(ClusteringError, match="^feature matrix holds non-finite values$"):
+            ward_cluster(z, check_normalized=False)
+
 
 def _takes_collapse(z, names) -> bool:
     """Whether ward_cluster merges z's bit-equal columns before its loop."""

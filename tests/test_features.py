@@ -552,6 +552,20 @@ class TestBuildMatrixMatchesReference:
         with pytest.raises(FeatureError, match="no usable features"):
             build_matrix(ds, [])
 
+    @pytest.mark.parametrize("specs, problem", [
+        ([], "there are no candidate columns over 4 runs"),
+        ([base("c")], "the only candidate column is near-constant over 4 runs"),
+        ([base("c"), inverted("n"), ratio("c", "c")],
+         "all 3 candidate columns are near-constant over 4 runs"),
+    ])
+    def test_no_usable_features_names_the_counts(self, specs, problem):
+        near = [5.0, 5.0 + 1e-9, 5.0, 5.0 - 1e-9]
+        ds = make_dataset({"c": [7.0] * 4, "n": near, "a": [1.0, 2.0, 3.0, 4.0]},
+                          [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(FeatureError) as err:
+            build_matrix(ds, specs)
+        assert str(err.value) == f"no usable features: {problem}"
+
 
 class TestGenerateCombinedMatchesReference:
     """Block scoring with a bisected gate returns the spec list scalar

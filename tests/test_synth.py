@@ -1,7 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmcpower.dataset import load_manifest, split_dataset
+from pmcpower.dataset import Dataset, RunMeta, load_manifest, split_dataset
 from pmcpower.errors import ConfigError
 from pmcpower.model import (
     PipelineConfig,
@@ -12,6 +17,7 @@ from pmcpower.model import (
 from pmcpower.numerics import pearson
 from pmcpower.synth import (
     _csv_text,
+    GroundTruth,
     LatentFactor,
     NoiseCopy,
     Scale,
@@ -24,6 +30,8 @@ from pmcpower.synth import (
     verify_recovery,
     write_dataset_files,
 )
+
+from oracles import write_dataset_files_reference
 
 
 def one_factor_config(n_runs=40, seed=0):
@@ -142,3 +150,113 @@ class TestTraceEmission:
         got = [m.utilization for m in loaded.meta]
         want = [m.utilization for m in ds.meta]
         assert got == pytest.approx(want)
+
+
+# Names the csv writer must quote (comma, quote), names with spaces and
+# non-ASCII names; the package forbids only "*", "/" and the empty name.
+_NAME_CHARS = st.sampled_from(["a", "b", "_", ",", '"', " ", "\u00e9", "\u00b5", "\u8ba1"])
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, 0.1, 1.5, 5e-324, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, max_value=1e308),
+)
+
+
+@st.composite
+def writable_campaigns(draw):
+    """A small dataset the writer accepts, and the writer's other arguments."""
+    names = draw(st.lists(st.text(_NAME_CHARS, min_size=1, max_size=5),
+                          min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(1, 4))
+    cast = np.float64 if draw(st.booleans()) else float  # numpy-scalar rates
+    rates = [[cast(draw(_VALUES)) for _ in names] for _ in range(n)]
+    current = [cast(draw(_VALUES)) for _ in range(n)]
+    utilization = st.one_of(st.none(), st.floats(0.0, 1.0))
+    meta = [RunMeta(f"r\u00e9n {i}", "Other", draw(st.floats(1e-3, 1e9)), draw(utilization))
+            for i in range(n)]
+    ds = Dataset(tuple(names), rates, meta, current)
+    truth = None
+    if draw(st.booleans()):
+        truth = GroundTruth({name: "f" for name in names}, {name: 1.0 for name in names},
+                            {"f": 0.5}, 2.0)
+    duration = draw(st.sampled_from([0, 1, 2, 61]))
+    return ds, truth, duration
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestWriterMatchesReference:
+    """The writer that formats each run once against the frozen per-cell writer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=writable_campaigns())
+    def test_same_bytes(self, case):
+        ds, truth, duration = case
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got"), Path(tmp, "want")
+            write_dataset_files(ds, got, truth, duration_s=duration)
+            write_dataset_files_reference(ds, want, truth, duration_s=duration)
+            assert _tree_bytes(got) == _tree_bytes(want)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate(three_factor_config(n_runs=20, noise_sigma=0.05, seed=3)),
+        lambda: generate_instruction_mix(n_runs=12, seed=4, noise_sigma=0.02),
+        lambda: generate(collinear_config(n_runs=15, seed=5)),
+    ])
+    @pytest.mark.parametrize("duration", [0, 1, 10])
+    def test_profiles(self, tmp_path, make, duration):
+        ds, truth = make()
+        write_dataset_files(ds, tmp_path / "got", truth, duration_s=duration)
+        write_dataset_files_reference(ds, tmp_path / "want", truth, duration_s=duration)
+        assert _tree_bytes(tmp_path / "got") == _tree_bytes(tmp_path / "want")
+
+
+class TestWriterRejects:
+    """A value no trace may hold is refused before any file is created."""
+
+    @pytest.mark.parametrize("where, value, problem", [
+        ("rate", np.nan, "run 3 (synth-0003): non-finite rate nan in column 'load_x8'"),
+        ("rate", np.inf, "run 3 (synth-0003): non-finite rate inf in column 'load_x8'"),
+        ("rate", -np.inf, "run 3 (synth-0003): non-finite rate -inf in column 'load_x8'"),
+        ("rate", -2.5, "run 3 (synth-0003): negative rate -2.5 in column 'load_x8'"),
+        ("current", np.nan, "run 3 (synth-0003): non-finite current nan in column 'current_ma'"),
+        ("current", -1.0, "run 3 (synth-0003): negative current -1.0 in column 'current_ma'"),
+    ])
+    def test_names_run_and_column(self, tmp_path, where, value, problem):
+        ds, _ = generate(one_factor_config(n_runs=8, seed=2))
+        rates, current = ds.rates.copy(), ds.target_current.copy()
+        if where == "rate":
+            rates[3, 1] = value
+            rates[5, 0] = -1.0  # a later run is not the one named
+        else:
+            current[3] = value
+        bad = Dataset(ds.counter_names, rates, ds.meta, current)
+        with pytest.raises(ConfigError) as info:
+            write_dataset_files(bad, tmp_path / "out")
+        assert str(info.value) == problem
+        assert not (tmp_path / "out").exists()
+
+    def test_rate_named_before_current(self, tmp_path):
+        ds, _ = generate(one_factor_config(n_runs=8, seed=2))
+        rates, current = ds.rates.copy(), ds.target_current.copy()
+        rates[6, 0], current[1] = np.nan, np.nan
+        with pytest.raises(ConfigError, match="run 6 .* rate nan in column 'load_ev'"):
+            write_dataset_files(Dataset(ds.counter_names, rates, ds.meta, current), tmp_path)
+
+    def test_negative_zero_is_written(self, tmp_path):
+        ds, _ = generate(one_factor_config(n_runs=4, seed=2))
+        rates = ds.rates.copy()
+        rates[0, 0] = -0.0
+        manifest = write_dataset_files(Dataset(ds.counter_names, rates, ds.meta,
+                                               ds.target_current), tmp_path, duration_s=1)
+        lines = (tmp_path / "runs/run-0000.counters.csv").read_text().splitlines()
+        assert lines[2].startswith("1000.0,-0.0,")
+        assert load_manifest(manifest)[0].rates[0, 0] == 0.0
+
+    def test_negative_duration(self, tmp_path):
+        ds, _ = generate(one_factor_config(n_runs=4, seed=2))
+        with pytest.raises(ConfigError, match="duration_s must be >= 0, got -1"):
+            write_dataset_files(ds, tmp_path / "out", duration_s=-1)
+        assert not (tmp_path / "out").exists()
