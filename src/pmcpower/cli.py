@@ -209,24 +209,23 @@ def cmd_train(config: RunConfig) -> int:
     model.train_meta["n_isolation_clamped"] = n_clamped
     model.train_meta["selection_trace_file"] = "selection_trace.txt"
 
+    # The reports come first, so an evaluation that raises writes no file.
+    pred_train = predict_dataset(model, train)
+    pred_test = predict_dataset(model, test)
+    train_report = evaluate(pred_train, train.target_current)
+    test_report = evaluate(pred_test, test.target_current)
+    reports = {
+        "train": _report_dict(train_report, evaluate_by_workload(model, train)),
+        "test": _report_dict(test_report, evaluate_by_workload(model, test)),
+        "n_negative_predictions": int((pred_test < 0).sum() + (pred_train < 0).sum()),
+    }
+
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     (out / "selection_trace.txt").write_text(format_trace(result.selection))
     (out / "dendrogram.json").write_text(result.dendrogram.to_json())
-
-    pred_train = predict_dataset(model, train)
-    pred_test = predict_dataset(model, test)
-    train_report = evaluate(pred_train, train.target_current)
-    test_report = evaluate(pred_test, test.target_current)
-    _write_json(
-        out / "eval.json",
-        {
-            "train": _report_dict(train_report, evaluate_by_workload(model, train)),
-            "test": _report_dict(test_report, evaluate_by_workload(model, test)),
-            "n_negative_predictions": int((pred_test < 0).sum() + (pred_train < 0).sum()),
-        },
-    )
+    _write_json(out / "eval.json", reports)
     (out / "predictions_train.csv").write_text(_predictions_csv(train, pred_train))
     (out / "predictions_test.csv").write_text(_predictions_csv(test, pred_test))
 
@@ -249,15 +248,13 @@ def cmd_eval(model_path: str, config: RunConfig) -> int:
     ds, _ = _load_isolated(config, model.counters())
     predictions = predict_dataset(model, ds)
     report = evaluate(predictions, ds.target_current)
+    reports = {
+        "eval": _report_dict(report, evaluate_by_workload(model, ds)),
+        "n_negative_predictions": int((predictions < 0).sum()),
+    }
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "eval.json",
-        {
-            "eval": _report_dict(report, evaluate_by_workload(model, ds)),
-            "n_negative_predictions": int((predictions < 0).sum()),
-        },
-    )
+    _write_json(out / "eval.json", reports)
     (out / "predictions.csv").write_text(_predictions_csv(ds, predictions))
     sys.stdout.write(_SUMMARY_HEADER + "\n")
     sys.stdout.write(_summary_line("eval", len(model.features), report) + "\n")

@@ -490,29 +490,6 @@ def _table(header: tuple[str, ...], body, wanted: frozenset[str] | None = None
 _Trace = tuple[tuple[str, ...], tuple[int, int], memoryview]
 
 
-def _trace(head: str, data, start: int, stop: int, wanted: frozenset[str] | None,
-           scratch: _Scratch) -> _Trace | None:
-    """The trace of the header line ``head`` and the body ``data[start:stop]``
-    when the fast read may take them: a header the csv reader splits, of two
-    or more fields led by ``ts_ms``, and no line longer than the csv field
-    size limit (a byte neither the proof nor numpy's reader takes sends the
-    body to the line parser later); else None."""
-    limit = csv.field_size_limit()
-    header = None if '"' in head else _split_header(head, limit)
-    if header is None or len(header) < 2 or header[0] != "ts_ms":
-        return None
-    body = memoryview(data)[start:stop]
-    while stop - start > limit:  # start is a line's, the ones before no longer than the limit
-        start = data.rfind(b"\n", start, start + limit + 1) + 1
-        if not start:
-            return None
-    columns = None if wanted is None else _wanted_columns(header, wanted)
-    # numpy counts the lines about four times as fast as bytes.count.
-    raw = np.frombuffer(body, dtype=np.uint8)
-    rows = np.count_nonzero(np.equal(raw, ord("\n"), out=scratch("rows", raw.size, np.bool_)))
-    return header, (rows, len(columns or header)), body
-
-
 class _Text:
     """The bodies of one kind of trace (of which the counters in ``wanted``
     are read, all when None) of the block being read: the last file read,
@@ -525,8 +502,12 @@ class _Text:
         self.file, self.block = bytearray(1 << 16), bytearray(1 << 16)
 
     def read(self, path: str, scratch: _Scratch) -> _Trace | None:
-        """``_trace`` of the file at ``path``, read into ``file``, its line
-        ends read, and its header decoded, as ``decode_utf8`` reads them."""
+        """The trace of the file at ``path``, read into ``file``, its line
+        ends read and its header decoded as ``decode_utf8`` reads them, when
+        the fast read may take it: a body, a header the csv reader splits,
+        of two or more fields led by ``ts_ms``, and no line longer than the
+        csv field size limit (a byte neither the proof nor numpy's reader
+        takes sends the body to the line parser later); else None."""
         self.file, size = read_into(path, "trace", self.file)
         data = self.file
         if data.find(b"\r", 0, size) >= 0:
@@ -539,13 +520,25 @@ class _Text:
         if data[size - 1] != ord("\n"):
             data[size] = ord("\n")
             size += 1
-        return _trace(decode_utf8(data[:end], ParseError, path), data, end + 1, size,
-                      self.wanted, scratch)
-
-    def join(self, trace: _Trace | None) -> _Trace | None:
-        """``trace`` (or None), its body copied after the block's others."""
-        if trace is None:
+        head = decode_utf8(data[:end], ParseError, path)
+        limit = csv.field_size_limit()
+        header = None if '"' in head else _split_header(head, limit)
+        if header is None or len(header) < 2 or header[0] != "ts_ms":
             return None
+        start = end + 1
+        body = memoryview(data)[start:size]
+        while size - start > limit:  # start is a line's, the ones before no longer than the limit
+            start = data.rfind(b"\n", start, start + limit + 1) + 1
+            if not start:
+                return None
+        columns = None if self.wanted is None else _wanted_columns(header, self.wanted)
+        # numpy counts the lines about four times as fast as bytes.count.
+        raw = np.frombuffer(body, dtype=np.uint8)
+        rows = np.count_nonzero(np.equal(raw, ord("\n"), out=scratch("rows", raw.size, np.bool_)))
+        return header, (rows, len(columns or header)), body
+
+    def join(self, trace: _Trace) -> _Trace:
+        """``trace``, its body copied after the block's others."""
         header, shape, body = trace
         end = self.used + len(body)
         if end > len(self.block):
@@ -554,20 +547,18 @@ class _Text:
         body, self.used = memoryview(self.block)[self.used:end], end
         return header, shape, body
 
-    def stacked(self, traces: list[_Trace | None], scratch: _Scratch) -> np.ndarray | None:
-        """``_stacked`` of the block's ``traces`` (None when they are None)."""
-        return None if traces[0] is None else _stacked(
-            traces, self.wanted, scratch, memoryview(self.block)[:self.used])
+    def stacked(self, traces: list[_Trace], scratch: _Scratch) -> np.ndarray | None:
+        """``_stacked`` of the block's ``traces``."""
+        return _stacked(traces, self.wanted, scratch, memoryview(self.block)[:self.used])
 
 
-def _stacked(traces: list[_Trace], wanted: frozenset[str] | None = None,
-             scratch: _Scratch | None = None, text=None) -> np.ndarray | None:
+def _stacked(traces: list[_Trace], wanted: frozenset[str] | None, scratch: _Scratch,
+             text) -> np.ndarray | None:
     """The tables of traces of one header and shape (runs x samples x
     columns) holding the counters in ``wanted`` (all when None):
-    ``_decimal_table`` of their bodies joined (``text``, when the caller
-    holds them so), else ``_table`` file by file, else None."""
+    ``_decimal_table`` of their bodies joined (``text``), else ``_table``
+    file by file, else None."""
     header, shape, _ = traces[0]
-    text = b"".join(body for _, _, body in traces) if text is None else text
     columns = None if wanted is None else _wanted_columns(header, wanted)
     table = _decimal_table(text, len(header), columns, scratch)
     if table is not None:
@@ -576,31 +567,6 @@ def _stacked(traces: list[_Trace], wanted: frozenset[str] | None = None,
     if any(table is None or table.shape != shape for table in tables):
         return None
     return np.stack(tables)
-
-
-def _parse(text: str, build):
-    """``build(header, table, linenos)`` on ``_stacked`` of the one trace
-    ``text`` holds, ``linenos`` None; where that declines or ``build``
-    raises, on the text read line by line, so a ParseError names its line."""
-    head, _, body = text.partition("\n")
-    body = body.encode() + b"\n" * (not body.endswith("\n"))
-    trace = _trace(head, body, 0, len(body), None, _Scratch()) if body.strip() else None
-    table = None if trace is None else _stacked([trace])
-    if table is not None:
-        try:
-            return build(trace[0], table[0], None)
-        except ParseError:
-            pass
-    header, linenos, table = _parse_rows(text, "ts_ms")
-    return build(header, table, linenos)
-
-
-def _counter_trace(header: list[str], table: np.ndarray, linenos) -> CounterTrace:
-    if len(header) < 2:
-        raise ParseError("line 1: counter trace needs at least one counter column")
-    names = tuple(header[1:])
-    _check_header_names(names)
-    return CounterTrace(names, table[:, 0], table[:, 1:], linenos)
 
 
 def _voltage_constant(power: np.ndarray) -> bool:
@@ -613,7 +579,21 @@ def _voltage_constant(power: np.ndarray) -> bool:
     return not (np.abs(volts - first) > 1e-6 * np.maximum(1.0, np.abs(first))).any()
 
 
-def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:
+def parse_counter_trace(text: str) -> CounterTrace:
+    """Parse counter-trace CSV: header ``ts_ms,<c1>,<c2>,...``, delta counts
+    per row. The csv line parser reads it, so a fault names its line."""
+    header, linenos, table = _parse_rows(text, "ts_ms")
+    if len(header) < 2:
+        raise ParseError("line 1: counter trace needs at least one counter column")
+    names = tuple(header[1:])
+    _check_header_names(names)
+    return CounterTrace(names, table[:, 0], table[:, 1:], linenos)
+
+
+def parse_power_trace(text: str) -> PowerTrace:
+    """Parse power-trace CSV: header ``ts_ms,current_ma[,voltage_v]``. The
+    csv line parser reads it, so a fault names its line."""
+    header, linenos, table = _parse_rows(text, "ts_ms")
     if len(header) not in (2, 3) or header[1] != "current_ma":
         raise ParseError("line 1: expected header ts_ms,current_ma[,voltage_v]")
     if len(header) == 3 and header[2] != "voltage_v":
@@ -624,16 +604,6 @@ def _power_trace(header: list[str], table: np.ndarray, linenos) -> PowerTrace:
     if not _voltage_constant(table[None]):
         raise ParseError("voltage column is not constant")
     return trace
-
-
-def parse_counter_trace(text: str) -> CounterTrace:
-    """Parse counter-trace CSV: header ``ts_ms,<c1>,<c2>,...``, delta counts per row."""
-    return _parse(text, _counter_trace)
-
-
-def parse_power_trace(text: str) -> PowerTrace:
-    """Parse power-trace CSV: header ``ts_ms,current_ma[,voltage_v]``."""
-    return _parse(text, _power_trace)
 
 
 def aggregate_run(counters: CounterTrace, power: PowerTrace) -> tuple[np.ndarray, float]:
@@ -783,13 +753,6 @@ def _read_trace(parse, path: Path, what: str):
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _aggregate(trace: CounterTrace, power: PowerTrace, where: str) -> tuple[np.ndarray, float]:
-    try:
-        return aggregate_run(trace, power)
-    except AggregationError as exc:
-        raise AggregationError(f"{where}: {exc}") from None
-
-
 # The counter tables of one block of runs hold at most this many cells
 # (64 KB of float64), and its trace bodies at most BLOCK_BYTES of text,
 # unless one run holds more, so the memory ingest takes does not grow with
@@ -803,30 +766,32 @@ BLOCK_BYTES = 1 << 19
 @dataclass(frozen=True, eq=False)
 class _FastRun:
     """A manifest run whose trace files the fast read took, the samples not
-    yet checked: its counter, power and aux trace (None without one)."""
+    yet checked: its power trace and its counter traces by kind (its
+    counter trace, then its aux trace, None without one)."""
 
     index: int
     meta: RunMeta
-    traces: tuple[_Trace, _Trace, _Trace | None]
+    power: _Trace
+    traces: tuple[_Trace, _Trace | None]
 
     def key(self) -> tuple:
         """Runs of equal keys stack into one block."""
-        return tuple((header, shape) for header, shape, _ in filter(None, self.traces))
+        return tuple((header, shape)
+                     for header, shape, _ in filter(None, (self.power, *self.traces)))
 
     def cells(self) -> int:
-        """The cells of its counter and aux tables."""
-        return sum(math.prod(shape) for _, shape, _ in filter(None, self.traces[::2]))
+        """The cells of its counter tables."""
+        return sum(math.prod(shape) for _, shape, _ in filter(None, self.traces))
 
     def text_bytes(self) -> int:
-        return sum(len(body) for _, _, body in filter(None, self.traces))
+        return sum(len(body) for _, _, body in filter(None, (self.power, *self.traces)))
+
+    def names(self) -> list[tuple[str, ...] | None]:
+        """The counter names of its counter traces, by kind."""
+        return [None if trace is None else trace[0][1:] for trace in self.traces]
 
 
 _POWER_HEADERS = (("ts_ms", "current_ma"), ("ts_ms", "current_ma", "voltage_v"))
-
-
-def _names(run: _FastRun) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
-    """The counter names of the run's counter and aux traces."""
-    return tuple(None if trace is None else trace[0][1:] for trace in run.traces[::2])
 
 
 def _samples_pass(tables: np.ndarray, values: np.ndarray) -> bool:
@@ -844,23 +809,38 @@ def _block_rates(counters: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, n
 
 
 class _Campaign:
-    """The rows of a manifest's runs, gathered in manifest order, and the
-    counter columns its first run set. Rows hold the rates of the counters
-    in ``wanted`` (of its aux traces: in ``aux_wanted``), all when None."""
+    """The rows of a manifest's runs, gathered in manifest order, for each
+    kind of counter trace (0 the runs' counter traces, 1 their aux
+    traces): their rates, their currents, and the counter columns the
+    first run set, None for aux traces the runs do not list. Rows of kind
+    k hold the rates of the counters in ``wanted[k]``, all when None."""
 
-    def __init__(self, runs: list, base_dir: Path, wanted: frozenset[str] | None,
-                 aux_wanted: frozenset[str] | None):
+    def __init__(self, runs: list, base_dir: Path,
+                 wanted: tuple[frozenset[str] | None, frozenset[str] | None]):
         self.runs = runs
         self.base_dir = base_dir
         self.wanted = wanted
-        self.aux_wanted = aux_wanted
         self.metas: list[RunMeta] = []
-        self.rates: list[np.ndarray] = []
-        self.currents: list[np.ndarray] = []
-        self.aux_rates: list[np.ndarray] = []
-        self.aux_currents: list[np.ndarray] = []
-        self.counter_names = self.aux_names = None
-        self.scratch, self.texts = _Scratch(), (_Text(wanted), _Text(None), _Text(aux_wanted))
+        self.rates: tuple[list[np.ndarray], ...] = ([], [])
+        self.currents: tuple[list[np.ndarray], ...] = ([], [])
+        self.names: list[tuple[str, ...] | None] = [None, None]
+        self.scratch, self.power_text = _Scratch(), _Text(None)
+        self.texts = tuple(_Text(kept) for kept in wanted)
+
+    def _add_row(self, kind: int, trace: CounterTrace, power: PowerTrace, where: str) -> None:
+        """Check the counter columns of a run's ``kind`` of trace against
+        the first run's, then aggregate it with ``power`` into a row."""
+        if self.names[kind] is None:
+            self.names[kind] = trace.counter_names
+        elif trace.counter_names != self.names[kind]:
+            raise ParseError(f"{where}: {('', 'aux ')[kind]}counter columns differ from the "
+                             "first run")
+        try:
+            row, current = aggregate_run(trace, power)
+        except AggregationError as exc:
+            raise AggregationError(f"{where}: {exc}") from None
+        self.rates[kind].append(row[None, _kept(self.names[kind], self.wanted[kind])])
+        self.currents[kind].append(np.array([current]))
 
     def add_run(self, i: int) -> None:
         """Read, check and aggregate run ``i`` alone. Each fault raises as
@@ -870,29 +850,16 @@ class _Campaign:
         base_dir = self.base_dir
         trace = _read_trace(parse_counter_trace, base_dir / run.counter_file, "counter trace")
         power = _read_trace(parse_power_trace, base_dir / run.power_file, "power trace")
-        if self.counter_names is None:
-            self.counter_names = trace.counter_names
-        elif trace.counter_names != self.counter_names:
-            raise ParseError(f"{where}: counter columns differ from the first run")
-        row, current = _aggregate(trace, power, where)
-        self.metas.append(run.meta)
-        self.rates.append(row[None, _kept(self.counter_names, self.wanted)])
-        self.currents.append(np.array([current]))
-        # Run 0 decides whether the runs list aux traces: aux_names is set then.
-        if i and (run.aux_counter_file is None) != (self.aux_names is None):
+        self._add_row(0, trace, power, where)
+        # Run 0 decides whether the runs list aux traces: names[1] is set then.
+        if i and (run.aux_counter_file is None) != (self.names[1] is None):
             raise ParseError(f"{where}: lists {'an' if run.aux_counter_file else 'no'} "
                              "aux_counter_file, unlike the first run")
-        if run.aux_counter_file is None:
-            return
-        aux_trace = _read_trace(parse_counter_trace, base_dir / run.aux_counter_file,
-                                "aux counter trace")
-        if self.aux_names is None:
-            self.aux_names = aux_trace.counter_names
-        elif aux_trace.counter_names != self.aux_names:
-            raise ParseError(f"{where}: aux counter columns differ from the first run")
-        aux_row, aux_current = _aggregate(aux_trace, power, where)
-        self.aux_rates.append(aux_row[None, _kept(self.aux_names, self.aux_wanted)])
-        self.aux_currents.append(np.array([aux_current]))
+        if run.aux_counter_file is not None:
+            aux_trace = _read_trace(parse_counter_trace, base_dir / run.aux_counter_file,
+                                    "aux counter trace")
+            self._add_row(1, aux_trace, power, where)
+        self.metas.append(run.meta)
 
     def fast_read(self, i: int) -> _FastRun | None:
         """Run ``i`` with its files read, each in one pass, by the fast
@@ -901,11 +868,12 @@ class _Campaign:
         header would raise."""
         try:
             run = _manifest_run(self.runs[i], i)
-            files = (run.counter_file, run.power_file, run.aux_counter_file)
-            counters, power, aux = traces = tuple(
+            counters, power, aux = (
                 None if name is None else text.read(os.path.join(self.base_dir, name), self.scratch)
-                for text, name in zip(self.texts, files))
-            if counters is None or power is None or (aux is None) != (files[2] is None):
+                for text, name in ((self.texts[0], run.counter_file),
+                                   (self.power_text, run.power_file),
+                                   (self.texts[1], run.aux_counter_file)))
+            if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
                 return None
             for header, _, _ in filter(None, (counters, aux)):
                 _check_header_names(header[1:])
@@ -913,12 +881,13 @@ class _Campaign:
             return None
         if power[0] not in _POWER_HEADERS:
             return None
-        return _FastRun(i, run.meta, traces)
+        return _FastRun(i, run.meta, power, (counters, aux))
 
     def join(self, run: _FastRun) -> _FastRun:
         """``run``, its bodies copied after those of the block's other runs."""
-        return _FastRun(run.index, run.meta,
-                        tuple(text.join(trace) for text, trace in zip(self.texts, run.traces)))
+        return _FastRun(run.index, run.meta, self.power_text.join(run.power),
+                        tuple(None if trace is None else text.join(trace)
+                              for text, trace in zip(self.texts, run.traces)))
 
     def add_block(self, block: list[_FastRun]) -> None:
         """Convert, check and aggregate a block of runs that share a key at
@@ -927,50 +896,48 @@ class _Campaign:
         ``add_run``, so the first fault in manifest order raises as it
         words it."""
         rows = self._block_rows(block)
-        for text in self.texts:
+        for text in (self.power_text, *self.texts):
             text.used = 0
         if rows is None:
             for run in block:
                 self.add_run(run.index)
             return
-        self.counter_names, self.aux_names = _names(block[0])
+        self.names = block[0].names()
         self.metas.extend(run.meta for run in block)
-        (rates, currents), aux = rows
-        self.rates.append(rates)
-        self.currents.append(currents)
-        if aux is not None:
-            self.aux_rates.append(aux[0])
-            self.aux_currents.append(aux[1])
+        for kind, (rates, currents) in enumerate(rows):
+            self.rates[kind].append(rates)
+            self.currents[kind].append(currents)
 
-    def _block_rows(self, block: list[_FastRun]):
-        """The block's rows and aux rows, as ``add_run`` would give them run
-        by run; None wherever ``add_run`` would raise for one of its runs,
-        or ``_stacked`` declines a kind of trace."""
-        if self.metas and _names(block[0]) != (self.counter_names, self.aux_names):
+    def _block_rows(self, block: list[_FastRun]) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """The block's rates and currents of each kind of counter trace its
+        runs list, as ``add_run`` would give them run by run; None wherever
+        ``add_run`` would raise for one of its runs, or ``_stacked``
+        declines a kind of trace."""
+        first = block[0]
+        if self.metas and first.names() != self.names:
             return None
-        counters, power, aux = (text.stacked([run.traces[k] for run in block], self.scratch)
-                                for k, text in enumerate(self.texts))
-        if counters is None or power is None or (block[0].traces[2] is not None and aux is None):
+        tables = [text.stacked([run.traces[kind] for run in block], self.scratch)
+                  for kind, text in enumerate(self.texts) if first.traces[kind] is not None]
+        power = self.power_text.stacked([run.power for run in block], self.scratch)
+        if power is None or any(table is None for table in tables):
             return None
-        if not (_samples_pass(counters, counters[:, :, 1:]) and _samples_pass(power, power[:, :, 1])
-                and _voltage_constant(power)
-                and (aux is None or _samples_pass(aux, aux[:, :, 1:]))):
+        if not (all(_samples_pass(table, table[:, :, 1:]) for table in tables)
+                and _samples_pass(power, power[:, :, 1]) and _voltage_constant(power)):
             return None
         try:
-            return _block_rates(counters, power), None if aux is None else _block_rates(aux, power)
+            return [_block_rates(table, power) for table in tables]
         except AggregationError:
             return None
 
     def datasets(self) -> tuple[Dataset, Dataset | None]:
-        def dataset(names, wanted, rates, currents) -> Dataset:
-            kept = tuple(names[j] for j in _kept(names, wanted))
-            return Dataset(kept, np.concatenate(rates), metas, np.concatenate(currents))
-
+        """The dataset of each kind of counter trace, None for no aux traces."""
         metas = tuple(self.metas)
-        ds = dataset(self.counter_names, self.wanted, self.rates, self.currents)
-        if self.aux_names is None:
-            return ds, None
-        return ds, dataset(self.aux_names, self.aux_wanted, self.aux_rates, self.aux_currents)
+        return tuple(
+            None if names is None else
+            Dataset(tuple(names[j] for j in _kept(names, wanted)), np.concatenate(rates), metas,
+                    np.concatenate(currents))
+            for names, wanted, rates, currents in zip(self.names, self.wanted, self.rates,
+                                                      self.currents))
 
 
 def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Dataset | None]:
@@ -987,14 +954,17 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     other cells are proved well-formed, finite and not negative from their
     bytes, not converted; a block they do not prove is read in full.
 
-    Consecutive runs whose traces share their headers and shapes are read
-    into a block of at most BLOCK_CELLS converted counter cells and
-    BLOCK_BYTES of trace text. Each kind of trace of a block is proved and
-    converted in one structural pass over its bodies joined, in arrays
-    reused from block to block; its samples are checked and its runs
-    aggregated at once. A run the fast read cannot take, and every run of a
-    block that fails, is read again alone, so a fault raises as the first
-    one in manifest order, in the words of the one-run path.
+    Ingest has two readers. The fast one reads blocks: consecutive runs
+    whose traces share their headers and shapes, of at most BLOCK_CELLS
+    converted counter cells and BLOCK_BYTES of trace text. Each kind of
+    trace of a block is proved and converted in one structural pass over
+    its bodies joined (``_decimal_table``, else ``_table`` file by file),
+    in arrays reused from block to block; its samples are checked and its
+    runs aggregated at once. An aux trace takes the counter trace's path.
+    The worded one, the csv line parser of ``parse_counter_trace`` and
+    ``parse_power_trace``, reads a run the fast read cannot take and every
+    run of a block that fails, alone, so a fault raises as the first one
+    in manifest order, naming its file and line.
     """
     path = Path(path)
     try:
@@ -1005,8 +975,8 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     if not isinstance(runs, list) or not runs:
         raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
 
-    campaign = _Campaign(runs, path.parent, None if counters is None else frozenset(counters),
-                         None if aux_counters is None else frozenset(aux_counters))
+    campaign = _Campaign(runs, path.parent, tuple(
+        None if names is None else frozenset(names) for names in (counters, aux_counters)))
     block: list[_FastRun] = []
     cells = text = 0
     for i in range(len(runs)):

@@ -80,24 +80,13 @@ def _opened(path, what: str) -> tuple[int, int]:
     return fd, info.st_size
 
 
-def read_bytes(path, what: str) -> bytes:
-    """The bytes of the ``what`` file at ``path``, in one open and one read;
-    a path that names no regular file raises as ``_opened`` words it."""
-    fd, size = _opened(path, what)
-    try:
-        data = os.read(fd, size)
-        while chunk := os.read(fd, 1 << 16):
-            data += chunk
-    finally:
-        os.close(fd)
-    return data
-
-
 def read_into(path, what: str, buffer: bytearray) -> tuple[bytearray, int]:
-    """``read_bytes`` into ``buffer`` from its start, or into a larger
-    bytearray when ``buffer`` cannot hold the file and a byte more: that
-    bytearray and the number of bytes read. ``buffer`` is not resized. A
-    read that does not fill the buffer ends at the end of the file."""
+    """The bytes of the ``what`` file at ``path``, in one open and one read,
+    read into ``buffer`` from its start, or into a larger bytearray when
+    ``buffer`` cannot hold the file and a byte more: that bytearray and the
+    number of bytes read. ``buffer`` is not resized. A read that does not
+    fill the buffer ends at the end of the file. A path that names no
+    regular file raises as ``_opened`` words it."""
     fd, size = _opened(path, what)
     try:
         if len(buffer) <= size:
@@ -109,6 +98,13 @@ def read_into(path, what: str, buffer: bytearray) -> tuple[bytearray, int]:
     finally:
         os.close(fd)
     return buffer, read
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``: ``read_into`` a fresh
+    bytearray, copied once."""
+    buffer, size = read_into(path, what, bytearray())
+    return bytes(memoryview(buffer)[:size])
 
 
 def read_utf8(path: Path, what: str, error: type[PmcPowerError]) -> str:

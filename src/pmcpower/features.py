@@ -114,16 +114,11 @@ _KIND_OPS = (
 def feature_column(spec: FeatureSpec, ds: Dataset) -> np.ndarray:
     """The spec's value in every run of ``ds``.
 
-    Raises when a counter is missing, or when a ratio's denominator is zero
-    in any run.
+    Raises ``_plan``'s error when a counter is missing, or when a ratio's
+    denominator is zero in any run.
     """
-    try:
-        columns = [ds.column(name) for name in spec.counters()]
-    except KeyError as exc:
-        raise FeatureError(f"missing counter {exc.args[0]}") from None
-    if spec.kind == "ratio" and np.any(columns[1] == 0.0):
-        raise FeatureError(f"zero denominator evaluating {spec.canonical()}")
-    return _KIND_OPS[KINDS.index(spec.kind)](columns[0], columns[-1])
+    (kind,), (a,), (b,) = _plan(ds, [spec])
+    return _KIND_OPS[kind](ds.rates[:, a], ds.rates[:, b])
 
 
 def _near_zero_variance(values: np.ndarray) -> np.ndarray:
@@ -185,9 +180,14 @@ def _none_varies(count: int, noun: str, state: str, runs: int) -> str:
 
 def counter_correlations(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     """``pearson`` of each named counter against the target, from one
-    row-wise call; raises pearson's error for the first counter it rejects."""
+    row-wise call. A constant target raises, naming its value and the
+    number of runs; else pearson's error for the first counter it rejects."""
     rows = np.array([ds.column(name) for name in names])
     y = ds.target_current
+    if y.size >= 3 and (y == y[0]).all():
+        raise DegenerateSeriesError(
+            f"degenerate series (zero variance): the target current is constant, "
+            f"{float(y[0])!r} mA in all {y.size} training runs")
     r = correlations(rows, y)
     rejected = np.flatnonzero(np.isnan(r))
     if rejected.size:
@@ -330,9 +330,9 @@ def _plan(ds: Dataset, specs: Sequence[FeatureSpec]) -> tuple[np.ndarray, np.nda
     """Each spec's kind (its index in KINDS) and the positions of its two
     counters in ``ds`` (a single-counter spec repeats its one).
 
-    Raises ``feature_column``'s error for the first spec, in order, that it
-    would reject: a missing counter, or a ratio over a counter that is zero
-    in some run.
+    Raises for the first spec, in order, that cannot be evaluated: a
+    missing counter, or a ratio over a counter that is zero in some run.
+    ``feature_column`` evaluates through it, so it raises the same words.
     """
     index = {name: i for i, name in enumerate(ds.counter_names)}
     has_zero = (~ds.rates.all(axis=0)).tolist()

@@ -219,21 +219,23 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
     )
 
 
+def _counter_model(train: Dataset, names: Sequence[str], meta: dict) -> PowerModel:
+    """A regression of the target over the base features of the counters
+    ``names``, its provenance ``meta`` plus the data's fingerprint, run
+    count and train R-squared."""
+    matrix = ft.build_matrix(train, [ft.base(name) for name in names])
+    fit = ols_fit(matrix.values, train.target_current)
+    meta = dict(meta, dataset_fingerprint=dataset_fingerprint(train), n_records=len(train),
+                train_r_squared=fit.r_squared)
+    return PowerModel(tuple(matrix.specs), tuple(float(c) for c in fit.coefficients),
+                      float(fit.intercept), meta)
+
+
 def train_all_pmc(train: Dataset) -> PowerModel:
     """Baseline: one regression over every retained counter."""
     retained, _ = ft.drop_zero_variance(train)
-    specs = [ft.base(name) for name in retained]
-    matrix = ft.build_matrix(train, specs)
-    fit = ols_fit(matrix.values, train.target_current)
-    meta = {
-        "trainer": "all_pmc",
-        "dataset_fingerprint": dataset_fingerprint(train),
-        "n_records": len(train),
-        "n_counters_retained": len(retained),
-        "train_r_squared": fit.r_squared,
-    }
-    return PowerModel(tuple(matrix.specs), tuple(float(c) for c in fit.coefficients),
-                      float(fit.intercept), meta)
+    return _counter_model(train, retained,
+                          {"trainer": "all_pmc", "n_counters_retained": len(retained)})
 
 
 def train_k_top(train: Dataset, k: int) -> PowerModel:
@@ -244,21 +246,9 @@ def train_k_top(train: Dataset, k: int) -> PowerModel:
     retained, _ = ft.drop_zero_variance(train)
     if k > len(retained):
         raise ConfigError(f"k={k} exceeds the {len(retained)} retained counters")
-    y = train.target_current
     r = dict(zip(retained, np.abs(ft.counter_correlations(train, retained)).tolist()))
     ranked = sorted(retained, key=lambda name: (-r[name], name))
-    specs = [ft.base(name) for name in ranked[:k]]
-    matrix = ft.build_matrix(train, specs)
-    fit = ols_fit(matrix.values, y)
-    meta = {
-        "trainer": "k_top",
-        "k": k,
-        "dataset_fingerprint": dataset_fingerprint(train),
-        "n_records": len(train),
-        "train_r_squared": fit.r_squared,
-    }
-    return PowerModel(tuple(matrix.specs), tuple(float(c) for c in fit.coefficients),
-                      float(fit.intercept), meta)
+    return _counter_model(train, ranked[:k], {"trainer": "k_top", "k": k})
 
 
 @dataclass(frozen=True)
@@ -314,11 +304,15 @@ def evaluate_model(model: PowerModel, ds: Dataset) -> EvalReport:
 
 
 def evaluate_by_workload(model: PowerModel, ds: Dataset) -> dict[str, EvalReport]:
-    """Per-workload-type error breakdown (types with too few runs are skipped)."""
+    """Per-workload-type error breakdown. A type whose every target current
+    is 0 mA has no MAPE and is left out; its runs still count in the
+    ``n_mape_excluded`` of the report over all of ``ds``."""
     reports: dict[str, EvalReport] = {}
     types = [meta.workload_type for meta in ds.meta]
     for wtype in sorted(set(types)):
         subset = ds.take([i for i, t in enumerate(types) if t == wtype])
+        if not (subset.target_current > 0.0).any():
+            continue
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # single-workload targets may be constant
             reports[wtype] = evaluate_model(model, subset)

@@ -280,7 +280,7 @@ def evaluate(predictions, truth) -> EvalReport:
     abs_err = np.abs(pred - true)
     nonzero = true > 0.0
     if not nonzero.any():
-        raise DegenerateSeriesError("all truth values zero: MAPE undefined")
+        raise DegenerateSeriesError(f"all {true.size} truth values zero: MAPE undefined")
     mape_terms = 100.0 * abs_err[nonzero] / true[nonzero]
     residuals = true - pred
     return EvalReport(

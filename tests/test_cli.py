@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,8 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pmcpower import cli
-from pmcpower.cli import compute_energy_mws, main
-from pmcpower.dataset import Dataset
+from pmcpower.cli import TRAIN_FRACTION_DEFAULT, compute_energy_mws, main
+from pmcpower.dataset import Dataset, split_dataset
 from pmcpower.errors import ConfigError
 from pmcpower.synth import generate, three_factor_config, write_dataset_files
 
@@ -414,6 +414,71 @@ class TestConstantCounters:
                      "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
             "error: no usable counters: all 3 counters are constant over 12 runs\n")
+
+
+class TestConstantTarget:
+    def test_train_names_the_constant_current(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = make_dataset({"a": rng.uniform(1, 2, 60), "b": rng.uniform(1, 2, 60)}, [100.0] * 60)
+        manifest = write_dataset_files(ds, tmp_path / "data")
+        proc = run_cli("train", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: degenerate series (zero variance): the target current "
+                               "is constant, 100.0 mA in all 40 training runs\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_names_the_count_of_zero_currents(self, tmp_path, synth_manifest):
+        assert main(["train", "--config", str(run_config(tmp_path, synth_manifest))]) == 0
+        ds, _ = generate(three_factor_config(n_runs=60, seed=1))
+        zero = write_dataset_files(replace(ds, total_current=np.zeros(60), target_current=None),
+                                   tmp_path / "zero")
+        proc = run_cli("eval", "--model", str(tmp_path / "out" / "model.json"),
+                       "--manifest", str(zero), "--output-dir", str(tmp_path / "eval"))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: all 60 truth values zero: MAPE undefined\n"
+        assert not (tmp_path / "eval").exists()
+
+
+def _relabelled_campaign(tmp_path, rendering):
+    """The 60-run three-factor campaign (noise 0.01, seed 1) with the runs
+    ``rendering`` (a boolean mask) made Rendering runs of 10 mA."""
+    ds, _ = generate(three_factor_config(n_runs=60, noise_sigma=0.01, seed=1))
+    meta = tuple(replace(m, workload_type="Rendering") if r else m
+                 for m, r in zip(ds.meta, rendering))
+    ds = replace(ds, meta=meta, total_current=np.where(rendering, 10.0, ds.total_current),
+                 target_current=None)
+    return write_dataset_files(ds, tmp_path / "data")
+
+
+class TestZeroCurrentWorkload:
+    def test_type_is_left_out_of_the_workload_reports(self, tmp_path):
+        # Under a 20 mA base current the twelve Rendering runs isolate to
+        # 0 mA: that type has no MAPE, the others keep their reports.
+        manifest = _relabelled_campaign(tmp_path, np.arange(60) % 5 == 0)
+        out = tmp_path / "out"
+        proc = run_cli("train", "--manifest", str(manifest), "--output-dir", str(out),
+                       "--base-current", "20")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: 12 of 60 isolated currents clamped to 0 mA\n"
+        doc = json.loads((out / "eval.json").read_text())
+        for side in ("train", "test"):
+            assert list(doc[side]["by_workload"]) == ["Other"]
+        assert doc["train"]["n_mape_excluded"] + doc["test"]["n_mape_excluded"] == 12
+
+    def test_failed_evaluation_writes_no_output(self, tmp_path):
+        # Every test run isolates to 0 mA: the test report raises before
+        # the model or any other file is written.
+        train, _ = split_dataset(make_dataset({"a": np.arange(60.0)}, np.ones(60)),
+                                 TRAIN_FRACTION_DEFAULT, 0)
+        trained = {m.benchmark_name for m in train.meta}
+        manifest = _relabelled_campaign(
+            tmp_path, np.array([f"run-{i:03d}" not in trained for i in range(60)]))
+        out = tmp_path / "out"
+        proc = run_cli("train", "--manifest", str(manifest), "--output-dir", str(out),
+                       "--base-current", "20")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[1:] == ["error: all 20 truth values zero: MAPE undefined"]
+        assert not out.exists()
 
 
 class TestWarnings:

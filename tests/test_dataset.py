@@ -1259,6 +1259,39 @@ class TestSubsetReadMatchesFullRead:
         assert got == declined
 
 
+class TestCleanCampaignTakesTheFastRead:
+    """A clean campaign is read in blocks alone: no run is read again by
+    ``add_run``, no trace goes through the line parser, and no block falls
+    back to numpy's reader."""
+
+    @needs_exact_kernel
+    @pytest.mark.parametrize("wanted, aux_wanted, aux", [
+        (None, None, False),  # a full read
+        ({"c1", "c4"}, (), False),  # a subset read
+        (None, None, True),  # a full read of aux traces too
+        ({"c0"}, {"cycles"}, True),
+    ])
+    def test_no_run_reaches_the_line_parser(self, wanted, aux_wanted, aux):
+        campaign = Campaign(np.random.default_rng(3), [11] * 60, n_counters=6, aux=aux)
+        calls = []
+
+        def counted(name, real):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+            manifest = campaign.write(Path(tmp))
+            for owner, name in ((dataset._Campaign, "add_run"), (dataset, "parse_counter_trace"),
+                                (dataset, "parse_power_trace"), (dataset, "_table")):
+                stack.enter_context(mock.patch.object(owner, name,
+                                                      counted(name, getattr(owner, name))))
+            ds, aux_ds = load_manifest(manifest, wanted, aux_wanted)
+        assert calls == []
+        assert len(ds) == 60 and (aux_ds is not None) == aux
+
+
 class TestReusedBuffers:
     """A load reuses its text and proof arrays from block to block; the
     datasets it returns own their memory."""

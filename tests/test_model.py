@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pmcpower.dataset import split_dataset
@@ -152,6 +154,13 @@ class TestBaselines:
         ds = make_dataset({"a": rng.uniform(1, 2, 10), "b": rng.uniform(1, 2, 10)},
                           [5.0] * 10)
         with pytest.raises(DegenerateSeriesError, match="zero variance"):
+            train_k_top(ds, 1)
+
+    def test_k_top_names_the_constant_target(self, rng):
+        ds = make_dataset({"a": rng.uniform(1, 2, 10), "b": rng.uniform(1, 2, 10)},
+                          [5.0] * 10)
+        with pytest.raises(DegenerateSeriesError, match=re.escape(
+                "the target current is constant, 5.0 mA in all 10 training runs")):
             train_k_top(ds, 1)
 
     def test_k_top_validates_k(self, rng):
