@@ -22,15 +22,32 @@ collinear counters produce many zero-height ties at once and the chain
 does not merge them in this tie order, so the tree (and every cut of it)
 would depend on how the chain walked.
 
-The initial distances are computed once per pair of distinct columns, in
-the input's memory order. Counters of one family counted at power-of-two
-scales, and the products and ratios built from them, z-score to bit-equal
-columns; in the synthetic campaigns about half the leaves are bit-equal to
-another. A pair's distance depends only on the bits of its two columns.
-The memory order is kept because einsum sums a row in the order its operand
-is laid out. Distances are not taken from a Gram matrix (|a|^2 + |b|^2 -
-2 a.b): cancellation leaves exactly collinear columns a small nonzero
-distance apart, which breaks the zero-height tie order.
+The initial distances are computed once per pair of distinct columns.
+Counters of one family counted at power-of-two scales, and the products
+and ratios built from them, z-score to bit-equal columns; in the synthetic
+campaigns about half the leaves are bit-equal to another. The triangle
+comes from one Gram product, d = |a|^2/2 + |b|^2/2 - a.b, with the near
+pairs computed again from their difference. For columns of w samples, u
+the unit roundoff and gamma_w = w u / (1 - w u), each of the two norms and
+the inner product is computed within gamma_w h of its exact value, where
+h = (|a|^2 + |b|^2)/2 >= |a.b| (Higham 2002, §3.1), plus w u tiny for
+products that underflow (tiny the smallest normal float), at most w u h
+while the norms are normal. With the two roundings that combine them, the
+Gram distance is within eps h of the exact one, eps = gamma_(4w+6). Where
+two columns are nearly collinear, d is far below h and that error swamps
+it: cancellation would leave exactly collinear columns a small nonzero
+distance apart and break the zero-height tie order. So a pair is computed
+again, by subtracting the two columns and summing the squares with einsum
+in the input's memory order, when its Gram value is not finite or at most
+tau h, tau = 2 eps / rho, or when either squared norm is not finite or is
+below 2 tiny / tau. Every pair kept from the product then has d > tau h,
+so it is within rho = 2^-32 of the exact distance, relative (the factor 2
+covers the rounding of h), and above 2 tiny: no kept pair is 0 apart or
+under the collapse guard below, by either route. A recomputed pair
+depends only on the bits of its two columns, which is why the memory order
+is kept (einsum sums a row in the order its operand is laid out); a kept
+pair can differ in its last bits from one BLAS build to another. On
+columns of 1,334 samples tau is 5.1e-3; on 200, 7.7e-4.
 
 Bit-equal columns are 0 apart, and the loop's first merges join them: each
 group merges completely into its first slot, member by member in slot
@@ -59,10 +76,15 @@ DEFAULT_CUT_FACTOR = 0.05
 # Rows of the distance matrix a rescan reads at once.
 _RESCAN_ROWS = 64
 
-# Bytes of the difference rows the distance triangle takes at once (at
-# least two rows): enough that narrow rows need few einsum calls, small
+# Bytes of working arrays the distance triangle holds at once: a row
+# block's near-pair mask and indices, then the difference rows of its near
+# pairs (at least two rows). Enough that few numpy calls are made, small
 # enough to stay in a core's private cache.
 _DIFF_BYTES = 512 * 1024
+
+# A distance kept from the Gram product is within this of the exact
+# distance, relative (see the module docstring).
+_GRAM_RTOL = 2.0**-32
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,43 @@ def default_cut_threshold(n_samples: int, factor: float = DEFAULT_CUT_FACTOR) ->
     return factor * n_samples
 
 
+def _near_rule(width: int) -> tuple[float, float]:
+    """The recompute rule for rows of ``width`` values: ``tau``, and the
+    smallest squared norm the Gram product is trusted with (see the module
+    docstring)."""
+    unit = np.finfo(float).eps / 2
+    k = 4 * width + 6
+    tau = 2 * (k * unit / (1 - k * unit)) / _GRAM_RTOL
+    return tau, 2 * np.finfo(float).tiny / tau
+
+
+def _exact_pairs(small: np.ndarray, distinct: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """Write ``small[i, j]`` by subtracting the two rows and summing the
+    squares with einsum, a block of pairs at a time.
+
+    The difference rows are laid out in ``distinct``'s memory order, as
+    einsum sums a row in the order its operand is laid out, and a block
+    holds at least two rows: a single-row operand takes a different
+    summation path whose rounding can differ in the last bit. A pair's
+    value then depends only on the bits of its two rows.
+    """
+    column_major = not distinct.flags.c_contiguous
+
+    def rows_of(index: np.ndarray) -> np.ndarray:
+        if column_major:  # gather columns of the transpose, keeping the layout
+            return np.take(distinct.T, index, axis=1).T
+        return np.take(distinct, index, axis=0)
+
+    pairs = max(2, _DIFF_BYTES // (2 * distinct.itemsize * max(distinct.shape[1], 1)))
+    for start in range(0, i.size, pairs):
+        a, b = i[start : start + pairs], j[start : start + pairs]
+        if a.size == 1:
+            a, b = a.repeat(2), b.repeat(2)
+        diff = rows_of(a)
+        diff -= rows_of(b)
+        small[a, b] = 0.5 * np.einsum("ij,ij->i", diff, diff)
+
+
 def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Half the squared Euclidean distance between every two distinct rows
     of ``points``, with inf on the diagonal, and the index of each row's
@@ -130,19 +189,19 @@ def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Rows are grouped by their bytes, so ``-0.0`` and ``+0.0`` tell two rows
     apart, and the distinct rows are numbered in order of first occurrence.
-    A pair's distance depends only on the bits of its two rows (swapping
-    them only negates the difference), so the triangle is computed once per
-    pair of distinct rows, whatever their numbering; bit-equal rows are
-    +0.0 apart, as their difference would give.
+    The distinct rows are copied once, in the memory order of ``points``.
 
-    The distinct rows are copied once, in the memory order of ``points``:
-    einsum sums a row in the order its operand is laid out, and a copy in
-    the other order can change a distance in the last bit. Row ``i``'s
-    differences with the later rows are taken a block at a time into one
-    reused buffer of at most ``_DIFF_BYTES``, laid out in that order too.
-    Besides the result and the inverse, this allocates the grouping's keys
-    (one bytes object per distinct row, freed before the triangle), the
-    distinct rows and the buffer: never a copy of the whole input.
+    The triangle is taken from one Gram product written into the result,
+    ``|a|^2/2 + |b|^2/2 - a.b``, and every near pair (see the module
+    docstring) is computed again by ``_exact_pairs``: those keep the bits
+    of subtracting the two rows, so rows of equal value (zero signs aside)
+    are +0.0 apart and every pair under the smallest normal float is found
+    as the differences give it. The near pairs are found one block of rows
+    at a time over the upper triangle, which is then mirrored. Besides the
+    result and the inverse, this allocates the grouping's keys (one bytes
+    object per distinct row, freed before the triangle), the distinct rows,
+    their norms and working arrays of about ``_DIFF_BYTES``: never
+    a copy of the whole input, and no second n x n array.
     """
     seen: dict[bytes, int] = {}
     first_of = np.array([seen.setdefault(row.tobytes(), k) for k, row in enumerate(points)],
@@ -151,24 +210,38 @@ def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first, inverse = np.unique(first_of, return_inverse=True)
     n, width = first.size, points.shape[1]
     if abs(points.strides[0]) < abs(points.strides[1]):  # column-major points
-        distinct, order = np.take(points.T, first, axis=1).T, "F"
+        distinct = np.take(points.T, first, axis=1).T
     else:
-        distinct, order = points[first], "C"
-    small = np.full((n, n), np.inf)
-    rows = min(n, max(2, _DIFF_BYTES // (points.itemsize * max(width, 1))))
-    buffer = np.empty(rows * width)
-    for i in range(n - 1):
-        for lo in range(i + 1, n, rows):
-            hi = min(lo + rows, n)
-            # A block of one row starts a row early, so einsum always sees
-            # at least two rows: a single-row operand takes a different
-            # summation path whose rounding can differ in the last bit.
-            start = min(lo, hi - 2)
-            diff = buffer[: (hi - start) * width].reshape((hi - start, width), order=order)
-            np.subtract(distinct[i], distinct[start:hi], out=diff)
-            half = 0.5 * np.einsum("ij,ij->i", diff, diff)[lo - start :]
-            small[i, lo:hi] = half
-            small[lo:hi, i] = half
+        distinct = points[first]
+    small = np.empty((n, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # such pairs are recomputed
+        np.dot(distinct, distinct.T, out=small)
+        norms = np.einsum("ij,ij->i", distinct, distinct)
+    half = 0.5 * norms
+    tau, smallest_norm = _near_rule(width)
+    untrusted = ~((norms >= smallest_norm) & (norms < np.inf))
+    # A block's bound (8 bytes an entry), masks and near-pair indices (up
+    # to 16 bytes an entry) stay within _DIFF_BYTES.
+    rows = max(1, _DIFF_BYTES // (32 * max(n, 1)))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = small[lo:hi, lo:]
+        bound = half[lo:hi, None] + half[lo:]
+        with np.errstate(invalid="ignore"):  # inf - inf where a norm overflows
+            np.subtract(bound, block, out=block)
+        bound *= tau
+        near = ~((bound < block) & (block < np.inf))  # also catches NaN
+        del bound
+        near[untrusted[lo:hi]] = True
+        near[:, untrusted[lo:]] = True
+        near &= np.arange(lo, n) > np.arange(lo, hi)[:, None]
+        i, j = np.nonzero(near)
+        del near
+        _exact_pairs(small, distinct, lo + i, lo + j)
+        # The rows' finished upper triangle, mirrored into their lower part.
+        lower = np.arange(hi) < np.arange(lo, hi)[:, None]
+        np.copyto(small[lo:hi, :hi], small[:hi, lo:hi].T, where=lower)
+    np.fill_diagonal(small, np.inf)
     return small, inverse
 
 
@@ -321,21 +394,21 @@ def ward_cluster(
     cached slot. After a merge only rows whose cached minimum equalled
     their old distance to either merged cluster are rescanned; every other
     row just compares its cache against its one new distance. The initial
-    distances are computed once per pair of distinct columns, in the
-    input's memory order (see ``_distinct_distances``). Groups of bit-equal
-    columns are merged first, each in one pass (see
-    ``_collapse_bit_equal``), and the loop goes on over one slot per
-    distinct column; when two distinct columns are closer than the smallest
-    normal float, the distances are expanded to every pair of columns and
-    the loop does all the merges. Either way the result is bit for bit that
-    of the loop over every pair. The input is not modified, and it is not
-    copied: besides the distances (one matrix over the distinct columns,
-    and the loop's over its slots), Ward holds one copy of the distinct
-    columns with a difference buffer of at most ``_DIFF_BYTES`` while the
-    triangle is built, and blocks of ``_RESCAN_ROWS`` distance rows while a
-    rescan runs. The finiteness check reads the input's minimum and
-    maximum, which are NaN when any value is, and allocates nothing of its
-    size.
+    distances are computed once per pair of distinct columns, from one Gram
+    product with the near pairs computed again from their differences (see
+    ``_distinct_distances``). Groups of bit-equal columns are merged first,
+    each in one pass (see ``_collapse_bit_equal``), and the loop goes on
+    over one slot per distinct column; when two distinct columns are closer
+    than the smallest normal float, the distances are expanded to every
+    pair of columns and the loop does all the merges. Either way the result
+    is, given the triangle, bit for bit that of the loop over every pair.
+    The input is not modified, and it is not copied: besides the distances
+    (one matrix over the distinct columns, and the loop's over its slots),
+    Ward holds one copy of the distinct columns with working arrays of
+    about ``_DIFF_BYTES`` while the triangle is built, and blocks of
+    ``_RESCAN_ROWS`` distance rows while a rescan runs. The finiteness
+    check reads the input's minimum and maximum, which are NaN when any
+    value is, and allocates nothing of its size.
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
     to cluster raw coordinates (used by low-level tests).

@@ -180,14 +180,18 @@ def _none_varies(count: int, noun: str, state: str, runs: int) -> str:
 
 def counter_correlations(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     """``pearson`` of each named counter against the target, from one
-    row-wise call. A constant target raises, naming its value and the
-    number of runs; else pearson's error for the first counter it rejects."""
+    row-wise call. A target that is constant up to rounding (the variance
+    gate of ``_near_zero_variance``) raises, naming its value or range and
+    the number of runs; else pearson's error for the first counter it
+    rejects."""
     rows = np.array([ds.column(name) for name in names])
     y = ds.target_current
-    if y.size >= 3 and (y == y[0]).all():
+    if y.size >= 3 and np.isfinite(y).all() and _near_zero_variance(y[:, None])[0]:
+        low, high = float(y.min()), float(y.max())
+        value = f", {low!r} mA" if low == high else f" up to rounding, {low!r} to {high!r} mA"
         raise DegenerateSeriesError(
-            f"degenerate series (zero variance): the target current is constant, "
-            f"{float(y[0])!r} mA in all {y.size} training runs")
+            f"degenerate series (zero variance): the target current is constant{value} "
+            f"in all {y.size} training runs")
     r = correlations(rows, y)
     rejected = np.flatnonzero(np.isnan(r))
     if rejected.size:

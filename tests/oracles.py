@@ -9,13 +9,15 @@ fast paths can be compared with them exactly:
 * ``ward_reference``, the full-matrix Ward loop that
   ``pmcpower.clustering.ward_cluster`` replaced; it reuses only the
   package's Dendrogram/Merge containers and error type, so its output can
-  be compared with the fast loop's byte for byte;
+  be compared with the fast loop's byte for byte, from its own distances
+  or, given the initial distances, the merge loop alone;
 * ``distinct_distances_reference``, the distinct-row distance triangle
-  that grouped rows with ``np.unique`` over a void view and took each
-  row's differences in a fresh array, before
+  that grouped rows with ``np.unique`` over a void view and took every
+  pair from the two rows' difference, in a fresh array per row, before
   ``pmcpower.clustering._distinct_distances`` grouped them by their bytes
-  in order of first occurrence and took the differences a block at a time
-  in one buffer; the two must give every pair of input rows the same bits;
+  in order of first occurrence and took the triangle from one Gram
+  product; the pairs that computes again must keep the reference's bits,
+  and the others must lie within the Gram product's error bound of it;
 * ``generate_combined_reference``, the candidate loop that scored every
   product and ratio with the scalar ``pearson`` and ``pearson_p_value``
   before ``pmcpower.features.generate_combined`` scored them in blocks
@@ -169,6 +171,7 @@ def ward_reference(
     names: Sequence[str] | None = None,
     *,
     check_normalized: bool = True,
+    distances: np.ndarray | None = None,
 ) -> Dendrogram:
     """Cluster the columns of a z-scored sample matrix bottom-up.
 
@@ -180,7 +183,10 @@ def ward_reference(
     tree independent of column order.
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
-    to cluster raw coordinates (used by low-level tests).
+    to cluster raw coordinates (used by low-level tests). ``distances``,
+    an n_features x n_features matrix, replaces the initial distances the
+    loop would take from the columns' differences (its diagonal is
+    ignored), so the merge loop can be compared alone.
     """
     z = np.asarray(z_matrix, dtype=float)
     if z.ndim != 2:
@@ -204,11 +210,16 @@ def ward_reference(
                 f"column {names[bad[0]]!r} is not z-scored (mean {means[bad[0]]:.3g})"
             )
 
-    points = z.T  # (n_features, n_samples)
-    dist = np.full((n_features, n_features), np.inf)
-    for i in range(n_features):
-        diff = points[i] - points
-        dist[i] = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    if distances is None:
+        points = z.T  # (n_features, n_samples)
+        dist = np.full((n_features, n_features), np.inf)
+        for i in range(n_features):
+            diff = points[i] - points
+            dist[i] = 0.5 * np.einsum("ij,ij->i", diff, diff)
+    else:
+        dist = np.array(distances, dtype=float)
+        if dist.shape != (n_features, n_features):
+            raise ClusteringError("one initial distance per pair of features required")
     np.fill_diagonal(dist, np.inf)
 
     active = np.ones(n_features, dtype=bool)

@@ -427,6 +427,22 @@ class TestConstantTarget:
                                "is constant, 100.0 mA in all 40 training runs\n")
         assert not (tmp_path / "out").exists()
 
+    def test_train_rejects_a_target_constant_up_to_rounding(self, tmp_path):
+        # 40 runs of 0.1 mA, one of them (a training run) a unit in the last
+        # place above: not bit-for-bit constant, but no model can explain it.
+        rng = np.random.default_rng(4)
+        y = np.full(40, 0.1)
+        train, _ = split_dataset(make_dataset({"a": y}, y), TRAIN_FRACTION_DEFAULT, 0)
+        y[int(train.meta[0].benchmark_name.removeprefix("run-"))] = 0.1 + 1e-16
+        ds = make_dataset({"a": rng.uniform(1, 2, 40), "b": rng.uniform(1, 2, 40)}, y)
+        manifest = write_dataset_files(ds, tmp_path / "data")
+        proc = run_cli("train", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: degenerate series (zero variance): the target current "
+                               "is constant up to rounding, 0.1 to 0.1000000000000001 mA in all "
+                               f"{len(train)} training runs\n")
+        assert not (tmp_path / "out").exists()
+
     def test_eval_names_the_count_of_zero_currents(self, tmp_path, synth_manifest):
         assert main(["train", "--config", str(run_config(tmp_path, synth_manifest))]) == 0
         ds, _ = generate(three_factor_config(n_runs=60, seed=1))

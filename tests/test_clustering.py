@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmcpower import clustering
 from pmcpower.clustering import (
     _DIFF_BYTES,
+    _GRAM_RTOL,
     _collapse_bit_equal,
     _distinct_distances,
+    _exact_pairs as exact_pairs,
+    _merge_loop,
+    _near_rule,
     cut_dendrogram,
     default_cut_threshold,
     ward_cluster,
@@ -130,6 +139,23 @@ def _tied_matrix(rng, n_samples, n_features):
     return _zscore(z)
 
 
+def _collinear_matrix(seed):
+    """The pipeline's z-scored matrix and names on a collinear-profile
+    campaign: many bit-equal and nearly collinear columns."""
+    ds, _ = generate(collinear_config(n_runs=60, noise_sigma=0.02, seed=seed))
+    matrix = ft.build_matrix(ds, ft.generate_combined(ds, ft.invert_negative(ds)))
+    return matrix.zscored(), matrix.names()
+
+
+def reference_given_triangle(z, names, **kwargs):
+    """``ward_reference``'s merge loop from ``ward_cluster``'s own
+    distinct-column triangle, expanded to every pair of columns through
+    ``inverse``: the collapse and the merge loop compared alone."""
+    small, inverse = _distinct_distances(np.asarray(z, dtype=float).T)
+    np.fill_diagonal(small, 0.0)  # bit-equal columns are +0.0 apart
+    return ward_reference(z, names, distances=small[np.ix_(inverse, inverse)], **kwargs)
+
+
 class TestWardMatchesReference:
     """The cached-minimum merge loop against the frozen full-scan loop."""
 
@@ -142,13 +168,13 @@ class TestWardMatchesReference:
         random_cols = _zscore(rng.normal(size=(n_samples, n_features)))
         coarse = _zscore(np.round(rng.normal(size=(n_samples, n_features)), 1))
         for z in (random_cols, coarse, _tied_matrix(rng, n_samples, n_features)):
-            assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+            assert ward_cluster(z, names).to_json() == reference_given_triangle(z, names).to_json()
 
     def test_fortran_ordered_raw_coordinates(self, rng):
         z = np.asfortranarray(_tied_matrix(rng, 9, 120) * 3.0 + 1.0)
         names = [f"x{i:03d}" for i in range(120)]
         got = ward_cluster(z, names, check_normalized=False).to_json()
-        assert got == ward_reference(z, names, check_normalized=False).to_json()
+        assert got == reference_given_triangle(z, names, check_normalized=False).to_json()
 
     @pytest.mark.parametrize("n_samples", [7, 199, 200])
     def test_pipeline_layout_tied_columns(self, n_samples):
@@ -158,7 +184,7 @@ class TestWardMatchesReference:
         n_features = int(rng.integers(150, 301))
         z = np.asfortranarray(_tied_matrix(rng, n_samples, n_features))
         names = [f"c{int(i)}" for i in rng.permutation(n_features)]
-        assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+        assert ward_cluster(z, names).to_json() == reference_given_triangle(z, names).to_json()
 
     @pytest.mark.parametrize("name_order", ["sorted", "reversed", "shuffled"])
     def test_all_columns_bit_equal(self, rng, name_order):
@@ -172,13 +198,13 @@ class TestWardMatchesReference:
             names = [names[i] for i in rng.permutation(40)]
         tree = ward_cluster(z, names)
         assert all(m.height == 0.0 for m in tree.merges)
-        assert tree.to_json() == ward_reference(z, names).to_json()
+        assert tree.to_json() == reference_given_triangle(z, names).to_json()
 
     def test_all_columns_distinct(self, rng):
         z = np.asfortranarray(_zscore(rng.normal(size=(30, 120))))
         assert np.unique(z.T, axis=0).shape[0] == 120
         names = [f"c{i:03d}" for i in range(120)]
-        assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+        assert ward_cluster(z, names).to_json() == reference_given_triangle(z, names).to_json()
 
     def test_columns_differing_only_in_zero_sign(self, rng):
         # Equal values, different bytes: every column is its own distinct row,
@@ -194,34 +220,53 @@ class TestWardMatchesReference:
         names = [f"r{i}" for i in range(9)]
         tree = ward_cluster(z, names, check_normalized=False)
         assert [m.height for m in tree.merges[:5]] == [0.0] * 5
-        expected = ward_reference(z, names, check_normalized=False)
+        expected = reference_given_triangle(z, names, check_normalized=False)
         assert tree.to_json() == expected.to_json()
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_collinear_profile_pipeline_matrix(self, seed):
-        ds, _ = generate(collinear_config(n_runs=60, noise_sigma=0.02, seed=seed))
-        matrix = ft.build_matrix(ds, ft.generate_combined(ds, ft.invert_negative(ds)))
-        z, names = matrix.zscored(), matrix.names()
+        z, names = _collinear_matrix(seed)
         tree = ward_cluster(z, names)
         assert sum(m.height == 0.0 for m in tree.merges) > 10
-        assert tree.to_json() == ward_reference(z, names).to_json()
+        assert tree.to_json() == reference_given_triangle(z, names).to_json()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_collinear_profile_tree_matches_exact_distances(self, seed):
+        # The Gram product changes heights in their last bits at most: the
+        # merge topology and the cut at the default threshold are those of
+        # the loop over every pair's difference.
+        z, names = _collinear_matrix(seed)
+        tree, exact = ward_cluster(z, names), ward_reference(z, names)
+        assert [(m.left, m.right, m.size) for m in tree.merges] == [
+            (m.left, m.right, m.size) for m in exact.merges]
+        assert [m.height for m in tree.merges] == pytest.approx(
+            [m.height for m in exact.merges], rel=1e-9)
+        threshold = default_cut_threshold(z.shape[0])
+        got, expected = cut_dendrogram(tree, threshold), cut_dendrogram(exact, threshold)
+        assert got.n_clusters == expected.n_clusters
+        assert got.cluster_of.tolist() == expected.cluster_of.tolist()
 
     def test_rounding_tie_with_a_non_stale_row_minimum(self):
-        # Ten leaves 1.69 apart up to rounding. Leaf 0's cached nearest is
-        # leaf 8 until node 16 forms (slot 1); its Lance-Williams distance to
-        # node 16 rounds to exactly that cached minimum while row 0 is not
-        # stale, so only the tie rule (the smaller slot) makes node 16 its
-        # partner, as the full scan does.
+        # Ten leaves 1.69 apart up to rounding, at the distances their
+        # differences give; the Gram product rounds them otherwise, so the
+        # loop is fed them directly. Leaf 0's cached nearest is leaf 8 until
+        # node 16 forms (slot 1); its Lance-Williams distance to node 16
+        # rounds to exactly that cached minimum while row 0 is not stale, so
+        # only the tie rule (the smaller slot) makes node 16 its partner, as
+        # the full scan does.
         z = np.full((12, 10), 0.1)
         z[range(10), range(10)] = [
             1.4000000000000006, 1.3999999999999997, 1.4000000000000001, 1.4000000000000001,
             1.4000000000000001, 1.4000000000000001, 1.4000000000000001, 1.4000000000000001,
             1.4000000000000004, 1.4000000000000001,
         ]
-        names = [f"c{i}" for i in range(10)]
-        tree = ward_cluster(z, names, check_normalized=False)
-        assert (tree.merges[-2].left, tree.merges[-2].right) == (0, 16)
-        assert tree.to_json() == ward_reference(z, names, check_normalized=False).to_json()
+        names = [f"c{i}" for i in range(10)]  # slot order is column order
+        small, inverse = distinct_distances_reference(z.T)
+        dist = small[np.ix_(inverse, inverse)]
+        merges = _merge_loop(dist.copy(), np.ones(10, dtype=np.int64), list(range(10)), 10, 0)
+        assert (merges[-2].left, merges[-2].right) == (0, 16)
+        expected = ward_reference(z, names, check_normalized=False, distances=dist)
+        assert merges == list(expected.merges)
 
     def test_rejects_no_samples(self):
         with pytest.raises(ClusteringError, match="at least 1 sample"):
@@ -284,7 +329,7 @@ class TestWardCollapse:
         z, names = case
         if z.shape[1] < 2:
             return
-        assert ward_cluster(z, names).to_json() == ward_reference(z, names).to_json()
+        assert ward_cluster(z, names).to_json() == reference_given_triangle(z, names).to_json()
 
     @settings(max_examples=60, deadline=None)
     @given(case=grouped_columns())
@@ -321,57 +366,140 @@ class TestWardCollapse:
         names = [f"r{int(i):02d}" for i in rng.permutation(z.shape[1])]
         assert not _takes_collapse(z, names)
         got = ward_cluster(z, names, check_normalized=False).to_json()
-        assert got == ward_reference(z, names, check_normalized=False).to_json()
+        assert got == reference_given_triangle(z, names, check_normalized=False).to_json()
 
 
 @st.composite
 def distance_points(draw):
     """Rows for ``_distinct_distances``, C- or F-ordered: distinct rows (some
-    a 2^k multiple of another, or another with a zero's sign flipped), each
-    repeated 1-3 times, shuffled. The distinct count is 1, 2 or around an
-    edge of the triangle's blocks of ``rows`` rows, so a block of one row
-    occurs; wide rows make those blocks a few rows long."""
-    rows = draw(st.sampled_from([2, 3, 4, 7]))
+    a 2^k multiple of another, another with a zero's sign flipped, or
+    another moved by a few units in the last place, a near pair), each
+    repeated 1-3 times, shuffled. Wide rows make a block of near pairs
+    ``pairs`` long, and the near pairs' count falls around its edges, so a
+    block of one pair occurs."""
+    pairs = draw(st.sampled_from([2, 3, 4, 7]))
     if draw(st.booleans()):
-        width = draw(st.integers(_DIFF_BYTES // (8 * (rows + 1)) + 1, _DIFF_BYTES // (8 * rows)))
+        width = draw(st.integers(_DIFF_BYTES // (16 * (pairs + 1)) + 1, _DIFF_BYTES // (16 * pairs)))
+        n_distinct = draw(st.integers(1, 6))
     else:
         width = draw(st.integers(1, 12))
-        rows = max(2, _DIFF_BYTES // (8 * width))
-    n_distinct = draw(st.sampled_from([1, 2, rows - 1, rows, rows + 1, rows + 2]))
-    n_distinct = min(n_distinct, 12)  # narrow rows: blocks too long to reach
+        n_distinct = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     distinct = rng.normal(size=(n_distinct, width))
     if draw(st.booleans()):
         distinct = np.round(distinct, 1)  # zeros, and rounding ties between rows
     for k in range(1, n_distinct):
         source = distinct[rng.integers(0, k)]
-        form = draw(st.sampled_from(["own", "scaled", "signed zero"]))
+        form = draw(st.sampled_from(["own", "scaled", "signed zero", "near"]))
         if form == "scaled":
             distinct[k] = source * 2.0 ** draw(st.integers(-3, 3))
         elif form == "signed zero":
             distinct[k] = source
             distinct[k, rng.integers(0, width)] = -0.0
+        elif form == "near":
+            distinct[k] = source * (1 + rng.integers(-4, 5, width) * 2.0**-52)
     copies = rng.integers(1, 4, n_distinct)
     points = np.repeat(distinct, copies, axis=0)[rng.permutation(copies.sum())]
     return np.asfortranarray(points) if draw(st.booleans()) else points
 
 
+def _gamma(k: int) -> float:
+    unit = np.finfo(float).eps / 2
+    return k * unit / (1 - k * unit)
+
+
+def check_against_reference(points):
+    """``_distinct_distances(points)`` against ``distinct_distances_reference``:
+    the same grouping, first-occurrence numbering, an exactly symmetric
+    triangle, the reference's bits on every pair ``_exact_pairs`` computed
+    and the derived bound on every other pair. Returns the triangle, the
+    reference's in the same numbering, and the recomputed pairs' mask."""
+    calls = []
+
+    def spy(small, distinct, i, j):
+        calls.append((i.copy(), j.copy()))
+        exact_pairs(small, distinct, i, j)
+
+    before = points.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_exact_pairs", spy)
+        small, inverse = _distinct_distances(points)
+    assert points.tobytes() == before
+    ref_small, ref_inverse = distinct_distances_reference(points)
+    assert ((inverse[:, None] == inverse) == (ref_inverse[:, None] == ref_inverse)).all()
+    # Distinct rows are numbered in order of first occurrence.
+    n = small.shape[0]
+    assert list(dict.fromkeys(inverse.tolist())) == list(range(n))
+    to_ref = np.empty(n, dtype=np.intp)
+    to_ref[inverse] = ref_inverse
+    ref = ref_small[np.ix_(to_ref, to_ref)]
+    assert small.tobytes() == small.T.tobytes()
+    assert np.isinf(small.diagonal()).all()
+    assert not np.isnan(small).any()
+    recomputed = np.zeros((n, n), dtype=bool)
+    for i, j in calls:
+        assert (i < j).all()
+        recomputed[i, j] = recomputed[j, i] = True
+    assert small[recomputed].tobytes() == ref[recomputed].tobytes()
+    # A kept pair is within _GRAM_RTOL of the exact distance, relative, and
+    # the reference within gamma(2w + 2) of it (underflow included).
+    kept = ~recomputed & ~np.eye(n, dtype=bool)
+    width = points.shape[1]
+    bound = (_GRAM_RTOL + 2 * _gamma(2 * width + 3)) * ref[kept]
+    assert (np.abs(small[kept] - ref[kept]) <= bound).all()
+    return small, ref, recomputed
+
+
 class TestDistinctDistances:
-    """Rows grouped by their bytes and the triangle taken in blocks, against
-    the frozen np.unique grouping with a fresh difference array per row."""
+    """Rows grouped by their bytes and the triangle taken from a Gram
+    product with the near pairs computed again, against the frozen
+    np.unique grouping with every pair taken from its difference."""
 
     @settings(max_examples=200, deadline=None)
     @given(points=distance_points())
     def test_every_pair_matches_reference(self, points):
-        before = points.tobytes()
-        small, inverse = _distinct_distances(points)
-        assert points.tobytes() == before
-        ref_small, ref_inverse = distinct_distances_reference(points)
-        assert ((inverse[:, None] == inverse) == (ref_inverse[:, None] == ref_inverse)).all()
-        got = small[np.ix_(inverse, inverse)]
-        assert got.tobytes() == ref_small[np.ix_(ref_inverse, ref_inverse)].tobytes()
-        # Distinct rows are numbered in order of first occurrence.
-        assert list(dict.fromkeys(inverse.tolist())) == list(range(small.shape[0]))
+        check_against_reference(points)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_near_pairs_across_row_blocks(self, rng, order):
+        # About 700 distinct rows take over 20 row blocks; half are a few
+        # units in the last place from another row, and some differ from
+        # another only in a zero's sign, so near pairs fall in every block
+        # and straddle them.
+        base = np.round(rng.normal(size=(350, 5)), 1)
+        near = base * (1 + rng.integers(-3, 4, base.shape) * 2.0**-52)
+        signed = base[:40].copy()
+        signed[signed == 0.0] = -0.0
+        points = np.asarray(np.vstack([base, near, signed])[rng.permutation(740)], order=order)
+        small, _, recomputed = check_against_reference(points)
+        n = small.shape[0]
+        assert n >= 20 * (_DIFF_BYTES // (32 * n))  # at least 20 row blocks
+        assert recomputed.sum() // 2 >= 350
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_near_pair(self, rng, order):
+        # A block of one near pair: einsum sums a single column-major row in
+        # another order than the rows of a taller operand, which changes
+        # the last bit of most such sums.
+        for _ in range(8):
+            points = rng.normal(size=(4, 100))
+            points[3] = points[0] * (1 + 1e-9 * rng.normal(size=100))
+            _, _, recomputed = check_against_reference(np.asarray(points, order=order))
+            assert np.flatnonzero(recomputed[0]).tolist() == [3]
+            assert recomputed.sum() == 2
+
+    def test_gram_product_error_is_within_bound_only_with_the_recompute(self, rng):
+        # Rows 1e-9 apart relative: the Gram product alone cancels to a
+        # relative error far above _GRAM_RTOL, so these pairs must be the
+        # recomputed ones.
+        base = rng.normal(size=(8, 300))
+        points = np.vstack([base, base * (1 + 1e-9 * rng.normal(size=base.shape))])
+        half = 0.5 * np.einsum("ij,ij->i", points, points)
+        gram = half[:, None] + half - points @ points.T
+        _, ref, recomputed = check_against_reference(points)
+        pairs = (np.arange(8), np.arange(8) + 8)
+        assert (np.abs(gram[pairs] - ref[pairs]) > _GRAM_RTOL * ref[pairs]).any()
+        assert recomputed[pairs].all()
 
     def test_peak_holds_no_copy_of_the_input(self, rng):
         # Ward's points for a 1,000-run x 400-feature matrix whose second half
@@ -390,6 +518,106 @@ class TestDistinctDistances:
         # size) are freed before the triangle.
         bound = half.nbytes + small.nbytes + _DIFF_BYTES + 128 * 1024
         assert peak <= bound < points.nbytes
+
+
+@st.composite
+def edge_points(draw):
+    """Rows whose Gram product cannot be trusted: rows scaled by 2^-531 or
+    2^531 (near 1e-160 and 1e160, where a squared norm underflows or
+    overflows), each at one or more 2^k multiples, beside twins a few
+    units in the last place away, rows that differ from another only in a
+    zero's sign, all-zero rows of either sign, and plain rows at scale 1."""
+    width = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = rng.normal(size=width)
+        base[rng.integers(0, width)] = 0.0
+        scale = draw(st.sampled_from([2.0**-531, 2.0**531, 1.0]))
+        for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+            rows.append(base * scale * 2.0**k)
+        form = draw(st.sampled_from(["none", "twin", "signed zero"]))
+        if form == "twin":
+            rows.append(rows[-1] * (1 + rng.integers(-3, 4, width) * 2.0**-52))
+        elif form == "signed zero":
+            flipped = rows[-1].copy()
+            flipped[flipped == 0.0] = -0.0
+            rows.append(flipped)
+    for sign in draw(st.lists(st.sampled_from([1.0, -1.0]), max_size=2)):
+        rows.append(np.full(width, sign * 0.0))
+    points = np.array(rows)[rng.permutation(len(rows))]
+    return np.asfortranarray(points) if draw(st.booleans()) else points
+
+
+def _untrusted(points: np.ndarray) -> np.ndarray:
+    """Which pairs of distinct rows the recompute rule must take whatever
+    their Gram value: a norm outside the trusted range, or rows of equal
+    value (zero signs aside), whose exact distance is 0."""
+    _, inverse = _distinct_distances(points)
+    first = np.unique(inverse, return_index=True)[1]
+    distinct = points[first]
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.einsum("ij,ij->i", distinct, distinct)
+    _, smallest_norm = _near_rule(points.shape[1])
+    odd = ~((norms >= smallest_norm) & (norms < np.inf))
+    equal = (distinct[:, None, :] == distinct[None, :, :]).all(axis=2)
+    pairs = odd[:, None] | odd[None, :] | equal
+    np.fill_diagonal(pairs, False)
+    return pairs
+
+
+class TestRecomputeRule:
+    """The pairs whose Gram value cannot be trusted are computed again."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=edge_points())
+    def test_edge_pairs_keep_the_reference_bits(self, points):
+        small, ref, recomputed = check_against_reference(points)
+        must = _untrusted(points)
+        assert recomputed[must].all()
+        # The collapse decides on the triangle as it does on the reference.
+        n = small.shape[0]
+        slots, order = np.arange(n), list(range(n))
+        with np.errstate(all="ignore"):  # Lance-Williams chains over 1e160 rows
+            taken = _collapse_bit_equal(small.copy(), slots, order) is not None
+            ref_taken = _collapse_bit_equal(ref.copy(), slots, order) is not None
+        assert taken == ref_taken
+
+
+# A train-deep-shaped Ward input: 1,334 z-scored samples of 1,060 columns
+# in the pipeline's column-major layout. 100 columns with four copies each
+# 1e-7 apart (near pairs), ten copies 2 % apart of ten of them, and 2^k
+# multiples of 460 of those, which z-score to bit-equal columns: 1,060
+# leaves, 600 distinct.
+_TRAIN_DEEP_SHAPED = """
+import sys
+import numpy as np
+from pmcpower.clustering import ward_cluster
+rng = np.random.default_rng(3)
+latent = rng.uniform(50.0, 400.0, (1334, 100))
+near = [latent * (1 + 1e-7 * rng.normal(size=latent.shape)) for _ in range(4)]
+loose = [latent[:, :10] * (1 + 0.02 * rng.normal(size=(1334, 10))) for _ in range(10)]
+distinct = np.hstack([latent, *near, *loose])
+copies = distinct[:, :460] * 2.0 ** rng.integers(1, 4, 460)
+values = np.asfortranarray(np.hstack([distinct, copies]))
+z = (values - values.mean(axis=0)) / values.std(axis=0)
+tree = ward_cluster(z, [f"c{i:04d}" for i in rng.permutation(z.shape[1])])
+open(sys.argv[1], "w").write(tree.to_json())
+"""
+
+
+def test_dendrogram_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # The Gram product's summation order per entry does not change with
+    # OpenBLAS's thread count, so neither does any height.
+    src = Path(__file__).resolve().parents[1] / "src"
+    written = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"dendrogram-{threads}.json"
+        subprocess.run([sys.executable, "-c", _TRAIN_DEEP_SHAPED, str(out)], env=env, check=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0]) > 1059 * 20
 
 
 class TestCutDendrogram:

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from pmcpower.dataset import split_dataset
@@ -113,6 +114,27 @@ class TestTrainPipeline:
             run_pipeline(ds.take(range(5)))
 
 
+def _near_constant_target(rng):
+    """40 runs of two uniform counters whose target is 0.1 mA in 39 runs
+    and one unit in the last place above in one: constant up to rounding,
+    though not bit for bit."""
+    y = np.full(40, 0.1)
+    y[17] = 0.1 + 1e-16
+    return make_dataset({"a": rng.uniform(1, 2, 40), "b": rng.uniform(1, 2, 40)}, y)
+
+
+_NEAR_CONSTANT_WORDS = ("degenerate series (zero variance): the target current is constant "
+                        "up to rounding, 0.1 to 0.1000000000000001 mA in all 40 training runs")
+
+
+class TestNearConstantTarget:
+    def test_pipeline_rejects_it(self, rng):
+        # An OLS fit with an intercept cannot have R^2 below 0; on this
+        # target it came out near -3.5 before the variance gate.
+        with pytest.raises(DegenerateSeriesError, match=re.escape(_NEAR_CONSTANT_WORDS)):
+            run_pipeline(_near_constant_target(rng))
+
+
 class TestBaselines:
     def test_all_pmc_superset_r2(self):
         ds, _ = generate(three_factor_config(n_runs=90, noise_sigma=0.05, seed=7))
@@ -161,6 +183,11 @@ class TestBaselines:
                           [5.0] * 10)
         with pytest.raises(DegenerateSeriesError, match=re.escape(
                 "the target current is constant, 5.0 mA in all 10 training runs")):
+            train_k_top(ds, 1)
+
+    def test_k_top_rejects_a_target_constant_up_to_rounding(self, rng):
+        ds = _near_constant_target(rng)
+        with pytest.raises(DegenerateSeriesError, match=re.escape(_NEAR_CONSTANT_WORDS)):
             train_k_top(ds, 1)
 
     def test_k_top_validates_k(self, rng):
