@@ -371,6 +371,22 @@ def _merge_loop(
     return merges
 
 
+def _check_finite(small: np.ndarray, inverse: np.ndarray, names: Sequence[str]) -> None:
+    """Raise naming the first two columns, in input order, whose distance
+    in ``small`` (inf on the diagonal) overflows: finite input near the
+    largest float can overflow it, and the loop would then merge a cluster
+    with itself at height inf and compute NaN heights. One reduction reads
+    the distances; only a failing check reads them again, a row at a time."""
+    np.fill_diagonal(small, 0.0)
+    if not np.isfinite(small.max()):  # NaN when any distance is
+        for i, row in enumerate(inverse.tolist()):
+            bad = np.flatnonzero(~np.isfinite(small[row, inverse]))
+            if bad.size:
+                raise ClusteringError(f"distance between columns {names[i]!r} and "
+                                      f"{names[bad[0]]!r} overflows: values too large")
+    np.fill_diagonal(small, np.inf)
+
+
 def ward_cluster(
     z_matrix,
     names: Sequence[str] | None = None,
@@ -408,7 +424,8 @@ def ward_cluster(
     about ``_DIFF_BYTES`` while the triangle is built, and blocks of
     ``_RESCAN_ROWS`` distance rows while a rescan runs. The finiteness
     check reads the input's minimum and maximum, which are NaN when any
-    value is, and allocates nothing of its size.
+    value is, and allocates nothing of its size; finite values whose
+    distance overflows are rejected too (see ``_check_finite``).
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
     to cluster raw coordinates (used by low-level tests).
@@ -441,6 +458,7 @@ def ward_cluster(
 
     order = sorted(range(n_features), key=names.__getitem__)
     small, inverse = _distinct_distances(z.T)  # rows of z.T are the features
+    _check_finite(small, inverse, names)
     slots = inverse[order]
     collapsed = _collapse_bit_equal(small, slots, order)
     if collapsed is None:

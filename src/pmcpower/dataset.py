@@ -16,6 +16,7 @@ import os
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -257,16 +258,45 @@ _FAST_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
 class _Scratch(dict):
-    """Arrays by name that the blocks of one ``load_manifest`` call reuse,
-    so that no block allocates an array the size of its text afresh (a
-    fresh allocation costs a page fault per page). A call gives the first
-    ``size`` items of one, grown, with a quarter to spare, when too small."""
+    """Arrays by name that the blocks of one kind of trace of one
+    ``load_manifest`` call reuse, so that no block allocates an array the
+    size of its text or cells afresh (a fresh allocation costs a page fault
+    a page). A call gives the first ``size`` items of one, grown, with a
+    quarter to spare, when too small."""
 
     def __call__(self, name: str, size: int, dtype) -> np.ndarray:
         array = self.get(name)
         if array is None or array.size < size:
             array = self[name] = np.empty(size + size // 4, dtype)
         return array[:size]
+
+
+# np.flatnonzero, bytes.translate and np.fromstring allocate their results.
+# Called on about this many items at a time, each result stays small, so
+# the heap reuses it, and is copied into an array of a _Scratch.
+_CHUNK = 1 << 15
+
+
+def _positions(mask: np.ndarray, scratch: _Scratch, name: str) -> np.ndarray:
+    """``np.flatnonzero(mask)`` in ``scratch``'s array ``name``, found in
+    chunks of ``mask`` that hold about _CHUNK of them on average."""
+    out = scratch(name, int(np.count_nonzero(mask)), np.intp)
+    step = min(max(_CHUNK, mask.size * _CHUNK // max(out.size, 1)), 8 * _CHUNK)
+    count = 0
+    for lo in range(0, mask.size, step):
+        found = np.flatnonzero(mask[lo:lo + step])
+        np.add(found, lo, out=out[count:count + found.size])
+        count += found.size
+        del found  # before the next chunk's is made
+    return out
+
+
+def _translate(values: np.ndarray, table: bytes) -> None:
+    """Translate the bytes ``values`` by ``table`` in place."""
+    for lo in range(0, values.size, _CHUNK):
+        piece = values[lo:lo + _CHUNK].tobytes().translate(table)
+        values[lo:lo + _CHUNK] = np.frombuffer(piece, dtype=np.uint8)
+        del piece
 
 
 # The proof reads a body by its marks, the bytes that are not digits, of
@@ -291,6 +321,12 @@ _FEWEST_DIGITS, _MOST_DIGITS = (bytes(_DIGIT_RUNS.get(step, (1, 0))[end] for ste
                                 for end in (0, 1))
 
 
+@functools.lru_cache(maxsize=16)
+def _line_kinds(width: int) -> np.ndarray:
+    """The kinds of the marks that end the cells of a line of ``width``."""
+    return np.array([5] * (width - 1) + [6], dtype=np.uint8)
+
+
 def _ended(body) -> np.ndarray:
     """The bytes of ``body`` (any buffer) as an array, ended by a newline."""
     raw = np.frombuffer(body, dtype=np.uint8)
@@ -305,7 +341,7 @@ def _proof(body, width: int, scratch: _Scratch | None = None
     None. That is the positions of the bytes that are not digits (marks),
     their kinds, the marks that end a cell and those of lines' minus signs:
     the bounds and fraction lengths of any cells follow from them.
-    Its byte mask and digit counts are ``scratch``'s arrays.
+    Every array it works in or returns is one of ``scratch``'s.
 
     A proved cell is a minus, if it is the line's first, or none, then one
     to 69 digits, then at most a point and up to 69 digits, then at most an
@@ -315,30 +351,40 @@ def _proof(body, width: int, scratch: _Scratch | None = None
     exponent digits only after a minus); a body it declines is read in
     full. One pass over the bytes finds the marks; the rest reads the marks.
     """
-    scratch = scratch or _Scratch()
+    scratch = _Scratch() if scratch is None else scratch
     raw = _ended(body)
     apart = np.subtract(raw, ord("0"), out=scratch("apart", raw.size, np.uint8))
-    marks = np.flatnonzero(np.greater(apart, 9, out=apart.view(np.bool_)))
-    skeleton = bytearray(raw[marks]).translate(_MARK_KINDS)  # the marks' kinds
-    kinds = np.frombuffer(skeleton, dtype=np.uint8)
-    before = np.empty_like(kinds)  # the kind of the mark before each, a newline before the first
+    marks = _positions(np.greater(apart, 9, out=apart.view(np.bool_)), scratch, "marks")
+    n = marks.size
+    kinds = raw.take(marks, out=scratch("kinds", n, np.uint8), mode="clip")
+    _translate(kinds, _MARK_KINDS)
+    # The kind of the mark before each, a newline before the first.
+    before = scratch("before", n, np.uint8)
     before[0], before[1:] = 6, kinds[:-1]
+    flag = scratch("flag", n, np.bool_)
     signs = marks[:0]  # the marks of the minus signs lines start with
-    if b"\3" in skeleton:
-        kinds[(kinds == 3) & (before == 6)] = 4
+    if np.equal(kinds, 3, out=flag).any():
+        np.logical_and(flag, np.equal(before, 6, out=scratch("flag2", n, np.bool_)), out=flag)
+        np.copyto(kinds, 4, where=flag)
         before[1:] = kinds[:-1]
-        signs = np.flatnonzero(kinds == 4)
-    digits = scratch("digits", marks.size, np.intp)  # before each mark, at most 70 counted
+        signs = _positions(flag, scratch, "signs")
+    digits = scratch("digits", n, np.intp)  # before each mark, at most 70 counted
     digits[0] = marks[0]
     np.subtract(marks[1:], marks[:-1], out=digits[1:])
     digits[1:] -= 1
-    digits = np.minimum(digits, 70, out=digits).astype(np.uint8)
-    steps = (before * 8 + kinds).tobytes()
-    if ((digits < np.frombuffer(steps.translate(_FEWEST_DIGITS), dtype=np.uint8)).any()
-            or (digits > np.frombuffer(steps.translate(_MOST_DIGITS), dtype=np.uint8)).any()):
+    counted = np.minimum(digits, 70, out=scratch("counted", n, np.uint8), casting="unsafe")
+    steps = np.add(np.multiply(before, 8, out=before), kinds, out=before)
+    for lo in range(0, n, _CHUNK):
+        step, got = steps[lo:lo + _CHUNK].tobytes(), counted[lo:lo + _CHUNK]
+        if ((got < np.frombuffer(step.translate(_FEWEST_DIGITS), dtype=np.uint8)).any()
+                or (got > np.frombuffer(step.translate(_MOST_DIGITS), dtype=np.uint8)).any()):
+            return None
+    # The separators: no other kind is left.
+    at = _positions(np.greater_equal(kinds, 5, out=flag), scratch, "at")
+    if at.size % width:
         return None
-    at = np.flatnonzero(kinds >= 5)  # the separators: no other kind is left
-    if kinds.take(at).tobytes() != (b"\5" * (width - 1) + b"\6") * (at.size // width):
+    ends = kinds.take(at, out=scratch("ends", at.size, np.uint8), mode="clip").reshape(-1, width)
+    if np.not_equal(ends, _line_kinds(width), out=flag[:at.size].reshape(ends.shape)).any():
         return None
     return marks, kinds, at, signs
 
@@ -354,20 +400,40 @@ _TENS = np.cumprod(np.concatenate([[1], np.full(27, 10)]).astype(np.longdouble))
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
+def _integers(text: np.ndarray, ends: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The cells of the bytes ``text``, each ended by the comma or newline
+    at ``ends``, read as integers with their points and minus signs
+    dropped, into ``out``."""
+    step = max(1, ends.size * _CHUNK // text.size)
+    lo = 0
+    for first in range(0, ends.size, step):
+        last = min(first + step, ends.size)
+        hi = int(ends[last - 1]) + 1
+        digits = text[lo:hi].tobytes().translate(_NEWLINE_TO_COMMA, b".-")
+        out[first:last] = np.fromstring(digits, dtype=np.uint64, count=last - first, sep=",")
+        lo = hi
+        del digits
+    return out
+
+
 def _wanted_cells(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray,
-                  scratch: _Scratch) -> bytes:
-    """The digits of the cells of the bytes ``raw`` that start at ``starts``
-    and end at the separators at ``stops``, each ended by a comma. The
-    gather's positions: one after the last, or, at a cell's first, its start."""
-    bounds = np.cumsum(stops + 1 - starts)
+                  scratch: _Scratch) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of the cells of ``raw`` that start at ``starts`` and end
+    at the separators at ``stops``, end to end, each ended by a comma, and
+    the positions of those commas. The gather's positions: one after the
+    last, or, at a cell's first, its start."""
+    bounds = np.subtract(stops, starts, out=scratch("bounds", stops.size, np.intp))
+    bounds += 1
+    np.cumsum(bounds, out=bounds)
     at = scratch("index", int(bounds[-1]), np.intp)
     at.fill(1)
     at[0] = starts[0]
     at[bounds[:-1]] = starts[1:] - stops[:-1]
     gathered = raw.take(np.cumsum(at, out=at), out=scratch("cells", at.size, np.uint8),
                         mode="clip")
-    gathered[bounds - 1] = ord(",")
-    return gathered.tobytes().translate(None, b".-")
+    bounds -= 1
+    gathered[bounds] = ord(",")
+    return gathered, bounds
 
 
 def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
@@ -376,7 +442,8 @@ def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
     (of ``columns``, 0 first, when given: the others are proved, not
     converted), each the double nearest its decimal, as ``float()`` and
     numpy's reader give it; None when the body is not one this kernel
-    takes. The proof uses ``scratch``'s arrays.
+    takes. The table, the proof and every array of one value per cell are
+    ``scratch``'s arrays.
 
     It takes a body ``_proof`` accepts whose cells read hold no exponent
     mark, each of at most 19 significant digits and 27 after the point. A
@@ -390,40 +457,62 @@ def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
     quarter of it below a power of two. The minus a line may start with is
     set on its first cell last.
     """
-    scratch = scratch or _Scratch()
+    scratch = _Scratch() if scratch is None else scratch
     raw = _ended(body)
     cells = _proof(raw, width, scratch) if _WIDE_LONG_DOUBLE else None
     if cells is None:
         return None
     marks, kinds, at, signs = cells
-    read = None if columns is None else (np.arange(0, at.size, width)[:, None] + columns).ravel()
-    seps = at if read is None else at.take(read)  # the mark that ends each cell read
-    stops = marks.take(seps)
+    if columns is None:
+        read, seps = None, at  # the mark that ends each cell read
+    else:
+        lines = at.size // width
+        read = scratch("read", lines * len(columns), np.intp)
+        np.add(np.arange(0, at.size, width)[:, None], columns,
+               out=read.reshape(lines, len(columns)))
+        seps = at.take(read, out=scratch("seps", read.size, np.intp), mode="clip")
+    n = seps.size
+    stops = marks.take(seps, out=scratch("stops", n, np.intp), mode="clip")
     # The mark before each separator: a point, or one that marks no fraction
     # (before a first cell without one, the body's last newline, wrapped).
-    last = kinds.take(seps - 1, mode="wrap")
-    fraction = stops - marks.take(seps - 1, mode="wrap") - 1
-    fraction[last != 0] = 0
-    fraction[(last > 0) & (last < 4)] = 99  # an exponent's: more than the kernel takes
+    prior = np.subtract(seps, 1, out=scratch("prior", n, np.intp))
+    last = kinds.take(prior, mode="wrap", out=scratch("last", n, np.uint8))
+    fraction = marks.take(prior, mode="wrap", out=scratch("fraction", n, np.intp))
+    np.subtract(stops, fraction, out=fraction)
+    fraction -= 1
+    flag = scratch("flag", n, np.bool_)
+    np.copyto(fraction, 0, where=np.not_equal(last, 0, out=flag))
+    last -= 1  # an exponent's (1 to 3): more than the kernel takes
+    np.copyto(fraction, 99, where=np.less(last, 3, out=flag))
     if fraction.max() > 27:
         return None
     if read is None:
-        digits = raw.tobytes().translate(_NEWLINE_TO_COMMA, b".-")
+        text, ends = raw, stops
     else:  # a cell starts after the separator before it
-        starts = marks.take(at.take(read - 1)) + 1
+        np.subtract(read, 1, out=prior)
+        cut = at.take(prior, mode="wrap", out=scratch("cut", n, np.intp))
+        starts = marks.take(cut, out=prior, mode="clip")
+        starts += 1
         starts[0] = 0
-        digits = _wanted_cells(raw, starts, stops, scratch)
-    whole = np.fromstring(digits, dtype=np.uint64, count=fraction.size, sep=",")
+        text, ends = _wanted_cells(raw, starts, stops, scratch)
+    whole = _integers(text, ends, scratch("whole", n, np.uint64))
     # np.fromstring saturates a D of 2**64 or more to 2**64 - 1, without a word.
     if whole.max() >= 10**19:
         return None
-    quotient = whole.astype(np.longdouble)
-    quotient /= _TENS[fraction]
-    table = quotient.astype(float)
+    quotient = _TENS.take(fraction, out=scratch("quotient", n, np.longdouble), mode="clip")
+    np.divide(whole, quotient, out=quotient)
+    table = scratch("table", n, float)
+    np.copyto(table, quotient, casting="same_kind")
     quotient -= table
-    r = quotient.astype(float)
-    spacing = np.spacing(table)
-    midway = (r != 0) & ((np.abs(r) == spacing / 2) | (r == spacing / -4))
+    r = scratch("r", n, float)
+    np.copyto(r, quotient, casting="same_kind")
+    spacing = np.spacing(table, out=scratch("spacing", n, float))
+    # The midpoints: r != 0 and |r| == spacing / 2 or r == spacing / -4.
+    test = np.divide(spacing, -4, out=scratch("test", n, float))
+    other = np.equal(r, test, out=scratch("flag2", n, np.bool_))
+    np.divide(spacing, 2, out=spacing)
+    np.logical_or(np.equal(np.abs(r, out=test), spacing, out=flag), other, out=flag)
+    midway = np.logical_and(flag, np.not_equal(r, 0, out=other), out=flag)
     for i in np.flatnonzero(midway).tolist() if midway.any() else ():
         k = i if read is None else int(read[i])
         table[i] = float(raw[marks[at[k - 1]] + 1 if k else 0:stops[i]].tobytes())
@@ -486,78 +575,133 @@ def _table(header: tuple[str, ...], body, wanted: frozenset[str] | None = None
 
 # A trace file the fast read took: its header, the shape of the table it
 # gives (samples x columns, timestamps first, then the wanted counters),
-# and its body (any buffer), not yet converted, ended by a newline.
-_Trace = tuple[tuple[str, ...], tuple[int, int], memoryview]
+# and the size of its body, which its kind's block holds, not yet
+# converted, ended by a newline.
+_Trace = tuple[tuple[str, ...], tuple[int, int], int]
 
 
 class _Text:
     """The bodies of one kind of trace (of which the counters in ``wanted``
-    are read, all when None) of the block being read: the last file read,
-    and the bodies of the block's runs end to end. Both bytearrays are
-    reused from file to file and block to block, so a block's text is
-    joined as its runs join it."""
+    are read, all when None) of the block being read, end to end in one
+    bytearray reused from block to block: the bodies of the block's runs,
+    up to ``used``, then those of the run being read. Each file is read
+    once, its header line into ``head`` and the rest onto the block's end:
+    ``head`` is as long as the last header taken, so a file that repeats
+    that header lands with its body in place. A header byte-equal to one
+    already taken is not decoded, split or checked again; a file read with
+    another is moved into place. Power traces (``power``) must have one of
+    the power headers, counter traces a counter-name check that passes."""
 
-    def __init__(self, wanted: frozenset[str] | None):
-        self.wanted, self.used = wanted, 0  # used: bytes of the block's bodies
-        self.file, self.block = bytearray(1 << 16), bytearray(1 << 16)
+    def __init__(self, wanted: frozenset[str] | None, power: bool = False):
+        self.wanted, self.power = wanted, power
+        self.block, self.used, self.end = bytearray(1 << 16), 0, 0  # end: the read run's bodies
+        self.head = bytearray()
+        self.last: tuple[bytes, tuple[str, ...], int] | None = None  # line, header, width
+        self.taken: dict[bytes, tuple[tuple[str, ...], int]] = {}
+        self.scratch = _Scratch()
 
-    def read(self, path: str, scratch: _Scratch) -> _Trace | None:
-        """The trace of the file at ``path``, read into ``file``, its line
-        ends read and its header decoded as ``decode_utf8`` reads them, when
-        the fast read may take it: a body, a header the csv reader splits,
-        of two or more fields led by ``ts_ms``, and no line longer than the
-        csv field size limit (a byte neither the proof nor numpy's reader
-        takes sends the body to the line parser later); else None."""
-        self.file, size = read_into(path, "trace", self.file)
-        data = self.file
-        if data.find(b"\r", 0, size) >= 0:
-            text = data[:size].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            size = len(text)
-            data[:size] = text
-        end = data.find(b"\n", 0, size)
-        if end < 0 or end + 1 == size:
-            return None  # no body
-        if data[size - 1] != ord("\n"):
-            data[size] = ord("\n")
-            size += 1
-        head = decode_utf8(data[:end], ParseError, path)
-        limit = csv.field_size_limit()
-        header = None if '"' in head else _split_header(head, limit)
-        if header is None or len(header) < 2 or header[0] != "ts_ms":
-            return None
-        start = end + 1
-        body = memoryview(data)[start:size]
-        while size - start > limit:  # start is a line's, the ones before no longer than the limit
-            start = data.rfind(b"\n", start, start + limit + 1) + 1
-            if not start:
+    def read(self, path: str) -> _Trace | None:
+        """The trace of the file at ``path``, its body placed after the
+        block's, its line ends read and its header decoded as
+        ``decode_utf8`` reads them, when the fast read may take it: a body,
+        a header the csv reader splits, of two or more fields led by
+        ``ts_ms``, that passes its kind's check, and no line longer than
+        the csv field size limit (a byte neither the proof nor numpy's
+        reader takes sends the body to the line parser later); else None.
+        A header that fails the counter-name check raises its ParseError."""
+        head, start = self.head, self.used
+        self.block, size = read_into(path, "trace", self.block, start, head)
+        if size > len(head) and self.last is not None and head == self.last[0]:
+            header, width = self.last[1:]
+            end = start + size - len(head)
+        else:
+            taken = self._take_header(path, size)
+            if taken is None:
                 return None
-        columns = None if self.wanted is None else _wanted_columns(header, self.wanted)
+            header, width, end = taken
+        data = self.block
+        if data.find(b"\r", start, end) >= 0:
+            text = data[start:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            end = start + len(text)
+            data[start:end] = text
+        if data[end - 1] != ord("\n"):
+            data[end] = ord("\n")
+            end += 1
+        limit = csv.field_size_limit()
+        line = start
+        # line is a line's start, the ones before no longer than the limit.
+        while end - line > limit:
+            line = data.rfind(b"\n", line, line + limit + 1) + 1
+            if not line:
+                return None
         # numpy counts the lines about four times as fast as bytes.count.
-        raw = np.frombuffer(body, dtype=np.uint8)
-        rows = np.count_nonzero(np.equal(raw, ord("\n"), out=scratch("rows", raw.size, np.bool_)))
-        return header, (rows, len(columns or header)), body
+        raw = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
+        rows = np.count_nonzero(np.equal(raw, ord("\n"),
+                                         out=self.scratch("rows", raw.size, np.bool_)))
+        self.end = end
+        return header, (rows, width), end - start
 
-    def join(self, trace: _Trace) -> _Trace:
-        """``trace``, its body copied after the block's others."""
-        header, shape, body = trace
-        end = self.used + len(body)
-        if end > len(self.block):
-            self.block = self.block[:self.used] + bytearray(end + end // 4 - self.used)
-        self.block[self.used:end] = body
-        body, self.used = memoryview(self.block)[self.used:end], end
-        return header, shape, body
+    def _take_header(self, path: str, size: int) -> tuple[tuple[str, ...], int, int] | None:
+        """For a file of ``size`` bytes just read whose header line ``head``
+        did not match: its header, the number of columns its table reads
+        and the index its body ends at, the body, its line ends read, moved
+        to the block's end; None when the fast read declines the file."""
+        data, start, k = self.block, self.used, len(self.head)
+        read = bytes(self.head[:size]) + data[start:start + max(size - k, 0)]
+        text = read.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in read else read
+        cut = text.find(b"\n") + 1
+        if not cut or cut == len(text):
+            return None  # no body
+        line = text[:cut]
+        taken = self.taken.get(line)
+        if taken is None:
+            head = decode_utf8(line[:-1], ParseError, path)
+            header = None if '"' in head else _split_header(head, csv.field_size_limit())
+            if header is None or len(header) < 2 or header[0] != "ts_ms":
+                return None
+            if self.power and header not in _POWER_HEADERS:
+                return None
+            if not self.power:
+                _check_header_names(header[1:])
+            columns = None if self.wanted is None else _wanted_columns(header, self.wanted)
+            taken = header, len(columns or header)
+        if read.startswith(line):  # a line with no carriage return is taken by its bytes
+            self.taken[line] = taken
+            self.last, self.head = (line, *taken), bytearray(cut)
+        end = start + len(text) - cut
+        if end >= len(data):
+            self.block = data = data[:start] + bytearray(end + end // 4 + 1 - start)
+        data[start:end] = memoryview(text)[cut:]
+        return (*taken, end)
 
-    def stacked(self, traces: list[_Trace], scratch: _Scratch) -> np.ndarray | None:
-        """``_stacked`` of the block's ``traces``."""
-        return _stacked(traces, self.wanted, scratch, memoryview(self.block)[:self.used])
+    def take(self, trace: _Trace) -> None:
+        """Add the body of ``trace``, the last file read, to the block."""
+        self.used += trace[2]
+
+    def restart(self) -> None:
+        """Empty the block, moving the bodies read after it to its start."""
+        size = self.end - self.used
+        if size:
+            view = memoryview(self.block)
+            view[:size] = view[self.used:self.end]
+        self.used, self.end = 0, size
+
+    def stacked(self, traces: list[_Trace]) -> np.ndarray | None:
+        """``_stacked`` of the block's ``traces``, each with its body."""
+        view, at, bodies = memoryview(self.block), 0, []
+        for header, shape, size in traces:
+            bodies.append((header, shape, view[at:at + size]))
+            at += size
+        return _stacked(bodies, self.wanted, self.scratch, view[:at])
 
 
-def _stacked(traces: list[_Trace], wanted: frozenset[str] | None, scratch: _Scratch,
+def _stacked(traces: list, wanted: frozenset[str] | None, scratch: _Scratch,
              text) -> np.ndarray | None:
     """The tables of traces of one header and shape (runs x samples x
-    columns) holding the counters in ``wanted`` (all when None):
-    ``_decimal_table`` of their bodies joined (``text``), else ``_table``
-    file by file, else None."""
+    columns), each given as its header, shape and body, holding the
+    counters in ``wanted`` (all when None): ``_decimal_table`` of their
+    bodies joined (``text``), in ``scratch``'s arrays, else ``_table`` file
+    by file, else None."""
     header, shape, _ = traces[0]
     columns = None if wanted is None else _wanted_columns(header, wanted)
     table = _decimal_table(text, len(header), columns, scratch)
@@ -753,38 +897,33 @@ def _read_trace(parse, path: Path, what: str):
         raise ParseError(f"{path}: {exc}") from None
 
 
-# The counter tables of one block of runs hold at most this many cells
-# (64 KB of float64), and its trace bodies at most BLOCK_BYTES of text,
-# unless one run holds more, so the memory ingest takes does not grow with
-# the campaign. A read of a few counters converts few cells of much text.
-# The text, its byte mask and digit counts live in arrays the blocks reuse,
-# about four times the text; the proof's positions are allocated per block.
-BLOCK_CELLS = 1 << 13
+# The trace bodies of one block of runs hold at most this much text, unless
+# one run holds more, so the memory ingest takes does not grow with the
+# campaign. Each kind of trace keeps its text and the kernel's arrays from
+# block to block (see _Scratch): a byte of text, 21 bytes a mark (a byte
+# that is not a digit) and 100 a cell, each array with a quarter to spare.
+# The worst case is a body of one-digit cells, a mark and a cell every two
+# bytes: about 77 bytes of memory a byte of text, so a full read peaks at
+# about 80 x BLOCK_BYTES (40 MiB) besides its manifest and datasets. A read
+# of some counters gathers the cells it reads, at up to 50 bytes more a
+# cell read: up to about 110 x BLOCK_BYTES when it reads all counters but
+# one. Train-deep's cells, 17 bytes each, take about 12 bytes a byte of text.
 BLOCK_BYTES = 1 << 19
 
 
-@dataclass(frozen=True, eq=False)
-class _FastRun:
+class _FastRun(NamedTuple):
     """A manifest run whose trace files the fast read took, the samples not
     yet checked: its power trace and its counter traces by kind (its
-    counter trace, then its aux trace, None without one)."""
+    counter trace, then its aux trace, None without one); its key, the
+    headers and shapes of its traces (runs of equal keys stack into one
+    block); and the bytes of its bodies."""
 
     index: int
     meta: RunMeta
     power: _Trace
     traces: tuple[_Trace, _Trace | None]
-
-    def key(self) -> tuple:
-        """Runs of equal keys stack into one block."""
-        return tuple((header, shape)
-                     for header, shape, _ in filter(None, (self.power, *self.traces)))
-
-    def cells(self) -> int:
-        """The cells of its counter tables."""
-        return sum(math.prod(shape) for _, shape, _ in filter(None, self.traces))
-
-    def text_bytes(self) -> int:
-        return sum(len(body) for _, _, body in filter(None, (self.power, *self.traces)))
+    key: tuple
+    size: int
 
     def names(self) -> list[tuple[str, ...] | None]:
         """The counter names of its counter traces, by kind."""
@@ -824,7 +963,7 @@ class _Campaign:
         self.rates: tuple[list[np.ndarray], ...] = ([], [])
         self.currents: tuple[list[np.ndarray], ...] = ([], [])
         self.names: list[tuple[str, ...] | None] = [None, None]
-        self.scratch, self.power_text = _Scratch(), _Text(None)
+        self.power_text = _Text(None, power=True)
         self.texts = tuple(_Text(kept) for kept in wanted)
 
     def _add_row(self, kind: int, trace: CounterTrace, power: PowerTrace, where: str) -> None:
@@ -863,41 +1002,39 @@ class _Campaign:
 
     def fast_read(self, i: int) -> _FastRun | None:
         """Run ``i`` with its files read, each in one pass, by the fast
-        read, their bodies kept until the next fast read; None when its
-        entry or a file cannot be read, the fast read declines a file, or a
-        header would raise."""
+        read, their bodies placed after the block's but not added to it;
+        None when its entry or a file cannot be read, the fast read declines
+        a file, or a header would raise."""
         try:
             run = _manifest_run(self.runs[i], i)
             counters, power, aux = (
-                None if name is None else text.read(os.path.join(self.base_dir, name), self.scratch)
+                None if name is None else text.read(os.path.join(self.base_dir, name))
                 for text, name in ((self.texts[0], run.counter_file),
                                    (self.power_text, run.power_file),
                                    (self.texts[1], run.aux_counter_file)))
-            if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
-                return None
-            for header, _, _ in filter(None, (counters, aux)):
-                _check_header_names(header[1:])
         except (PmcPowerError, OSError):
             return None
-        if power[0] not in _POWER_HEADERS:
+        if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
             return None
-        return _FastRun(i, run.meta, power, (counters, aux))
+        key = (power[:2], counters[:2], aux and aux[:2])
+        return _FastRun(i, run.meta, power, (counters, aux), key,
+                        power[2] + counters[2] + (aux[2] if aux else 0))
 
-    def join(self, run: _FastRun) -> _FastRun:
-        """``run``, its bodies copied after those of the block's other runs."""
-        return _FastRun(run.index, run.meta, self.power_text.join(run.power),
-                        tuple(None if trace is None else text.join(trace)
-                              for text, trace in zip(self.texts, run.traces)))
+    def take(self, run: _FastRun) -> None:
+        """Add the bodies of ``run``, the last run read, to the block."""
+        for text, trace in zip((self.power_text, *self.texts), (run.power, *run.traces)):
+            if trace is not None:
+                text.take(trace)
 
     def add_block(self, block: list[_FastRun]) -> None:
         """Convert, check and aggregate a block of runs that share a key at
-        once. When a file does not convert, a check fails or a run's
-        aggregation would raise, the block's runs are read again by
-        ``add_run``, so the first fault in manifest order raises as it
-        words it."""
+        once, then start the next block with the bodies read after it. When
+        a file does not convert, a check fails or a run's aggregation would
+        raise, the block's runs are read again by ``add_run``, so the first
+        fault in manifest order raises as it words it."""
         rows = self._block_rows(block)
         for text in (self.power_text, *self.texts):
-            text.used = 0
+            text.restart()
         if rows is None:
             for run in block:
                 self.add_run(run.index)
@@ -916,9 +1053,9 @@ class _Campaign:
         first = block[0]
         if self.metas and first.names() != self.names:
             return None
-        tables = [text.stacked([run.traces[kind] for run in block], self.scratch)
+        tables = [text.stacked([run.traces[kind] for run in block])
                   for kind, text in enumerate(self.texts) if first.traces[kind] is not None]
-        power = self.power_text.stacked([run.power for run in block], self.scratch)
+        power = self.power_text.stacked([run.power for run in block])
         if power is None or any(table is None for table in tables):
             return None
         if not (all(_samples_pass(table, table[:, :, 1:]) for table in tables)
@@ -955,12 +1092,14 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     bytes, not converted; a block they do not prove is read in full.
 
     Ingest has two readers. The fast one reads blocks: consecutive runs
-    whose traces share their headers and shapes, of at most BLOCK_CELLS
-    converted counter cells and BLOCK_BYTES of trace text. Each kind of
-    trace of a block is proved and converted in one structural pass over
-    its bodies joined (``_decimal_table``, else ``_table`` file by file),
-    in arrays reused from block to block; its samples are checked and its
-    runs aggregated at once. An aux trace takes the counter trace's path.
+    whose traces share their headers and shapes, of at most BLOCK_BYTES of
+    trace text. Each trace file is read once, its body straight onto the
+    end of its kind's block (``_Text``), and a header it repeats is taken
+    by its bytes. Each kind of trace of a block is proved and converted in
+    one structural pass over its bodies (``_decimal_table``, else
+    ``_table`` file by file), in arrays reused from block to block; its
+    samples are checked and its runs aggregated at once. An aux trace
+    takes the counter trace's path.
     The worded one, the csv line parser of ``parse_counter_trace`` and
     ``parse_power_trace``, reads a run the fast read cannot take and every
     run of a block that fails, alone, so a fault raises as the first one
@@ -978,20 +1117,18 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     campaign = _Campaign(runs, path.parent, tuple(
         None if names is None else frozenset(names) for names in (counters, aux_counters)))
     block: list[_FastRun] = []
-    cells = text = 0
+    text = 0
     for i in range(len(runs)):
         run = campaign.fast_read(i)
-        if block and (run is None or run.key() != block[0].key()
-                      or cells + run.cells() > BLOCK_CELLS
-                      or text + run.text_bytes() > BLOCK_BYTES):
+        if block and (run is None or run.key != block[0].key or text + run.size > BLOCK_BYTES):
             campaign.add_block(block)
-            block, cells, text = [], 0, 0
+            block, text = [], 0
         if run is None:
             campaign.add_run(i)
         else:
-            block.append(campaign.join(run))
-            cells += run.cells()
-            text += run.text_bytes()
+            campaign.take(run)
+            block.append(run)
+            text += run.size
     if block:
         campaign.add_block(block)
     return campaign.datasets()

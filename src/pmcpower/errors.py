@@ -80,21 +80,28 @@ def _opened(path, what: str) -> tuple[int, int]:
     return fd, info.st_size
 
 
-def read_into(path, what: str, buffer: bytearray) -> tuple[bytearray, int]:
-    """The bytes of the ``what`` file at ``path``, in one open and one read,
-    read into ``buffer`` from its start, or into a larger bytearray when
-    ``buffer`` cannot hold the file and a byte more: that bytearray and the
-    number of bytes read. ``buffer`` is not resized. A read that does not
-    fill the buffer ends at the end of the file. A path that names no
+def read_into(path, what: str, buffer: bytearray, start: int = 0, head: bytearray | None = None
+              ) -> tuple[bytearray, int]:
+    """The bytes of the ``what`` file at ``path``, in one open and one read:
+    the first ``len(head)`` into ``head`` when given, the rest into
+    ``buffer`` from ``start``, or into a larger bytearray, holding a copy of
+    ``buffer``'s first ``start`` bytes, when ``buffer`` cannot hold them and
+    a byte more: that bytearray and the number of bytes read, ``head``'s
+    included. Neither ``buffer`` nor ``head`` is resized. A read that does
+    not fill the buffer ends at the end of the file. A path that names no
     regular file raises as ``_opened`` words it."""
     fd, size = _opened(path, what)
+    skip = 0 if head is None else len(head)
     try:
-        if len(buffer) <= size:
-            buffer = bytearray(size + size // 4 + 1)
-        read = os.readv(fd, [buffer])
-        while read == len(buffer):  # the file grew as it was read
+        if len(buffer) - start <= max(size - skip, 0):
+            grown = bytearray((start + size) * 5 // 4 + 1)
+            grown[:start] = memoryview(buffer)[:start]
+            buffer = grown
+        rest = memoryview(buffer)[start:]
+        read = os.readv(fd, [rest] if head is None else [head, rest])
+        while read == skip + len(buffer) - start:  # the file grew as it was read
             buffer = buffer + bytes(len(buffer))
-            read += os.readv(fd, [memoryview(buffer)[read:]])
+            read += os.readv(fd, [memoryview(buffer)[start + read - skip:]])
     finally:
         os.close(fd)
     return buffer, read

@@ -392,6 +392,49 @@ class TestBadInputExit2:
         assert proc.stdout == ""
 
 
+class TestTraceFaultsNameTheFile:
+    """A fault planted in one trace file of a campaign exits 2 with one
+    ``error:`` line that names the file, and the line of a sample fault."""
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("kind", ["counter_file", "power_file"])
+    @pytest.mark.parametrize("fault", ["non_finite", "ragged", "bad_header", "missing"])
+    def test_error_names_the_file(self, tmp_path, small_campaign, command, kind, fault):
+        manifest, model = small_campaign
+        data = tmp_path / "data"
+        shutil.copytree(manifest.parent, data)
+        manifest = data / manifest.name
+        path = data / json.loads(manifest.read_text())["runs"][7][kind]
+        lines = path.read_text().splitlines(keepends=True)
+        if fault == "non_finite":
+            cells = lines[3].rstrip("\n").split(",")
+            cells[1] = "inf"
+            lines[3] = ",".join(cells) + "\n"
+        elif fault == "ragged":
+            lines[2] = lines[2].rstrip("\n") + ",1.5\n"
+        elif fault == "bad_header":
+            lines[0] = "time" + lines[0][len("ts_ms"):]
+        path.write_text("".join(lines))
+        if fault == "missing":
+            path.unlink()
+        argv = [command, "--manifest", str(manifest), "--output-dir", str(tmp_path / "out")]
+        if command == "eval":
+            argv[1:1] = ["--model", str(model)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 2
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        expected = {
+            "non_finite": f"{path}: line 4: non-finite value in column ",
+            "ragged": f"{path}: line 3: column mismatch ",
+            "bad_header": f"{path}: line 1: expected 'ts_ms' as first column",
+            "missing": f"{kind.split('_')[0]} trace not found: {path}",
+        }[fault]
+        assert lines[0].startswith(f"error: {expected}"), lines
+
+
 class TestTooFewRecords:
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_error_names_the_count_and_the_split(self, tmp_path, command, capsys):

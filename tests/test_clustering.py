@@ -285,6 +285,17 @@ class TestWardMatchesReference:
         with pytest.raises(ClusteringError, match="^feature matrix holds non-finite values$"):
             ward_cluster(z, check_normalized=False)
 
+    def test_rejects_an_overflowing_distance(self):
+        # Finite values whose distance overflows: the loop merged leaf 0
+        # with itself at height inf, then at height NaN.
+        z = np.array([[1e160, -1e160, 0.0], [2e160, 1.0, 3.0]])
+        with pytest.raises(ClusteringError,
+                           match="^distance between columns 'f00000' and 'f00001' overflows"):
+            ward_cluster(z, check_normalized=False)
+        # The first pair in input order is named, copies aside.
+        with pytest.raises(ClusteringError, match="'a' and 'c' overflows"):
+            ward_cluster(z[:, [2, 0, 0, 1]], ["a", "c", "d", "b"], check_normalized=False)
+
 
 def _takes_collapse(z, names) -> bool:
     """Whether ward_cluster merges z's bit-equal columns before its loop."""

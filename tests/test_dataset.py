@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
@@ -984,7 +985,9 @@ class Campaign:
 def campaigns(draw):
     """A campaign of mixed sample counts, a voltage column or none and aux
     counter traces or none, with up to three faults, each planted in a
-    trace, an aux trace or an entry of a run; and a block size in cells."""
+    trace, an aux trace or an entry of a run; and a block size in bytes of
+    text: a run holds about 300 to 1,000, so blocks hold one run, one or
+    two, two or three, about three, or every run."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = draw(st.sampled_from([(6,), (6,), (4, 6), (2, 5, 9)]))
     n_runs = draw(st.integers(1, 13))
@@ -997,7 +1000,7 @@ def campaigns(draw):
                   "power": POWER_FAULTS, "entry": ENTRY_FAULTS}[where]
         campaign.plant(draw(st.integers(0, n_runs - 1)), where, draw(st.sampled_from(faults)),
                        draw(st.integers(1, 9)), draw(st.integers(1, 3)))
-    return campaign, draw(st.sampled_from([1, 30, 60, 100, dataset.BLOCK_CELLS]))
+    return campaign, draw(st.sampled_from([1, 700, 1_400, 2_100, dataset.BLOCK_BYTES]))
 
 
 def _loaded(load, manifest):
@@ -1035,10 +1038,10 @@ def _loadtxt_calls():
         yield calls
 
 
-def _assert_loads_as_reference(campaign: Campaign, cells: int, expect_ok=False):
+def _assert_loads_as_reference(campaign: Campaign, block_bytes: int, expect_ok=False):
     with tempfile.TemporaryDirectory() as tmp:
         manifest = campaign.write(Path(tmp))
-        with mock.patch.object(dataset, "BLOCK_CELLS", cells):
+        with mock.patch.object(dataset, "BLOCK_BYTES", block_bytes):
             got = _loaded(load_manifest, manifest)
         assert got == _loaded(load_manifest_reference, manifest)
     assert isinstance(got, list) or not expect_ok, got
@@ -1054,8 +1057,9 @@ class TestLoadManifestMatchesReference:
     def test_campaigns(self, campaign):
         _assert_loads_as_reference(*campaign)
 
-    # Seven runs of 6 samples x 3 columns plus a 6 x 2 aux table: 30 cells,
-    # so blocks of 100 cells hold runs 0-2, 3-5 and 6.
+    # Seven runs of 6 samples x 3 columns, an 8 x 3 power table and a 6 x 2
+    # aux table: about 690 bytes of text, so blocks of 2,100 bytes hold runs
+    # 0-2, 3-5 and 6.
     @pytest.mark.parametrize("run", [0, 1, 2, 3, 6])
     @pytest.mark.parametrize("where, fault", [
         *(("counter", f) for f in COUNTER_FAULTS),
@@ -1067,18 +1071,124 @@ class TestLoadManifestMatchesReference:
     def test_planted_fault(self, run, where, fault):
         campaign = Campaign(np.random.default_rng(run), [6] * 7)
         campaign.plant(run, where, fault, r=3)
-        _assert_loads_as_reference(campaign, 100)
+        _assert_loads_as_reference(campaign, 2_100)
 
-    @pytest.mark.parametrize("cells", [1, 100, 10_000])
-    def test_mixed_sample_counts(self, cells):
-        rng = np.random.default_rng(cells)
+    @pytest.mark.parametrize("block_bytes", [1, 2_100, 300_000])
+    def test_mixed_sample_counts(self, block_bytes):
+        rng = np.random.default_rng(block_bytes)
         campaign = Campaign(rng, rng.choice([3, 6, 11], 23).tolist(), voltage=False)
-        _assert_loads_as_reference(campaign, cells, expect_ok=True)
+        _assert_loads_as_reference(campaign, block_bytes, expect_ok=True)
 
     def test_wide_blocks(self):
-        # 150 runs of 11 x 41 cells: blocks of 5,000 cells hold 11 runs.
+        # 150 runs of 11 x 41 cells, about 6,000 bytes of text: blocks of
+        # 64,000 bytes hold 10 or 11 runs.
         campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40, aux=False)
-        _assert_loads_as_reference(campaign, 5_000, expect_ok=True)
+        _assert_loads_as_reference(campaign, 64_000, expect_ok=True)
+
+
+def _header_cells(campaign: Campaign, i: int, where: str, cells) -> None:
+    """Write ``cells`` as the header of run ``i``'s ``where`` file."""
+    campaign.traces[i][where][0] = list(cells)
+
+
+class TestEachFileReadOntoItsBlock:
+    """Each trace file is read once onto its block's end, a header it
+    repeats taken by its bytes: runs whose headers differ only in bytes,
+    line ends, and files the fast read declines or cannot read, anywhere
+    after a block's first run, give the one-run loader's datasets bit for
+    bit and its first error word for word."""
+
+    @pytest.mark.parametrize("block_bytes", [2_100, dataset.BLOCK_BYTES])
+    @pytest.mark.parametrize("spelling", [
+        ("ts_ms", " c0", "c1 "),  # spaces the header's split strips
+        ('"ts_ms"', '"c0"', "c1"),  # quotes: the line parser reads the run
+        ("ts_ms", "c0", "c1", ""),  # a trailing comma: an empty counter name
+        ("ts_ms ", "c0", "c1"),
+    ])
+    def test_headers_that_differ_in_bytes(self, block_bytes, spelling):
+        campaign = Campaign(np.random.default_rng(4), [6] * 9)
+        for i in (2, 3, 6):
+            _header_cells(campaign, i, "counter", spelling)
+        _header_cells(campaign, 5, "aux", [" ts_ms", "cycles"])
+        _header_cells(campaign, 4, "power", ["ts_ms", "current_ma ", "voltage_v"])
+        ok = spelling[-1] != ""
+        _assert_loads_as_reference(campaign, block_bytes, expect_ok=ok)
+
+    @pytest.mark.parametrize("run", [1, 3, 8])
+    @pytest.mark.parametrize("where", ["counter", "power", "aux"])
+    def test_crlf_file_in_a_block(self, run, where):
+        campaign = Campaign(np.random.default_rng(run), [6] * 9)
+        campaign.plant(run, where, "crlf")
+        _assert_loads_as_reference(campaign, dataset.BLOCK_BYTES, expect_ok=True)
+
+    @pytest.mark.parametrize("run", [1, 4, 8])
+    @pytest.mark.parametrize("where", ["counter", "power", "aux"])
+    @pytest.mark.parametrize("fault", ["quoted", "header_only", "blank_body", "missing",
+                                       "directory", "not_utf8_header"])
+    def test_declined_or_unreadable_file_after_the_first_run(self, run, where, fault):
+        # A run's earlier files are read onto their blocks before a later
+        # one is declined: the blocks must not keep them.
+        campaign = Campaign(np.random.default_rng(run), [6] * 9)
+        rows = campaign.traces[run][where]
+        if fault == "header_only":
+            del rows[1:]
+        elif fault == "blank_body":
+            rows[1:] = [[]]
+        elif fault == "not_utf8_header":
+            rows[0][-1] = "zq9"  # becomes c and a byte UTF-8 does not start with
+        elif fault != "directory":
+            campaign.plant(run, where, fault)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = campaign.write(Path(tmp))
+            path = Path(tmp) / f"r{run}.{where}.csv"
+            if fault == "directory":
+                path.unlink()
+                path.mkdir()
+            elif fault == "not_utf8_header":
+                path.write_bytes(path.read_bytes().replace(b"zq9", b"c\xff"))
+            got = _loaded(load_manifest, manifest)
+            if fault == "directory":  # the reference words it as a missing file
+                what = {"counter": "counter", "power": "power", "aux": "aux counter"}[where]
+                assert got == (IsADirectoryError, f"{what} trace is a directory: {path}")
+            else:
+                assert got == _loaded(load_manifest_reference, manifest)
+        assert isinstance(got, list) == (fault == "quoted"), got
+
+    @pytest.mark.parametrize("where, header, words", [
+        ("counter", ["ts_ms", "c0", "c0"], "duplicate counter column 'c0'"),
+        ("aux", ["ts_ms", "a*b"], "counter name 'a*b' contains '*'"),
+    ])
+    def test_failing_header_seen_again(self, where, header, words):
+        # A header that fails the counter-name check is not taken: each
+        # time it is seen, in this load or the next, it is checked again.
+        campaign = Campaign(np.random.default_rng(7), [6] * 9)
+        for i in (3, 5):
+            _header_cells(campaign, i, where, header)
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest = campaign.write(Path(tmp))
+            expected = _loaded(load_manifest_reference, manifest)
+            assert expected == (ParseError, f"{Path(tmp) / f'r3.{where}.csv'}: line 1: {words}")
+            for _ in range(2):
+                assert _loaded(load_manifest, manifest) == expected
+
+    @needs_exact_kernel
+    def test_repeated_headers_are_decoded_once(self):
+        # Runs alternate two spellings of one counter header: each spelling
+        # is decoded once, and the runs still stack into blocks.
+        campaign = Campaign(np.random.default_rng(2), [6] * 40)
+        for i in range(1, 40, 2):
+            _header_cells(campaign, i, "counter", ["ts_ms", "c0 ", "c1"])
+        decoded, real = [], dataset.decode_utf8
+
+        def spy(data, *args):
+            decoded.append(bytes(data))
+            return real(data, *args)
+
+        with mock.patch.object(dataset, "decode_utf8", spy), _loadtxt_calls() as calls:
+            _assert_loads_as_reference(campaign, dataset.BLOCK_BYTES, expect_ok=True)
+        assert calls == []
+        assert sorted(decoded) == sorted({b"ts_ms,c0,c1", b"ts_ms,c0 ,c1",
+                                          b"ts_ms,current_ma,voltage_v", b"ts_ms,cycles"})
 
 
 # Cells the line parser or the trace checks reject, and rows of the wrong
@@ -1105,10 +1215,10 @@ def _cut(datasets, wanted, aux_wanted):
     return cut(ds, wanted), cut(aux, aux_wanted)
 
 
-def _assert_subset_loads_as_full(campaign, cells, wanted, aux_wanted, expect_ok=False):
+def _assert_subset_loads_as_full(campaign, block_bytes, wanted, aux_wanted, expect_ok=False):
     with tempfile.TemporaryDirectory() as tmp:
         manifest = campaign.write(Path(tmp))
-        with mock.patch.object(dataset, "BLOCK_CELLS", cells):
+        with mock.patch.object(dataset, "BLOCK_BYTES", block_bytes):
             got = _loaded(lambda path: load_manifest(path, wanted, aux_wanted), manifest)
         full = _loaded(lambda path: _cut(load_manifest_reference(path), wanted, aux_wanted),
                        manifest)
@@ -1122,7 +1232,7 @@ def subset_campaigns(draw):
     """A campaign as ``campaigns`` draws it, with up to three more cells or
     rows planted from the faults a subset read leaves unconverted, and the
     counters and aux counters to read (a name may be one no trace holds)."""
-    campaign, cells = draw(campaigns())
+    campaign, block_bytes = draw(campaigns())
     n_runs = len(campaign.runs)
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, n_runs - 1))
@@ -1136,7 +1246,7 @@ def subset_campaigns(draw):
     names = ["c0", "c1", "c2", "zz"]
     wanted = draw(st.none() | st.frozensets(st.sampled_from(names)))
     aux_wanted = draw(st.none() | st.frozensets(st.sampled_from(["cycles", "zz"])))
-    return campaign, cells, wanted, aux_wanted
+    return campaign, block_bytes, wanted, aux_wanted
 
 
 class TestSubsetReadMatchesFullRead:
@@ -1149,16 +1259,16 @@ class TestSubsetReadMatchesFullRead:
     def test_campaigns(self, case):
         _assert_subset_loads_as_full(*case)
 
-    # Seven runs of 6 samples x 3 columns plus a 6 x 2 aux table: blocks of
-    # 100 cells hold runs 0-2, 3-5 and 6 at the full width. Only c0 is read,
-    # so column 2 (c1) and the aux cycles are never converted.
+    # Seven runs of about 690 bytes of text: blocks of 2,100 bytes hold runs
+    # 0-2, 3-5 and 6. Only c0 is read, so column 2 (c1) and the aux cycles
+    # are never converted.
     @pytest.mark.parametrize("run", [0, 2, 3, 6])
     @pytest.mark.parametrize("where", ["counter", "aux"])
     @pytest.mark.parametrize("text", UNREAD_CELL_FAULTS + UNREAD_ODD_CELLS)
     def test_cell_in_an_unread_column(self, run, where, text):
         campaign = Campaign(np.random.default_rng(run), [6] * 7)
         campaign.plant_cell(run, where, 3, 2, text)
-        _assert_subset_loads_as_full(campaign, 100, {"c0"}, ())
+        _assert_subset_loads_as_full(campaign, 2_100, {"c0"}, ())
 
     @pytest.mark.parametrize("run", [0, 2, 3, 6])
     @pytest.mark.parametrize("where", ["counter", "aux"])
@@ -1166,7 +1276,7 @@ class TestSubsetReadMatchesFullRead:
     def test_row_fault_beside_read_columns(self, run, where, fault):
         campaign = Campaign(np.random.default_rng(run), [6] * 7)
         campaign.plant(run, where, fault, r=3, c=2)
-        _assert_subset_loads_as_full(campaign, 100, {"c0"}, ())
+        _assert_subset_loads_as_full(campaign, 2_100, {"c0"}, ())
 
     @needs_exact_kernel
     def test_clean_campaign_is_proved_not_converted(self):
@@ -1187,7 +1297,7 @@ class TestSubsetReadMatchesFullRead:
 
         with mock.patch.object(dataset, "_proof", proof), \
                 mock.patch.object(dataset, "_stacked", stacked), _loadtxt_calls() as calls:
-            ds, aux = _assert_subset_loads_as_full(campaign, 5_000, {"c3", "c17", "zz"}, (),
+            ds, aux = _assert_subset_loads_as_full(campaign, 64_000, {"c3", "c17", "zz"}, (),
                                                    expect_ok=True)
         assert calls == []
         assert [n for width, n in proofs if width == 41] == blocks and len(blocks) > 1
@@ -1203,7 +1313,7 @@ class TestSubsetReadMatchesFullRead:
                 for row in rows[1:]:
                     row[0] = repr(float(row[0]) - 5000.0)
         with _loadtxt_calls() as calls:
-            _assert_subset_loads_as_full(campaign, 100, {"c0"}, (), expect_ok=True)
+            _assert_subset_loads_as_full(campaign, 2_100, {"c0"}, (), expect_ok=True)
         assert calls == []
 
     @needs_exact_kernel
@@ -1218,10 +1328,8 @@ class TestSubsetReadMatchesFullRead:
                 joined.append(len(body))
             return real(body, width, *scratch)
 
-        with mock.patch.object(dataset, "_proof", spy), \
-                mock.patch.object(dataset, "BLOCK_BYTES", 40_000):
-            _assert_subset_loads_as_full(campaign, dataset.BLOCK_CELLS, {"c3"}, (),
-                                         expect_ok=True)
+        with mock.patch.object(dataset, "_proof", spy):
+            _assert_subset_loads_as_full(campaign, 40_000, {"c3"}, (), expect_ok=True)
         assert len(joined) > 2 and max(joined) <= 40_000
 
     # One block of seven runs reads c0 and the aux cycles. Into run 1 goes a
@@ -1237,7 +1345,7 @@ class TestSubsetReadMatchesFullRead:
         campaign.plant_cell(1, "counter", 3, 1, read)
         campaign.plant_cell(4, "counter", 2, 2, unread)
         with _loadtxt_calls() as calls:
-            got = _assert_subset_loads_as_full(campaign, 10_000, {"c0"}, {"cycles"})
+            got = _assert_subset_loads_as_full(campaign, dataset.BLOCK_BYTES, {"c0"}, {"cycles"})
         if isinstance(got, list) and dataset._WIDE_LONG_DOUBLE:
             # A block falls back to numpy's reader only when the kernel
             # declines a read cell or the proof an unread one.
@@ -1250,11 +1358,11 @@ class TestSubsetReadMatchesFullRead:
         # table, and it gives what the tables read file by file give.
         campaign = Campaign(np.random.default_rng(1), [6] * 9, n_counters=2, power_first=False)
         with _loadtxt_calls() as calls:
-            got = _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"}, {"cycles"},
+            got = _assert_subset_loads_as_full(campaign, 2_100, {"c0", "c1", "zz"}, {"cycles"},
                                                expect_ok=True)
         assert calls == []
         with mock.patch.object(dataset, "_decimal_table", return_value=None):
-            declined = _assert_subset_loads_as_full(campaign, 100, {"c0", "c1", "zz"},
+            declined = _assert_subset_loads_as_full(campaign, 2_100, {"c0", "c1", "zz"},
                                                     {"cycles"}, expect_ok=True)
         assert got == declined
 
@@ -1293,30 +1401,31 @@ class TestCleanCampaignTakesTheFastRead:
 
 
 class TestReusedBuffers:
-    """A load reuses its text and proof arrays from block to block; the
+    """A load reuses its text and kernel arrays from block to block; the
     datasets it returns own their memory."""
 
     @needs_exact_kernel
     @pytest.mark.parametrize("wanted", [None, {"c1"}])
     def test_datasets_do_not_alias_the_buffers(self, wanted):
+        # About 750 bytes of text a run: blocks of two runs.
         campaign = Campaign(np.random.default_rng(8), [6] * 30, n_counters=3)
         buffers = []
-        real_scratch, real_join = dataset._Scratch.__call__, dataset._Text.join
+        real_scratch, real_stacked = dataset._Scratch.__call__, dataset._Text.stacked
 
         def scratch(self, name, size, dtype):
             array = real_scratch(self, name, size, dtype)
             buffers.append(array)
             return array
 
-        def join(self, trace):
-            buffers.extend(np.frombuffer(text, dtype=np.uint8) for text in (self.file, self.block))
-            return real_join(self, trace)
+        def stacked(self, traces):
+            buffers.extend(np.frombuffer(text, dtype=np.uint8) for text in (self.head, self.block))
+            return real_stacked(self, traces)
 
         with tempfile.TemporaryDirectory() as tmp:
             manifest = campaign.write(Path(tmp))
-            with mock.patch.object(dataset, "BLOCK_CELLS", 40), \
+            with mock.patch.object(dataset, "BLOCK_BYTES", 1_600), \
                     mock.patch.object(dataset._Scratch, "__call__", scratch), \
-                    mock.patch.object(dataset._Text, "join", join):
+                    mock.patch.object(dataset._Text, "stacked", stacked):
                 first = load_manifest(manifest, wanted, wanted and ())
                 bits = [ds.rates.tobytes() for ds in first if ds is not None]
                 second = load_manifest(manifest, wanted, wanted and ())
@@ -1326,6 +1435,99 @@ class TestReusedBuffers:
         for ds in filter(None, first):
             for array in (ds.rates, ds.total_current, ds.target_current):
                 assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+
+
+def _dense_campaign(directory: Path, runs: int, rows: int = 200, counters: int = 40) -> Path:
+    """A campaign whose counter cells are one digit each, the most cells a
+    byte of text can hold: about 16 KB of text a run."""
+    rng = np.random.default_rng(runs)
+    header = "ts_ms," + ",".join(f"c{j}" for j in range(counters)) + "\n"
+    power = "ts_ms,current_ma\n" + "".join(f"{1000 * k},{k % 9 + 1}\n" for k in range(rows))
+    entries = []
+    for i in range(runs):
+        cells = rng.integers(0, 10, (rows, counters)).tolist()
+        (directory / f"r{i}.c.csv").write_text(header + "".join(
+            f"{1000 * k}," + ",".join(map(str, row)) + "\n" for k, row in enumerate(cells)))
+        (directory / f"r{i}.p.csv").write_text(power)
+        entries.append({"benchmark": f"b{i}", "workload_type": "Compute", "frequency_hz": 1e8,
+                        "counter_file": f"r{i}.c.csv", "power_file": f"r{i}.p.csv"})
+    (directory / "manifest.json").write_text(json.dumps({"runs": entries}))
+    return directory / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def dense_campaigns(tmp_path_factory):
+    """The manifests of dense campaigns of 50 and of 500 runs."""
+    manifests = {}
+    for runs in (50, 500):
+        directory = tmp_path_factory.mktemp(f"dense{runs}")
+        manifests[runs] = _dense_campaign(directory, runs)
+    return manifests
+
+
+class TestIngestMemory:
+    """Ingest holds a bounded working set: its blocks reuse their text and
+    the kernel's arrays, so its peak does not grow with the campaign."""
+
+    @needs_exact_kernel
+    @pytest.mark.parametrize("wanted, bound", [
+        (None, 80),  # a full read
+        ({f"c{j}" for j in range(39)}, 110),  # all counters but one: the most cells gathered
+        ({"c3"}, 80),
+    ])
+    def test_peak_does_not_grow_with_the_runs(self, dense_campaigns, wanted, bound):
+        peaks = {}
+        for runs, manifest in dense_campaigns.items():
+            tracemalloc.start()
+            try:
+                ds, _ = load_manifest(manifest, wanted)
+                peaks[runs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(ds) == runs
+            # The worst cases the comment above BLOCK_BYTES states.
+            assert peaks[runs] <= bound * dataset.BLOCK_BYTES
+        # 50 runs already fill several blocks; 450 more add their manifest
+        # entries, metadata and rates, about 1 KB a run, and no block memory.
+        assert peaks[500] <= peaks[50] + 450 * 2048
+
+    @needs_exact_kernel
+    @pytest.mark.parametrize("wanted", [None, {"c3"}])
+    def test_kernel_arrays_come_from_the_scratch(self, dense_campaigns, wanted):
+        # Once a kind of trace has converted a block, a later block no
+        # larger allocates none of the kernel's arrays afresh: what the
+        # kernel allocates is a chunk's np.flatnonzero, bytes.translate or
+        # np.fromstring result, never an array of the block's text or cells.
+        manifest = dense_campaigns[500]
+        names, calls, real_call, real_table = set(), [], dataset._Scratch.__call__, \
+            dataset._decimal_table
+
+        def scratch(self, name, size, dtype):
+            names.add(name)
+            return real_call(self, name, size, dtype)
+
+        def decimal_table(body, width, columns=None, scratch=None):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = real_table(body, width, columns, scratch)
+            calls.append((width, len(body), tracemalloc.get_traced_memory()[1] - before))
+            return table
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(dataset._Scratch, "__call__", scratch), \
+                    mock.patch.object(dataset, "_decimal_table", decimal_table):
+                load_manifest(manifest, wanted)
+        finally:
+            tracemalloc.stop()
+        counter_blocks = [call for call in calls if call[0] == 41]
+        assert len(counter_blocks) > 3
+        first_width, first_text, first_rise = counter_blocks[0]
+        assert first_rise > 20 * first_text  # the scratch arrays, made once
+        for _, text, rise in counter_blocks[1:]:
+            assert text <= first_text and rise <= 8 * dataset._CHUNK + 65536
+        assert {"apart", "marks", "kinds", "at", "stops", "fraction", "whole", "quotient",
+                "table"} <= names
 
 
 @st.composite
