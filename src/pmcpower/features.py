@@ -9,6 +9,7 @@ with the target far better than either input does on its own.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -217,6 +218,130 @@ def invert_negative(ds: Dataset, alpha: float = 0.05) -> list[FeatureSpec]:
     return specs
 
 
+# Bytes of candidate rows the exact recompute builds at once: enough that
+# few numpy calls are made, small enough to stay in a core's private cache.
+_RECOMPUTE_BYTES = 512 * 1024
+
+# A Gram estimate is trusted only where every factor of its three sums (a
+# counter, a safe denominator's reciprocal, the centred target) has its
+# nonzero magnitudes within this power of two of 1 (see _gram_estimates).
+_GRAM_RANGE = 2.0**150
+
+
+def _in_gram_range(rows: np.ndarray) -> np.ndarray:
+    """Which rows have every nonzero magnitude in [1/_GRAM_RANGE, _GRAM_RANGE]
+    (so no NaN or infinity either)."""
+    size = np.abs(rows)
+    return ((size == 0.0) | ((size >= 1.0 / _GRAM_RANGE) & (size <= _GRAM_RANGE))).all(axis=-1)
+
+
+def _gram_estimates(values: np.ndarray, y: np.ndarray, safe: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of the Pearson r ``correlations`` gives each product and
+    ratio of the counter rows ``values`` (m x n) against ``y``, and a bound
+    on each estimate's distance from it: two m x (m + s) arrays, s the
+    number of ``safe`` denominators, rows that hold no zero. Entry (i, j)
+    is the product of counters i and j for j < m, and the ratio of counter
+    i over ``safe[j - m]`` for j >= m. An estimate that cannot be trusted
+    is 0 with bound inf.
+
+    The sums behind every r come from three BLAS products of X = ``values``
+    with B, the counter rows followed by the reciprocals of the safe
+    denominators: S1 = sum c from X B', S2 = sum c^2 from (X o X)(B o B)'
+    and Sy = sum c dy from (X o dy) B', where dy = y - mean(y) as
+    ``_correlate`` takes it and o is the elementwise product. Then
+    var = S2 - S1^2/n, cov = Sy - (S1/n) sum dy (the exact path centres c,
+    and sum dy is not exactly 0) and r = cov / (sqrt(var) sqrt(dy.dy)).
+
+    The bound. Let c be the column the exact path builds, x_a * x_b or
+    x_a / x_b in floats, T2 = sum c^2, V = sum (c - mean c)^2 and
+    Syy = sum dy^2 in exact arithmetic, r* = (sum c dy - mean c sum dy) /
+    sqrt(V Syy), and kappa = T2 / V, the factor by which the one-pass
+    variance loses digits to cancellation (Chan, Golub & LeVeque 1983).
+    With u = 2^-53 and g = gamma_(n+8) = (n+8)u / (1 - (n+8)u):
+
+    * Each term of a Gram sum is the matching term of c, c^2 or c dy to
+      within gamma_6, the few roundings by which x_a (1/x_b) and the
+      squares differ from the exact path's x_a / x_b and its square. An
+      inner product of n terms, in any order and with or without fused
+      multiply-adds, is within gamma_n of the sum of their magnitudes
+      (Higham 2002, §3.1). So S2 is within g T2 of T2, S1 within
+      g sum |c| <= g sqrt(n T2), and Sy within g sqrt(T2 Syy).
+    * Then var, with its three roundings, is within 4g T2 of V. The
+      estimate's mean is within 2g sqrt(T2/n) of mean c, and the computed
+      sum dy within g sqrt(n Syy) of the exact one, whose size is at most
+      sqrt(n Syy); so cov is within 5g sqrt(T2 Syy) of r* sqrt(V Syy).
+      While 4g kappa <= 1/4, the two square roots, the product and the
+      quotient then put r within 4g kappa + 10g sqrt(kappa) + 2g of r*.
+    * The exact path rounds too: its mean of c is within 2g sqrt(T2/n),
+      its sxx within 2g V of V, and its sxy within
+      (2g + 2g sqrt(kappa)) sqrt(V Syy) of r* sqrt(V Syy); so its r is
+      within 7g + 4g sqrt(kappa) of r* (the clip to [-1, 1] only brings
+      it nearer).
+
+    So the estimate is within g (4 kappa + 14 sqrt(kappa) + 9) of the
+    r ``correlations`` returns. kappa is bounded from above by
+    h / (var - 4g h), h = (1 + 3g) S2 >= T2, and the estimate is trusted
+    only where var > 20 g h, five times its error bound, so that
+    4g kappa <= 1/4. The bound is evaluated with that upper bound of
+    kappa; the few roundings of evaluating it are far inside the margins
+    taken above.
+
+    Underflow breaks the relative error of a product, so a sum that could
+    hold a subnormal term is not trusted. Where every factor's nonzero
+    magnitudes lie in [2^-150, 2^150], every term of the three sums and
+    every value of c is a normal float, and no sum of fewer than 2^60
+    terms overflows, nor do the exact path's sxx, sxy and sxx * syy. A
+    trusted candidate has V > 16 g S2 >= 16 g 2^-600 and Syy >= 2^-300, so
+    its sxx * syy is far above tiny, the smallest normal float. The exact
+    path's differences c - mean c may still square to subnormals, but each
+    adds at most u tiny, and n u tiny is far below g V. A target with fewer
+    than 3 runs, no variance or a value of dy outside that range trusts
+    nothing.
+    """
+    m, n = values.shape
+    u = 2.0**-53
+    g = (n + 8) * u / (1.0 - (n + 8) * u)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(all="ignore"):
+        dy = y - y.mean()
+        syy = float(np.dot(dy, dy))
+        # A safe denominator holds no zero, so its reciprocal is in range
+        # exactly where the denominator is.
+        in_range = _in_gram_range(values)
+        trusted = in_range[:, None] & np.concatenate([in_range, in_range[safe]])
+        second = np.concatenate([values, 1.0 / values[safe]])
+        sums = values @ second.T
+        r = (values * dy) @ second.T
+        squares = np.square(values) @ np.square(second, out=second).T
+        del second
+        trusted &= n >= 3 and syy > 0.0 and bool(_in_gram_range(dy))
+        var = np.square(sums)
+        var /= n
+        np.subtract(squares, var, out=var)
+        sums /= n  # the mean of c
+        sums *= dy.sum()
+        r -= sums  # cov
+        squares *= 1.0 + 3.0 * g  # h
+        trusted &= var > 20.0 * g * squares
+        np.multiply(squares, 4.0 * g, out=sums)
+        np.subtract(var, sums, out=sums)
+        np.divide(squares, sums, out=sums)  # kappa's upper bound
+        bound = np.sqrt(sums)
+        bound *= 14.0
+        sums *= 4.0
+        bound += sums
+        bound += 9.0
+        bound *= g
+        np.sqrt(var, out=var)
+        var *= math.sqrt(syy)
+        r /= var
+        trusted &= np.isfinite(r) & np.isfinite(bound)
+    r[~trusted] = 0.0
+    bound[~trusted] = np.inf
+    return r, bound
+
+
 def generate_combined(
     ds: Dataset,
     base_specs: Sequence[FeatureSpec],
@@ -232,13 +357,19 @@ def generate_combined(
     target, gated at p < alpha, and capped at top_k; ties break on the
     canonical spec name so the ranking is platform-stable.
 
-    Every candidate is scored with ``correlations``, one block of products
-    and one of ratios per numerator counter, so each r is the one
-    ``pearson`` gives its column, bit for bit; a candidate ``pearson``
-    rejects (a constant column such as x * (c/x)) is dropped. p is a
-    function of |r| and the gate holds on a prefix of the candidates in
-    descending |r|, so the end of that prefix is found by bisection with
-    ``pearson_p_value``. Only the candidates that can make the cut, the
+    Every candidate's r is first estimated from three BLAS products of the
+    counter rows, with a bound on its distance from the r ``pearson`` gives
+    the candidate's column (``_gram_estimates``). Only the candidates whose
+    upper bound reaches the ``top_k``-th largest lower bound, and those
+    whose estimate is not trusted, are scored again with ``correlations``,
+    their columns built with the arithmetic ``feature_column`` uses, so
+    each of their r is ``pearson``'s, bit for bit; any other candidate is
+    surely below the ``top_k`` strongest and cannot reach the output. The
+    rest runs on those exact values alone: a candidate ``pearson`` rejects
+    (a constant column such as x * (c/x)) is dropped; p is a function of
+    |r| and the gate holds on a prefix of the candidates in descending
+    |r|, so the end of that prefix is found by bisection with
+    ``pearson_p_value``; only the candidates that can make the cut, the
     ``top_k`` largest |r| and any tied with the k-th, are sorted.
     """
     if top_k < 0:
@@ -251,36 +382,54 @@ def generate_combined(
     values = np.array([ds.column(name) for name in names]).reshape(m, len(ds))
     y = ds.target_current
 
-    # Candidates as (numerator, denominator) indices into names: every
-    # product, then every ratio over a safe denominator, in the order of
-    # the canonical loops.
+    # The denominators a ratio may have, and the first ratio, in the order
+    # of the canonical loops, over one that still holds a zero (an all-zero
+    # column): it raises, as evaluating it would.
     sizes = np.abs(values)
     safe = np.flatnonzero(~(sizes.min(axis=1) < RATIO_DENOM_EPS * sizes.max(axis=1)))
-    prod_a, prod_b = np.triu_indices(m, k=1)
-    ratio_a = np.repeat(np.arange(m), safe.size)
-    ratio_b = np.tile(safe, m)
-    not_self = ratio_a != ratio_b
-    cand_a = np.concatenate([prod_a, ratio_a[not_self]])
-    cand_b = np.concatenate([prod_b, ratio_b[not_self]])
-    n_products = prod_a.size
+    zero = safe[~values[safe].all(axis=1)]
+    if m > 1 and zero.size:
+        # Counter 0 is the first numerator, unless counter 0 itself is the
+        # only such denominator; then it is counter 1 over counter 0.
+        others = zero[zero != 0]
+        a, b = (0, others[0]) if others.size else (1, 0)
+        raise FeatureError(f"zero denominator evaluating {ratio(names[a], names[b])}")
+    if m < 2 or not top_k:
+        return list(base_specs)
+
+    # Entry (i, j) of the estimates is the product of counters i and j
+    # (j < m) or the ratio of i over safe[j - m]; the candidates are the
+    # products with i < j and the ratios with i not over itself.
+    estimate, bound = _gram_estimates(values, y, safe)
+    candidate = np.zeros(estimate.shape, dtype=bool)
+    candidate[:, :m] = np.arange(m)[:, None] < np.arange(m)
+    candidate[:, m:] = safe != np.arange(m)[:, None]
+    np.abs(estimate, out=estimate)
+    lower = estimate - bound
+    lower[~candidate] = -np.inf
+    lower = lower.ravel()
+    floor = -np.inf  # the top_k-th largest lower bound
+    if top_k <= lower.size:
+        floor = np.partition(lower, lower.size - top_k)[lower.size - top_k]
+    estimate += bound  # the upper bounds
+    recompute = np.flatnonzero(candidate & (estimate >= floor))
+    num, j = np.divmod(recompute, m + safe.size)
+    is_ratio = j >= m
+    den = np.concatenate([np.arange(m), safe])[j]
+
+    # The exact r of those candidates, their columns a block of rows at a time.
+    r = np.empty(recompute.size)
+    step = max(1, _RECOMPUTE_BYTES // (8 * len(ds)))
+    with np.errstate(all="ignore"):  # correlations rejects non-finite rows
+        for op, kind in ((np.multiply, ~is_ratio), (np.divide, is_ratio)):
+            at = np.flatnonzero(kind)
+            for start in range(0, at.size, step):
+                block = at[start : start + step]
+                r[block] = correlations(op(values[num[block]], values[den[block]]), y)
 
     def spec_of(c: int) -> FeatureSpec:
-        make = product if c < n_products else ratio
-        return make(names[cand_a[c]], names[cand_b[c]])
-
-    # A safe denominator may still hold a zero (an all-zero column); the
-    # first ratio over one raises, as evaluating it would.
-    zero_ratios = np.flatnonzero(~values.all(axis=1)[cand_b[n_products:]])
-    if zero_ratios.size:
-        raise FeatureError(f"zero denominator evaluating {spec_of(n_products + zero_ratios[0])}")
-    scores = [np.empty(0)]  # so that no candidates concatenate too
-    denominators = values[safe]
-    with np.errstate(all="ignore"):  # correlations rejects non-finite rows
-        for i in range(m - 1):  # products of counter i with every later one
-            scores.append(correlations(values[i] * values[i + 1 :], y))
-        for i in range(m):  # ratios of counter i over every other safe one
-            scores.append(correlations(values[i] / denominators, y)[safe != i])
-    r = np.concatenate(scores)
+        make = ratio if is_ratio[c] else product
+        return make(names[num[c]], names[den[c]])
 
     scored = np.flatnonzero(~np.isnan(r))
     if 0 < top_k < scored.size:
@@ -292,7 +441,7 @@ def generate_combined(
     passed = bisect.bisect_left(
         magnitude, True, key=lambda v: not pearson_p_value(float(v), len(ds)) < alpha
     )
-    if not (top_k and passed):
+    if not passed:
         return list(base_specs)
     # Candidates tied with the k-th passing |r| compete for the cut by name.
     cut = np.count_nonzero(magnitude[:passed] >= magnitude[min(top_k, passed) - 1])

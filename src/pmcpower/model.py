@@ -379,9 +379,14 @@ def save_model(model: PowerModel, path) -> None:
 
 
 def load_model(path) -> PowerModel:
+    """The model in the file at ``path``; every error about its contents
+    names the file."""
     path = Path(path)
     try:
         doc = json.loads(read_utf8(path, "model file", ModelFileError))
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"model file {path}: {exc}") from None
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except ModelFileError as exc:
+        raise ModelFileError(f"model file {path}: {exc}") from None

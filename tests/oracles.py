@@ -21,9 +21,11 @@ fast paths can be compared with them exactly:
 * ``generate_combined_reference``, the candidate loop that scored every
   product and ratio with the scalar ``pearson`` and ``pearson_p_value``
   before ``pmcpower.features.generate_combined`` scored them in blocks
-  with ``correlations``; it reuses the package's spec constructors and
-  statistics, and keeps its own copy of the package's former
-  ``_spec_column``, so the two must return equal spec lists;
+  with ``correlations``, and later estimated them from Gram products and
+  scored exactly only those that can reach the cut; it reuses the
+  package's spec constructors and statistics, and keeps its own copy of
+  the package's former ``_spec_column``, so the two must return equal
+  spec lists;
 * ``parse_counter_trace_reference`` and ``parse_power_trace_reference``
   with their helpers, the csv line parser that read every trace before
   ``pmcpower.dataset`` gained its numpy fast path; they build the
@@ -575,6 +577,8 @@ def aggregate_run_reference(counters: CounterTrace, power: PowerTrace) -> tuple[
 
 
 def _read_trace_reference(parse, path: Path, what: str):
+    if path.is_dir():
+        raise IsADirectoryError(f"{what} is a directory: {path}")
     if not path.is_file():
         raise FileNotFoundError(f"{what} not found: {path}")
     try:

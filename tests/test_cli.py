@@ -435,6 +435,33 @@ class TestTraceFaultsNameTheFile:
         assert lines[0].startswith(f"error: {expected}"), lines
 
 
+class TestModelFaultsNameTheFile:
+    """A fault in a model file's contents exits 2 with one ``error:`` line
+    that names the file, as a JSON syntax error does."""
+
+    @pytest.mark.parametrize("fault", ["coefficient_removed", "bad_coefficient", "bad_spec"])
+    def test_error_names_the_model_file(self, tmp_path, small_campaign, fault):
+        manifest, trained = small_campaign
+        doc = json.loads(trained.read_text())
+        if fault == "coefficient_removed":
+            doc["coefficients"].pop()
+            problem = "one coefficient per feature required"
+        elif fault == "bad_coefficient":
+            doc["coefficients"][0] = "x"
+            problem = f"coefficient of {doc['features'][0]!r} must be a finite number, got 'x'"
+        else:
+            doc["features"][0] = "a**b"
+            problem = "malformed feature spec 'a**b'"
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--model", str(model), "--manifest", str(manifest),
+                         "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert err.getvalue() == f"error: model file {model}: {problem}\n"
+
+
 class TestTooFewRecords:
     @pytest.mark.parametrize("command", ["train", "compare"])
     def test_error_names_the_count_and_the_split(self, tmp_path, command, capsys):

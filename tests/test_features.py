@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -60,8 +62,11 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_matches_reference(ds, base_specs, **kwargs):
+    # The package must not warn; the reference's columns over- or underflow
+    # with numpy's warning where the inputs are near 1e+-160.
     got = outcome(generate_combined, ds, base_specs, **kwargs)
-    assert got == outcome(generate_combined_reference, ds, base_specs, **kwargs)
+    with np.errstate(all="ignore"):
+        assert got == outcome(generate_combined_reference, ds, base_specs, **kwargs)
     return got
 
 
@@ -568,8 +573,9 @@ class TestBuildMatrixMatchesReference:
 
 
 class TestGenerateCombinedMatchesReference:
-    """Block scoring with a bisected gate returns the spec list scalar
-    scoring of every candidate returns, including its errors."""
+    """Gram scoring, an exact recompute of the candidates that can reach
+    the cut and a bisected gate return the spec list scalar scoring of
+    every candidate returns, including its errors."""
 
     @pytest.mark.parametrize("factors,runs,seed", [
         (10, 120, 3), (10, 120, 17), (10, 60, 29), (20, 90, 5), (4, 400, 11),
@@ -755,3 +761,154 @@ class TestGenerateCombinedScoresInBlocks:
         assert len(specs) == len(base_specs) + 1000
         assert calls["pearson"] == 0
         assert calls["pearson_p_value"] <= 20
+
+
+# The shapes of column the Gram estimate must hand back to the exact path:
+# exact multiples (their ratios are constant), a column times a reciprocal
+# of it (a product constant up to rounding), near-constant columns, rows
+# near 1e+-160 (their Gram sums over- or underflow), all-zero and
+# near-zero denominators.
+_DERIVED = ("multiple", "multiple", "reciprocal", "near_constant", "huge", "tiny", "zero",
+            "near_zero")
+
+
+@st.composite
+def gram_cases(draw):
+    """A dataset of a few raw columns and columns derived from them."""
+    n = draw(st.integers(3, 30), label="runs")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    cols = {}
+    for k in range(draw(st.integers(1, 4), label="raw columns")):
+        if draw(st.booleans(), label="drawn values"):
+            cols[f"r{k}"] = np.array(draw(st.lists(
+                st.floats(-5.0, 1e3, allow_subnormal=False), min_size=n, max_size=n)))
+        else:
+            cols[f"r{k}"] = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-3, 4)
+    raw = sorted(cols)
+    for k in range(draw(st.integers(0, 4), label="derived columns")):
+        source = cols[draw(st.sampled_from(raw))]
+        kind = draw(st.sampled_from(_DERIVED))
+        if kind == "multiple":
+            column = source * draw(st.sampled_from([8.0, 0.5, -1.0, 3.0]))
+        elif kind == "reciprocal":
+            column = 37.0 / np.where(np.abs(source) < 1e-3, 1.0, source)
+        elif kind == "near_constant":
+            column = 5.0 + 1e-12 * source
+        elif kind == "huge":
+            column = source * 1e160
+        elif kind == "tiny":
+            column = source * 1e-160
+        elif kind == "zero":
+            column = np.zeros(n)
+        else:
+            column = np.where(np.arange(n) == 0, 1e-15, np.abs(source) + 1.0)
+        cols[f"d{k}"] = column
+    source = cols[draw(st.sampled_from(raw))]
+    y = source * rng.uniform(0.5, 2.0) + rng.normal(0.0, draw(st.sampled_from([0.0, 1.0, 1e3])), n)
+    if draw(st.booleans(), label="drawn target"):
+        y = np.array(draw(st.lists(st.floats(-50, 500), min_size=n, max_size=n)))
+    return make_dataset(cols, y * draw(st.sampled_from([1.0, 1e-3, 1e6])))
+
+
+def _every_candidate_r(ds, names, safe):
+    """``correlations`` of every entry of ``_gram_estimates``' arrays."""
+    values = np.array([ds.column(name) for name in names]).reshape(len(names), len(ds))
+    with np.errstate(all="ignore"):
+        products = values[:, None, :] * values[None, :, :]
+        ratios = values[:, None, :] / values[safe][None, :, :]
+        rows = np.concatenate([products, ratios], axis=1)
+        r = numerics.correlations(rows.reshape(-1, len(ds)), ds.target_current)
+    return values, r.reshape(rows.shape[:2])
+
+
+def _safe(values):
+    sizes = np.abs(values)
+    return np.flatnonzero(~(sizes.min(axis=1) < features.RATIO_DENOM_EPS * sizes.max(axis=1)))
+
+
+class TestGenerateCombinedFromGramProducts:
+    """Candidates are scored from Gram products, and only those that can
+    reach the cut are scored again exactly, so the spec list is the scalar
+    loop's, whatever the columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=gram_cases(), data=st.data())
+    def test_matches_reference(self, ds, data):
+        base_specs = [data.draw(st.sampled_from([base, inverted]))(name)
+                      for name in ds.counter_names]
+        m = len(base_specs)
+        top_k = data.draw(st.sampled_from([0, 1, 2, 3, 7, m * (m - 1) // 2 + m * m]))
+        alpha = data.draw(st.sampled_from([1.0, 0.5, 0.05, 1e-6]))
+        assert_matches_reference(ds, base_specs, alpha=alpha, top_k=top_k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=gram_cases())
+    def test_trusted_estimates_within_their_bound(self, ds):
+        names = sorted(ds.counter_names)
+        values = np.array([ds.column(name) for name in names])
+        safe = _safe(values)
+        if not values[safe].all():
+            return  # an all-zero denominator raises before anything is scored
+        estimate, bound = features._gram_estimates(values, ds.target_current, safe)
+        _, exact = _every_candidate_r(ds, names, safe)
+        trusted = np.isfinite(bound)
+        assert np.isfinite(exact[trusted]).all()
+        assert (np.abs(estimate - exact)[trusted] <= bound[trusted]).all()
+        assert (estimate[~trusted] == 0).all()
+
+    @pytest.mark.parametrize("factors, runs, seed", [(6, 60, 3), (10, 300, 7), (4, 1334, 1)])
+    def test_campaign_estimates_within_their_bound(self, factors, runs, seed):
+        ds = wide_dataset(factors, runs, seed)
+        names = sorted(ds.counter_names)
+        values, exact = _every_candidate_r(ds, names, _safe(
+            np.array([ds.column(name) for name in names])))
+        estimate, bound = features._gram_estimates(values, ds.target_current, _safe(values))
+        trusted = np.isfinite(bound)
+        assert trusted.mean() > 0.9
+        error = np.abs(estimate - exact)[trusted]
+        assert (error <= bound[trusted]).all()
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_few_candidates_recomputed(self, monkeypatch, seed):
+        # A bound loosened by mistake keeps every output right and quietly
+        # recomputes every candidate; about 1.7 % are needed here.
+        ds = wide_dataset(40, 300, seed)  # 240 counters, 86,040 candidates
+        base_specs = invert_negative(ds)
+        assert n_candidates(ds) == 86_040
+        rows = []
+
+        def counting(block, y):
+            rows.append(len(block))
+            return numerics.correlations(block, y)
+
+        monkeypatch.setattr(features, "correlations", counting)
+        specs = generate_combined(ds, base_specs)
+        assert len(specs) == len(base_specs) + 1000
+        assert 1000 <= sum(rows) <= 0.03 * 86_040
+
+    def test_spec_list_does_not_depend_on_blas_threads(self, tmp_path):
+        # Which candidates are recomputed may change with the Gram sums'
+        # summation order; the spec list may not.
+        root = Path(__file__).resolve().parents[1]
+        written = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"specs-{threads}.txt"
+            subprocess.run([sys.executable, "-c", _WIDE_SPECS, str(root / "perfbench"), str(out)],
+                           env=env, check=True)
+            written.append(out.read_text())
+        assert written[0] == written[1]
+        assert written[0].count("\n") == 240 + 1000
+
+
+# The spec list of the benchmark's train-wide design: 240 counters.
+_WIDE_SPECS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from campaign import Shape, wide_config
+from pmcpower.features import generate_combined, invert_negative
+from pmcpower.synth import generate
+ds, _ = generate(wide_config(Shape(40, 6, 200, 2), 3))
+specs = generate_combined(ds, invert_negative(ds))
+open(sys.argv[2], "w").write("".join(f"{spec}\\n" for spec in specs))
+"""

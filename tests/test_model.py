@@ -328,7 +328,8 @@ class TestPersistence:
         path.write_text(__import__("json").dumps(doc))
         with pytest.raises(ModelFileError) as info:
             load_model(path)
-        assert str(info.value) == f"'train_meta' must be a JSON object, got {train_meta!r}"
+        assert str(info.value) == (
+            f"model file {path}: 'train_meta' must be a JSON object, got {train_meta!r}")
 
     def test_counters_of_the_features(self):
         assert self.build_model().counters() == {"c1", "a", "b"}
