@@ -250,13 +250,6 @@ def _parse_rows(text: str, expected_first: str) -> tuple[list[str], list[int], n
     return header, linenos, table
 
 
-# The bytes a sample row may hold for numpy's reader to take it. Within them
-# numpy and float() read every number alike; outside them they can part ways
-# (numpy strips \x1c-\x1f around a number, which float() rejects), so any
-# other byte sends the text to the line parser.
-_FAST_BYTES = b"0123456789+-.eE, \t\r\n"
-
-
 class _Scratch(dict):
     """Arrays by name that the blocks of one kind of trace of one
     ``load_manifest`` call reuse, so that no block allocates an array the
@@ -336,8 +329,8 @@ def _ended(body) -> np.ndarray:
 def _proof(body, width: int, scratch: _Scratch | None = None
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
     """Where the cells of ``body`` (any buffer) lie, when every line holds
-    ``width`` cells, each a number that numpy's reader and ``float()`` read
-    alike, finite, and not negative unless it is the line's first; else
+    ``width`` cells, each a number that ``float()`` reads, finite, and not
+    negative unless it is the line's first; else
     None. That is the positions of the bytes that are not digits (marks),
     their kinds, the marks that end a cell and those of lines' minus signs:
     the bounds and fraction lengths of any cells follow from them.
@@ -347,7 +340,7 @@ def _proof(body, width: int, scratch: _Scratch | None = None
     to 69 digits, then at most a point and up to 69 digits, then at most an
     exponent mark, a sign and one or two digits, or a minus and three:
     below 1e70 * 1e99, so no cell overflows. The proof is stricter than the
-    readers (no leading point or plus, no space or blank line, and three
+    line parser (no leading point or plus, no space or blank line, and three
     exponent digits only after a minus); a body it declines is read in
     full. One pass over the bytes finds the marks; the rest reads the marks.
     """
@@ -440,9 +433,8 @@ def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
                    scratch: _Scratch | None = None) -> np.ndarray | None:
     """The cells of ``body`` (any buffer) as a table of ``width`` columns
     (of ``columns``, 0 first, when given: the others are proved, not
-    converted), each the double nearest its decimal, as ``float()`` and
-    numpy's reader give it; None when the body is not one this kernel
-    takes. The table, the proof and every array of one value per cell are
+    converted), each the double nearest its decimal, as ``float()`` gives
+    it; None when the body is not one this kernel takes. The table, the proof and every array of one value per cell are
     ``scratch``'s arrays.
 
     It takes a body ``_proof`` accepts whose cells read hold no exponent
@@ -547,32 +539,6 @@ def _wanted_columns(header: tuple[str, ...], wanted: frozenset[str]) -> tuple[in
     return None if len(columns) == len(header) else columns
 
 
-def _table(header: tuple[str, ...], body, wanted: frozenset[str] | None = None
-           ) -> np.ndarray | None:
-    """The sample table of ``body`` as ``_parse_rows`` would return it, read
-    by numpy's C reader; None wherever that read could differ or fails.
-    With ``wanted``, it holds only the timestamps and the counters in
-    ``wanted``, and is None also when another cell is not finite or is
-    negative. numpy reads an overflow such as ``1e400`` as inf, which the
-    trace's checks reject, and a bare carriage return numpy rejects only as
-    not supported yet."""
-    body = bytes(body)
-    if (not body.strip() or body.translate(None, _FAST_BYTES)
-            or b"\r" in body and body.count(b"\r") != body.count(b"\r\n")):
-        return None
-    try:
-        table = np.loadtxt(body.decode("ascii").split("\n"), delimiter=",", comments=None,
-                           ndmin=2)
-    except ValueError:
-        return None
-    columns = None if wanted is None else _wanted_columns(header, wanted)
-    if table.shape[1] != len(header):
-        return None
-    if columns is None:
-        return table
-    return table[:, columns] if np.isfinite(table).all() and (table[:, 1:] >= 0).all() else None
-
-
 # A trace file the fast read took: its header, the shape of the table it
 # gives (samples x columns, timestamps first, then the wanted counters),
 # and the size of its body, which its kind's block holds, not yet
@@ -606,8 +572,8 @@ class _Text:
         ``decode_utf8`` reads them, when the fast read may take it: a body,
         a header the csv reader splits, of two or more fields led by
         ``ts_ms``, that passes its kind's check, and no line longer than
-        the csv field size limit (a byte neither the proof nor numpy's
-        reader takes sends the body to the line parser later); else None.
+        the csv field size limit (a byte the proof does not take sends the
+        run to the line parser later); else None.
         A header that fails the counter-name check raises its ParseError."""
         head, start = self.head, self.used
         self.block, size = read_into(path, "trace", self.block, start, head)
@@ -687,30 +653,15 @@ class _Text:
         self.used, self.end = 0, size
 
     def stacked(self, traces: list[_Trace]) -> np.ndarray | None:
-        """``_stacked`` of the block's ``traces``, each with its body."""
-        view, at, bodies = memoryview(self.block), 0, []
-        for header, shape, size in traces:
-            bodies.append((header, shape, view[at:at + size]))
-            at += size
-        return _stacked(bodies, self.wanted, self.scratch, view[:at])
-
-
-def _stacked(traces: list, wanted: frozenset[str] | None, scratch: _Scratch,
-             text) -> np.ndarray | None:
-    """The tables of traces of one header and shape (runs x samples x
-    columns), each given as its header, shape and body, holding the
-    counters in ``wanted`` (all when None): ``_decimal_table`` of their
-    bodies joined (``text``), in ``scratch``'s arrays, else ``_table`` file
-    by file, else None."""
-    header, shape, _ = traces[0]
-    columns = None if wanted is None else _wanted_columns(header, wanted)
-    table = _decimal_table(text, len(header), columns, scratch)
-    if table is not None:
-        return table.reshape(len(traces), *shape)
-    tables = [_table(header, body, wanted) for header, _, body in traces]
-    if any(table is None or table.shape != shape for table in tables):
-        return None
-    return np.stack(tables)
+        """The tables of the block's ``traces``, of one header and shape
+        (runs x samples x columns), holding the counters in ``wanted``:
+        ``_decimal_table`` of the block's text, in ``scratch``'s arrays;
+        None when the kernel declines it."""
+        header, shape, _ = traces[0]
+        columns = None if self.wanted is None else _wanted_columns(header, self.wanted)
+        table = _decimal_table(memoryview(self.block)[:self.used], len(header), columns,
+                               self.scratch)
+        return None if table is None else table.reshape(len(traces), *shape)
 
 
 def _voltage_constant(power: np.ndarray) -> bool:
@@ -1048,8 +999,8 @@ class _Campaign:
     def _block_rows(self, block: list[_FastRun]) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """The block's rates and currents of each kind of counter trace its
         runs list, as ``add_run`` would give them run by run; None wherever
-        ``add_run`` would raise for one of its runs, or ``_stacked``
-        declines a kind of trace."""
+        ``add_run`` would raise for one of its runs, or the kernel declines
+        a kind of trace."""
         first = block[0]
         if self.metas and first.names() != self.names:
             return None
@@ -1089,21 +1040,24 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     the only counters the caller reads: each dataset then holds those its
     traces name, in trace order, with the bits a full read gives them. The
     other cells are proved well-formed, finite and not negative from their
-    bytes, not converted; a block they do not prove is read in full.
+    bytes, not converted; a block they do not prove is read in full by the
+    worded reader.
 
     Ingest has two readers. The fast one reads blocks: consecutive runs
     whose traces share their headers and shapes, of at most BLOCK_BYTES of
     trace text. Each trace file is read once, its body straight onto the
     end of its kind's block (``_Text``), and a header it repeats is taken
     by its bytes. Each kind of trace of a block is proved and converted in
-    one structural pass over its bodies (``_decimal_table``, else
-    ``_table`` file by file), in arrays reused from block to block; its
-    samples are checked and its runs aggregated at once. An aux trace
-    takes the counter trace's path.
+    one structural pass over its bodies (``_decimal_table``), in arrays
+    reused from block to block; its samples are checked and its runs
+    aggregated at once. An aux trace takes the counter trace's path.
     The worded one, the csv line parser of ``parse_counter_trace`` and
     ``parse_power_trace``, reads a run the fast read cannot take and every
-    run of a block that fails, alone, so a fault raises as the first one
-    in manifest order, naming its file and line.
+    run of a block that fails or that the kernel declines, alone, so a
+    fault raises as the first one in manifest order, naming its file and
+    line. Where the long double is too narrow for the kernel (see
+    ``_WIDE_LONG_DOUBLE``), it declines every block and the worded reader
+    reads every run.
     """
     path = Path(path)
     try:

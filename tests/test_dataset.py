@@ -1015,27 +1015,24 @@ def _loaded(load, manifest):
 
 
 # Where the long double cannot make the exact kernel's quotients exact, it
-# declines every body, and numpy's reader converts every file.
+# declines every body, and the worded reader reads every run.
 needs_exact_kernel = pytest.mark.skipif(not dataset._WIDE_LONG_DOUBLE,
                                         reason="no long double of 64 bits or more")
 
 
 @contextlib.contextmanager
-def _loadtxt_calls():
-    """The line counts of the ``np.loadtxt`` calls ``load_manifest`` makes
-    within the block; the reference loader's calls are not counted."""
-    calls, loadtxt, load = [], np.loadtxt, load_manifest
+def _worded_runs():
+    """The indices of the runs ``load_manifest`` reads by
+    ``_Campaign.add_run``, the worded reader, in the order it reads them:
+    none when every run takes the fast read."""
+    runs, real = [], dataset._Campaign.add_run
 
-    def counted(lines, *args, **kwargs):
-        calls.append(len(lines))
-        return loadtxt(lines, *args, **kwargs)
+    def counted(self, i):
+        runs.append(i)
+        return real(self, i)
 
-    def spied(*args):
-        with mock.patch.object(np, "loadtxt", counted):
-            return load(*args)
-
-    with mock.patch(f"{__name__}.load_manifest", spied):
-        yield calls
+    with mock.patch.object(dataset._Campaign, "add_run", counted):
+        yield runs
 
 
 def _assert_loads_as_reference(campaign: Campaign, block_bytes: int, expect_ok=False):
@@ -1180,7 +1177,7 @@ class TestEachFileReadOntoItsBlock:
             decoded.append(bytes(data))
             return real(data, *args)
 
-        with mock.patch.object(dataset, "decode_utf8", spy), _loadtxt_calls() as calls:
+        with mock.patch.object(dataset, "decode_utf8", spy), _worded_runs() as calls:
             _assert_loads_as_reference(campaign, dataset.BLOCK_BYTES, expect_ok=True)
         assert calls == []
         assert sorted(decoded) == sorted({b"ts_ms,c0,c1", b"ts_ms,c0 ,c1",
@@ -1280,19 +1277,19 @@ class TestSubsetReadMatchesFullRead:
         # proved once, joined, and the kernel converts only the timestamps
         # and c3, c17 of them; no file is read on its own.
         campaign = Campaign(np.random.default_rng(0), [11] * 150, n_counters=40)
-        real_proof, real_stacked, proofs, blocks = dataset._proof, dataset._stacked, [], []
+        real_proof, real_stacked, proofs, blocks = dataset._proof, dataset._Text.stacked, [], []
 
         def proof(body, width, *scratch):
             proofs.append((width, len(body)))
             return real_proof(body, width, *scratch)
 
-        def stacked(traces, wanted=None, *scratch):
+        def stacked(self, traces):
             if len(traces[0][0]) == 41:
-                blocks.append(sum(len(text) for _, _, text in traces))
-            return real_stacked(traces, wanted, *scratch)
+                blocks.append(sum(size for _, _, size in traces))
+            return real_stacked(self, traces)
 
         with mock.patch.object(dataset, "_proof", proof), \
-                mock.patch.object(dataset, "_stacked", stacked), _loadtxt_calls() as calls:
+                mock.patch.object(dataset._Text, "stacked", stacked), _worded_runs() as calls:
             ds, aux = _assert_subset_loads_as_full(campaign, 64_000, {"c3", "c17", "zz"}, (),
                                                    expect_ok=True)
         assert calls == []
@@ -1308,7 +1305,7 @@ class TestSubsetReadMatchesFullRead:
             for rows in trace.values():
                 for row in rows[1:]:
                     row[0] = repr(float(row[0]) - 5000.0)
-        with _loadtxt_calls() as calls:
+        with _worded_runs() as calls:
             _assert_subset_loads_as_full(campaign, 2_100, {"c0"}, (), expect_ok=True)
         assert calls == []
 
@@ -1340,10 +1337,10 @@ class TestSubsetReadMatchesFullRead:
         campaign = Campaign(np.random.default_rng(9), [6] * 7)
         campaign.plant_cell(1, "counter", 3, 1, read)
         campaign.plant_cell(4, "counter", 2, 2, unread)
-        with _loadtxt_calls() as calls:
+        with _worded_runs() as calls:
             got = _assert_subset_loads_as_full(campaign, dataset.BLOCK_BYTES, {"c0"}, {"cycles"})
         if isinstance(got, list) and dataset._WIDE_LONG_DOUBLE:
-            # A block falls back to numpy's reader only when the kernel
+            # A block goes to the worded reader only when the kernel
             # declines a read cell or the proof an unread one.
             declined = read != "2.5" or unread == "1e-0100"
             assert bool(calls) == declined
@@ -1351,9 +1348,9 @@ class TestSubsetReadMatchesFullRead:
     @needs_exact_kernel
     def test_every_counter_wanted_reads_in_full(self):
         # A read of every counter is a full read: the kernel converts every
-        # table, and it gives what the tables read file by file give.
+        # table, and it gives what the worded reader gives run by run.
         campaign = Campaign(np.random.default_rng(1), [6] * 9, n_counters=2, power_first=False)
-        with _loadtxt_calls() as calls:
+        with _worded_runs() as calls:
             got = _assert_subset_loads_as_full(campaign, 2_100, {"c0", "c1", "zz"}, {"cycles"},
                                                expect_ok=True)
         assert calls == []
@@ -1365,8 +1362,7 @@ class TestSubsetReadMatchesFullRead:
 
 class TestCleanCampaignTakesTheFastRead:
     """A clean campaign is read in blocks alone: no run is read again by
-    ``add_run``, no trace goes through the line parser, and no block falls
-    back to numpy's reader."""
+    ``add_run``, and no trace goes through the line parser."""
 
     @needs_exact_kernel
     @pytest.mark.parametrize("wanted, aux_wanted, aux", [
@@ -1388,7 +1384,7 @@ class TestCleanCampaignTakesTheFastRead:
         with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
             manifest = campaign.write(Path(tmp))
             for owner, name in ((dataset._Campaign, "add_run"), (dataset, "parse_counter_trace"),
-                                (dataset, "parse_power_trace"), (dataset, "_table")):
+                                (dataset, "parse_power_trace")):
                 stack.enter_context(mock.patch.object(owner, name,
                                                       counted(name, getattr(owner, name))))
             ds, aux_ds = load_manifest(manifest, wanted, aux_wanted)
@@ -1588,10 +1584,10 @@ def _proved(body: str, width: int) -> bool:
 
 
 class TestCellProof:
-    """What ``_proof`` accepts, both readers take alike: every line holds
-    the width's cells, and every cell is a finite number, not negative
-    unless it is the line's first, equal to the bit under numpy's reader
-    and float()."""
+    """What ``_proof`` accepts, ``float()`` takes: every line holds the
+    width's cells, and every cell is a finite number, not negative unless
+    it is the line's first; numpy's reader, checked too, reads each to the
+    same bit."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=cell_tables())
@@ -1744,12 +1740,12 @@ class TestDecimalTable:
             assert _assert_loads_as_reference(campaign, 200) == got
 
     @pytest.mark.parametrize("power_first", [False, True])
-    def test_clean_full_read_takes_no_loadtxt(self, power_first):
+    def test_clean_full_read_reads_no_run_alone(self, power_first):
         # A power trace may start at a negative time: the kernel takes the
         # minus that starts a line.
         campaign = Campaign(np.random.default_rng(4), [11] * 40, n_counters=20,
                             power_first=power_first)
-        with _loadtxt_calls() as calls:
+        with _worded_runs() as calls:
             _assert_loads_as_reference(campaign, 2_000, expect_ok=True)
         assert calls == []
 
