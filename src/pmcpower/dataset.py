@@ -807,9 +807,16 @@ class ManifestRun:
     aux_counter_file: str | None = None
 
 
-def _manifest_run(entry, index: int) -> ManifestRun:
-    """One manifest run entry, checked field by field."""
-    where = f"manifest run {index}"
+def _run_where(manifest: Path, index: int, benchmark: str | None = None) -> str:
+    """How an error names manifest run ``index``: the manifest's path, as
+    a trace fault names its file, the index and, once read, the benchmark."""
+    where = f"{manifest}: manifest run {index}"
+    return where if benchmark is None else f"{where} ({benchmark!r})"
+
+
+def _manifest_run(entry, manifest: Path, index: int) -> ManifestRun:
+    """Run ``index`` of ``manifest``, its entry checked field by field."""
+    where = _run_where(manifest, index)
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: expected an object, got {type(entry).__name__}")
 
@@ -834,7 +841,7 @@ def _manifest_run(entry, index: int) -> ManifestRun:
         meta = RunMeta(benchmark, get("workload_type", str), get("frequency_hz", float),
                        get("utilization", float, required=False))
     except ConfigError as exc:
-        raise ParseError(f"{where} ({benchmark!r}): {exc}") from None
+        raise ParseError(f"{_run_where(manifest, index, benchmark)}: {exc}") from None
     return ManifestRun(get("counter_file", str), get("power_file", str), meta,
                        get("aux_counter_file", str, required=False))
 
@@ -905,10 +912,10 @@ class _Campaign:
     first run set, None for aux traces the runs do not list. Rows of kind
     k hold the rates of the counters in ``wanted[k]``, all when None."""
 
-    def __init__(self, runs: list, base_dir: Path,
+    def __init__(self, runs: list, manifest: Path,
                  wanted: tuple[frozenset[str] | None, frozenset[str] | None]):
         self.runs = runs
-        self.base_dir = base_dir
+        self.manifest, self.base_dir = manifest, manifest.parent
         self.wanted = wanted
         self.metas: list[RunMeta] = []
         self.rates: tuple[list[np.ndarray], ...] = ([], [])
@@ -935,8 +942,8 @@ class _Campaign:
     def add_run(self, i: int) -> None:
         """Read, check and aggregate run ``i`` alone. Each fault raises as
         soon as it is met, so the first fault of the run is the one named."""
-        run = _manifest_run(self.runs[i], i)
-        where = f"manifest run {i} ({run.meta.benchmark_name!r})"
+        run = _manifest_run(self.runs[i], self.manifest, i)
+        where = _run_where(self.manifest, i, run.meta.benchmark_name)
         base_dir = self.base_dir
         trace = _read_trace(parse_counter_trace, base_dir / run.counter_file, "counter trace")
         power = _read_trace(parse_power_trace, base_dir / run.power_file, "power trace")
@@ -957,7 +964,7 @@ class _Campaign:
         None when its entry or a file cannot be read, the fast read declines
         a file, or a header would raise."""
         try:
-            run = _manifest_run(self.runs[i], i)
+            run = _manifest_run(self.runs[i], self.manifest, i)
             counters, power, aux = (
                 None if name is None else text.read(os.path.join(self.base_dir, name))
                 for text, name in ((self.texts[0], run.counter_file),
@@ -1028,13 +1035,29 @@ class _Campaign:
                                                       self.currents))
 
 
+def _check_runs_distinct(manifest: Path, runs: list) -> None:
+    """Reject two runs that list one counter trace (compared as
+    ``os.path.normpath`` spells it): the copies could sit on both sides of
+    a train/test split. Entries without a string ``counter_file`` are left
+    to the entry check."""
+    first: dict[str, int] = {}
+    for i, entry in enumerate(runs):
+        name = entry.get("counter_file") if isinstance(entry, dict) else None
+        if isinstance(name, str):
+            j = first.setdefault(os.path.normpath(name), i)
+            if j != i:
+                raise ParseError(f"{_run_where(manifest, i)}: lists counter_file {name!r}, "
+                                 f"as manifest run {j} does")
+
+
 def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Dataset | None]:
     """Build a dataset from a JSON run manifest.
 
     Returns the dataset plus, when the runs list an ``aux_counter_file``
     (all of them or none), a second dataset of the same runs holding the
     auxiliary component's counter rates, for subtracting that component's
-    predicted current during isolation.
+    predicted current during isolation. Two runs may not list one counter
+    trace. An error about a run names the manifest and the run's index.
 
     ``counters`` (``aux_counters`` for the aux traces), when given, names
     the only counters the caller reads: each dataset then holds those its
@@ -1068,7 +1091,8 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     if not isinstance(runs, list) or not runs:
         raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
 
-    campaign = _Campaign(runs, path.parent, tuple(
+    _check_runs_distinct(path, runs)
+    campaign = _Campaign(runs, path, tuple(
         None if names is None else frozenset(names) for names in (counters, aux_counters)))
     block: list[_FastRun] = []
     text = 0

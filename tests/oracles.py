@@ -66,6 +66,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -601,7 +602,8 @@ def _aggregate_reference(trace, power, where: str):
 
 def load_manifest_reference(path) -> tuple[Dataset, Dataset | None]:
     """Build a dataset, and the aux dataset when the runs list aux counter
-    traces, from a JSON run manifest, one run at a time."""
+    traces, from a JSON run manifest, one run at a time. Two runs that list
+    one counter trace are rejected before any trace is read."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -618,13 +620,22 @@ def load_manifest_reference(path) -> tuple[Dataset, Dataset | None]:
     if not isinstance(runs, list) or not runs:
         raise ParseError(f"manifest {path}: expected a non-empty 'runs' list")
 
+    counter_files = {}
+    for i, entry in enumerate(runs):
+        if isinstance(entry, dict) and isinstance(entry.get("counter_file"), str):
+            name = entry["counter_file"]
+            first = counter_files.setdefault(os.path.normpath(name), i)
+            if first != i:
+                raise ParseError(f"{path}: manifest run {i}: lists counter_file {name!r}, "
+                                 f"as manifest run {first} does")
+
     base_dir = path.parent
     metas, rates, currents = [], [], []
     aux_rates, aux_currents = [], []
     counter_names = aux_names = None
     for i, entry in enumerate(runs):
-        run = _manifest_run(entry, i)
-        where = f"manifest run {i} ({run.meta.benchmark_name!r})"
+        run = _manifest_run(entry, path, i)
+        where = f"{path}: manifest run {i} ({run.meta.benchmark_name!r})"
         trace = _read_trace_reference(parse_counter_trace, base_dir / run.counter_file,
                                       "counter trace")
         power = _read_trace_reference(parse_power_trace, base_dir / run.power_file,

@@ -166,7 +166,7 @@ class TestBadInputExit2:
         synth_manifest.write_text(json.dumps(doc))
         proc = run_cli("train", "--manifest", str(synth_manifest),
                        "--output-dir", str(tmp_path / "out"))
-        self.assert_usage_error(proc, problem)
+        self.assert_usage_error(proc, f"error: {synth_manifest}: {problem}")
 
     def test_config_value_of_wrong_type(self, tmp_path, synth_manifest):
         path = run_config(tmp_path, synth_manifest, top_k="many")
@@ -289,8 +289,24 @@ class TestBadInputExit2:
         proc = run_cli("train", "--manifest", str(synth_manifest),
                        "--output-dir", str(tmp_path / "out"))
         self.assert_usage_error(
-            proc, f"manifest run 1: field 'frequency_hz' must be a finite number, got {10**400}"
+            proc, f"error: {synth_manifest}: manifest run 1: field 'frequency_hz' must be a "
+                  f"finite number, got {10**400}"
         )
+
+    def test_run_listed_twice(self, tmp_path, synth_manifest):
+        # A copy of run 3 could land in the training and the test split.
+        assert main(["train", "--manifest", str(synth_manifest), "--output-dir",
+                     str(tmp_path / "trained")]) == 0
+        doc = json.loads(synth_manifest.read_text())
+        doc["runs"].append(dict(doc["runs"][3]))
+        synth_manifest.write_text(json.dumps(doc))
+        problem = (f"error: {synth_manifest}: manifest run 60: lists counter_file "
+                   f"{doc['runs'][3]['counter_file']!r}, as manifest run 3 does\n")
+        for command in (["train"], ["eval", "--model", str(tmp_path / "trained" / "model.json")]):
+            proc = run_cli(*command, "--manifest", str(synth_manifest),
+                           "--output-dir", str(tmp_path / "out"))
+            assert (proc.returncode, proc.stderr) == (2, problem)
+            assert not (tmp_path / "out").exists()
 
     def test_config_integer_too_large_for_a_float(self, tmp_path, synth_manifest):
         path = run_config(tmp_path, synth_manifest, base_current_ma=10**400)
@@ -855,6 +871,23 @@ def _mutate(manifest: Path, model: Path, mutation) -> None:
         path.write_bytes(data)
 
 
+def _named_paths(manifest: Path, model: Path, mutation) -> list[Path]:
+    """The paths of which an error about ``mutation`` must name one: the
+    mutated trace or model file, or the manifest and, for a file field,
+    the path the mutated value gives; none for a config or flag."""
+    kind, run, change = mutation
+    if kind in ("config", "flag"):
+        return []
+    if kind == "model":
+        return [model]
+    if kind == "manifest":
+        field, value = change
+        given = [manifest.parent / value] if field.endswith("_file") and isinstance(value, str) \
+            else []
+        return [manifest, *given]
+    return [manifest.parent / json.loads(manifest.read_text())["runs"][run][change[0]]]
+
+
 @pytest.fixture(scope="module")
 def small_campaign(tmp_path_factory):
     """An 18-run campaign and a model trained on it."""
@@ -880,7 +913,8 @@ def _working_directory(path):
 class TestNeverATraceback:
     """Whatever one mutation of a campaign, a model file, a config file or
     a flag does, every command exits 0, 1 or 2, raises nothing, and a
-    nonzero exit prints one ``error:`` line."""
+    nonzero exit prints one ``error:`` line. A bad manifest, trace or model
+    file (exit 2) is named in that line."""
 
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -896,6 +930,7 @@ class TestNeverATraceback:
             shutil.copy(model, tmp / "model.json")
             manifest, model = tmp / "data" / manifest.name, tmp / "model.json"
             _mutate(manifest, model, mutation)
+            named = _named_paths(manifest, model, mutation)
             argv = _argv(command, manifest, model, tmp / "out", mutation)
             err = io.StringIO()
             # Warnings as a user sees them, each printed by the CLI as one
@@ -908,3 +943,6 @@ class TestNeverATraceback:
         lines = err.getvalue().splitlines()
         assert all(line.startswith(("error: ", "warning: ", "note: ")) for line in lines), lines
         assert sum(line.startswith("error: ") for line in lines) == (code != 0), lines
+        if code == 2 and mutation[0] in ("manifest", "cell", "line", "model"):
+            error = next(line for line in lines if line.startswith("error: "))
+            assert any(str(path) in error for path in named), (error, named)

@@ -819,13 +819,34 @@ class TestManifest:
     def test_bad_run_entry_names_run(self, tmp_path, entry, problem):
         runs = [self.write_run(tmp_path, i) for i in range(2)]
         runs[1] = entry if isinstance(entry, list) else dict(runs[1], **entry)
+        problem = f"{tmp_path / 'manifest.json'}: {problem}"
         with pytest.raises(ParseError, match="^" + re.escape(problem)):
             self.load(tmp_path, runs)
+
+    @pytest.mark.parametrize("spelling", ["run1.counters.csv", "./run1.counters.csv",
+                                          "odd/../run1.counters.csv"])
+    def test_run_listed_twice(self, tmp_path, spelling):
+        # Checked before any trace is read: run 0's missing counter trace is
+        # not reached, and run 2's non-string counter_file is the entry
+        # check's to name.
+        runs = [self.write_run(tmp_path, i) for i in range(4)]
+        runs[0]["counter_file"] = "missing.csv"
+        runs[2]["counter_file"] = 5
+        runs.append(dict(runs[3], counter_file=spelling, benchmark="copy"))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"runs": runs}))
+        problem = (f"{manifest}: manifest run 4: lists counter_file {spelling!r}, as manifest "
+                   "run 1 does")
+        for load in (load_manifest, load_manifest_reference):
+            with pytest.raises(ParseError) as info:
+                load(manifest)
+            assert str(info.value) == problem
 
     def test_aggregation_error_names_run(self, tmp_path):
         runs = [self.write_run(tmp_path, i) for i in range(2)]
         (tmp_path / runs[1]["power_file"]).write_text("ts_ms,current_ma\n9000,1\n9500,1\n")
-        with pytest.raises(AggregationError, match=r"^manifest run 1 \('bench-1'\): no temporal"):
+        problem = f"{tmp_path / 'manifest.json'}: manifest run 1 ('bench-1'): no temporal"
+        with pytest.raises(AggregationError, match="^" + re.escape(problem)):
             self.load(tmp_path, runs)
 
     def write_aux(self, tmp_path, i, header="cpu_cycles"):
@@ -837,16 +858,18 @@ class TestManifest:
         runs = [dict(self.write_run(tmp_path, i), aux_counter_file=self.write_aux(tmp_path, i))
                 for i in range(2)]
         runs[1]["aux_counter_file"] = self.write_aux(tmp_path, 1, header="gpu_cycles")
-        problem = "manifest run 1 ('bench-1'): aux counter columns differ from the first run"
-        with pytest.raises(ParseError, match=re.escape(problem)):
+        problem = (f"{tmp_path / 'manifest.json'}: manifest run 1 ('bench-1'): aux counter "
+                   "columns differ from the first run")
+        with pytest.raises(ParseError, match="^" + re.escape(problem)):
             self.load(tmp_path, runs)
 
     @pytest.mark.parametrize("listed_by, problem", [(0, "lists no"), (1, "lists an")])
     def test_aux_file_listed_by_all_runs_or_none(self, tmp_path, listed_by, problem):
         runs = [self.write_run(tmp_path, i) for i in range(3)]
         runs[listed_by]["aux_counter_file"] = self.write_aux(tmp_path, listed_by)
-        problem = f"manifest run 1 ('bench-1'): {problem} aux_counter_file, unlike the first run"
-        with pytest.raises(ParseError, match=re.escape(problem)):
+        problem = (f"{tmp_path / 'manifest.json'}: manifest run 1 ('bench-1'): {problem} "
+                   "aux_counter_file, unlike the first run")
+        with pytest.raises(ParseError, match="^" + re.escape(problem)):
             self.load(tmp_path, runs)
 
     def test_aux_counter_files_drive_model_subtraction(self, tmp_path):
@@ -876,7 +899,7 @@ COUNTER_FAULTS = ("negative", "step_back", "nan", "overflow", "ragged", "renamed
                   "reserved", "quoted", "not_utf8", "missing", "one_row")
 POWER_FAULTS = ("negative", "step_back", "voltage", "late", "short", "header", "quoted",
                 "missing")
-ENTRY_FAULTS = ("workload", "no_power_file", "aux_listing")
+ENTRY_FAULTS = ("workload", "no_power_file", "aux_listing", "duplicate")
 
 
 class Campaign:
@@ -921,6 +944,8 @@ class Campaign:
                 run["workload_type"] = "Gaming"
             elif fault == "no_power_file":
                 run.pop("power_file", None)
+            elif fault == "duplicate":  # the next run's counter trace, spelled anew
+                run["counter_file"] = "./" + self.runs[(i + 1) % len(self.runs)]["counter_file"]
             elif run.pop("aux_counter_file", None) is None:
                 run["aux_counter_file"] = run["counter_file"]
             return
@@ -1358,6 +1383,27 @@ class TestSubsetReadMatchesFullRead:
             declined = _assert_subset_loads_as_full(campaign, 2_100, {"c0", "c1", "zz"},
                                                     {"cycles"}, expect_ok=True)
         assert got == declined
+
+
+class TestWithoutAWideLongDouble:
+    """Where the long double is too narrow for the kernel, it declines
+    every block and the worded reader reads every run: a full and a subset
+    read give the one-run loader's datasets bit for bit and its first
+    error word for word."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=subset_campaigns())
+    def test_campaigns(self, case):
+        campaign, block_bytes, wanted, aux_wanted = case
+        for read in (lambda: _assert_loads_as_reference(campaign, block_bytes),
+                     lambda: _assert_subset_loads_as_full(campaign, block_bytes, wanted,
+                                                          aux_wanted)):
+            with mock.patch.object(dataset, "_WIDE_LONG_DOUBLE", False), _worded_runs() as runs:
+                got = read()
+            # In manifest order, up to the run whose fault raised.
+            assert runs == list(range(len(runs)))
+            if isinstance(got, list):
+                assert len(runs) == len(campaign.runs)
 
 
 class TestCleanCampaignTakesTheFastRead:
