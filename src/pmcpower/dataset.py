@@ -434,8 +434,8 @@ def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
     """The cells of ``body`` (any buffer) as a table of ``width`` columns
     (of ``columns``, 0 first, when given: the others are proved, not
     converted), each the double nearest its decimal, as ``float()`` gives
-    it; None when the body is not one this kernel takes. The table, the proof and every array of one value per cell are
-    ``scratch``'s arrays.
+    it; None when the body is not one this kernel takes. The table, the
+    proof and every array of one value per cell are ``scratch``'s arrays.
 
     It takes a body ``_proof`` accepts whose cells read hold no exponent
     mark, each of at most 19 significant digits and 27 after the point. A
