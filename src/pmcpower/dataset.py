@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
@@ -271,17 +272,27 @@ _CHUNK = 1 << 15
 
 
 def _positions(mask: np.ndarray, scratch: _Scratch, name: str) -> np.ndarray:
-    """``np.flatnonzero(mask)`` in ``scratch``'s array ``name``, found in
-    chunks of ``mask`` that hold about _CHUNK of them on average."""
-    out = scratch(name, int(np.count_nonzero(mask)), np.intp)
-    step = min(max(_CHUNK, mask.size * _CHUNK // max(out.size, 1)), 8 * _CHUNK)
+    """``np.flatnonzero(mask)`` in the first items of ``scratch``'s array
+    ``name``, found in chunks of ``mask`` that hold about _CHUNK of them on
+    average when the array holds as many as ``mask`` has (chunks of _CHUNK
+    the first time). A chunk that overflows the array grows it to the
+    count the positions found so far extrapolate to, a quarter to spare."""
+    out = scratch.get(name)
+    if out is None:
+        out, step = np.empty(0, np.intp), _CHUNK
+    else:
+        step = min(max(_CHUNK, mask.size * _CHUNK // max(out.size, 1)), 8 * _CHUNK)
     count = 0
     for lo in range(0, mask.size, step):
         found = np.flatnonzero(mask[lo:lo + step])
+        if count + found.size > out.size:
+            seen = min(lo + step, mask.size)
+            scratch(name, (count + found.size) * mask.size // seen, np.intp)[:count] = out[:count]
+            out = scratch[name]
         np.add(found, lo, out=out[count:count + found.size])
         count += found.size
         del found  # before the next chunk's is made
-    return out
+    return out[:count]
 
 
 def _translate(values: np.ndarray, table: bytes) -> None:
@@ -385,8 +396,15 @@ def _proof(body, width: int, scratch: _Scratch | None = None
 # The kernel's quotients are exact enough only with an IEEE long double of a
 # 64-bit significand or wider, each operation rounded once: x87's extended
 # format (x86-64 Linux, 64 bits) or binary128 (aarch64 Linux, 113). The
-# double-double of older POWER systems (106 bits) rounds twice.
-_WIDE_LONG_DOUBLE = np.finfo(np.longdouble).nmant in (63, 112)
+# double-double of older POWER systems (106 bits) rounds twice. The kernel
+# reads a quotient's low significand bits from its first eight bytes, which
+# hold them only on a little-endian machine.
+_NMANT = np.finfo(np.longdouble).nmant
+_WIDE_LONG_DOUBLE = _NMANT in (63, 112) and sys.byteorder == "little"
+# The low significand bits of a long double that a double drops, and their
+# value at a midpoint between two doubles (see _decimal_table).
+_LOW_BITS, _MIDWAY_BITS = (np.uint64((1 << (_NMANT - 52)) - 1), np.uint64(1 << (_NMANT - 53))
+                           ) if _WIDE_LONG_DOUBLE else (None, None)
 # 10**k for k = 0..27 as long doubles, each exact: 10**k = 2**k * 5**k and
 # 5**27 < 2**64.
 _TENS = np.cumprod(np.concatenate([[1], np.full(27, 10)]).astype(np.longdouble))
@@ -442,12 +460,19 @@ def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
     cell, its sign aside, is then D / 10**k, with D < 10**19 and 10**k
     exact long doubles, so their quotient q is rounded once. Rounding q to a
     double gives the cell's correct rounding unless q lies exactly midway
-    between two doubles: such a midpoint is a long double, which the
-    rounding of the true quotient could reach but not cross. Those cells,
-    rare, are read by ``float()``. r = q - double(q) is exact, and at a
-    midpoint |r| is half the spacing of the doubles at double(q), or r a
-    quarter of it below a power of two. The minus a line may start with is
-    set on its first cell last.
+    between two doubles (Clinger 1990): such a midpoint is a long double,
+    which the rounding of the true quotient could reach but not cross.
+    Those cells, rare, are read by ``float()``. Every q lies between 1e-27
+    and 1e19, or is 0, so q and the doubles about it are normal numbers. A
+    double keeps the leading 53 bits of a significand; the long double
+    holds 1 + ``_NMANT`` bits (64 for x87's format, whose leading bit is
+    stored, 113 for binary128, whose 112 bits are stored below a hidden
+    one). So q is a midpoint exactly when its low ``_NMANT`` - 52 bits are
+    a one followed by zeros, 1 << (``_NMANT`` - 53): the bits of the double
+    below it, then the half of its last place. At a power of two this is
+    the midpoint below it, whose spacing is that of the binade under it.
+    Those low bits lie in the quotient's first eight bytes, little-endian.
+    The minus a line may start with is set on its first cell last.
     """
     scratch = _Scratch() if scratch is None else scratch
     raw = _ended(body)
@@ -495,16 +520,10 @@ def _decimal_table(body, width: int, columns: tuple[int, ...] | None = None,
     np.divide(whole, quotient, out=quotient)
     table = scratch("table", n, float)
     np.copyto(table, quotient, casting="same_kind")
-    quotient -= table
-    r = scratch("r", n, float)
-    np.copyto(r, quotient, casting="same_kind")
-    spacing = np.spacing(table, out=scratch("spacing", n, float))
-    # The midpoints: r != 0 and |r| == spacing / 2 or r == spacing / -4.
-    test = np.divide(spacing, -4, out=scratch("test", n, float))
-    other = np.equal(r, test, out=scratch("flag2", n, np.bool_))
-    np.divide(spacing, 2, out=spacing)
-    np.logical_or(np.equal(np.abs(r, out=test), spacing, out=flag), other, out=flag)
-    midway = np.logical_and(flag, np.not_equal(r, 0, out=other), out=flag)
+    # The midpoints, from the low bits of the quotients, into whole's array.
+    low = np.ndarray((n,), np.uint64, quotient, 0, (quotient.itemsize,))
+    np.bitwise_and(low, _LOW_BITS, out=whole)
+    midway = np.equal(whole, _MIDWAY_BITS, out=flag)
     for i in np.flatnonzero(midway).tolist() if midway.any() else ():
         k = i if read is None else int(read[i])
         table[i] = float(raw[marks[at[k - 1]] + 1 if k else 0:stops[i]].tobytes())
@@ -539,11 +558,9 @@ def _wanted_columns(header: tuple[str, ...], wanted: frozenset[str]) -> tuple[in
     return None if len(columns) == len(header) else columns
 
 
-# A trace file the fast read took: its header, the shape of the table it
-# gives (samples x columns, timestamps first, then the wanted counters),
-# and the size of its body, which its kind's block holds, not yet
-# converted, ended by a newline.
-_Trace = tuple[tuple[str, ...], tuple[int, int], int]
+# A trace file the fast read took: its header and the size of its body,
+# which its kind's block holds, not yet converted, ended by a newline.
+_Trace = tuple[tuple[str, ...], int]
 
 
 class _Text:
@@ -562,8 +579,8 @@ class _Text:
         self.wanted, self.power = wanted, power
         self.block, self.used, self.end = bytearray(1 << 16), 0, 0  # end: the read run's bodies
         self.head = bytearray()
-        self.last: tuple[bytes, tuple[str, ...], int] | None = None  # line, header, width
-        self.taken: dict[bytes, tuple[tuple[str, ...], int]] = {}
+        self.last: tuple[bytes, tuple[str, ...]] | None = None  # the line and its header
+        self.taken: dict[bytes, tuple[str, ...]] = {}
         self.scratch = _Scratch()
 
     def read(self, path: str) -> _Trace | None:
@@ -578,13 +595,13 @@ class _Text:
         head, start = self.head, self.used
         self.block, size = read_into(path, "trace", self.block, start, head)
         if size > len(head) and self.last is not None and head == self.last[0]:
-            header, width = self.last[1:]
+            header = self.last[1]
             end = start + size - len(head)
         else:
             taken = self._take_header(path, size)
             if taken is None:
                 return None
-            header, width, end = taken
+            header, end = taken
         data = self.block
         if data.find(b"\r", start, end) >= 0:
             text = data[start:end].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -600,18 +617,14 @@ class _Text:
             line = data.rfind(b"\n", line, line + limit + 1) + 1
             if not line:
                 return None
-        # numpy counts the lines about four times as fast as bytes.count.
-        raw = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
-        rows = np.count_nonzero(np.equal(raw, ord("\n"),
-                                         out=self.scratch("rows", raw.size, np.bool_)))
         self.end = end
-        return header, (rows, width), end - start
+        return header, end - start
 
-    def _take_header(self, path: str, size: int) -> tuple[tuple[str, ...], int, int] | None:
+    def _take_header(self, path: str, size: int) -> tuple[tuple[str, ...], int] | None:
         """For a file of ``size`` bytes just read whose header line ``head``
-        did not match: its header, the number of columns its table reads
-        and the index its body ends at, the body, its line ends read, moved
-        to the block's end; None when the fast read declines the file."""
+        did not match: its header and the index its body ends at, the body,
+        its line ends read, moved to the block's end; None when the fast
+        read declines the file."""
         data, start, k = self.block, self.used, len(self.head)
         read = bytes(self.head[:size]) + data[start:start + max(size - k, 0)]
         text = read.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in read else read
@@ -619,8 +632,8 @@ class _Text:
         if not cut or cut == len(text):
             return None  # no body
         line = text[:cut]
-        taken = self.taken.get(line)
-        if taken is None:
+        header = self.taken.get(line)
+        if header is None:
             head = decode_utf8(line[:-1], ParseError, path)
             header = None if '"' in head else _split_header(head, csv.field_size_limit())
             if header is None or len(header) < 2 or header[0] != "ts_ms":
@@ -629,20 +642,18 @@ class _Text:
                 return None
             if not self.power:
                 _check_header_names(header[1:])
-            columns = None if self.wanted is None else _wanted_columns(header, self.wanted)
-            taken = header, len(columns or header)
         if read.startswith(line):  # a line with no carriage return is taken by its bytes
-            self.taken[line] = taken
-            self.last, self.head = (line, *taken), bytearray(cut)
+            self.taken[line] = header
+            self.last, self.head = (line, header), bytearray(cut)
         end = start + len(text) - cut
         if end >= len(data):
             self.block = data = data[:start] + bytearray(end + end // 4 + 1 - start)
         data[start:end] = memoryview(text)[cut:]
-        return (*taken, end)
+        return header, end
 
     def take(self, trace: _Trace) -> None:
         """Add the body of ``trace``, the last file read, to the block."""
-        self.used += trace[2]
+        self.used += trace[1]
 
     def restart(self) -> None:
         """Empty the block, moving the bodies read after it to its start."""
@@ -652,25 +663,36 @@ class _Text:
             view[:size] = view[self.used:self.end]
         self.used, self.end = 0, size
 
-    def stacked(self, traces: list[_Trace]) -> np.ndarray | None:
-        """The tables of the block's ``traces``, of one header and shape
-        (runs x samples x columns), holding the counters in ``wanted``:
-        ``_decimal_table`` of the block's text, in ``scratch``'s arrays;
-        None when the kernel declines it."""
-        header, shape, _ = traces[0]
+    def stacked(self, traces: list[_Trace]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The tables of the block's ``traces``, of one header, end to end
+        (samples x columns), holding the counters in ``wanted``, and the
+        row after each trace's last: ``_decimal_table`` of the block's
+        text, in ``scratch``'s arrays; None when the kernel declines it.
+
+        The rows come from the proof's separators, the first items of the
+        scratch arrays ``at`` and ``marks``: the marks up to the end of a
+        body, then the separators among them, give the lines up to it."""
+        header = traces[0][0]
+        width = len(header)
         columns = None if self.wanted is None else _wanted_columns(header, self.wanted)
-        table = _decimal_table(memoryview(self.block)[:self.used], len(header), columns,
-                               self.scratch)
-        return None if table is None else table.reshape(len(traces), *shape)
+        table = _decimal_table(memoryview(self.block)[:self.used], width, columns, self.scratch)
+        if table is None:
+            return None
+        at = self.scratch["at"][:len(table) * width]
+        marks = self.scratch["marks"][:at[-1] + 1]
+        ends = np.searchsorted(marks, np.cumsum([size for _, size in traces]))
+        return table, np.searchsorted(at, ends) // width
 
 
-def _voltage_constant(power: np.ndarray) -> bool:
-    """Whether every power table of a block (runs x samples x columns)
-    lacks a voltage column or holds one within 1e-6 (relative, at least
-    1e-6 V) of its first value."""
-    if power.shape[2] < 3:
+def _voltage_constant(power: np.ndarray, samples: np.ndarray) -> bool:
+    """Whether every power table of a block (their tables end to end,
+    samples x columns, each of ``samples`` samples) lacks a voltage column
+    or holds one within 1e-6 (relative, at least 1e-6 V) of its first
+    value."""
+    if power.shape[1] < 3:
         return True
-    volts, first = power[:, :, 2], power[:, :1, 2]
+    volts = power[:, 2]
+    first = np.repeat(volts[np.cumsum(samples) - samples], samples)
     return not (np.abs(volts - first) > 1e-6 * np.maximum(1.0, np.abs(first))).any()
 
 
@@ -696,7 +718,7 @@ def parse_power_trace(text: str) -> PowerTrace:
     volts = float(table[0, 2]) if len(header) == 3 else None
     trace = PowerTrace(table[:, 0].copy(), table[:, 1].copy(), volts, linenos)
     # Checked once the samples pass: a sample fault is reported first.
-    if not _voltage_constant(table[None]):
+    if not _voltage_constant(table, np.array([len(table)])):
         raise ParseError("voltage column is not constant")
     return trace
 
@@ -859,13 +881,15 @@ def _read_trace(parse, path: Path, what: str):
 # one run holds more, so the memory ingest takes does not grow with the
 # campaign. Each kind of trace keeps its text and the kernel's arrays from
 # block to block (see _Scratch): a byte of text, 21 bytes a mark (a byte
-# that is not a digit) and 100 a cell, each array with a quarter to spare.
-# The worst case is a body of one-digit cells, a mark and a cell every two
-# bytes: about 77 bytes of memory a byte of text, so a full read peaks at
-# about 80 x BLOCK_BYTES (40 MiB) besides its manifest and datasets. A read
-# of some counters gathers the cells it reads, at up to 50 bytes more a
-# cell read: up to about 110 x BLOCK_BYTES when it reads all counters but
-# one. Train-deep's cells, 17 bytes each, take about 12 bytes a byte of text.
+# that is not a digit) and about 70 a cell, each array with a quarter to
+# spare. The worst case is a body of one-digit cells, a mark and a cell
+# every two bytes: about 60 bytes of memory a byte of text, so a full read
+# peaks at about 65 x BLOCK_BYTES (32 MiB) besides its manifest and
+# datasets. A read of some counters gathers the cells it reads, at up to
+# 50 bytes more a cell read: up to about 95 x BLOCK_BYTES when it reads all
+# counters but one. A block whose traces differ in length copies the tables
+# of each group of runs of one length, 8 bytes a cell, a group at a time.
+# Train-deep's cells, 17 bytes each, take about 10 bytes a byte of text.
 BLOCK_BYTES = 1 << 19
 
 
@@ -873,8 +897,8 @@ class _FastRun(NamedTuple):
     """A manifest run whose trace files the fast read took, the samples not
     yet checked: its power trace and its counter traces by kind (its
     counter trace, then its aux trace, None without one); its key, the
-    headers and shapes of its traces (runs of equal keys stack into one
-    block); and the bytes of its bodies."""
+    headers of its traces (consecutive runs of equal keys, of any lengths,
+    join one block); and the bytes of its bodies."""
 
     index: int
     meta: RunMeta
@@ -891,12 +915,24 @@ class _FastRun(NamedTuple):
 _POWER_HEADERS = (("ts_ms", "current_ma"), ("ts_ms", "current_ma", "voltage_v"))
 
 
-def _samples_pass(tables: np.ndarray, values: np.ndarray) -> bool:
-    """Whether every trace of a block (runs x samples x columns) passes
-    ``_check_samples``: all finite, timestamps increasing, no negative
-    among ``values``."""
-    return bool(np.isfinite(tables).all() and (np.diff(tables[:, :, 0]) > 0).all()
-                and not (values < 0).any())
+def _samples_pass(table: np.ndarray, values: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether every trace of a block (their tables end to end, samples x
+    columns, ``ends`` the row after each trace's last) passes
+    ``_check_samples``: all finite, timestamps increasing within each
+    trace, no negative among ``values``."""
+    steps = np.diff(table[:, 0]) > 0
+    steps[ends[:-1] - 1] = True  # from one trace's last sample to the next's first
+    return bool(np.isfinite(table).all() and steps.all() and not (values < 0).any())
+
+
+def _runs(table: np.ndarray, starts: np.ndarray, samples: int) -> np.ndarray:
+    """The traces of ``samples`` samples each that start at the rows
+    ``starts`` of ``table`` (a block's tables end to end), stacked (runs x
+    samples x columns): ``table`` reshaped when they are all of its rows."""
+    if len(starts) * samples == len(table):
+        return table.reshape(len(starts), samples, table.shape[1])
+    rows = np.add.outer(starts, np.arange(samples)).ravel()
+    return table[rows].reshape(len(starts), samples, table.shape[1])
 
 
 def _block_rates(counters: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -916,6 +952,7 @@ class _Campaign:
                  wanted: tuple[frozenset[str] | None, frozenset[str] | None]):
         self.runs = runs
         self.manifest, self.base_dir = manifest, manifest.parent
+        self.base = os.fspath(self.base_dir)  # the fast read joins trace names onto it
         self.wanted = wanted
         self.metas: list[RunMeta] = []
         self.rates: tuple[list[np.ndarray], ...] = ([], [])
@@ -963,20 +1000,22 @@ class _Campaign:
         read, their bodies placed after the block's but not added to it;
         None when its entry or a file cannot be read, the fast read declines
         a file, or a header would raise."""
+        base, aux = self.base, None
         try:
             run = _manifest_run(self.runs[i], self.manifest, i)
-            counters, power, aux = (
-                None if name is None else text.read(os.path.join(self.base_dir, name))
-                for text, name in ((self.texts[0], run.counter_file),
-                                   (self.power_text, run.power_file),
-                                   (self.texts[1], run.aux_counter_file)))
+            counters = self.texts[0].read(os.path.join(base, run.counter_file))
+            power = self.power_text.read(os.path.join(base, run.power_file))
+            if run.aux_counter_file is not None:
+                aux = self.texts[1].read(os.path.join(base, run.aux_counter_file))
+                if aux is None:
+                    return None
         except (PmcPowerError, OSError):
             return None
-        if counters is None or power is None or (aux is None) != (run.aux_counter_file is None):
+        if counters is None or power is None:
             return None
-        key = (power[:2], counters[:2], aux and aux[:2])
+        key = (power[0], counters[0], aux and aux[0])
         return _FastRun(i, run.meta, power, (counters, aux), key,
-                        power[2] + counters[2] + (aux[2] if aux else 0))
+                        power[1] + counters[1] + (aux[1] if aux else 0))
 
     def take(self, run: _FastRun) -> None:
         """Add the bodies of ``run``, the last run read, to the block."""
@@ -1007,22 +1046,42 @@ class _Campaign:
         """The block's rates and currents of each kind of counter trace its
         runs list, as ``add_run`` would give them run by run; None wherever
         ``add_run`` would raise for one of its runs, or the kernel declines
-        a kind of trace."""
+        a kind of trace. The runs whose traces have equal lengths are
+        aggregated together, which keeps each row's bits (see
+        ``aggregate_block``), and their rows put back in block order."""
         first = block[0]
         if self.metas and first.names() != self.names:
             return None
-        tables = [text.stacked([run.traces[kind] for run in block])
-                  for kind, text in enumerate(self.texts) if first.traces[kind] is not None]
-        power = self.power_text.stacked([run.power for run in block])
-        if power is None or any(table is None for table in tables):
+        read = [text.stacked([run.traces[kind] for run in block])
+                for kind, text in enumerate(self.texts) if first.traces[kind] is not None]
+        read.append(self.power_text.stacked([run.power for run in block]))
+        if any(stacked is None for stacked in read):
             return None
-        if not (all(_samples_pass(table, table[:, :, 1:]) for table in tables)
-                and _samples_pass(power, power[:, :, 1]) and _voltage_constant(power)):
+        tables, ends = zip(*read)  # the counter tables by kind, then the power
+        ends = np.array(ends).T  # runs x tables: the row after each trace's last
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1]
+        samples = ends - starts
+        power = tables[-1]
+        if not (all(_samples_pass(table, table[:, 1:], ends[:, k])
+                    for k, table in enumerate(tables[:-1]))
+                and _samples_pass(power, power[:, 1], ends[:, -1])
+                and _voltage_constant(power, samples[:, -1])):
             return None
+        shapes: dict[tuple[int, ...], list[int]] = {}
+        for i, shape in enumerate(samples.tolist()):
+            shapes.setdefault(tuple(shape), []).append(i)
+        rows = [(np.empty((len(block), table.shape[1] - 1)), np.empty(len(block)))
+                for table in tables[:-1]]
         try:
-            return [_block_rates(table, power) for table in tables]
+            for shape, index in shapes.items():
+                runs = [_runs(table, starts[index, k], n)
+                        for k, (table, n) in enumerate(zip(tables, shape))]
+                for (rates, currents), counters in zip(rows, runs[:-1]):
+                    rates[index], currents[index] = _block_rates(counters, runs[-1])
         except AggregationError:
             return None
+        return rows
 
     def datasets(self) -> tuple[Dataset, Dataset | None]:
         """The dataset of each kind of counter trace, None for no aux traces."""
@@ -1067,20 +1126,22 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     worded reader.
 
     Ingest has two readers. The fast one reads blocks: consecutive runs
-    whose traces share their headers and shapes, of at most BLOCK_BYTES of
-    trace text. Each trace file is read once, its body straight onto the
-    end of its kind's block (``_Text``), and a header it repeats is taken
-    by its bytes. Each kind of trace of a block is proved and converted in
-    one structural pass over its bodies (``_decimal_table``), in arrays
-    reused from block to block; its samples are checked and its runs
-    aggregated at once. An aux trace takes the counter trace's path.
+    whose traces share their headers, of any lengths, of at most
+    BLOCK_BYTES of trace text. Each trace file is read once, its body
+    straight onto the end of its kind's block (``_Text``), and a header it
+    repeats is taken by its bytes. Each kind of trace of a block is proved
+    and converted in one structural pass over its bodies
+    (``_decimal_table``), in arrays reused from block to block, and the
+    proof gives each trace's sample count; its samples are checked at once,
+    and its runs of equal trace lengths aggregated together. An aux trace
+    takes the counter trace's path.
     The worded one, the csv line parser of ``parse_counter_trace`` and
     ``parse_power_trace``, reads a run the fast read cannot take and every
     run of a block that fails or that the kernel declines, alone, so a
     fault raises as the first one in manifest order, naming its file and
     line. Where the long double is too narrow for the kernel (see
-    ``_WIDE_LONG_DOUBLE``), it declines every block and the worded reader
-    reads every run.
+    ``_WIDE_LONG_DOUBLE``), the worded reader reads every run, and each
+    trace file is read once.
     """
     path = Path(path)
     try:
@@ -1097,7 +1158,7 @@ def load_manifest(path, counters=None, aux_counters=None) -> tuple[Dataset, Data
     block: list[_FastRun] = []
     text = 0
     for i in range(len(runs)):
-        run = campaign.fast_read(i)
+        run = campaign.fast_read(i) if _WIDE_LONG_DOUBLE else None
         if block and (run is None or run.key != block[0].key or text + run.size > BLOCK_BYTES):
             campaign.add_block(block)
             block, text = [], 0
