@@ -837,7 +837,33 @@ def _run_where(manifest: Path, index: int, benchmark: str | None = None) -> str:
 
 
 def _manifest_run(entry, manifest: Path, index: int) -> ManifestRun:
-    """Run ``index`` of ``manifest``, its entry checked field by field."""
+    """Run ``index`` of ``manifest``, its entry checked field by field. A
+    clean entry passes one straight-line check; any other is checked by
+    ``_checked_entry``, which names its first fault."""
+    if type(entry) is dict:
+        get = entry.get
+        benchmark, workload = get("benchmark"), get("workload_type")
+        frequency, utilization = get("frequency_hz"), get("utilization")
+        counters, power, aux = get("counter_file"), get("power_file"), get("aux_counter_file")
+        # json_float's float(), on the ints it converts without overflow
+        if type(frequency) is int and 0 < frequency < 1 << 1000:
+            frequency = float(frequency)
+        if type(utilization) is int and 0 <= utilization <= 1:
+            utilization = float(utilization)
+        if (type(benchmark) is str and type(workload) is str and workload in WORKLOAD_TYPES
+                and type(frequency) is float and 0.0 < frequency < math.inf
+                and (utilization is None
+                     or type(utilization) is float and 0.0 <= utilization <= 1.0)
+                and type(counters) is str and type(power) is str
+                and (aux is None or type(aux) is str)):
+            return ManifestRun(counters, power, RunMeta(benchmark, workload, frequency,
+                                                        utilization), aux)
+    return _checked_entry(entry, manifest, index)
+
+
+def _checked_entry(entry, manifest: Path, index: int) -> ManifestRun:
+    """``_manifest_run``, each field checked in turn, so that the first
+    fault raises, worded."""
     where = _run_where(manifest, index)
     if not isinstance(entry, dict):
         raise ParseError(f"{where}: expected an object, got {type(entry).__name__}")

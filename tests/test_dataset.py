@@ -896,6 +896,61 @@ class TestManifest:
         assert isolated.target_current.tolist() == pytest.approx([300.0, 280.0])
 
 
+# Strings, numbers at and past every check's limits, booleans, None and containers.
+_ENTRY_VALUES = (
+    "Compute", "Other", "compute", "", "bench-1", "run0.counters.csv",
+    None, True, False, 0, 1, 2, -1, 471_000_000, 2**1000, 10**400, -10**400,
+    0.0, -0.0, 0.5, 1.0, 1.5, -0.25, 471e6, 5e-324, 1e308, math.inf, -math.inf, math.nan,
+    [], {}, ["Compute"],
+)
+_CLEAN_ENTRY = {"benchmark": "bench-0", "workload_type": "Compute", "frequency_hz": 471e6,
+                "counter_file": "run0.counters.csv", "power_file": "run0.power.csv"}
+_MISSING = object()
+
+
+def _entry(changes):
+    """The clean entry with each (field, value) of ``changes`` set, or the field
+    dropped where the value is _MISSING."""
+    entry = dict(_CLEAN_ENTRY)
+    for field, value in changes:
+        entry[field] = value
+        if value is _MISSING:
+            del entry[field]
+    return entry
+
+
+def _entry_outcome(check, entry):
+    try:
+        return repr(check(entry, Path("m.json"), 4))  # repr tells -0.0 from 0.0
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestEntryCheck:
+    """The straight-line check of a clean entry against the worded one."""
+
+    FIELDS = ("benchmark", "workload_type", "frequency_hz", "utilization", "counter_file",
+              "power_file", "aux_counter_file")
+
+    def assert_agree(self, entry):
+        assert _entry_outcome(dataset._manifest_run, entry) == _entry_outcome(
+            dataset._checked_entry, entry)
+
+    def test_each_field_alone(self):
+        for field in self.FIELDS:
+            for value in (*_ENTRY_VALUES, _MISSING):
+                self.assert_agree(_entry([(field, value)]))
+        for value in _ENTRY_VALUES:  # not an object
+            self.assert_agree(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(changes=st.lists(st.tuples(st.sampled_from(FIELDS),
+                                      st.sampled_from((*_ENTRY_VALUES, _MISSING))),
+                            min_size=2, max_size=4))
+    def test_fields_together(self, changes):
+        self.assert_agree(_entry(changes))
+
+
 COUNTER_FAULTS = ("negative", "step_back", "nan", "overflow", "ragged", "renamed",
                   "reserved", "quoted", "not_utf8", "missing", "one_row")
 POWER_FAULTS = ("negative", "step_back", "voltage", "late", "short", "header", "quoted",

@@ -1,4 +1,3 @@
-import importlib.util
 import os
 import re
 import subprocess
@@ -29,28 +28,9 @@ from pmcpower.features import (
     ratio,
 )
 from pmcpower.numerics import pearson, pearson_p_value
-from pmcpower.synth import generate
 
-from conftest import make_dataset
+from conftest import make_dataset, wide_dataset
 from oracles import build_matrix_reference, generate_combined_reference
-
-
-def _load_campaign():
-    """The benchmark's wide campaign design (perfbench/campaign.py)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "campaign.py"
-    spec = importlib.util.spec_from_file_location("perfbench_campaign", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-campaign = _load_campaign()
-
-
-def wide_dataset(factors, runs, seed):
-    ds, _ = generate(campaign.wide_config(campaign.Shape(factors, 6, runs, 2), seed))
-    return ds
 
 
 def outcome(fn, *args, **kwargs):

@@ -11,6 +11,7 @@ from pmcpower import selection
 from pmcpower.clustering import ClusterAssignment
 from pmcpower.errors import ClusteringError, DegenerateSeriesError, FeatureError
 from pmcpower.features import base, build_matrix
+from pmcpower.model import PipelineConfig, run_pipeline
 from pmcpower.numerics import ols_fit
 from pmcpower.selection import (
     R2_TIE_EPS,
@@ -19,7 +20,7 @@ from pmcpower.selection import (
     select_significant,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, wide_dataset
 from oracles import best_member_reference, select_significant_reference
 
 
@@ -316,3 +317,89 @@ class TestSelectionMatchesReference:
         assignment = ClusterAssignment(cluster_of=np.array([1]), n_clusters=2)
         with pytest.raises(FeatureError, match="cluster must be non-empty"):
             select_significant(assignment, matrix, target)
+
+
+def _outcome(fn, *args):
+    """``_with_warnings`` of fn, or the type and message of what it raised."""
+    try:
+        return _with_warnings(fn, *args)
+    except Exception as exc:  # the reference's own failure, e.g. on a NaN score
+        return type(exc), str(exc)
+
+
+class TestLazyRanking:
+    """The importance order is resolved only as far as the greedy pass reads it."""
+
+    def test_refits_only_clusters_that_can_come_next(self):
+        ds = wide_dataset(20, 200, 3)
+        y = ds.target_current
+        single_fits = []
+
+        def counting(X, target):
+            if X.shape[1] == 1:
+                single_fits.append(1)
+            return ols_fit(X, target)
+
+        with mock.patch.object(selection, "ols_fit", counting):
+            result = run_pipeline(ds)
+        matrix, assignment, trace = result.matrix, result.assignment, result.selection.trace
+        config = PipelineConfig()
+        expected = select_significant_reference(
+            assignment, matrix, y, config.epsilon, config.patience
+        )
+        assert result.selection == expected
+        _, high = selection._single_fit_bounds(matrix.values, np.arange(len(matrix.specs)), y)
+        last, _ = best_member_reference(assignment.members(trace[-1].cluster_id), [], matrix, y)
+        reach = [members for members in map(assignment.members, range(assignment.n_clusters))
+                 if high[members].max() >= last]
+        allowed = sum(map(len, reach))
+        # 6 of 118 clusters examined; 6 reach, holding 76 of 1,120 members (32 refit)
+        assert len(trace) < assignment.n_clusters / 10
+        assert allowed < len(matrix.specs) / 10
+        assert 0 < len(single_fits) <= allowed
+
+    @staticmethod
+    def _tight(values, columns, target):
+        """Bounds that are the refit scores themselves: a cluster's bound
+        then equals its importance."""
+        scores = np.array([ols_fit(values[:, [c]], target).r_squared for c in columns])
+        return scores, scores.copy()
+
+    @pytest.mark.parametrize("tight", [False, True])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2), (2, 1, 0), (2, 0, 1)])
+    def test_exact_tie_across_clusters_ranks_by_name(self, rng, order, tight):
+        f = rng.uniform(1, 10, 30)
+        y = 3 * f + rng.normal(0, 0.5, 30)
+        cols = {"zeta": f, "alpha": f.copy(), "n1": rng.uniform(1, 10, 30),
+                "n2": rng.uniform(1, 10, 30), "n3": rng.uniform(1, 10, 30)}
+        matrix, target = matrix_from(cols, y)
+        groups = [["zeta", "n1"], ["alpha", "n2"], ["n3"]]
+        assignment = assignment_of(matrix, [groups[i] for i in order])
+        bounds = self._tight if tight else selection._single_fit_bounds
+        with mock.patch.object(selection, "_single_fit_bounds", bounds):
+            got = select_significant(assignment, matrix, target, 1e-3, 3)
+        assert got == select_significant_reference(assignment, matrix, target, 1e-3, 3)
+        cluster = {name: int(assignment.cluster_of[matrix.names().index(f"base:{name}")])
+                   for name in ("alpha", "zeta")}
+        seed, copy = got.trace[:2]
+        assert (seed.cluster_id, copy.cluster_id) == (cluster["alpha"], cluster["zeta"])
+        assert seed.best_member == base("alpha")
+        zeta = matrix.names().index("base:zeta")
+        assert seed.r_squared == cluster_importance([zeta], matrix, target)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=selection_cases(), scale=st.sampled_from([1.0, 1e150, 1e-150, 1e160]),
+           spare=st.integers(0, 2))
+    def test_every_cluster_examined(self, case, scale, spare):
+        # Patience of at least the cluster count examines every cluster, so
+        # the lazy order must equal the full sort: with 1e+-150 columns,
+        # targets whose sums leave the trusted range, and targets at 1e160,
+        # whose squares overflow, so that every fit scores NaN and both raise.
+        if case is None:
+            return
+        matrix, y, assignment = case
+        args = (assignment, matrix, y * scale, 1e-3, assignment.n_clusters + spare)
+        got = _outcome(select_significant, *args)
+        assert got == _outcome(select_significant_reference, *args)
+        if not isinstance(got[0], type):
+            assert got[0].terminated_at == assignment.n_clusters
