@@ -836,62 +836,57 @@ def _run_where(manifest: Path, index: int, benchmark: str | None = None) -> str:
     return where if benchmark is None else f"{where} ({benchmark!r})"
 
 
-def _manifest_run(entry, manifest: Path, index: int) -> ManifestRun:
-    """Run ``index`` of ``manifest``, its entry checked field by field. A
-    clean entry passes one straight-line check; any other is checked by
-    ``_checked_entry``, which names its first fault."""
-    if type(entry) is dict:
-        get = entry.get
-        benchmark, workload = get("benchmark"), get("workload_type")
-        frequency, utilization = get("frequency_hz"), get("utilization")
-        counters, power, aux = get("counter_file"), get("power_file"), get("aux_counter_file")
-        # json_float's float(), on the ints it converts without overflow
-        if type(frequency) is int and 0 < frequency < 1 << 1000:
-            frequency = float(frequency)
-        if type(utilization) is int and 0 <= utilization <= 1:
-            utilization = float(utilization)
-        if (type(benchmark) is str and type(workload) is str and workload in WORKLOAD_TYPES
-                and type(frequency) is float and 0.0 < frequency < math.inf
-                and (utilization is None
-                     or type(utilization) is float and 0.0 <= utilization <= 1.0)
-                and type(counters) is str and type(power) is str
-                and (aux is None or type(aux) is str)):
-            return ManifestRun(counters, power, RunMeta(benchmark, workload, frequency,
-                                                        utilization), aux)
-    return _checked_entry(entry, manifest, index)
-
-
-def _checked_entry(entry, manifest: Path, index: int) -> ManifestRun:
-    """``_manifest_run``, each field checked in turn, so that the first
-    fault raises, worded."""
+def _entry_fault(entry: dict, key: str, expected: str, manifest: Path, index: int) -> ParseError:
+    """The error for field ``key`` of manifest run ``index``, missing or not
+    ``expected``."""
     where = _run_where(manifest, index)
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected an object, got {type(entry).__name__}")
+    if key not in entry:
+        return ParseError(f"{where}: missing field {key!r}")
+    return ParseError(f"{where}: field {key!r} must be {expected}, got {entry[key]!r}")
 
-    def get(key, kind, required=True):
-        if entry.get(key) is None and not required:
-            return None
-        if key not in entry:
-            raise ParseError(f"{where}: missing field {key!r}")
-        value = entry[key]
-        if kind is float:
-            try:
-                value = json_float(value)
-            except OverflowError:
-                value = math.nan
-        if not isinstance(value, kind) or (kind is float and not math.isfinite(value)):
-            expected = "a finite number" if kind is float else "a string"
-            raise ParseError(f"{where}: field {key!r} must be {expected}, got {entry[key]!r}")
-        return value
 
-    benchmark = get("benchmark", str)
+def _json_number(value) -> float:
+    """``json_float`` of ``value``, NaN for an int too large for a float."""
     try:
-        meta = RunMeta(benchmark, get("workload_type", str), get("frequency_hz", float),
-                       get("utilization", float, required=False))
+        return json_float(value)
+    except OverflowError:
+        return math.nan
+
+
+def _manifest_run(entry, manifest: Path, index: int) -> ManifestRun:
+    """Run ``index`` of ``manifest``, its entry checked field by field; the
+    first fault raises, worded."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{_run_where(manifest, index)}: expected an object, "
+                         f"got {type(entry).__name__}")
+    get = entry.get
+    benchmark = get("benchmark")
+    if not isinstance(benchmark, str):
+        raise _entry_fault(entry, "benchmark", "a string", manifest, index)
+    workload = get("workload_type")
+    if not isinstance(workload, str):
+        raise _entry_fault(entry, "workload_type", "a string", manifest, index)
+    frequency = _json_number(get("frequency_hz"))
+    if not math.isfinite(frequency):
+        raise _entry_fault(entry, "frequency_hz", "a finite number", manifest, index)
+    utilization = get("utilization")
+    if utilization is not None:
+        utilization = _json_number(utilization)
+        if not math.isfinite(utilization):
+            raise _entry_fault(entry, "utilization", "a finite number", manifest, index)
+    try:
+        meta = RunMeta(benchmark, workload, frequency, utilization)
     except ConfigError as exc:
         raise ParseError(f"{_run_where(manifest, index, benchmark)}: {exc}") from None
-    return ManifestRun(get("counter_file", str), get("power_file", str), meta,
-                       get("aux_counter_file", str, required=False))
+    counters, power = get("counter_file"), get("power_file")
+    if not isinstance(counters, str):
+        raise _entry_fault(entry, "counter_file", "a string", manifest, index)
+    if not isinstance(power, str):
+        raise _entry_fault(entry, "power_file", "a string", manifest, index)
+    aux = get("aux_counter_file")
+    if aux is not None and not isinstance(aux, str):
+        raise _entry_fault(entry, "aux_counter_file", "a string", manifest, index)
+    return ManifestRun(counters, power, meta, aux)
 
 
 def _read_trace(parse, path: Path, what: str):

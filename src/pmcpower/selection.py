@@ -24,9 +24,9 @@ bound reaches the best lower bound in the cluster, less R2_TIE_EPS; on
 the benchmark campaigns, its exact ties among bit-equal columns. The refit scores must put every
 other member's upper bound below the tie line, or the rest of the cluster
 is refit too, so importance and its tie-break are those of refitting every
-member, bit for bit. With a constant target every cluster is refit whole
-and sorted. A column whose pre-score cannot be trusted is always refit,
-before the first cluster is examined. The greedy pass refits every member
+member, bit for bit. A column whose pre-score cannot be trusted, and
+every column when the target is constant, is refit before the first
+cluster is examined. The greedy pass refits every member
 of each examined cluster jointly with the basis.
 """
 from __future__ import annotations
@@ -227,8 +227,9 @@ def _ranked(
     cluster is yielded once every unresolved bound lies strictly below its
     importance, and a cluster whose bound reaches it is resolved first. So
     the order rests only on upper bounds and exact scores. Without bounds
-    (``_single_fit_bounds`` gives None) every cluster is refit whole and
-    sorted. No importance is NaN, so the heap's order is the sort's:
+    (``_single_fit_bounds`` gives None) every column's are (-inf, inf), so
+    every cluster is refit whole, in cluster order, before the first is
+    yielded. No importance is NaN, so the heap's order is the sort's:
     ``max`` passes over a NaN score unless it comes first, and then
     ``_pick`` finds no tie and raises, as refitting everything does. Only
     an untrusted column can score NaN, and its cluster's bound is inf, so
@@ -239,14 +240,7 @@ def _ranked(
     columns = np.concatenate([np.asarray(members, dtype=np.intp) for members in groups])
     bounds = _single_fit_bounds(matrix.values, columns, y)
     if bounds is None:
-        scores = [_best_member(members, [], matrix, y) for members in groups]
-        order = sorted(
-            range(len(scores)),
-            key=lambda c: (-scores[c][0], matrix.specs[scores[c][1]].canonical()),
-        )
-        for c in order:
-            yield c, *scores[c]
-        return
+        bounds = np.full(columns.size, -np.inf), np.full(columns.size, np.inf)
     starts = np.cumsum([0, *map(len, groups)])
     upper = np.maximum.reduceat(bounds[1], starts[:-1])
     low, high = (bound.tolist() for bound in bounds)

@@ -896,59 +896,36 @@ class TestManifest:
         assert isolated.target_current.tolist() == pytest.approx([300.0, 280.0])
 
 
-# Strings, numbers at and past every check's limits, booleans, None and containers.
-_ENTRY_VALUES = (
-    "Compute", "Other", "compute", "", "bench-1", "run0.counters.csv",
-    None, True, False, 0, 1, 2, -1, 471_000_000, 2**1000, 10**400, -10**400,
-    0.0, -0.0, 0.5, 1.0, 1.5, -0.25, 471e6, 5e-324, 1e308, math.inf, -math.inf, math.nan,
-    [], {}, ["Compute"],
-)
-_CLEAN_ENTRY = {"benchmark": "bench-0", "workload_type": "Compute", "frequency_hz": 471e6,
-                "counter_file": "run0.counters.csv", "power_file": "run0.power.csv"}
 _MISSING = object()
+# (field, faulty value, what the error reads after "manifest run 4"), in the
+# order the entry check meets them: types, then RunMeta's checks, then paths.
+_ENTRY_FAULT_ORDER = (
+    ("benchmark", 7, ": field 'benchmark' must be a string, got 7"),
+    ("workload_type", None, ": field 'workload_type' must be a string, got None"),
+    ("frequency_hz", 10**400, f": field 'frequency_hz' must be a finite number, got {10**400}"),
+    ("utilization", "high", ": field 'utilization' must be a finite number, got 'high'"),
+    ("workload_type", "compute", " ('b0'): unknown workload type 'compute'"),
+    ("frequency_hz", -0.0, " ('b0'): frequency must be > 0"),
+    ("utilization", 2, " ('b0'): utilization must lie in [0, 1]"),
+    ("counter_file", _MISSING, ": missing field 'counter_file'"),
+    ("power_file", ["p.csv"], ": field 'power_file' must be a string, got ['p.csv']"),
+    ("aux_counter_file", 5, ": field 'aux_counter_file' must be a string, got 5"),
+)
 
 
-def _entry(changes):
-    """The clean entry with each (field, value) of ``changes`` set, or the field
-    dropped where the value is _MISSING."""
-    entry = dict(_CLEAN_ENTRY)
-    for field, value in changes:
+@pytest.mark.parametrize("first", range(len(_ENTRY_FAULT_ORDER)))
+def test_entry_names_its_first_fault(first):
+    # Every fault from ``first`` on is planted, the earliest last, so that
+    # it holds its field; only the earliest is named.
+    entry = {"benchmark": "b0", "workload_type": "Compute", "frequency_hz": 1e8,
+             "utilization": 0.5, "counter_file": "c.csv", "power_file": "p.csv"}
+    for field, value, _ in reversed(_ENTRY_FAULT_ORDER[first:]):
         entry[field] = value
         if value is _MISSING:
             del entry[field]
-    return entry
-
-
-def _entry_outcome(check, entry):
-    try:
-        return repr(check(entry, Path("m.json"), 4))  # repr tells -0.0 from 0.0
-    except ParseError as exc:
-        return str(exc)
-
-
-class TestEntryCheck:
-    """The straight-line check of a clean entry against the worded one."""
-
-    FIELDS = ("benchmark", "workload_type", "frequency_hz", "utilization", "counter_file",
-              "power_file", "aux_counter_file")
-
-    def assert_agree(self, entry):
-        assert _entry_outcome(dataset._manifest_run, entry) == _entry_outcome(
-            dataset._checked_entry, entry)
-
-    def test_each_field_alone(self):
-        for field in self.FIELDS:
-            for value in (*_ENTRY_VALUES, _MISSING):
-                self.assert_agree(_entry([(field, value)]))
-        for value in _ENTRY_VALUES:  # not an object
-            self.assert_agree(value)
-
-    @settings(max_examples=300, deadline=None)
-    @given(changes=st.lists(st.tuples(st.sampled_from(FIELDS),
-                                      st.sampled_from((*_ENTRY_VALUES, _MISSING))),
-                            min_size=2, max_size=4))
-    def test_fields_together(self, changes):
-        self.assert_agree(_entry(changes))
+    with pytest.raises(ParseError) as info:
+        dataset._manifest_run(entry, Path("m.json"), 4)
+    assert str(info.value).startswith("m.json: manifest run 4" + _ENTRY_FAULT_ORDER[first][2])
 
 
 COUNTER_FAULTS = ("negative", "step_back", "nan", "overflow", "ragged", "renamed",
