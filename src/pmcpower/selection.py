@@ -25,8 +25,8 @@ the benchmark campaigns, its exact ties among bit-equal columns. The refit score
 other member's upper bound below the tie line, or the rest of the cluster
 is refit too, so importance and its tie-break are those of refitting every
 member, bit for bit. A column whose pre-score cannot be trusted, and
-every column when the target is constant, is refit before the first
-cluster is examined. The greedy pass refits every member
+every column when there are no bounds (a constant target, say), is refit
+before the first cluster is examined. The greedy pass refits every member
 of each examined cluster jointly with the basis.
 """
 from __future__ import annotations
