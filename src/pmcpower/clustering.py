@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,8 +73,10 @@ from .errors import ClusteringError
 
 DEFAULT_CUT_FACTOR = 0.05
 
-# Rows of the distance matrix a rescan reads at once.
-_RESCAN_ROWS = 64
+# Rows read at once: of an array's points while they are grouped and
+# copied, and of the distance matrix in a rescan and while it is put in
+# slot order.
+_BLOCK_ROWS = 64
 
 # Bytes of working arrays the distance triangle holds at once: a row
 # block's near-pair mask and indices, then the difference rows of its near
@@ -182,14 +184,66 @@ def _exact_pairs(small: np.ndarray, distinct: np.ndarray, i: np.ndarray, j: np.n
         small[a, b] = 0.5 * np.einsum("ij,ij->i", diff, diff)
 
 
-def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_blocks(points) -> Iterator[np.ndarray]:
+    """The rows of ``points`` in order, a block at a time: views of
+    ``_BLOCK_ROWS`` rows of a 2-D array, or the blocks a row source such as
+    ``FeatureMatrix.zscored_rows()`` gives."""
+    if isinstance(points, np.ndarray):
+        return (points[lo : lo + _BLOCK_ROWS] for lo in range(0, points.shape[0], _BLOCK_ROWS))
+    return iter(points)
+
+
+def _group_rows(
+    points, check: Callable[[int, np.ndarray], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first row of each distinct row of ``points``, in
+    order, and the index of each row's distinct row, from one pass over
+    its blocks; ``check(start, block)`` sees each block first.
+
+    Rows are grouped by their bytes, so ``-0.0`` and ``+0.0`` tell two rows
+    apart, and the distinct rows are numbered in order of first occurrence.
+    The grouping's keys (one bytes object per distinct row) are freed on
+    return.
+    """
+    seen: dict[bytes, int] = {}
+    first_of = np.empty(points.shape[0], dtype=np.intp)
+    start = 0
+    for block in _row_blocks(points):
+        if check is not None:
+            check(start, block)
+        for k, row in enumerate(block, start):
+            first_of[k] = seen.setdefault(row.tobytes(), k)
+        start += block.shape[0]
+    del seen
+    return np.unique(first_of, return_inverse=True)
+
+
+def _copy_rows(points, first: np.ndarray) -> np.ndarray:
+    """The rows ``first`` (ascending) of ``points``, copied block by block
+    in the memory order of ``points``: column-major for a 2-D array laid
+    out so, else row-major, as a row source's blocks are."""
+    column_major = (isinstance(points, np.ndarray)
+                    and abs(points.strides[0]) < abs(points.strides[1]))
+    rows = np.empty((first.size, points.shape[1]), order="F" if column_major else "C")
+    stop = 0
+    for block in _row_blocks(points):
+        start, stop = stop, stop + block.shape[0]
+        lo, hi = np.searchsorted(first, [start, stop])
+        rows[lo:hi] = block[first[lo:hi] - start]
+    return rows
+
+
+def _distinct_distances(
+    points, check: Callable[[int, np.ndarray], None] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Half the squared Euclidean distance between every two distinct rows
     of ``points``, with inf on the diagonal, and the index of each row's
     distinct row.
 
-    Rows are grouped by their bytes, so ``-0.0`` and ``+0.0`` tell two rows
-    apart, and the distinct rows are numbered in order of first occurrence.
-    The distinct rows are copied once, in the memory order of ``points``.
+    ``points`` is a 2-D array or a row source (see ``_row_blocks``), read
+    only a block of rows at a time: once by ``_group_rows``, which hands
+    each block to ``check``, and once more to copy the distinct rows, in
+    the memory order of ``points``, after the grouping's keys are freed.
 
     The triangle is taken from one Gram product written into the result,
     ``|a|^2/2 + |b|^2/2 - a.b``, and every near pair (see the module
@@ -198,21 +252,15 @@ def _distinct_distances(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are +0.0 apart and every pair under the smallest normal float is found
     as the differences give it. The near pairs are found one block of rows
     at a time over the upper triangle, which is then mirrored. Besides the
-    result and the inverse, this allocates the grouping's keys (one bytes
-    object per distinct row, freed before the triangle), the distinct rows,
-    their norms and working arrays of about ``_DIFF_BYTES``: never
-    a copy of the whole input, and no second n x n array.
+    result and the inverse, this allocates the grouping's keys (about the
+    distinct rows' size, freed before the copy), the distinct rows, their
+    norms and working arrays of about ``_DIFF_BYTES``, and one block of
+    rows (a row source's, or ``_BLOCK_ROWS`` gathered rows) while the rows
+    are read: never a copy of the whole input, and no second n x n array.
     """
-    seen: dict[bytes, int] = {}
-    first_of = np.array([seen.setdefault(row.tobytes(), k) for k, row in enumerate(points)],
-                        dtype=np.intp)
-    del seen
-    first, inverse = np.unique(first_of, return_inverse=True)
-    n, width = first.size, points.shape[1]
-    if abs(points.strides[0]) < abs(points.strides[1]):  # column-major points
-        distinct = np.take(points.T, first, axis=1).T
-    else:
-        distinct = points[first]
+    first, inverse = _group_rows(points, check)
+    distinct = _copy_rows(points, first)
+    n, width = distinct.shape
     small = np.empty((n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # such pairs are recomputed
         np.dot(distinct, distinct.T, out=small)
@@ -265,8 +313,10 @@ def _collapse_bit_equal(
     other pair is merged at height 0 before the groups are done.
 
     Returns the merges, the distances between the remaining clusters (one
-    per distinct column, in slot order, inf on the diagonal), their sizes
-    and node ids; or None when the guard fails.
+    per distinct column, in slot order, inf on the diagonal: ``small``
+    itself, permuted in place), their sizes and node ids; or None when the
+    guard fails. Each distinct column is one remaining cluster, so the
+    slot order is a permutation of ``small``'s rows.
     """
     if small.size and small.min() < np.finfo(float).tiny:
         return None
@@ -301,7 +351,31 @@ def _collapse_bit_equal(
         size[u] = len(members)
         node_of[u] = node
     node_id = [node_of.get(u, order[s]) for u, s in zip(columns.tolist(), firsts.tolist())]
-    return merges, small[np.ix_(columns, columns)], size[columns], node_id
+    _permute_in_place(small, columns)
+    return merges, small, size[columns], node_id
+
+
+def _permute_in_place(square: np.ndarray, perm: np.ndarray) -> None:
+    """Turn the square C-ordered ``square`` into ``square[np.ix_(perm,
+    perm)]`` without a second copy of it: each block of ``_BLOCK_ROWS``
+    rows gathers its columns, then rows move along the cycles of ``perm``
+    with one row of scratch. Only values are copied, so every bit is kept."""
+    for lo in range(0, perm.size, _BLOCK_ROWS):
+        block = square[lo : lo + _BLOCK_ROWS]
+        block[:] = block[:, perm]
+    done = perm == np.arange(perm.size)
+    scratch = np.empty(perm.size)
+    for start in np.flatnonzero(~done).tolist():
+        if done[start]:
+            continue
+        scratch[:] = square[start]
+        at = start
+        while (source := int(perm[at])) != start:
+            square[at] = square[source]
+            done[at] = True
+            at = source
+        square[at] = scratch
+        done[at] = True
 
 
 def _merge_loop(
@@ -315,8 +389,8 @@ def _merge_loop(
     row_best = np.empty(n, dtype=np.int64)
 
     def rescan(rows: np.ndarray) -> None:
-        for start in range(0, rows.size, _RESCAN_ROWS):
-            block_rows = rows[start : start + _RESCAN_ROWS]
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block_rows = rows[start : start + _BLOCK_ROWS]
             block = dist[block_rows]
             best = block.argmin(axis=1)
             row_best[block_rows] = best
@@ -395,6 +469,12 @@ def ward_cluster(
 ) -> Dendrogram:
     """Cluster the columns of a z-scored sample matrix bottom-up.
 
+    ``z_matrix`` is a 2-D n_samples x n_features array, or the features
+    given as rows by a row source: an object, not an array, with ``shape``
+    (n_features, n_samples) whose iteration gives the rows in blocks, such
+    as ``FeatureMatrix.zscored_rows()``, which z-scores a block of columns
+    at a time so that the whole z-scored matrix is never held.
+
     Pairwise SSE increases start at half the squared Euclidean distance
     between columns and are maintained through the Lance-Williams recurrence
     for Ward's method, so every recorded height equals the exact
@@ -418,22 +498,31 @@ def ward_cluster(
     than the smallest normal float, the distances are expanded to every
     pair of columns and the loop does all the merges. Either way the result
     is, given the triangle, bit for bit that of the loop over every pair.
-    The input is not modified, and it is not copied: besides the distances
-    (one matrix over the distinct columns, and the loop's over its slots),
-    Ward holds one copy of the distinct columns with working arrays of
-    about ``_DIFF_BYTES`` while the triangle is built, and blocks of
-    ``_RESCAN_ROWS`` distance rows while a rescan runs. The finiteness
-    check reads the input's minimum and maximum, which are NaN when any
-    value is, and allocates nothing of its size; finite values whose
-    distance overflows are rejected too (see ``_check_finite``).
+    The input is not modified, and it is not copied. The features are read
+    a block of rows at a time, twice: once to check them and group the
+    bit-equal ones by their bytes, and once to copy the distinct ones.
+    Besides one block of rows, Ward holds the grouping's keys (about the
+    distinct columns' size) until the grouping ends; then one copy of the
+    distinct columns with working arrays of about ``_DIFF_BYTES`` while the
+    triangle is built; and one distance matrix over the distinct columns,
+    which the collapse puts into slot order in place, with blocks of
+    ``_BLOCK_ROWS`` distance rows while a rescan runs. Only when the groups
+    cannot be collapsed is a second matrix, over every pair of columns,
+    made. The finiteness check reads each block's minimum and maximum,
+    which are NaN when any value is; finite values whose distance
+    overflows are rejected too (see ``_check_finite``).
 
     ``check_normalized`` rejects columns whose mean is not ~0; disable it
     to cluster raw coordinates (used by low-level tests).
     """
-    z = np.asarray(z_matrix, dtype=float)
-    if z.ndim != 2:
-        raise ClusteringError("expected a 2-D n_samples x n_features matrix")
-    n_samples, n_features = z.shape
+    if isinstance(z_matrix, np.ndarray) or not hasattr(z_matrix, "shape"):
+        z = np.asarray(z_matrix, dtype=float)
+        if z.ndim != 2:
+            raise ClusteringError("expected a 2-D n_samples x n_features matrix")
+        points = z.T  # rows of z.T are the features
+    else:
+        points = z_matrix
+    n_features, n_samples = points.shape
     if n_features < 2:
         raise ClusteringError("need at least 2 features to cluster")
     if n_samples < 1:
@@ -446,18 +535,22 @@ def ward_cluster(
             raise ClusteringError("one name per feature column required")
         if len(set(names)) != n_features:
             raise ClusteringError("feature names must be unique")
-    if not (np.isfinite(z.min()) and np.isfinite(z.max())):
-        raise ClusteringError("feature matrix holds non-finite values")
-    if check_normalized:
-        means = z.mean(axis=0)
-        bad = np.flatnonzero(np.abs(means) > 1e-6)
-        if bad.size:
-            raise ClusteringError(
-                f"column {names[bad[0]]!r} is not z-scored (mean {means[bad[0]]:.3g})"
-            )
+    not_zscored: list[tuple[int, float]] = []  # the first column whose mean is not ~0
 
+    def check(start: int, block: np.ndarray) -> None:
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise ClusteringError("feature matrix holds non-finite values")
+        if check_normalized and not not_zscored:
+            means = block.mean(axis=1)
+            bad = np.flatnonzero(np.abs(means) > 1e-6)
+            if bad.size:
+                not_zscored.append((start + int(bad[0]), float(means[bad[0]])))
+
+    small, inverse = _distinct_distances(points, check)
+    if not_zscored:
+        column, mean = not_zscored[0]
+        raise ClusteringError(f"column {names[column]!r} is not z-scored (mean {mean:.3g})")
     order = sorted(range(n_features), key=names.__getitem__)
-    small, inverse = _distinct_distances(z.T)  # rows of z.T are the features
     _check_finite(small, inverse, names)
     slots = inverse[order]
     collapsed = _collapse_bit_equal(small, slots, order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -183,16 +183,28 @@ def counter_correlations(ds: Dataset, names: Sequence[str]) -> np.ndarray:
     """``pearson`` of each named counter against the target, from one
     row-wise call. A target that is constant up to rounding (the variance
     gate of ``_near_zero_variance``) raises, naming its value or range and
-    the number of runs; else pearson's error for the first counter it
-    rejects."""
+    the number of runs; so does a target whose centred sum of squares
+    overflows, naming its largest current and that run's benchmark (every
+    correlation would be rejected, and blame the counter); else pearson's
+    error for the first counter it rejects."""
     rows = np.array([ds.column(name) for name in names])
     y = ds.target_current
-    if y.size >= 3 and np.isfinite(y).all() and _near_zero_variance(y[:, None])[0]:
-        low, high = float(y.min()), float(y.max())
-        value = f", {low!r} mA" if low == high else f" up to rounding, {low!r} to {high!r} mA"
-        raise DegenerateSeriesError(
-            f"degenerate series (zero variance): the target current is constant{value} "
-            f"in all {y.size} training runs")
+    if y.size >= 3 and np.isfinite(y).all():
+        if _near_zero_variance(y[:, None])[0]:
+            low, high = float(y.min()), float(y.max())
+            value = f", {low!r} mA" if low == high else f" up to rounding, {low!r} to {high!r} mA"
+            raise DegenerateSeriesError(
+                f"degenerate series (zero variance): the target current is constant{value} "
+                f"in all {y.size} training runs")
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = y - y.mean()
+            overflows = not np.isfinite(np.dot(dy, dy))
+        if overflows:
+            run = int(np.abs(y).argmax())
+            raise DegenerateSeriesError(
+                f"the target current is too large to correlate: its sum of squares over "
+                f"{y.size} training runs overflows (largest {float(y[run])!r} mA, "
+                f"in a run of benchmark {ds.meta[run].benchmark_name!r})")
     r = correlations(rows, y)
     rejected = np.flatnonzero(np.isnan(r))
     if rejected.size:
@@ -465,18 +477,57 @@ class FeatureMatrix:
         the memory order of ``values``; a column whose std is 0 warns as
         the division does.
 
-        The bits are those of ``(values - mean) / std``, but ``std``, which
-        centres its own copy, is taken first and the division is done in
-        place, so one array the size of ``values`` is live at a time: that
-        copy, then the result.
+        The bits are those of ``(values - mean) / std`` (see ``_zscore``),
+        with one array the size of ``values`` live at a time. Ward reads
+        ``zscored_rows()`` instead, which never holds them all.
         """
-        std = self.values.std(axis=0)
-        z = self.values - self.values.mean(axis=0)
-        z /= std
-        return z
+        return _zscore(self.values)
+
+    def zscored_rows(self) -> ZScoredRows:
+        """``zscored()``'s columns as rows, made a block at a time (see
+        ``ZScoredRows``); ``values`` must be column-major, as
+        ``build_matrix`` lays them out."""
+        return ZScoredRows(self.values)
 
     def names(self) -> list[str]:
         return [spec.canonical() for spec in self.specs]
+
+
+def _zscore(values: np.ndarray) -> np.ndarray:
+    """Each column of ``values`` less its mean, over its population std, in
+    the memory order of ``values``, with the bits of ``(values - mean) /
+    std``: ``std``, which centres its own copy, is taken first and the
+    division is done in place, so one array the size of ``values`` is live
+    at a time, that copy and then the result."""
+    std = values.std(axis=0)
+    z = values - values.mean(axis=0)
+    z /= std
+    return z
+
+
+class ZScoredRows:
+    """The z-scores of a column-major matrix's columns, as rows, made
+    ``_BLOCK_FEATURES`` columns at a time: ``shape`` is (columns, runs),
+    and iterating gives each block's z-scores, ``_zscore`` of its column
+    slice, transposed to C-contiguous rows.
+
+    Each column of a column-major array is reduced alone and in one
+    order, so a block's z-scores equal ``zscored()``'s, bit for bit. That
+    does not hold for a row-major array, whose column slices numpy reduces
+    in another order, so such values are rejected. Only one block's
+    z-scores are live at a time; iterating again z-scores every block
+    again.
+    """
+
+    def __init__(self, values: np.ndarray):
+        if values.ndim != 2 or not values.flags.f_contiguous:
+            raise FeatureError("block z-scores need a column-major 2-D matrix")
+        self.values = values
+        self.shape = values.shape[::-1]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        for start in range(0, self.shape[0], _BLOCK_FEATURES):
+            yield _zscore(self.values[:, start : start + _BLOCK_FEATURES]).T
 
 
 def _plan(ds: Dataset, specs: Sequence[FeatureSpec]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -519,7 +570,9 @@ def build_matrix(ds: Dataset, specs: Iterable[FeatureSpec]) -> FeatureMatrix:
     checked for non-finite values and put through the variance gate
     (``_near_zero_variance``) at once, and its surviving features are
     stored as rows of one array whose transpose is the column-major
-    ``values``; ``zscored()`` and Ward's distances read that layout. The
+    ``values``. ``zscored_rows()`` needs that layout, for its block
+    z-scores to keep ``zscored()``'s bits, and Ward's distances read the
+    rows it gives. The
     first non-finite value named is the one in the earliest run, then the
     first feature, as a row-major scan finds it.
     """

@@ -173,7 +173,7 @@ def run_pipeline(train: Dataset, config: PipelineConfig | None = None) -> Pipeli
         specs = ft.generate_combined(train, specs, config.alpha, config.top_k)
     matrix = ft.build_matrix(train, specs)
 
-    dendrogram = ward_cluster(matrix.zscored(), matrix.names())
+    dendrogram = ward_cluster(matrix.zscored_rows(), matrix.names())
     threshold = default_cut_threshold(len(train), config.cut_factor)
     assignment = cut_dendrogram(dendrogram, threshold)
     selection = select_significant(

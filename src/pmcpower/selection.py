@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .clustering import ClusterAssignment
-from .errors import FeatureError
+from .errors import DegenerateSeriesError, FeatureError
 from .features import FeatureMatrix, FeatureSpec
 from .numerics import ols_fit
 
@@ -98,9 +98,15 @@ class SelectionResult:
 def _pick(scores: list[tuple[float, int]], matrix: FeatureMatrix) -> tuple[float, int]:
     """The best of (R-squared, position) scores and the member it names:
     scores within R2_TIE_EPS of the best tie, and the smallest canonical
-    name among them wins."""
+    name among them wins. ``max`` passes over a NaN score unless it comes
+    first; then nothing ties, and the error names the first member scored,
+    the cluster's first column wherever every member is refit."""
     best = max(score for score, _ in scores)
     tied = [m for score, m in scores if score >= best - R2_TIE_EPS]
+    if not tied:
+        raise DegenerateSeriesError(
+            f"R-squared of {matrix.specs[scores[0][1]].canonical()}, the first member of "
+            f"its cluster, is NaN: the cluster cannot be ranked")
     return best, min(tied, key=lambda m: matrix.specs[m].canonical())
 
 
@@ -231,7 +237,8 @@ def _ranked(
     every cluster is refit whole, in cluster order, before the first is
     yielded. No importance is NaN, so the heap's order is the sort's:
     ``max`` passes over a NaN score unless it comes first, and then
-    ``_pick`` finds no tie and raises, as refitting everything does. Only
+    ``_pick`` finds no tie and raises, naming the cluster's first column,
+    as refitting everything does. Only
     an untrusted column can score NaN, and its cluster's bound is inf, so
     that raises before anything is yielded.
     """

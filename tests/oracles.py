@@ -399,6 +399,10 @@ def best_member_reference(
     scores = [(ols_fit(matrix.values[:, [*basis, m]], y).r_squared, m) for m in members]
     best = max(score for score, _ in scores)
     tied = [m for score, m in scores if score >= best - R2_TIE_EPS]
+    if not tied:  # the first score is NaN
+        raise DegenerateSeriesError(
+            f"R-squared of {matrix.specs[members[0]].canonical()}, the first member of "
+            f"its cluster, is NaN: the cluster cannot be ranked")
     return best, min(tied, key=lambda m: matrix.specs[m].canonical())
 
 

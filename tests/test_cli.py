@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -527,6 +528,21 @@ class TestConstantTarget:
         assert proc.stderr == ("error: degenerate series (zero variance): the target current "
                                "is constant up to rounding, 0.1 to 0.1000000000000001 mA in all "
                                f"{len(train)} training runs\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_names_a_target_whose_squares_overflow(self, tmp_path):
+        # Currents near 1e157 mA: finite, but their squares overflow.
+        ds, _ = generate(three_factor_config(n_runs=60, seed=1))
+        ds = replace(ds, total_current=ds.total_current * 1e155, target_current=None)
+        train, _ = split_dataset(ds, TRAIN_FRACTION_DEFAULT, 0)
+        run = int(np.abs(train.target_current).argmax())
+        manifest = write_dataset_files(ds, tmp_path / "data")
+        proc = run_cli("train", "--manifest", str(manifest), "--output-dir", str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert re.fullmatch(
+            r"error: the target current is too large to correlate: its sum of squares over "
+            rf"{len(train)} training runs overflows \(largest \S+e\+15\d mA, in a run of "
+            rf"benchmark {re.escape(repr(train.meta[run].benchmark_name))}\)\n", proc.stderr)
         assert not (tmp_path / "out").exists()
 
     def test_eval_names_the_count_of_zero_currents(self, tmp_path, synth_manifest):

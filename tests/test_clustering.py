@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from pmcpower.clustering import (
 )
 from pmcpower import features as ft
 from pmcpower.errors import ClusteringError
+from pmcpower.model import run_pipeline
 from pmcpower.synth import collinear_config, generate
 
+from conftest import wide_dataset
 from oracles import (
     dendrogram_leafsets,
     distinct_distances_reference,
@@ -668,3 +671,105 @@ class TestCutDendrogram:
 
     def test_default_threshold_value(self):
         assert default_cut_threshold(120) == pytest.approx(6.0)
+
+
+class TestPipelineClustering:
+    """Ward on the block z-scores of a FeatureMatrix, as run_pipeline calls it."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_collinear_campaign(self, seed):
+        ds, _ = generate(collinear_config(n_runs=60, noise_sigma=0.02, seed=seed))
+        result = run_pipeline(ds)
+        expected = ward_cluster(result.matrix.zscored(), result.matrix.names()).to_json()
+        assert result.dendrogram.to_json() == expected
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_wide_campaign(self, seed):
+        ds = wide_dataset(6, 120, seed)
+        result = run_pipeline(ds)
+        assert len(result.matrix.specs) > 3 * ft._BLOCK_FEATURES
+        expected = ward_cluster(result.matrix.zscored(), result.matrix.names()).to_json()
+        assert result.dendrogram.to_json() == expected
+
+    def test_expanded_distances_when_the_guard_fails(self, rng):
+        # Columns a and b differ by 1e-200 in two runs: distinct bytes, but
+        # their distance underflows to 0, so the groups cannot be collapsed
+        # and every pair of columns goes to the merge loop. Small integers,
+        # each with its negation, sum to exactly 0, so both columns have
+        # mean 0 and z-score to values 1e-200 / std apart.
+        half = rng.integers(1, 6, 19).astype(float)
+        a = np.r_[half, -half, 0.0, 0.0]
+        b = a.copy()
+        b[-2:] = [1e-200, -1e-200]
+        n = a.size
+        others = rng.normal(size=(n, 70))
+        values = np.asfortranarray(np.column_stack([a, b, 2.0 * a, others, 4.0 * others[:, :5]]))
+        matrix = ft.FeatureMatrix(
+            tuple(ft.base(f"c{i:03d}") for i in range(values.shape[1])), values)
+        points = np.ascontiguousarray(matrix.zscored().T)
+        small, inverse = _distinct_distances(points)
+        # The names sort in column order, so the slots are the inverse.
+        assert _collapse_bit_equal(small, inverse, list(range(inverse.size))) is None
+        names = matrix.names()
+        got = ward_cluster(matrix.zscored_rows(), names).to_json()
+        assert got == ward_cluster(matrix.zscored(), names).to_json()
+
+    def test_peak_holds_no_z_scored_copy(self, rng):
+        # 1,000 runs x 800 column-major columns, 200 distinct after
+        # z-scoring (the rest are 2^k multiples of them, which z-score to
+        # bit-equal columns).
+        half = rng.normal(size=(1000, 200))
+        scales = np.repeat([1.0, 2.0, 0.25, 8.0], 200)
+        values = np.asfortranarray((np.tile(half, 4) * scales)[:, rng.permutation(800)])
+        matrix = ft.FeatureMatrix(tuple(ft.base(f"c{i:03d}") for i in range(800)), values)
+        names = matrix.names()
+        held = []  # bytes traced as the merge loop starts, the groups collapsed
+
+        def merge_loop(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return _merge_loop(*args)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(clustering, "_merge_loop", merge_loop):
+                tree = ward_cluster(matrix.zscored_rows(), names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(m.height == 0.0 for m in tree.merges) == 600
+        # The distinct columns, one distance matrix over them, the triangle's
+        # working arrays, two z-scored blocks and slack for numpy's buffers:
+        # no array the size of values.
+        dist_bytes = 200 * 200 * 8
+        block = 1000 * ft._BLOCK_FEATURES * 8
+        bound = half.nbytes + dist_bytes + _DIFF_BYTES + 2 * block + 128 * 1024
+        assert peak <= bound < values.nbytes
+        # One distance matrix, in slot order, beside the 600 merges: not two.
+        assert held[0] < 2 * dist_bytes
+        assert tree.to_json() == ward_cluster(matrix.zscored(), names).to_json()
+
+
+def _cycles(n, kind, rng):
+    if kind == "identity":
+        return np.arange(n)
+    if kind == "one cycle":
+        return np.roll(np.arange(n), 1)
+    if kind == "2-cycles":
+        perm = np.arange(n)
+        pairs = rng.permutation(n)[: 2 * (n // 2)].reshape(-1, 2)
+        perm[pairs[:, 0]], perm[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        return perm
+    return rng.permutation(n)
+
+
+class TestPermuteInPlace:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    @pytest.mark.parametrize("kind", ["random", "identity", "one cycle", "2-cycles"])
+    def test_equals_ix_gather(self, rng, n, kind):
+        square = rng.normal(size=(n, n))
+        square[rng.random((n, n)) < 0.1] = -0.0
+        np.fill_diagonal(square, np.inf)
+        perm = _cycles(n, kind, rng)
+        expected = square[np.ix_(perm, perm)]
+        clustering._permute_in_place(square, perm)
+        assert square.tobytes() == expected.tobytes()

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmcpower import features, numerics
+from pmcpower.dataset import Dataset
 from pmcpower.errors import DegenerateSeriesError, FeatureError, PmcPowerError
 from pmcpower.features import (
+    _BLOCK_FEATURES,
     FeatureMatrix,
     base,
     build_matrix,
@@ -27,6 +29,7 @@ from pmcpower.features import (
     product,
     ratio,
 )
+from pmcpower.model import run_pipeline
 from pmcpower.numerics import pearson, pearson_p_value
 
 from conftest import make_dataset, wide_dataset
@@ -206,6 +209,26 @@ class TestInvertNegative:
         with pytest.raises(DegenerateSeriesError, match=re.escape(problem)):
             invert_negative(make_dataset(cols, target))
 
+    @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+    def test_target_whose_squares_overflow_is_named(self, scale):
+        # No value is non-finite, but the target's centred sum of squares
+        # overflows: every correlation would be rejected, blaming a counter.
+        ds = wide_dataset(3, 60, 3)
+        big = Dataset(ds.counter_names, ds.rates, ds.meta, ds.total_current * scale)
+        run = int(np.abs(big.target_current).argmax())
+        expected = (f"the target current is too large to correlate: its sum of squares over "
+                    f"60 training runs overflows (largest {float(big.target_current[run])!r} "
+                    f"mA, in a run of benchmark {ds.meta[run].benchmark_name!r})")
+        with pytest.raises(DegenerateSeriesError, match=f"^{re.escape(expected)}$"):
+            invert_negative(big)
+        with pytest.raises(DegenerateSeriesError, match=f"^{re.escape(expected)}$"):
+            run_pipeline(big)
+
+    def test_large_target_whose_squares_fit_trains(self):
+        ds = wide_dataset(3, 60, 3)
+        big = Dataset(ds.counter_names, ds.rates, ds.meta, ds.total_current * 1e150)
+        assert run_pipeline(big).model.features
+
 
 class TestGenerateCombined:
     def test_candidate_combinatorics(self, rng):
@@ -369,6 +392,67 @@ class TestZscored:
         assert z.flags.f_contiguous
         # Slack for the mean and std and numpy's reduction buffers.
         assert peak <= values.nbytes + 128 * 1024
+
+
+@st.composite
+def block_zscore_values(draw):
+    """Column-major runs x columns values, some columns bit-equal copies or
+    2^k multiples of others (they z-score to bit-equal columns), with a
+    block width of 1, 7 or 64 and a column count at or next to a block
+    edge."""
+    block = draw(st.sampled_from([1, 7, _BLOCK_FEATURES]))
+    n_cols = max(1, draw(st.integers(1, 3)) * block + draw(st.integers(-1, 1)))
+    n_runs = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_runs, n_cols)) * 10.0 ** draw(st.integers(-6, 6))
+    copies = draw(st.integers(0, n_cols // 2))
+    source = rng.integers(0, n_cols, copies)
+    target = rng.integers(0, n_cols, copies)
+    values[:, target] = values[:, source] * 2.0 ** rng.integers(-4, 5, copies)
+    return np.asfortranarray(values), block
+
+
+class TestZscoredRows:
+    @settings(max_examples=150, deadline=None)
+    @given(case=block_zscore_values())
+    def test_blocks_equal_zscored_bit_for_bit(self, case):
+        values, block = case
+        matrix = FeatureMatrix(tuple(base(f"c{i}") for i in range(values.shape[1])), values)
+        with mock.patch.object(features, "_BLOCK_FEATURES", block):
+            rows = matrix.zscored_rows()
+            blocks = list(rows)
+        assert rows.shape == values.shape[::-1]
+        assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.vstack(blocks).tobytes() == np.ascontiguousarray(matrix.zscored().T).tobytes()
+
+    def test_wide_campaign_matrix_bits(self):
+        # Column-major as build_matrix lays it out, 200 runs of a wide campaign.
+        ds = wide_dataset(8, 200, 3)
+        matrix = build_matrix(ds, generate_combined(ds, invert_negative(ds), top_k=300))
+        assert matrix.values.shape[1] > 3 * _BLOCK_FEATURES
+        z = matrix.zscored()
+        assert np.vstack(list(matrix.zscored_rows())).tobytes() == np.ascontiguousarray(z.T).tobytes()
+
+    def test_row_major_values_rejected(self):
+        values = np.arange(12.0).reshape(4, 3)
+        matrix = FeatureMatrix(tuple(base(f"c{i}") for i in range(3)), values)
+        with pytest.raises(FeatureError, match="column-major"):
+            matrix.zscored_rows()
+
+    def test_holds_one_block_at_a_time(self, rng):
+        values = np.asfortranarray(rng.normal(size=(1000, 400)))
+        rows = FeatureMatrix(tuple(base(f"c{i}") for i in range(400)), values).zscored_rows()
+        block_bytes = 1000 * _BLOCK_FEATURES * 8
+        tracemalloc.start()
+        try:
+            for block in rows:
+                del block
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block's z-scores and the std's centred copy of it.
+        assert peak <= 2 * block_bytes + 128 * 1024
 
 
 class TestVarianceGateOverflow:

@@ -403,3 +403,23 @@ class TestLazyRanking:
         assert got == _outcome(select_significant_reference, *args)
         if not isinstance(got[0], type):
             assert got[0].terminated_at == assignment.n_clusters
+
+
+class TestNanRefit:
+    def test_first_refit_nan_names_the_cluster_first_column(self, rng):
+        # A target at 1e160: its squares overflow, every refit scores NaN
+        # and the first member's NaN leaves no tie to pick from.
+        f = rng.uniform(1, 10, 30)
+        matrix, y = matrix_from({"b": 2 * f + rng.normal(0, 0.1, 30), "a": f}, 3 * f + 2)
+        y = y * 1e160
+        assignment = assignment_of(matrix, [["b", "a"]])
+        first = matrix.specs[assignment.members(0)[0]].canonical()
+        message = re.escape(f"R-squared of {first}, the first member of its cluster, is NaN")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for pick in (selection._best_member, best_member_reference):
+                with pytest.raises(DegenerateSeriesError, match=message):
+                    pick(assignment.members(0), [], matrix, y)
+            for select in (select_significant, select_significant_reference):
+                with pytest.raises(DegenerateSeriesError, match=message):
+                    select(assignment, matrix, y)
